@@ -31,7 +31,6 @@ from .decomp import (
     semisimple_table,
     split_by_formula,
     splittable_number,
-    vandermonde,
 )
 from .elements import (
     TraceCheck,

@@ -52,6 +52,7 @@ from .exactnum import (
     CycRat,
     GenericField,
     LaurentPoly,
+    PoleError,
     RatFunc,
     SpecPoint,
     generic_field,
@@ -908,7 +909,10 @@ def fixtures_cmd(suite, out):
         except AssertionError as exc:
             detail = str(exc)
             passed = False
-            ok = False
+        except (PoleError, InputDataError, VerificationError) as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            passed = False
+        ok = ok and passed
         results.append({
             "criterion": name,
             "passed": passed,

@@ -3,10 +3,12 @@
 Decomposition tables of the component algebras of type G(s,1,m) are
 input data; nothing here computes them.  This module combines them:
 for a pair with equal splitting number l the cyclic-twist relations
-form an l x l Vandermonde system whose Cramer solution gives the
-multiplicities [S^la_i : D^mu_j] exactly, and every other entry is
-reported as a first-class unknown together with the residue-class
-sums the relations do determine.
+form an l x l system V(l) x = column whose matrix is the character
+table of Z/l, so its closed-form inverse gives the multiplicities
+[S^la_i : D^mu_j] exactly, and every other entry is reported as a
+first-class unknown together with the residue-class sums the relations
+do determine.  The relations oracle solves the same systems by generic
+elimination, independently of the closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .combin import (
     shift_composition,
 )
 from .exactnum import CycRat, GenericField, RatFunc
-from .matrices import mat_det_gauss, mat_replace_col
+from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
 
@@ -82,7 +84,7 @@ class DecompTable:
         for ri, ci, v in entries:
             if not (0 <= ri < len(self.rows) and 0 <= ci < len(self.cols)):
                 raise InputDataError(f"entry index out of range: {(ri, ci)}")
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputDataError(f"entry must be a nonnegative integer: {v!r}")
             if (ri, ci) in self.entries:
                 raise InputDataError(f"duplicate entry at {(ri, ci)}")
@@ -229,19 +231,7 @@ def orbit_sum_bound(la: Multipartition, mu: Multipartition, tables) -> int:
     return total
 
 
-# --- Vandermonde system ---------------------------------------------------
-
-
-def vandermonde(l: int, p: int) -> tuple:
-    """The l x l matrix with (a, b) entry eps^((a-1)*b*m), m = p/l."""
-    if l < 1 or p < 1 or p % l:
-        raise ValueError(f"need l dividing p, got l={l}, p={p}")
-    m = p // l
-    zeta = CycRat.zeta(p)
-    return tuple(
-        tuple(zeta ** ((a * b * m) % p) for b in range(1, l + 1))
-        for a in range(l)
-    )
+# --- cyclic-twist system --------------------------------------------------
 
 
 def _ring_order(sample) -> int:
@@ -298,17 +288,22 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
 
 
-def _cramer(l: int, p: int, ratio, column) -> list:
-    """Solve V(l) x = column in ratio's ring, by Cramer's rule."""
-    rows = tuple(
-        tuple(_eps_in(ratio, p, a * b * (p // l)) for b in range(1, l + 1))
-        for a in range(l)
-    )
-    det_v = mat_det_gauss(rows)
-    return [
-        mat_det_gauss(mat_replace_col(rows, c, tuple(column))) / det_v
-        for c in range(l)
-    ]
+def _inverse_dft(l: int, p: int, ratio, column) -> list:
+    """Solve V(l) x = column in ratio's ring, in closed form.
+
+    V(l), with (a, b) entry eps^((a-1)*b*m) and m = p/l, is the character
+    table of Z/l in omega = eps^m, so x_c = (1/l) sum_t omega^(-t*c) column_t.
+    """
+    m = p // l
+    omega = [_eps_in(ratio, p, k * m) for k in range(l)]
+    inv_l = Fraction(1, l)
+    out = []
+    for c in range(1, l + 1):
+        acc = column[0]
+        for t in range(1, l):
+            acc = acc + omega[(-t * c) % l] * column[t]
+        out.append(acc * inv_l)
+    return out
 
 
 def _twist_column(l: int, ratio, d_val: int, multiplier: int = 1) -> list:
@@ -365,17 +360,15 @@ def reduce_result(result: SplitResult, char: int) -> SplitResult:
     return result._replace(char=char, residues=residues)
 
 
-def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
-                      tables, g_ratio, char: int = None) -> Fraction:
-    """The multiplicity [S^la_i : D^mu_j] for a pair with p_la = p_mu.
+def _formula_solve(la: Multipartition, mu: Multipartition, tables, g_ratio,
+                   i: int = 1, j: int = 1) -> tuple:
+    """The splitting number l and the l twist multiplicities, unconverted.
 
-    Replaces column (j - i mod l) of the Vandermonde matrix with the
-    twisted column (g_ratio^t * d^gcd(l,t)) and returns the ratio of
-    determinants; with char set, the value is validated as a count
-    and reduced.
+    Entry c - 1 is [S^la_i : D^mu_j] for j - i = c (mod l), in the ring
+    of g_ratio; the summand labels i, j are only range-checked here.
     """
     _, p_la = la.orbit_order()
-    o_mu, p_mu = mu.orbit_order()
+    _, p_mu = mu.orbit_order()
     if p_la != p_mu:
         raise NonSplittableError(
             f"splitting numbers differ: p_la = {p_la}, p_mu = {p_mu}"
@@ -385,12 +378,21 @@ def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
         raise ValueError(f"summand labels out of range: i={i}, j={j}")
     d_val = d_product(la, mu, la.p // l, tables)
     if l == 1:
-        value = Fraction(d_val)
-    else:
-        ratio = _lift_scalar(g_ratio, la.p)
-        column = _twist_column(l, ratio, d_val)
-        c = (j - i) % l or l
-        value = _as_fraction(_cramer(l, la.p, ratio, column)[c - 1])
+        return l, [Fraction(d_val)]
+    ratio = _lift_scalar(g_ratio, la.p)
+    return l, _inverse_dft(l, la.p, ratio, _twist_column(l, ratio, d_val))
+
+
+def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
+                      tables, g_ratio, char: int = None) -> Fraction:
+    """The multiplicity [S^la_i : D^mu_j] for a pair with p_la = p_mu.
+
+    Reads entry (j - i mod l) of the closed-form twist solve; with char
+    set, the value is validated as a count and reduced.
+    """
+    l, values = _formula_solve(la, mu, tables, g_ratio, i, j)
+    c = (j - i) % l or l
+    value = _as_fraction(values[c - 1])
     if char is None:
         return value
     if char < 2:
@@ -405,30 +407,16 @@ def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
 
 def split_by_formula(la: Multipartition, mu: Multipartition, tables, g_ratio,
                      char: int = None) -> SplitResult:
-    """All l twist multiplicities of a splittable pair, by Cramer's rule."""
-    _, p_la = la.orbit_order()
-    _, p_mu = mu.orbit_order()
-    if p_la != p_mu:
-        raise NonSplittableError(
-            f"splitting numbers differ: p_la = {p_la}, p_mu = {p_mu}"
-        )
-    l = p_la
-    d_val = d_product(la, mu, la.p // l, tables)
-    if l == 1:
-        values = (Fraction(d_val),)
-    else:
-        ratio = _lift_scalar(g_ratio, la.p)
-        column = _twist_column(l, ratio, d_val)
-        values = tuple(
-            _as_fraction(v) for v in _cramer(l, la.p, ratio, column)
-        )
+    """All l twist multiplicities of a splittable pair, in closed form."""
+    l, values = _formula_solve(la, mu, tables, g_ratio)
+    values = tuple(_as_fraction(v) for v in values)
     result = SplitResult(la, mu, l, _check_counts(values, "multiplicity"),
                          "formula")
     return reduce_result(result, char) if char is not None else result
 
 
 def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
-    """Solve the cyclic-twist linear system directly.
+    """Solve the cyclic-twist linear system by generic elimination.
 
     g_powers is the pair (g_la, g_mu) of scalar values.  With p_mu
     equal to l = p_la the l x l system determines every twist
@@ -452,9 +440,10 @@ def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
         g_mu_val = _lift_scalar(g_powers[1], la.p)
         ratio = g_la_val / (g_mu_val ** period_ratio)
         column = _twist_column(l, ratio, d_val, multiplier=period_ratio)
-        sums = tuple(
-            _as_fraction(v) for v in _cramer(l, la.p, ratio, column)
-        )
+        # V(l), solved by elimination to stay independent of _inverse_dft
+        omega = [_eps_in(ratio, la.p, k * o_la) for k in range(l)]
+        rows = [[omega[a * b % l] for b in range(1, l + 1)] for a in range(l)]
+        sums = tuple(_as_fraction(v) for v in mat_solve(rows, column))
     if p_mu == l:
         return SplitResult(la, mu, l, _check_counts(sums, "multiplicity"),
                            "oracle")
@@ -511,7 +500,7 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     Rows run over (la class representative, i = 1..p_la) for all la of
     size n, columns over (mu, j) for the supplied simple labels, both
     sorted most dominant first.  Splittable entries are computed by
-    the determinant formula, pairs whose orbit sum vanishes are zero,
+    the closed-form twist solve, pairs whose orbit sum vanishes are zero,
     and the rest become named unknowns; when the twist relations apply
     their residue-class sums are attached as integer linear forms.  g
     ratios are evaluated at the given specialization point, or

@@ -6,20 +6,11 @@ here supports.
 """
 
 
-def mat_from_rows(rows) -> tuple:
-    return tuple(tuple(row) for row in rows)
-
-
 def mat_identity(n: int, field) -> tuple:
     one, zero = field.one, field.zero
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
-
-
-def mat_zero(n: int, m: int, field) -> tuple:
-    zero = field.zero
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
 
 
 def mat_diag(entries) -> tuple:
@@ -83,77 +74,42 @@ def mat_is_zero(A) -> bool:
     return all(not x for row in A for x in row)
 
 
-def mat_rank(A) -> int:
-    if not A or not A[0]:
-        return 0
-    rows = [list(r) for r in A]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+def _echelon(rows: list) -> list:
+    """Reduce the list rows to row echelon form in place; return the pivot columns."""
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return rank
-
-
-def mat_det(A):
-    """Cofactor expansion along the first row; fine at the sizes used here."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        raise ValueError("empty matrix has no determinant here")
-    if n == 1:
-        return A[0][0]
-    acc = None
-    for j in range(n):
-        if not A[0][j]:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
-        term = A[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return A[0][0] * 0
-    return acc
-
-
-def mat_det_gauss(A):
-    """Determinant by elimination with exact division; entries must divide."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        raise ValueError("empty matrix has no determinant here")
-    rows = [list(r) for r in A]
-    det = None
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            return A[0][0] * 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            rows[col] = [-x for x in rows[col]]
-        pv = rows[col][col]
-        det = pv if det is None else det * pv
-        for i in range(col + 1, n):
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        for i in range(r + 1, len(rows)):
             if rows[i][col]:
                 f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return det
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
 
 
-def mat_replace_col(A, j: int, col) -> tuple:
-    return tuple(
-        row[:j] + (col[i],) + row[j + 1:] for i, row in enumerate(A)
-    )
+def mat_rank(A) -> int:
+    return len(_echelon([list(r) for r in A]))
+
+
+def mat_solve(A, b) -> list:
+    """The x with A x = b for square invertible A, by elimination."""
+    n = len(A)
+    if any(len(row) != n for row in A) or len(b) != n:
+        raise ValueError("solve needs a square matrix and a matching column")
+    rows = [list(row) + [v] for row, v in zip(A, b)]
+    if _echelon(rows) != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    x = [None] * n
+    for i in reversed(range(n)):
+        acc = rows[i][n]
+        for j in range(i + 1, n):
+            acc = acc - rows[i][j] * x[j]
+        x[i] = acc / rows[i][i]
+    return x

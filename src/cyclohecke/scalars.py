@@ -12,7 +12,7 @@ trace form and to the shift endomorphisms are exercised by the test suite
 against the seminormal representations.
 
 All exponents that are a priori rational are computed exactly and
-asserted integral before use.
+checked integral before use.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ def schur_element_b(la: Multipartition, b, field):
     return value
 
 
-def _assert_laurent(field, value, name: str):
-    if field.is_generic:
-        assert len(value.den.terms) == 1, f"{name} must be a Laurent polynomial"
+def _check_laurent(field, value, name: str):
+    if field.is_generic and len(value.den.terms) != 1:
+        raise RuntimeError(f"internal: {name} must be a Laurent polynomial")
 
 
 class _Exponents(NamedTuple):
@@ -143,10 +143,12 @@ def _exponents(la: Multipartition, b) -> _Exponents:
     ab, lwb = comp_stats(b)
     orbit, split = la.orbit_order()
     gamma = lwb - beta(la.arrow()) + sum(beta(_pooled(blk)) for blk in la.blocks())
-    assert gamma % split == 0, "q-exponent of g must be an integer"
+    if gamma % split:
+        raise RuntimeError("internal: q-exponent of g must be an integer")
     eps_f = d * n * (p * (p - 1) // 2) - d * ab
     eps_g = Fraction(n // split * (la.r * p - d * orbit), 2) - Fraction(d * ab, split)
-    assert eps_g.denominator == 1, "eps-exponent of g must be an integer"
+    if eps_g.denominator != 1:
+        raise RuntimeError("internal: eps-exponent of g must be an integer")
     return _Exponents(orbit, split, n // split, gamma, gamma // split, eps_f, int(eps_g))
 
 
@@ -166,7 +168,7 @@ def f_lambda_closed(la: Multipartition, b, field):
             if component_index(t, p, d)[0] == ps:
                 continue
             value = value * (_twisted_hook(field, la.comps, p, d, i, j, s, t) - field.one)
-    _assert_laurent(field, value, "f")
+    _check_laurent(field, value, "f")
     return value
 
 
@@ -196,7 +198,7 @@ def g_lambda(la: Multipartition, b, field):
                     continue
                 twisted = _twisted_hook(field, root.comps, exps.orbit, d, i, j, s, t)
                 value = value * (field.eps_pow(a * exps.orbit) * twisted - field.one)
-    _assert_laurent(field, value, "g")
+    _check_laurent(field, value, "g")
     return value
 
 

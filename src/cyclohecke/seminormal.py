@@ -75,8 +75,10 @@ class SeminormalRep:
             recursed = mat_scale(
                 qinv, mat_mul(self.tmat[k], mat_mul(self.lmat[k - 1],
                                                     self.tmat[k])))
-            assert mat_eq(recursed, self.lmat[k]), (
-                f"L_{k + 1} recursion disagrees with contents on {shape!r}")
+            if not mat_eq(recursed, self.lmat[k]):
+                raise RuntimeError(
+                    f"internal: L_{k + 1} recursion disagrees with contents "
+                    f"on {shape!r}")
 
         self._tinv = {}
 

@@ -246,6 +246,21 @@ def test_splittable_exit_codes(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_splittable_rejects_boolean_table_entry(runner, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"tables": [
+        {"s": 1, "m": 1, "rows": [[[1]]], "cols": [[[1]]],
+         "entries": [[0, 0, True]]},
+    ]}))
+    result = runner.invoke(main, ["splittable", "--p", "2", "--d", "1",
+                                  "--lambda", "[[1],[1]]",
+                                  "--mu", "[[1],[1]]", "--tables", str(path)])
+    assert result.exit_code == 4
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input-data"
+    assert "True" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # assembly and reduction
 
@@ -334,6 +349,32 @@ def test_fixtures_unknown_suite(runner):
     result = runner.invoke(main, ["fixtures", "--suite", "nightly"])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"]["kind"] == "validation"
+
+
+def test_fixtures_records_typed_errors_per_criterion(runner, monkeypatch):
+    from cyclohecke import cli
+    from cyclohecke.decomp import InputDataError
+    from cyclohecke.exactnum import PoleError
+
+    def raises(exc):
+        def check():
+            raise exc
+        return check
+
+    divisibility = [c for c in cli.quick_criteria()
+                    if c[0] == "9 divisibility"]
+    monkeypatch.setattr(cli, "quick_criteria", lambda: [
+        ("1 pole", raises(PoleError("pole at q = 1")), None),
+        ("2 tables", raises(InputDataError("bad table")), None),
+        *divisibility,
+    ])
+    data = run_json(runner, ["fixtures", "--suite", "quick"], exit_code=3)
+    assert data["passed"] is False
+    results = data["results"]
+    assert [r["passed"] for r in results] == [False, False, True]
+    assert results[0]["detail"] == "PoleError: pole at q = 1"
+    assert results[1]["detail"] == "InputDataError: bad table"
+    assert results[2]["criterion"] == "9 divisibility"
 
 
 def test_determinism_same_seed(runner):

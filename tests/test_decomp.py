@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from cyclohecke import cli, decomp
 from cyclohecke.combin import Multipartition, enumerate_all, enumerate_pdb
 from cyclohecke.decomp import (
     ClassSums,
@@ -22,10 +24,9 @@ from cyclohecke.decomp import (
     semisimple_table,
     split_by_formula,
     splittable_number,
-    vandermonde,
 )
 from cyclohecke.exactnum import CycRat, GenericField, sample_point
-from cyclohecke.matrices import mat_det_gauss
+from cyclohecke.matrices import mat_mul, mat_solve
 from cyclohecke.scalars import g_lambda
 
 
@@ -92,6 +93,17 @@ def test_table_rejects_bad_entries_and_labels():
         DecompTable(1, 2, labels + [[[2]]], labels, good)
     with pytest.raises(InputDataError):
         DecompTable(1, 2, [[[3]], [[1, 1]]], labels, good)
+
+
+def test_table_rejects_boolean_entries():
+    for flag in ("true", "false"):
+        data = json.loads(
+            '{"s": 1, "m": 2, "rows": [[[2]], [[1, 1]]], "cols": [[[2]]],'
+            ' "entries": [[0, 0, 1], [1, 0, %s]]}' % flag)
+        with pytest.raises(InputDataError, match="nonnegative integer"):
+            DecompTable.from_json(data)
+    with pytest.raises(InputDataError):
+        DecompTable(1, 1, [[[1]]], [[[1]]], [[0, 0, True]])
 
 
 def test_table_semisimple_flag_enforced():
@@ -192,35 +204,55 @@ def test_orbit_sum_bound():
 
 
 # ---------------------------------------------------------------------------
-# Vandermonde system
+# cyclic-twist system
 
 
-def test_vandermonde_small():
-    assert vandermonde(1, 3) == ((CycRat.from_rational(3, 1),),)
-    v = vandermonde(2, 2)
-    assert v[0][0] == 1 and v[0][1] == 1
-    assert v[1][0] == -1 and v[1][1] == 1
-    assert mat_det_gauss(v) == 2
-    with pytest.raises(ValueError):
-        vandermonde(3, 4)
-    with pytest.raises(ValueError):
-        vandermonde(0, 2)
+def twist_matrix(l, p):
+    """V(l): the (a, b) entry is eps^((a-1)*b*m), m = p/l, for a, b = 1..l."""
+    zeta = CycRat.zeta(p)
+    m = p // l
+    return tuple(tuple(zeta ** ((a * b * m) % p) for b in range(1, l + 1))
+                 for a in range(l))
 
 
-def test_vandermonde_determinant_product():
+def test_twist_solves_agree():
+    rng = Random(5)
     for p in (2, 3, 4, 6, 8, 9, 10, 12):
-        eps = CycRat.zeta(p)
+        one = CycRat.from_rational(p, 1)
         for l in range(1, p + 1):
             if p % l:
                 continue
-            m = p // l
-            det = mat_det_gauss(vandermonde(l, p))
-            expect = CycRat.from_rational(p, 1)
-            for a in range(1, l + 1):
-                for b in range(a + 1, l + 1):
-                    expect = expect * (eps ** (b * m) - eps ** (a * m))
-            assert det == expect
-            assert det != 0
+            v = twist_matrix(l, p)
+            column = [one * Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                      for _ in range(l)]
+            closed = decomp._inverse_dft(l, p, one, column)
+            assert closed == mat_solve(v, column)
+            back = mat_mul(v, tuple((x,) for x in closed))
+            assert [row[0] for row in back] == column
+
+
+def test_mat_solve_rejects_bad_shapes_and_singular():
+    one = Fraction(1)
+    with pytest.raises(ValueError):
+        mat_solve(((one, one),), [one])
+    with pytest.raises(ValueError):
+        mat_solve(((one,),), [one, one])
+    with pytest.raises(ZeroDivisionError):
+        mat_solve(((one, one), (one, one)), [one, one])
+    assert mat_solve(((Fraction(0), Fraction(2)), (Fraction(3), one)),
+                     [Fraction(4), Fraction(5)]) == [Fraction(1), Fraction(2)]
+
+
+def test_oracle_catches_corrupted_formula(monkeypatch):
+    real = decomp._inverse_dft
+
+    def corrupted(*args):
+        values = real(*args)
+        return [values[0] + 1] + values[1:]
+
+    monkeypatch.setattr(decomp, "_inverse_dft", corrupted)
+    with pytest.raises(AssertionError, match="formula disagrees with oracle"):
+        cli._splittable_sweep(3, [semisimple_table(1, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -341,3 +341,34 @@ def test_scalar_bundle_fields():
     assert bundle.g == g_lambda(la, (1, 1, 1), F)
     e = 1 * 1 * 1 * (3 * 2 // 2)
     assert bundle.g ** 3 == F.eps_pow(e) * bundle.f
+
+
+# ---------------------------------------------------------------------------
+# internal invariants raise, also under python -O
+
+
+def test_laurent_check_trips_on_injected_pole(monkeypatch):
+    from cyclohecke import scalars
+
+    def bad_hook(field, *args):
+        return field.one + field.one / (field.q + field.one)
+
+    monkeypatch.setattr(scalars, "_twisted_hook", bad_hook)
+    with pytest.raises(RuntimeError, match="internal: f must be a Laurent"):
+        f_lambda_closed(mp(2, 1, ((1,), (1,))), (1, 1), GenericField(2, 1))
+
+
+def test_exponent_checks_trip_on_injected_fault(monkeypatch):
+    from cyclohecke import scalars
+
+    la = mp(2, 1, ((1,), (1,)))
+    assert la.orbit_order() == (1, 2)
+    real = scalars.comp_stats
+    monkeypatch.setattr(scalars, "comp_stats",
+                        lambda b: (real(b)[0], real(b)[1] + 1))
+    with pytest.raises(RuntimeError, match="internal: q-exponent"):
+        g_lambda(la, (1, 1), GenericField(2, 1))
+    monkeypatch.setattr(scalars, "comp_stats",
+                        lambda b: (real(b)[0] + 1, real(b)[1]))
+    with pytest.raises(RuntimeError, match="internal: eps-exponent"):
+        g_lambda(la, (1, 1), GenericField(2, 1))

@@ -230,3 +230,11 @@ def test_cyclotomic_params_order():
     rho = cyclotomic_params(pt)
     eps = pt.eps_pow(1)
     assert rho == [eps * pt.Q(1), eps * pt.Q(2), pt.Q(1), pt.Q(2)]
+
+
+def test_l_recursion_check_trips_on_injected_fault(monkeypatch):
+    from cyclohecke import seminormal
+
+    monkeypatch.setattr(seminormal, "mat_eq", lambda a, b: False)
+    with pytest.raises(RuntimeError, match="internal: L_2 recursion"):
+        SeminormalRep(mp(2, 1, [(1,), (1,)]), K21)
