@@ -1,8 +1,9 @@
 """Distinguished algebra elements as evaluable words, and their identities.
 
 The central object is the block shuffle element v_b attached to a
-composition b of n: a product of Jucys-Murphy ladders (the LL factors)
-and block transposition elements T_{a,b}.  Everything here manipulates
+composition b of n: a product of Jucys-Murphy ladders (runs of factors
+L_k - eps^s Q_i, each one diagonal ``ladder`` token) and block
+transposition elements T_{a,b}.  Everything here manipulates
 token words, never structure constants; equality of elements is decided
 through the faithful seminormal matrices, and the canonical symmetrizing
 trace is evaluated as the weighted sum of module characters with Schur
@@ -15,6 +16,7 @@ callable form the equality checker accepts.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations as _perm_tuples
 from itertools import product as _cartesian
 from typing import NamedTuple
@@ -63,8 +65,7 @@ def ll_word(field, s: int, lo: int, hi: int) -> list:
     out = []
     for k in range(lo, hi + 1):
         for i in range(1, field.d + 1):
-            root = field.eps_pow(s) * field.Q(i)
-            out.append(("sum", [[("L", k)], [("scal", -root)]]))
+            out.append(("ladder", k, field.eps_pow(s) * field.Q(i)))
     return out
 
 
@@ -262,7 +263,7 @@ def ulam_plus_word(field, la: Multipartition) -> list:
             a_st = sum(sum(block[c]) for c in range(s - 1))
             root = field.eps_pow(t) * field.Q(s)
             for j in range(1, a_st + 1):
-                out.append(("sum", [[("L", off + j)], [("scal", -root)]]))
+                out.append(("ladder", off + j, root))
     return out
 
 
@@ -323,18 +324,17 @@ def make(spec: dict):
 # ---------------------------------------------------------------------------
 # the canonical trace
 
-_SCHUR_INVERSES = {}
+# keyed by sampled points, so bounded like the rep cache
+SCHUR_INVERSES_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=SCHUR_INVERSES_CACHE_SIZE)
 def _schur_inverses(field, n: int) -> list:
-    key = (field, n)
-    if key not in _SCHUR_INVERSES:
-        r = field.p * field.d
-        _SCHUR_INVERSES[key] = [
-            (shape, schur_element(r, shape, field).inverse())
-            for shape in enumerate_all(field.p, field.d, n)
-        ]
-    return _SCHUR_INVERSES[key]
+    r = field.p * field.d
+    return [
+        (shape, schur_element(r, shape, field).inverse())
+        for shape in enumerate_all(field.p, field.d, n)
+    ]
 
 
 def trace(r: int, n: int, word, field):

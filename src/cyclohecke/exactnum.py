@@ -286,11 +286,21 @@ class CycRat:
         return f"CycRat({self.order}, {[str(c) for c in self.coeffs]})"
 
 
+@lru_cache(maxsize=64)
+def _zeta_powers(order: int) -> tuple:
+    """zeta_order^e for e = 0 .. order - 1, in Q(zeta_order)."""
+    zeta = CycRat.zeta(order)
+    powers = [CycRat.from_rational(order, 1)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * zeta)
+    return tuple(powers)
+
+
 def eps_pow(p: int, k: int) -> CycRat:
     """eps^k in Q(eps), eps a primitive p-th root of unity; needs p >= 2."""
     if p < 2:
         raise ValueError("invalid order: a primitive root of unity needs p >= 2")
-    return CycRat.zeta(p) ** (k % p)
+    return _zeta_powers(p)[k % p]
 
 
 class LaurentPoly:
@@ -695,7 +705,7 @@ class SpecPoint:
         return CycRat.from_rational(self.N, 1)
 
     def eps_pow(self, k: int) -> CycRat:
-        return CycRat.zeta(self.N) ** (((self.N // self.p) * k) % self.N)
+        return _zeta_powers(self.N)[((self.N // self.p) * k) % self.N]
 
     def q_power(self, k: int) -> CycRat:
         return self.q_val ** k
@@ -718,7 +728,7 @@ class SpecPoint:
             return c
         if self.N % c.order != 0:
             raise ValueError(f"cannot embed order {c.order} into conductor {self.N}")
-        root = CycRat.zeta(self.N) ** (self.N // c.order)
+        root = _zeta_powers(self.N)[self.N // c.order]
         acc = CycRat.from_rational(self.N, 0)
         power = CycRat.from_rational(self.N, 1)
         for a in c.coeffs:
@@ -840,14 +850,25 @@ def is_semisimple(pt: SpecPoint, n: int, d: int = None) -> bool:
     return True
 
 
+# draws before sample_point gives up; on the default range a draw is
+# rejected with probability well under 1/1000
+SAMPLE_ATTEMPTS = 1000
+
+
 def sample_point(p: int, d: int, n: int, rng, lo: int = 2, hi: int = 10 ** 6) -> SpecPoint:
-    """Random separated, semisimple SpecPoint with integer coordinates in [lo, hi]."""
-    while True:
+    """Random separated, semisimple SpecPoint with integer coordinates in [lo, hi].
+
+    Raises ValueError when SAMPLE_ATTEMPTS draws in a row are rejected.
+    """
+    for _ in range(SAMPLE_ATTEMPTS):
         q = rng.randint(lo, hi)
         Qs = [rng.randint(lo, hi) for _ in range(d)]
         pt = SpecPoint(p, p, q, Qs)
         if is_separated(pt, n) and is_semisimple(pt, n):
             return pt
+    raise ValueError(
+        f"no separated semisimple point for p={p}, d={d}, n={n} with "
+        f"coordinates in [{lo}, {hi}] after {SAMPLE_ATTEMPTS} draws")
 
 
 def _coeff_json(c: CycRat) -> list:

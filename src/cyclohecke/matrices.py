@@ -54,6 +54,42 @@ def mat_mul(A, B) -> tuple:
     return tuple(out)
 
 
+def mat_sparse_rows(A) -> tuple:
+    """The rows of A as tuples of (column, entry) pairs, zeros dropped."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in A)
+
+
+def mat_mul_sparse(A, S) -> tuple:
+    """A times the square matrix S given by its sparse rows.
+
+    Terms are summed in the order mat_mul sums them, so both products
+    build every entry the same way.
+    """
+    if A and len(A[0]) != len(S):
+        raise ValueError("matrix dimension mismatch")
+    if not A or not S:
+        return tuple(row[:0] for row in A)
+    zero = A[0][0] * 0
+    out = []
+    for row in A:
+        acc = [zero] * len(S)
+        for x, srow in zip(row, S):
+            if x:
+                for j, y in srow:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def mat_scale_cols(A, d) -> tuple:
+    """A times the diagonal matrix with diagonal d: column j scaled by d[j]."""
+    if A and len(A[0]) != len(d):
+        raise ValueError("matrix dimension mismatch")
+    zero = A[0][0] * 0 if A and d else None
+    return tuple(tuple(x * y if x and y else zero for x, y in zip(row, d))
+                 for row in A)
+
+
 def mat_trace(A):
     acc = A[0][0]
     for i in range(1, len(A)):

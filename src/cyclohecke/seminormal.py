@@ -8,6 +8,7 @@ convention.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .combin import Multipartition, component_index, enumerate_all
@@ -19,7 +20,10 @@ from .matrices import (
     mat_identity,
     mat_is_zero,
     mat_mul,
+    mat_mul_sparse,
     mat_scale,
+    mat_scale_cols,
+    mat_sparse_rows,
     mat_sub,
     mat_trace,
 )
@@ -49,10 +53,11 @@ class SeminormalRep:
         self.index = {s: a for a, s in enumerate(self.basis)}
         self.n = shape.size
 
-        self.lmat = [
-            mat_diag([content(s, k, field) for s in self.basis])
+        self.ldiag = [
+            tuple(content(s, k, field) for s in self.basis)
             for k in range(1, self.n + 1)
         ]
+        self.lmat = [mat_diag(diag) for diag in self.ldiag]
 
         self.tmat = {}
         if self.n:
@@ -69,18 +74,19 @@ class SeminormalRep:
                 rows.append(tuple(row))
             self.tmat[i] = tuple(rows)
 
+        self._tinv = {}
+        self._rows = {}
+
         # the recursion q^-1 T_k L_k T_k must reproduce the content diagonals
         qinv = field.q_power(-1)
         for k in range(1, self.n):
-            recursed = mat_scale(
-                qinv, mat_mul(self.tmat[k], mat_mul(self.lmat[k - 1],
-                                                    self.tmat[k])))
+            recursed = mat_scale(qinv, mat_mul_sparse(
+                mat_scale_cols(self.tmat[k], self.ldiag[k - 1]),
+                self.t_rows(k)))
             if not mat_eq(recursed, self.lmat[k]):
                 raise RuntimeError(
                     f"internal: L_{k + 1} recursion disagrees with contents "
                     f"on {shape!r}")
-
-        self._tinv = {}
 
     def identity(self) -> tuple:
         return mat_identity(self.dim, self.field)
@@ -91,9 +97,25 @@ class SeminormalRep:
         return self.tmat[i]
 
     def l_matrix(self, k: int) -> tuple:
+        return mat_diag(self.l_diagonal(k))
+
+    def l_diagonal(self, k: int) -> tuple:
+        """The diagonal of L_k: the k-th contents of the basis tableaux."""
         if not 1 <= k <= self.n:
             raise ValueError(f"L_{k} out of range for n={self.n}")
-        return self.lmat[k - 1]
+        return self.ldiag[k - 1]
+
+    def t_rows(self, i: int, inverse: bool = False) -> tuple:
+        """T_i, or its inverse, as sparse rows (see matrices.mat_sparse_rows).
+
+        For i >= 1 every row has at most two nonzero entries.
+        """
+        key = (i, inverse)
+        rows = self._rows.get(key)
+        if rows is None:
+            dense = self.t_inverse(i) if inverse else self.t_matrix(i)
+            rows = self._rows[key] = mat_sparse_rows(dense)
+        return rows
 
     def t_inverse(self, i: int) -> tuple:
         if i in self._tinv:
@@ -125,15 +147,19 @@ class SeminormalRep:
         return out
 
 
-_REP_CACHE = {}
+# reps are keyed by sampled points, so the cache is bounded; one pass of
+# the random-mode checks over a (p, d, n) grid touches a few hundred
+REP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=REP_CACHE_SIZE)
+def _cached_rep(shape: Multipartition, field) -> SeminormalRep:
+    return SeminormalRep(shape, field)
 
 
 def build_rep(shape: Multipartition, field) -> SeminormalRep:
-    key = (shape, field)
-    rep = _REP_CACHE.get(key)
-    if rep is None:
-        rep = _REP_CACHE[key] = SeminormalRep(shape, field)
-    return rep
+    """The seminormal model of the shape over the field, cached (LRU)."""
+    return _cached_rep(shape, field)
 
 
 def check_relations(rep: SeminormalRep) -> list:
@@ -198,29 +224,73 @@ def _scalar_token(field, value):
     raise TypeError(f"cannot read scalar token {value!r}")
 
 
+def _times_diagonal(acc, diag) -> tuple:
+    """acc times the diagonal matrix diag; acc None stands for the identity."""
+    return mat_diag(diag) if acc is None else mat_scale_cols(acc, diag)
+
+
 def eval_word(rep: SeminormalRep, word) -> tuple:
-    """Evaluate a token word; an empty word is the identity."""
-    acc = None
+    """Evaluate a token word as the product of its factors, left to right.
+
+    The tokens, and their cost on a module of dimension n:
+
+    * ``("T", i)``, ``("Tinv", i)`` for i >= 1: the generator T_i or its
+      inverse, kept as sparse rows with at most two nonzeros each and
+      applied by a dense x sparse product, at most 2 n^2 multiplies.
+    * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, root)``:
+      the ladder factor L_k - root; ``("scal", c)``: c times the identity;
+      ``("T", 0)`` and ``("Tinv", 0)``.  All of these are diagonal.  A run
+      of consecutive diagonal factors is multiplied into one pending
+      diagonal, n multiplies per factor, which is applied to the product
+      once, as a column scaling (at most n^2 multiplies, none for zero
+      entries), when the next other factor comes or the word ends.
+    * ``("sum", [w1, w2, ...])``: the sum of the words w1, w2, ..., each
+      evaluated densely and summed, then applied by a dense product
+      (n^3 multiplies at most).  The Young symmetrizers use it.
+
+    An empty word is the identity.  The result is a dense matrix.
+    """
+    field = rep.field
+    acc = diag = None
     for item in word:
         tag = item[0]
-        if tag == "T":
-            m = rep.t_matrix(item[1])
-        elif tag == "Tinv":
-            m = rep.t_inverse(item[1])
-        elif tag == "L":
-            m = rep.l_matrix(item[1])
+        if tag == "L":
+            factor = rep.l_diagonal(item[1])
+        elif tag == "ladder":
+            root = _scalar_token(field, item[2])
+            factor = [c - root for c in rep.l_diagonal(item[1])]
         elif tag == "scal":
-            m = mat_scale(_scalar_token(rep.field, item[1]), rep.identity())
+            factor = [_scalar_token(field, item[1])] * rep.dim
+        elif tag in ("T", "Tinv") and item[1] == 0:
+            m = rep.t_inverse(0) if tag == "Tinv" else rep.t_matrix(0)
+            factor = [row[a] for a, row in enumerate(m)]
+        else:
+            factor = None
+        if factor is not None:
+            diag = factor if diag is None else [
+                x * y if x else x for x, y in zip(diag, factor)]
+            continue
+        if diag is not None:
+            acc, diag = _times_diagonal(acc, diag), None
+        if tag in ("T", "Tinv"):
+            inverse = tag == "Tinv"
+            if acc is None:
+                acc = rep.t_inverse(item[1]) if inverse \
+                    else rep.t_matrix(item[1])
+            else:
+                acc = mat_mul_sparse(acc, rep.t_rows(item[1], inverse))
         elif tag == "sum":
             m = None
             for sub in item[1]:
                 part = eval_word(rep, sub)
                 m = part if m is None else mat_add(m, part)
             if m is None:
-                m = mat_scale(rep.field.zero, rep.identity())
+                m = mat_scale(field.zero, rep.identity())
+            acc = m if acc is None else mat_mul(acc, m)
         else:
             raise ValueError(f"unknown word token {tag!r}")
-        acc = m if acc is None else mat_mul(acc, m)
+    if diag is not None:
+        acc = _times_diagonal(acc, diag)
     return rep.identity() if acc is None else acc
 
 

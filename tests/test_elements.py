@@ -43,7 +43,12 @@ from cyclohecke.elements import (
     young_alt_word,
     young_sym_word,
 )
-from cyclohecke.exactnum import GenericField, generic_field, sample_point
+from cyclohecke.exactnum import (
+    GenericField,
+    SpecPoint,
+    generic_field,
+    sample_point,
+)
 from cyclohecke.scalars import f_lambda_closed
 from cyclohecke.seminormal import build_rep, element_equal, eval_word
 from cyclohecke.tableau import count_std
@@ -72,8 +77,7 @@ def test_superscripts_window():
 
 def test_ll_word_single_factor():
     word = ll_word(K21, 1, 1, 1)
-    assert word == [("sum", [[("L", 1)],
-                             [("scal", -(K21.eps_pow(1) * K21.Q(1)))]])]
+    assert word == [("ladder", 1, K21.eps_pow(1) * K21.Q(1))]
     assert ll_word(K21, 1, 2, 1) == []
     assert len(ll_word(K22, 3, 1, 2)) == 4
     with pytest.raises(ValueError):
@@ -108,7 +112,7 @@ def test_vb_word_pure_ladder_for_corner_composition():
     for field, n in [(K21, 2), (K31, 2), (K22, 2)]:
         b = (n,) + (0,) * (field.p - 1)
         word = vb_word(field, b)
-        assert all(tok[0] == "sum" for tok in word)
+        assert all(tok[0] == "ladder" for tok in word)
         assert len(word) == field.d * n * (field.p - 1)
     with pytest.raises(ValueError):
         vb_word(K21, (1, 1, 1))
@@ -120,7 +124,7 @@ def test_shift_factor_counts():
     for t in (1, 2):
         word = shift_factor_word(K21, b, t)
         bt = b[t - 1]
-        ladders = [tok for tok in word if tok[0] == "sum"]
+        ladders = [tok for tok in word if tok[0] == "ladder"]
         swaps = [tok for tok in word if tok[0] == "T"]
         assert len(ladders) == 1 * (2 - 1) * bt
         assert len(swaps) == bt * (n - bt)
@@ -238,6 +242,22 @@ def test_trace_kills_l_powers():
         assert trace(3, 1, [("L", 1)] * a, K31) == K31.zero
     for a in (1, 2, 3):
         assert trace(4, 1, [("L", 1)] * a, K22) == K22.zero
+
+
+def test_schur_inverse_cache_stops_growing_at_cap():
+    from cyclohecke import elements
+
+    cached = elements._schur_inverses
+    cached.cache_clear()
+    try:
+        for q in range(2, elements.SCHUR_INVERSES_CACHE_SIZE + 12):
+            point = SpecPoint(2, 2, q, [3])
+            assert trace(2, 1, [], point) == point.one
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize \
+            == elements.SCHUR_INVERSES_CACHE_SIZE
+    finally:
+        cached.cache_clear()
 
 
 def test_trace_context_mismatch():
@@ -379,12 +399,8 @@ def test_ulam_plus_word():
     la = mp(2, 2, [(1,), (), (1,), ()])
     word = ulam_plus_word(K22, la)
     assert len(word) == 2
-    first = word[0]
-    assert first[1][0] == [("L", 1)]
-    assert first[1][1] == [("scal", -(K22.eps_pow(1) * K22.Q(2)))]
-    second = word[1]
-    assert second[1][0] == [("L", 2)]
-    assert second[1][1] == [("scal", -(K22.eps_pow(2) * K22.Q(2)))]
+    assert word[0] == ("ladder", 1, K22.eps_pow(1) * K22.Q(2))
+    assert word[1] == ("ladder", 2, K22.eps_pow(2) * K22.Q(2))
     assert ulam_plus_word(K21, mp(2, 1, [(1,), (1,)])) == []
     with pytest.raises(ValueError):
         ulam_plus_word(K21, la)

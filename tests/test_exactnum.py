@@ -86,6 +86,15 @@ def test_eps_pow_hom(p, j, k):
     assert eps_pow(p, j) * eps_pow(p, k) == eps_pow(p, j + k)
 
 
+@pytest.mark.parametrize("p, N", [(2, 2), (3, 6), (4, 8), (3, 9)])
+def test_specpoint_eps_pow_matches_powers_of_zeta(p, N):
+    pt = SpecPoint(p, N, 2, [3])
+    zeta = CycRat.zeta(N)
+    for k in range(-N, 2 * N):
+        assert pt.eps_pow(k) == zeta ** ((N // p) * k % N)
+    assert pt.embed(eps_pow(p, 1)) == pt.eps_pow(1)
+
+
 def test_zeta_satisfies_cyclotomic():
     for m in (2, 3, 4, 5, 6, 8, 12):
         z = CycRat.zeta(m)
@@ -297,7 +306,23 @@ def test_sample_point_is_separated_and_semisimple():
 def test_sample_point_deterministic():
     a = sample_point(2, 2, 3, random.Random(11))
     b = sample_point(2, 2, 3, random.Random(11))
-    assert a.to_json() == b.to_json()
+    assert a.to_json() == b.to_json() == {
+        "p": 2, "N": 2, "q": [474356, 1], "Q": [[907798, 1], [586965, 1]]}
+    # pinned draws, rejections included: on [2, 3] a draw with Q_1 = Q_2
+    # is not semisimple
+    rng = random.Random(3)
+    drawn = [sample_point(2, 2, 3, rng, lo=2, hi=3).to_json()
+             for _ in range(4)]
+    assert [(pt["q"], pt["Q"]) for pt in drawn] == [
+        ([2, 1], [[2, 1], [3, 1]]), ([3, 1], [[3, 1], [2, 1]]),
+        ([2, 1], [[3, 1], [2, 1]]), ([3, 1], [[2, 1], [3, 1]])]
+
+
+def test_sample_point_gives_up_after_attempt_cap():
+    # q = 1 is never semisimple for n >= 2, so every draw is rejected
+    with pytest.raises(ValueError,
+                       match=r"p=2, d=1, n=3 with coordinates in \[1, 1\]"):
+        sample_point(2, 1, 3, random.Random(0), lo=1, hi=1)
 
 
 # ---------------------------------------------------------------------------

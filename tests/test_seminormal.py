@@ -3,17 +3,29 @@ from fractions import Fraction
 
 import pytest
 
+from cyclohecke import seminormal
 from cyclohecke.combin import Multipartition, enumerate_all
-from cyclohecke.exactnum import SpecPoint, generic_field, sample_point
+from cyclohecke.exactnum import (
+    RatFunc,
+    SpecPoint,
+    generic_field,
+    sample_point,
+)
 from cyclohecke.matrices import (
     mat_add,
+    mat_diag,
     mat_eq,
     mat_identity,
     mat_mul,
+    mat_mul_sparse,
     mat_scale,
+    mat_scale_cols,
+    mat_sparse_rows,
+    mat_sub,
     mat_trace,
 )
 from cyclohecke.seminormal import (
+    REP_CACHE_SIZE,
     SeminormalRep,
     build_rep,
     character,
@@ -157,6 +169,124 @@ def test_eval_word_sum_token():
     word = [("sum", [[("T", 1)], [("scal", 1)]])]
     assert mat_eq(eval_word(rep, word),
                   mat_add(rep.tmat[1], rep.identity()))
+
+
+def _dense_factor(rep, item):
+    """One token as a dense matrix, straight from its definition."""
+    tag, field, ident = item[0], rep.field, rep.identity()
+    if tag == "T":
+        return rep.t_matrix(item[1])
+    if tag == "Tinv":
+        return rep.t_inverse(item[1])
+    if tag == "L":
+        return rep.l_matrix(item[1])
+    if tag == "ladder":
+        return mat_sub(rep.l_matrix(item[1]), mat_scale(item[2], ident))
+    if tag == "scal":
+        return mat_scale(field.scalar(item[1]), ident)
+    out = mat_scale(field.zero, ident)
+    for sub in item[1]:
+        out = mat_add(out, _dense_word(rep, sub))
+    return out
+
+
+def _dense_word(rep, word):
+    acc = rep.identity()
+    for item in word:
+        acc = mat_mul(acc, _dense_factor(rep, item))
+    return acc
+
+
+def _random_word(rng, field, n, length, depth):
+    tags = ["T", "Tinv", "L", "ladder", "scal"] + (["sum"] if depth else [])
+    word = []
+    for _ in range(length):
+        tag = rng.choice(tags)
+        if tag in ("T", "Tinv"):
+            word.append((tag, rng.randrange(n)))
+        elif tag == "L":
+            word.append(("L", rng.randint(1, n)))
+        elif tag == "ladder":
+            # roots of the form of a content, so that ladders hit zeros
+            root = (field.eps_pow(rng.randrange(field.p))
+                    * field.Q(rng.randint(1, field.d))
+                    * field.q_power(rng.randint(-1, 1)))
+            word.append(("ladder", rng.randint(1, n), root))
+        elif tag == "scal":
+            word.append(("scal", rng.choice([-1, 0, 2, Fraction(1, 3)])))
+        else:
+            word.append(("sum", [
+                _random_word(rng, field, n, rng.randrange(4), depth - 1)
+                for _ in range(rng.randrange(3))]))
+    return word
+
+
+def _form(x):
+    """The stored representation of a scalar, not just its value."""
+    if isinstance(x, RatFunc):
+        return (x.num.terms, x.den.terms)
+    return x.coeffs
+
+
+@pytest.mark.parametrize("field, n, count", [
+    (K21, 3, 12),
+    (sample_point(3, 1, 3, random.Random(5)), 3, 16),
+    (sample_point(2, 2, 3, random.Random(6)), 3, 12),
+])
+def test_eval_word_matches_dense_reference(field, n, count):
+    rng = random.Random(17)
+    ladder = ("ladder", 1, field.eps_pow(1) * field.Q(1))
+    words = [
+        [],
+        [("L", 2), ladder, ("scal", 2), ("T", 1), ("Tinv", 2)],
+        [("T", 2), ("Tinv", 0), ("T", 0), ladder, ("L", 3)],
+        [ladder, ("T", 0), ("scal", -1)],
+        [("sum", [[ladder], [("T", 1), ("Tinv", 1)]]), ("L", 1)],
+    ]
+    words += [_random_word(rng, field, n, rng.randint(1, 8), 2)
+              for _ in range(count)]
+    tags = {item[0] for word in words for item in word}
+    assert tags == {"T", "Tinv", "L", "ladder", "scal", "sum"}
+    for shape in enumerate_all(field.p, field.d, n):
+        rep = build_rep(shape, field)
+        for word in words:
+            got = eval_word(rep, word)
+            expect = _dense_word(rep, word)
+            assert mat_eq(got, expect), (shape, word)
+            # the same representations too, so printed output is unchanged
+            assert [[_form(x) for x in row] for row in got] \
+                == [[_form(x) for x in row] for row in expect]
+
+
+def test_sparse_products_match_mat_mul():
+    A = ((Fraction(1), Fraction(0), Fraction(2)),
+         (Fraction(0), Fraction(0), Fraction(0)),
+         (Fraction(-3), Fraction(1, 2), Fraction(5)))
+    B = ((Fraction(0), Fraction(4), Fraction(0)),
+         (Fraction(7), Fraction(0), Fraction(-1)),
+         (Fraction(0), Fraction(0), Fraction(3)))
+    rows = mat_sparse_rows(B)
+    assert rows[0] == ((1, Fraction(4)),)
+    assert mat_mul_sparse(A, rows) == mat_mul(A, B)
+    d = (Fraction(2), Fraction(0), Fraction(-1, 3))
+    assert mat_scale_cols(A, d) == mat_mul(A, mat_diag(d))
+    with pytest.raises(ValueError):
+        mat_mul_sparse(A, rows[:2])
+    with pytest.raises(ValueError):
+        mat_scale_cols(A, d[:2])
+
+
+def test_rep_cache_stops_growing_at_cap():
+    shape = mp(2, 1, [(1,), ()])
+    seminormal._cached_rep.cache_clear()
+    try:
+        for q in range(2, REP_CACHE_SIZE + 12):
+            build_rep(shape, SpecPoint(2, 2, q, [3]))
+        info = seminormal._cached_rep.cache_info()
+        assert info.currsize == info.maxsize == REP_CACHE_SIZE
+        assert info.misses == REP_CACHE_SIZE + 10
+    finally:
+        seminormal._cached_rep.cache_clear()
 
 
 def test_inverses():
