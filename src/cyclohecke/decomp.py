@@ -23,7 +23,7 @@ from .combin import (
     enumerate_all,
     shift_composition,
 )
-from .exactnum import CycRat, GenericField, RatFunc
+from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers
 from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
@@ -257,8 +257,7 @@ def _lift_scalar(value, p: int):
 def _eps_in(sample, p: int, k: int):
     """eps^k as an element of sample's ring."""
     order = _ring_order(sample)
-    root = CycRat.zeta(order) ** ((order // p) * (k % p) % order)
-    return sample * 0 + root
+    return sample * 0 + _zeta_powers(order)[(order // p) * k % order]
 
 
 def _as_fraction(value) -> Fraction:

@@ -268,60 +268,6 @@ def ulam_plus_word(field, la: Multipartition) -> list:
 
 
 # ---------------------------------------------------------------------------
-# labelled element factory
-
-def make(spec: dict):
-    """Word builder (field -> token word) for a labelled element kind.
-
-    The kinds mirror the named elements: LL and LLij ladders, Tab and Tb
-    swaps, vb with its pivot rewritings and the ub/vb half words, the
-    shift factors Y and Ym, and the multipartition words xla, yla, u+la.
-    """
-    kind = spec.get("kind")
-    if kind == "LL":
-        s, lo, hi = spec["s"], spec["lo"], spec["hi"]
-        return lambda field: ll_word(field, s, lo, hi)
-    if kind == "LLij":
-        i, j, lo, hi = spec["i"], spec["j"], spec["lo"], spec["hi"]
-        twist = spec.get("twist", 0)
-        return lambda field: ll_range_word(field, i, j, lo, hi, twist)
-    if kind == "Tab":
-        a, b, shift = spec["a"], spec["b"], spec.get("shift", 0)
-        return lambda field: t_ab_word(a, b, shift)
-    if kind == "Tb":
-        b = check_composition(spec["b"])
-        return lambda field: tb_word(b)
-    if kind in ("vb", "vb_pivot", "ub+", "ub-", "vb+", "vb-"):
-        b = check_composition(spec["b"])
-        twist = spec.get("twist", 0)
-        builders = {
-            "vb": vb_word, "ub+": ub_plus_word, "ub-": ub_minus_word,
-            "vb+": vb_plus_word, "vb-": vb_minus_word,
-        }
-        if kind == "vb_pivot":
-            j = spec["j"]
-            return lambda field: vb_pivot_word(field, b, j, twist)
-        fn = builders[kind]
-        return lambda field: fn(field, b, twist)
-    if kind == "Y":
-        b, t = check_composition(spec["b"]), spec["t"]
-        return lambda field: shift_factor_word(field, b, t)
-    if kind == "Ym":
-        b, t, m = check_composition(spec["b"]), spec["t"], spec["m"]
-        return lambda field: shift_run_word(field, b, t, m)
-    if kind in ("xla", "yla", "u+la"):
-        la = Multipartition(spec["p"], spec["d"], spec["la"])
-        if kind == "xla":
-            word = young_sym_word(la)
-            return lambda field: word
-        if kind == "yla":
-            word = young_alt_word(la)
-            return lambda field: word
-        return lambda field: ulam_plus_word(field, la)
-    raise ValueError(f"unknown element kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # the canonical trace
 
 # keyed by sampled points, so bounded like the rep cache

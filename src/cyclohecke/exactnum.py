@@ -5,7 +5,13 @@ The scalar tower used throughout the package:
 * ``CycRat``: an element of Q(zeta_m), stored as the reduced residue of a
   polynomial in zeta_m modulo the m-th cyclotomic polynomial Phi_m.  The
   symbolic layer works with m = p (the order of eps); specialization points
-  may use any conductor N with p | N.
+  may use any conductor N with p | N.  All reduction goes through one
+  cached table, the reduced powers zeta_m^0 .. zeta_m^(m-1) built from the
+  Phi_m recurrence: products reduce their high terms with it, and
+  ``_substitute`` reads sum_j c_j zeta_m^(j*step) off it, which gives
+  reduction of long polynomials, the Galois conjugates and the embeddings
+  Q(zeta_m) -> Q(zeta_N).  Inverses are the product of the other Galois
+  conjugates divided by the rational norm.
 * ``LaurentPoly``: a Laurent polynomial in q, Q_1, ..., Q_d (variable 0 is
   always q) with CycRat coefficients.
 * ``RatFunc``: an unreduced ratio of Laurent polynomials.  Equality is
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -78,73 +85,6 @@ def cyclotomic_poly(m: int) -> tuple:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _field_data(order: int):
-    """Degree of Q(zeta_order) and reduction rows for x^deg .. x^(2deg-2)."""
-    phi = cyclotomic_poly(order)
-    deg = len(phi) - 1
-    rows = []
-    cur = [Fraction(-c) for c in phi[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(deg - 2):
-        top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
-        if top:
-            cur = [a + top * b for a, b in zip(cur, rows[0])]
-        rows.append(tuple(cur))
-    return deg, tuple(rows)
-
-
-def _poly_mod(order: int, coeffs: Sequence[Fraction]) -> tuple:
-    """Reduce an arbitrary-degree polynomial in zeta_order modulo Phi_order."""
-    deg, _ = _field_data(order)
-    phi = cyclotomic_poly(order)
-    work = [Fraction(c) for c in coeffs]
-    if len(work) < deg:
-        work += [Fraction(0)] * (deg - len(work))
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j in range(deg + 1):
-                work[i - deg + j] -= c * phi[j]
-    return tuple(work[:deg])
-
-
-def _poly_xgcd(a: list, b: list):
-    """Extended gcd in Q[x]; returns (g, s) with s*a = g mod b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    r0, r1 = trim(r0), trim(r1)
-    while r1:
-        q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-        rem = list(r0)
-        for i in range(len(rem) - 1, len(r1) - 2, -1):
-            if i - len(r1) + 1 < 0:
-                break
-            c = rem[i] / r1[-1]
-            if c:
-                q[i - len(r1) + 1] = c
-                for j, bc in enumerate(r1):
-                    rem[i - len(r1) + 1 + j] -= c * bc
-        rem = trim(rem)
-        new_s = list(s0)
-        for i, qc in enumerate(q):
-            if qc:
-                while len(new_s) < i + len(s1):
-                    new_s.append(Fraction(0))
-                for j, sc in enumerate(s1):
-                    new_s[i + j] -= qc * sc
-        r0, r1 = r1, rem
-        s0, s1 = s1, trim(new_s)
-    return r0, s0
-
-
 class CycRat:
     """An element of Q(zeta_order), reduced modulo Phi_order."""
 
@@ -156,16 +96,15 @@ class CycRat:
 
     @staticmethod
     def make(order: int, coeffs: Iterable[Rational]) -> "CycRat":
-        return CycRat(order, _poly_mod(order, [Fraction(c) for c in coeffs]))
+        return CycRat(order, _substitute(order, [Fraction(c) for c in coeffs]))
 
     @staticmethod
     def from_rational(order: int, value: Rational) -> "CycRat":
-        deg, _ = _field_data(order)
-        return CycRat(order, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        return CycRat(order, (Fraction(value),) + _zeta_powers(order)[0].coeffs[1:])
 
     @staticmethod
     def zeta(order: int) -> "CycRat":
-        return CycRat.make(order, [0, 1])
+        return _zeta_powers(order)[1 % order]
 
     def _coerce(self, other):
         if isinstance(other, CycRat):
@@ -206,7 +145,8 @@ class CycRat:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        deg, rows = _field_data(self.order)
+        deg, m = len(a), self.order
+        powers = _zeta_powers(m)
         conv = [Fraction(0)] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -217,7 +157,7 @@ class CycRat:
         for k in range(deg, 2 * deg - 1):
             c = conv[k]
             if c:
-                row = rows[k - deg]
+                row = powers[k % m].coeffs
                 for j in range(deg):
                     if row[j]:
                         res[j] += c * row[j]
@@ -228,11 +168,19 @@ class CycRat:
     def inverse(self) -> "CycRat":
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        g, s = _poly_xgcd(list(self.coeffs), [Fraction(c) for c in cyclotomic_poly(self.order)])
-        if len(g) != 1:
-            raise ArithmeticError("zero divisor in cyclotomic field")
-        inv = [c / g[0] for c in s]
-        return CycRat(self.order, _poly_mod(self.order, inv))
+        # a^-1 = (prod of the conjugates sigma_k(a), k != 1) / N(a), where
+        # sigma_k: zeta -> zeta^k runs over the Galois group (Z/m)^*
+        m = self.order
+        rest = CycRat.from_rational(m, 1)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                rest = rest * CycRat(m, _substitute(m, self.coeffs, k))
+        norm = self * rest
+        if not norm.is_rational():
+            raise RuntimeError(
+                f"internal: the norm of {self!r} is not rational")
+        value = norm.coeffs[0]
+        return CycRat(m, tuple(c / value for c in rest.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -288,12 +236,41 @@ class CycRat:
 
 @lru_cache(maxsize=64)
 def _zeta_powers(order: int) -> tuple:
-    """zeta_order^e for e = 0 .. order - 1, in Q(zeta_order)."""
-    zeta = CycRat.zeta(order)
-    powers = [CycRat.from_rational(order, 1)]
+    """zeta_order^e for e = 0 .. order - 1, reduced modulo Phi_order.
+
+    Each power is the previous one shifted up a degree; a coefficient
+    pushed to degree deg(Phi) is folded back with x^deg = x^deg - Phi(x).
+    """
+    phi = cyclotomic_poly(order)
+    zero = Fraction(0)
+    cur = (Fraction(1),) + (zero,) * (len(phi) - 2)
+    powers = [CycRat(order, cur)]
     for _ in range(order - 1):
-        powers.append(powers[-1] * zeta)
+        top = cur[-1]
+        cur = (zero,) + cur[:-1]
+        if top:
+            cur = tuple(a - top * c for a, c in zip(cur, phi))
+        powers.append(CycRat(order, cur))
     return tuple(powers)
+
+
+def _substitute(order: int, coeffs: Sequence[Rational], step: int = 1) -> tuple:
+    """Reduced coefficients of sum_j coeffs[j] * zeta_order^(j * step).
+
+    step = 1 reduces a polynomial of any length in zeta_order modulo
+    Phi_order (``CycRat.make``); step = k coprime to order applies the
+    Galois automorphism zeta -> zeta^k (``CycRat.inverse``); with order the
+    conductor N and step = N / m it embeds Q(zeta_m) into Q(zeta_N)
+    (``SpecPoint.embed``).
+    """
+    powers = _zeta_powers(order)
+    out = [Fraction(0)] * len(powers[0].coeffs)
+    for j, c in enumerate(coeffs):
+        if c:
+            for i, r in enumerate(powers[j * step % order].coeffs):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
 
 
 def eps_pow(p: int, k: int) -> CycRat:
@@ -615,13 +592,9 @@ class GenericField:
             return self.one
         return self.scalar(eps_pow(self.p, k))
 
-    def monomial(self, eps_k: int = 0, q_k: int = 0, Q_ks: Sequence[int] = ()) -> RatFunc:
-        exps = [q_k] + list(Q_ks) + [0] * (self.d - len(Q_ks))
-        coeff = CycRat.from_rational(1, 1) if self.p == 1 else eps_pow(self.p, eps_k)
-        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, coeff))
-
     def q_power(self, k: int) -> RatFunc:
-        return self.monomial(q_k=k)
+        exps = [k] + [0] * self.d
+        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
 
     @property
     def q(self) -> RatFunc:
@@ -728,14 +701,7 @@ class SpecPoint:
             return c
         if self.N % c.order != 0:
             raise ValueError(f"cannot embed order {c.order} into conductor {self.N}")
-        root = _zeta_powers(self.N)[self.N // c.order]
-        acc = CycRat.from_rational(self.N, 0)
-        power = CycRat.from_rational(self.N, 1)
-        for a in c.coeffs:
-            if a:
-                acc = acc + power * a
-            power = power * root
-        return acc
+        return CycRat(self.N, _substitute(self.N, c.coeffs, self.N // c.order))
 
     def to_json(self) -> dict:
         def enc(v: CycRat):
@@ -796,16 +762,9 @@ def specialize(f, pt: SpecPoint) -> CycRat:
     raise TypeError(f"cannot specialize {type(f).__name__}")
 
 
-def is_separated(pt: SpecPoint, n: int, d: int = None, p: int = None) -> bool:
+def is_separated(pt: SpecPoint, n: int) -> bool:
     """Whether prod_{i,j<=d} prod_{|k|<n} prod_{0<t<p} (Q_i - eps^t q^k Q_j) != 0."""
-    if d is None:
-        d = pt.d
-    if p is None:
-        p = pt.p
-    if d > pt.d:
-        raise ValueError(f"point has only d={pt.d} parameters")
-    if p != pt.p:
-        raise ValueError(f"point has p={pt.p}")
+    d, p = pt.d, pt.p
     for i in range(1, d + 1):
         Qi = pt.Q_vals[i - 1]
         for j in range(1, d + 1):
@@ -818,21 +777,19 @@ def is_separated(pt: SpecPoint, n: int, d: int = None, p: int = None) -> bool:
     return True
 
 
-def is_semisimple(pt: SpecPoint, n: int, d: int = None) -> bool:
+def is_semisimple(pt: SpecPoint, n: int) -> bool:
     """Semisimplicity criterion for the parameter list (eps^1 Q, ..., eps^p Q).
 
     Requires q^k rho_i != rho_j for all i < j, |k| < n, and the partial
     q-factorials 1 + q + ... + q^(i-1) nonzero for i <= n.  Together with
     separation this guarantees seminormal denominators never vanish.
     """
-    if d is None:
-        d = pt.d
     # q = 1 collapses same-component content differences q^a - q^b even
     # though [i]_q stays nonzero, so it is excluded for n >= 2
     if n >= 2 and pt.q_val == pt.one:
         return False
     rho = [pt.eps_pow(u) * pt.Q_vals[c - 1]
-           for u in range(1, pt.p + 1) for c in range(1, d + 1)]
+           for u in range(1, pt.p + 1) for c in range(1, pt.d + 1)]
     r = len(rho)
     for i in range(r):
         for j in range(i + 1, r):

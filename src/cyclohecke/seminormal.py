@@ -75,6 +75,7 @@ class SeminormalRep:
             self.tmat[i] = tuple(rows)
 
         self._tinv = {}
+        self._t0inv = None
         self._rows = {}
 
         # the recursion q^-1 T_k L_k T_k must reproduce the content diagonals
@@ -105,6 +106,12 @@ class SeminormalRep:
             raise ValueError(f"L_{k} out of range for n={self.n}")
         return self.ldiag[k - 1]
 
+    def t0_inverse_diagonal(self) -> tuple:
+        """The diagonal of T_0^-1 = L_1^-1: the inverted first contents."""
+        if self._t0inv is None:
+            self._t0inv = tuple(c.inverse() for c in self.l_diagonal(1))
+        return self._t0inv
+
     def t_rows(self, i: int, inverse: bool = False) -> tuple:
         """T_i, or its inverse, as sparse rows (see matrices.mat_sparse_rows).
 
@@ -120,25 +127,11 @@ class SeminormalRep:
     def t_inverse(self, i: int) -> tuple:
         if i in self._tinv:
             return self._tinv[i]
-        field = self.field
         if i == 0:
-            # from the cyclotomic identity: T_0 * sum_{k>=1} a_k T_0^(k-1)
-            # = -a_0, with a_k the coefficients of prod_u (x - rho_u)
-            coeffs = [field.one]
-            for rho in cyclotomic_params(field):
-                nxt = [field.zero] * (len(coeffs) + 1)
-                for e, c in enumerate(coeffs):
-                    nxt[e + 1] = nxt[e + 1] + c
-                    nxt[e] = nxt[e] - rho * c
-                coeffs = nxt
-            acc = mat_scale(coeffs[1], self.identity())
-            power = self.identity()
-            for k in range(2, len(coeffs)):
-                power = mat_mul(power, self.tmat[0])
-                acc = mat_add(acc, mat_scale(coeffs[k], power))
-            out = mat_scale(-coeffs[0].inverse(), acc)
+            out = mat_diag(self.t0_inverse_diagonal())
         else:
             # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
+            field = self.field
             shifted = mat_add(
                 self.t_matrix(i),
                 mat_scale(field.one - field.q, self.identity()))
@@ -261,9 +254,10 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
             factor = [c - root for c in rep.l_diagonal(item[1])]
         elif tag == "scal":
             factor = [_scalar_token(field, item[1])] * rep.dim
-        elif tag in ("T", "Tinv") and item[1] == 0:
-            m = rep.t_inverse(0) if tag == "Tinv" else rep.t_matrix(0)
-            factor = [row[a] for a, row in enumerate(m)]
+        elif tag == "T" and item[1] == 0:
+            factor = rep.l_diagonal(1)
+        elif tag == "Tinv" and item[1] == 0:
+            factor = rep.t0_inverse_diagonal()
         else:
             factor = None
         if factor is not None:

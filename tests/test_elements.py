@@ -19,7 +19,6 @@ from cyclohecke.elements import (
     is_identity_monomial,
     ll_range_word,
     ll_word,
-    make,
     shift_factor_word,
     shift_run_word,
     superscripts,
@@ -33,7 +32,6 @@ from cyclohecke.elements import (
     ub_plus_word,
     ulam_plus_word,
     vb_minus_word,
-    vb_pivot_word,
     vb_plus_word,
     vb_word,
     verify_changing,
@@ -99,6 +97,8 @@ def test_t_ab_word_is_reduced():
     assert t_ab_word(0, 3) == [] and t_ab_word(3, 0) == []
     shifted = t_ab_word(1, 1, shift=2)
     assert shifted == [("T", 3)]
+    with pytest.raises(ValueError):
+        t_ab_word(-1, 2)
 
 
 def test_tb_word_length():
@@ -114,6 +114,7 @@ def test_vb_word_pure_ladder_for_corner_composition():
         word = vb_word(field, b)
         assert all(tok[0] == "ladder" for tok in word)
         assert len(word) == field.d * n * (field.p - 1)
+    assert vb_word(K21, (2, 0)) == ll_word(K21, 2, 1, 2)
     with pytest.raises(ValueError):
         vb_word(K21, (1, 1, 1))
 
@@ -404,63 +405,3 @@ def test_ulam_plus_word():
     assert ulam_plus_word(K21, mp(2, 1, [(1,), (1,)])) == []
     with pytest.raises(ValueError):
         ulam_plus_word(K21, la)
-
-
-# ---------------------------------------------------------------------------
-# factory
-
-def test_make_dispatches_each_kind():
-    field = K21
-    cases = [
-        ({"kind": "LL", "s": 1, "lo": 1, "hi": 2},
-         ll_word(field, 1, 1, 2)),
-        ({"kind": "LLij", "i": 1, "j": 2, "lo": 1, "hi": 1},
-         ll_range_word(field, 1, 2, 1, 1)),
-        ({"kind": "Tab", "a": 1, "b": 1},
-         t_ab_word(1, 1)),
-        ({"kind": "Tb", "b": [2, 1]},
-         tb_word((2, 1))),
-        ({"kind": "vb", "b": [1, 1]},
-         vb_word(field, (1, 1))),
-        ({"kind": "vb", "b": [1, 1], "twist": 1},
-         vb_word(field, (1, 1), twist=1)),
-        ({"kind": "vb_pivot", "b": [1, 1], "j": 2},
-         vb_pivot_word(field, (1, 1), 2)),
-        ({"kind": "ub+", "b": [1, 1]},
-         ub_plus_word(field, (1, 1))),
-        ({"kind": "ub-", "b": [1, 1]},
-         ub_minus_word(field, (1, 1))),
-        ({"kind": "vb+", "b": [1, 1]},
-         vb_plus_word(field, (1, 1))),
-        ({"kind": "vb-", "b": [1, 1]},
-         vb_minus_word(field, (1, 1))),
-        ({"kind": "Y", "b": [1, 1], "t": 1},
-         shift_factor_word(field, (1, 1), 1)),
-        ({"kind": "Ym", "b": [1, 1], "t": 0, "m": 2},
-         shift_run_word(field, (1, 1), 0, 2)),
-        ({"kind": "xla", "p": 2, "d": 1, "la": [[2], []]},
-         young_sym_word(mp(2, 1, [(2,), ()]))),
-        ({"kind": "yla", "p": 2, "d": 1, "la": [[2], []]},
-         young_alt_word(mp(2, 1, [(2,), ()]))),
-        ({"kind": "u+la", "p": 2, "d": 1, "la": [[1], [1]]},
-         ulam_plus_word(field, mp(2, 1, [(1,), (1,)]))),
-    ]
-    for spec, expected in cases:
-        assert make(spec)(field) == expected, spec
-
-
-def test_make_corner_composition_example():
-    builder = make({"kind": "vb", "b": [2, 0]})
-    assert builder(K21) == ll_word(K21, 2, 1, 2)
-
-
-def test_make_unknown_kind():
-    with pytest.raises(ValueError):
-        make({"kind": "zb"})
-
-
-def test_make_index_errors_surface():
-    with pytest.raises(ValueError):
-        make({"kind": "LL", "s": 1, "lo": 0, "hi": 1})(K21)
-    with pytest.raises(ValueError):
-        make({"kind": "Tab", "a": -1, "b": 2})(K21)

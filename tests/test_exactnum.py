@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclohecke import exactnum
 from cyclohecke.exactnum import (
     CycRat,
     PoleError,
@@ -130,14 +131,58 @@ def test_cycrat_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(max_examples=40)
-@given(cycrats(4))
+# orders 1..12 cover Galois groups of size 1, 2, 4 and 6
+@settings(max_examples=120)
+@given(st.integers(1, 12).flatmap(cycrats))
 def test_cycrat_inverse(a):
     if not a:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
     else:
-        assert a * a.inverse() == CycRat.from_rational(4, 1)
+        assert a * a.inverse() == CycRat.from_rational(a.order, 1)
+
+
+def test_cycrat_inverse_trips_on_injected_fault(monkeypatch):
+    # a conjugate that is not one leaves the norm irrational
+    a = CycRat.make(3, [1, 2])
+    monkeypatch.setattr(exactnum, "_substitute",
+                        lambda order, coeffs, step=1: (Fraction(1), Fraction(1)))
+    with pytest.raises(RuntimeError, match="internal: "):
+        a.inverse()
+
+
+def _long_division(m, coeffs):
+    """Remainder of sum_j coeffs[j] x^j on division by Phi_m."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    work = [Fraction(c) for c in coeffs] + [Fraction(0)] * deg
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        for j in range(deg + 1):
+            work[i - deg + j] -= c * phi[j]
+    return tuple(work[:deg])
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.fractions(-5, 5, max_denominator=4),
+                         max_size=3 * m))))
+def test_make_matches_long_division(case):
+    m, coeffs = case
+    assert CycRat.make(m, coeffs).coeffs == _long_division(m, coeffs)
+
+
+@pytest.mark.parametrize("m, N", [(2, 4), (3, 6), (3, 9), (4, 8), (4, 12)])
+def test_embed_is_a_field_embedding(m, N):
+    pt = SpecPoint(2 if N % 2 == 0 else 3, N, 2, [3])
+    assert pt.embed(CycRat.zeta(m)) == CycRat.zeta(N) ** (N // m)
+    rng = random.Random(m * N)
+    deg = len(cyclotomic_poly(m)) - 1
+    for _ in range(10):
+        a, b = (CycRat.make(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                for _ in range(deg)]) for _ in range(2))
+        assert pt.embed(a + b) == pt.embed(a) + pt.embed(b)
+        assert pt.embed(a * b) == pt.embed(a) * pt.embed(b)
 
 
 def test_cycrat_mixed_order_rejected():
