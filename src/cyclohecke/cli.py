@@ -236,7 +236,7 @@ def enumerate_cmd(p, d, n, b_text, out):
                 "comps": la.to_json(),
                 "b": list(la.composition()),
                 "orbit": la.orbit_order()[0],
-                "split": la.orbit_order()[1],
+                "split": dim_report(la).p_lambda,
                 "dim_std": count_std(la),
                 "dim_summand": dim_report(la).dim_summand,
             }

@@ -14,8 +14,17 @@ from itertools import product as _cartesian
 # ---------------------------------------------------------------------------
 # partitions
 
+def _int_parts(parts, what: str) -> tuple:
+    """The parts as a tuple; each must be an int (a bool is not)."""
+    parts = tuple(parts)
+    for x in parts:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} parts must be integers, got {x!r}")
+    return parts
+
+
 def check_partition(parts) -> tuple:
-    parts = tuple(int(x) for x in parts)
+    parts = _int_parts(parts, "partition")
     for i, x in enumerate(parts):
         if x <= 0:
             raise ValueError(f"partition parts must be positive: {parts}")
@@ -143,7 +152,7 @@ def wb_perm(b) -> tuple:
 # compositions
 
 def check_composition(b) -> tuple:
-    b = tuple(int(x) for x in b)
+    b = _int_parts(b, "composition")
     if any(x < 0 for x in b):
         raise ValueError(f"composition parts must be nonnegative: {b}")
     return b

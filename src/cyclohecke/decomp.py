@@ -668,7 +668,8 @@ class DimReport(NamedTuple):
 def dim_report(la: Multipartition) -> DimReport:
     """Standard-module dimension and its split among the p_la summands."""
     dim = count_std(la)
-    _, p_la = la.orbit_order()
+    # with n = 0 there is no T_0, so H(r,p,0) = H(r,1,0) and nothing splits
+    p_la = la.orbit_order()[1] if la.size else 1
     if dim % p_la:
         raise RuntimeError(
             f"internal: {dim} standard tableaux do not split into {p_la} parts"

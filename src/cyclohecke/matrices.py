@@ -27,10 +27,6 @@ def mat_add(A, B) -> tuple:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_sub(A, B) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_scale(c, A) -> tuple:
     return tuple(tuple(c * x for x in row) for row in A)
 
@@ -54,13 +50,9 @@ def mat_mul(A, B) -> tuple:
     return tuple(out)
 
 
-def mat_sparse_rows(A) -> tuple:
-    """The rows of A as tuples of (column, entry) pairs, zeros dropped."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in A)
-
-
 def mat_mul_sparse(A, S) -> tuple:
-    """A times the square matrix S given by its sparse rows.
+    """A times the square matrix S given by its sparse rows: row i of S
+    is a tuple of (column, entry) pairs with the zero entries left out.
 
     Terms are summed in the order mat_mul sums them, so both products
     build every entry the same way.

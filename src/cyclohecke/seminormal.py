@@ -5,6 +5,11 @@ in the generators evaluates to the matrix product taken in the same
 order.  T_0 is the diagonal of first contents; its cyclotomic relation
 with parameters (eps Q_1, ..., eps^p Q_d) is what pins down the content
 convention.
+
+Each generator is stored in one form.  L_k, T_0 = L_1 and T_0^-1 are
+diagonals; T_i and T_i^-1 for i >= 1 are sparse rows with at most two
+nonzero entries each.  Dense matrices only arise as the values of words
+(`eval_word`), and every relation is checked on those values.
 """
 
 from fractions import Fraction
@@ -18,13 +23,10 @@ from .matrices import (
     mat_diag,
     mat_eq,
     mat_identity,
-    mat_is_zero,
     mat_mul,
     mat_mul_sparse,
     mat_scale,
     mat_scale_cols,
-    mat_sparse_rows,
-    mat_sub,
     mat_trace,
 )
 from .tableau import beta_coeff, content, count_std, enumerate_std
@@ -41,7 +43,15 @@ def cyclotomic_params(field) -> list:
 
 
 class SeminormalRep:
-    """Exact matrices for T_0..T_{n-1} and L_1..L_n on one Specht module."""
+    """Exact seminormal action of T_0..T_{n-1} and L_1..L_n on one Specht
+    module.
+
+    L_k is stored as its diagonal, the k-th contents of the basis
+    tableaux (`l_diagonal`); T_0 = L_1, and T_0^-1 is the entrywise
+    inverse of that diagonal (`t0_inverse_diagonal`).  T_i for i >= 1 is
+    stored as sparse rows built from the seminormal ratios (`t_rows`);
+    T_i^-1 = q^-1 (T_i + 1 - q) is read off those rows entrywise.
+    """
 
     def __init__(self, shape: Multipartition, field):
         if (shape.p, shape.d) != (field.p, field.d):
@@ -57,48 +67,31 @@ class SeminormalRep:
             tuple(content(s, k, field) for s in self.basis)
             for k in range(1, self.n + 1)
         ]
-        self.lmat = [mat_diag(diag) for diag in self.ldiag]
 
-        self.tmat = {}
-        if self.n:
-            self.tmat[0] = self.lmat[0]
+        # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
+        # with i and i+1 swapped when that one is standard; zeros dropped
+        self.trows = {}
         for i in range(1, self.n):
             rows = []
             for a, s in enumerate(self.basis):
-                row = [field.zero] * self.dim
                 bc = beta_coeff(s, i, field)
-                row[a] = bc
+                row = [(a, bc)]
                 t = s.swap(i)
                 if t.is_standard():
-                    row[self.index[t]] = field.one + bc
-                rows.append(tuple(row))
-            self.tmat[i] = tuple(rows)
+                    row.append((self.index[t], field.one + bc))
+                rows.append(tuple((j, x) for j, x in row if x))
+            self.trows[i] = tuple(rows)
 
-        self._tinv = {}
-        self._t0inv = None
-        self._rows = {}
-
-        # the recursion q^-1 T_k L_k T_k must reproduce the content diagonals
-        qinv = field.q_power(-1)
+        # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents
         for k in range(1, self.n):
-            recursed = mat_scale(qinv, mat_mul_sparse(
-                mat_scale_cols(self.tmat[k], self.ldiag[k - 1]),
-                self.t_rows(k)))
-            if not mat_eq(recursed, self.lmat[k]):
+            if not mat_eq(eval_word(self, [("T", k), ("L", k), ("T", k)]),
+                          eval_word(self, [("scal", field.q), ("L", k + 1)])):
                 raise RuntimeError(
                     f"internal: L_{k + 1} recursion disagrees with contents "
                     f"on {shape!r}")
 
     def identity(self) -> tuple:
         return mat_identity(self.dim, self.field)
-
-    def t_matrix(self, i: int) -> tuple:
-        if not 0 <= i <= self.n - 1:
-            raise ValueError(f"T_{i} out of range for n={self.n}")
-        return self.tmat[i]
-
-    def l_matrix(self, k: int) -> tuple:
-        return mat_diag(self.l_diagonal(k))
 
     def l_diagonal(self, k: int) -> tuple:
         """The diagonal of L_k: the k-th contents of the basis tableaux."""
@@ -108,36 +101,26 @@ class SeminormalRep:
 
     def t0_inverse_diagonal(self) -> tuple:
         """The diagonal of T_0^-1 = L_1^-1: the inverted first contents."""
-        if self._t0inv is None:
-            self._t0inv = tuple(c.inverse() for c in self.l_diagonal(1))
-        return self._t0inv
+        return tuple(c.inverse() for c in self.l_diagonal(1))
 
     def t_rows(self, i: int, inverse: bool = False) -> tuple:
-        """T_i, or its inverse, as sparse rows (see matrices.mat_sparse_rows).
-
-        For i >= 1 every row has at most two nonzero entries.
+        """T_i, or its inverse, for 1 <= i < n as sparse rows: row a is a
+        tuple of (column, entry) pairs, zeros dropped, at most two pairs.
         """
-        key = (i, inverse)
-        rows = self._rows.get(key)
-        if rows is None:
-            dense = self.t_inverse(i) if inverse else self.t_matrix(i)
-            rows = self._rows[key] = mat_sparse_rows(dense)
-        return rows
-
-    def t_inverse(self, i: int) -> tuple:
-        if i in self._tinv:
-            return self._tinv[i]
-        if i == 0:
-            out = mat_diag(self.t0_inverse_diagonal())
-        else:
-            # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
-            field = self.field
-            shifted = mat_add(
-                self.t_matrix(i),
-                mat_scale(field.one - field.q, self.identity()))
-            out = mat_scale(field.q_power(-1), shifted)
-        self._tinv[i] = out
-        return out
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"T_{i} out of range for n={self.n}")
+        rows = self.trows[i]
+        if not inverse:
+            return rows
+        # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
+        field = self.field
+        qinv, shift = field.q_power(-1), field.one - field.q
+        out = []
+        for a, row in enumerate(rows):
+            entries = dict(row)
+            entries[a] = entries.get(a, field.zero) + shift
+            out.append(tuple((j, qinv * x) for j, x in entries.items() if x))
+        return tuple(out)
 
 
 # reps are keyed by sampled points, so the cache is bounded; one pass of
@@ -155,65 +138,46 @@ def build_rep(shape: Multipartition, field) -> SeminormalRep:
     return _cached_rep(shape, field)
 
 
+def _relations(field, n: int) -> list:
+    """(name, lhs word, rhs word) for every defining relation of H_n."""
+    q, zero = field.q, [("scal", 0)]
+    table = [("cyclotomic relation for T_0",
+              [("ladder", 1, rho) for rho in cyclotomic_params(field)], zero)]
+    table += [(f"quadratic relation for T_{i}", [("T", i), ("T", i)],
+               [("sum", [[("scal", q - 1), ("T", i)], [("scal", q)]])])
+              for i in range(1, n)]
+    if n >= 2:
+        table.append(("braid relation T_0T_1T_0T_1 = T_1T_0T_1T_0",
+                      [("T", 0), ("T", 1)] * 2, [("T", 1), ("T", 0)] * 2))
+    table += [(f"braid relation at T_{i}, T_{i + 1}",
+               [("T", i), ("T", i + 1), ("T", i)],
+               [("T", i + 1), ("T", i), ("T", i + 1)])
+              for i in range(1, n - 1)]
+    table += [(f"commutation T_{i} T_{j}", [("T", i), ("T", j)],
+               [("T", j), ("T", i)])
+              for i in range(n) for j in range(i + 2, n)]
+    return table
+
+
 def check_relations(rep: SeminormalRep) -> list:
     """All defining relations as matrix identities; returns the failures."""
-    failures = []
-    field, n = rep.field, rep.n
-    if n == 0:
-        return failures
-    ident = rep.identity()
-    T = rep.tmat
-
-    acc = ident
-    for rho in cyclotomic_params(field):
-        acc = mat_mul(acc, mat_sub(T[0], mat_scale(rho, ident)))
-    if not mat_is_zero(acc):
-        failures.append("cyclotomic relation for T_0")
-
-    for i in range(1, n):
-        lhs = mat_mul(mat_sub(T[i], mat_scale(field.q, ident)),
-                      mat_add(T[i], ident))
-        if not mat_is_zero(lhs):
-            failures.append(f"quadratic relation for T_{i}")
-
-    if n >= 2:
-        t0t1 = mat_mul(T[0], T[1])
-        t1t0 = mat_mul(T[1], T[0])
-        if not mat_eq(mat_mul(t0t1, t0t1), mat_mul(t1t0, t1t0)):
-            failures.append("braid relation T_0T_1T_0T_1 = T_1T_0T_1T_0")
-
-    for i in range(1, n - 1):
-        lhs = mat_mul(T[i], mat_mul(T[i + 1], T[i]))
-        rhs = mat_mul(T[i + 1], mat_mul(T[i], T[i + 1]))
-        if not mat_eq(lhs, rhs):
-            failures.append(f"braid relation at T_{i}, T_{i + 1}")
-
-    for j in range(2, n):
-        if not mat_eq(mat_mul(T[0], T[j]), mat_mul(T[j], T[0])):
-            failures.append(f"commutation T_0 T_{j}")
-
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            if not mat_eq(mat_mul(T[i], T[j]), mat_mul(T[j], T[i])):
-                failures.append(f"commutation T_{i} T_{j}")
-
-    return failures
+    if rep.n == 0:
+        return []
+    return [name for name, lhs, rhs in _relations(rep.field, rep.n)
+            if not mat_eq(eval_word(rep, lhs), eval_word(rep, rhs))]
 
 
 def _scalar_token(field, value):
-    if isinstance(value, (RatFunc, CycRat)):
-        if isinstance(value, CycRat) and not field.is_generic:
-            return field.embed(value)
-        if isinstance(value, CycRat):
-            return field.scalar(value)
-        return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a scalar")
     if isinstance(value, (int, Fraction)):
         return field.scalar(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(x, int) for x in value):
-        return field.scalar(Fraction(value[0], value[1]))
+    if isinstance(value, CycRat):
+        return field.scalar(value) if field.is_generic else field.embed(value)
+    if isinstance(value, RatFunc):
+        if field.is_generic:
+            return value
+        raise TypeError("a rational function is not a scalar at a point")
     raise TypeError(f"cannot read scalar token {value!r}")
 
 
@@ -222,14 +186,27 @@ def _times_diagonal(acc, diag) -> tuple:
     return mat_diag(diag) if acc is None else mat_scale_cols(acc, diag)
 
 
+def _from_rows(rows, zero) -> tuple:
+    """The dense matrix with the given sparse rows."""
+    out = []
+    for row in rows:
+        dense = [zero] * len(rows)
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
 def eval_word(rep: SeminormalRep, word) -> tuple:
     """Evaluate a token word as the product of its factors, left to right.
 
     The tokens, and their cost on a module of dimension n:
 
     * ``("T", i)``, ``("Tinv", i)`` for i >= 1: the generator T_i or its
-      inverse, kept as sparse rows with at most two nonzeros each and
-      applied by a dense x sparse product, at most 2 n^2 multiplies.
+      inverse, as sparse rows with at most two nonzeros each (the rows of
+      the inverse are formed from those of T_i, about 3 n multiplies),
+      applied by a dense x sparse product, at most 2 n^2 multiplies.  As
+      the first factor of a word they are just written out densely.
     * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, root)``:
       the ladder factor L_k - root; ``("scal", c)``: c times the identity;
       ``("T", 0)`` and ``("Tinv", 0)``.  All of these are diagonal.  A run
@@ -267,12 +244,9 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         if diag is not None:
             acc, diag = _times_diagonal(acc, diag), None
         if tag in ("T", "Tinv"):
-            inverse = tag == "Tinv"
-            if acc is None:
-                acc = rep.t_inverse(item[1]) if inverse \
-                    else rep.t_matrix(item[1])
-            else:
-                acc = mat_mul_sparse(acc, rep.t_rows(item[1], inverse))
+            rows = rep.t_rows(item[1], tag == "Tinv")
+            acc = _from_rows(rows, field.zero) if acc is None \
+                else mat_mul_sparse(acc, rows)
         elif tag == "sum":
             m = None
             for sub in item[1]:

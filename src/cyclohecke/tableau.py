@@ -7,9 +7,9 @@ eigenvalues of L_1 must run through the parameter list
 (eps Q_1, ..., eps^p Q_d).
 """
 
-from functools import lru_cache
+from math import factorial, prod
 
-from .combin import Multipartition, component_index
+from .combin import Multipartition, component_index, conjugate_partition
 from .exactnum import PoleError
 
 
@@ -148,23 +148,15 @@ def enumerate_std(shape: Multipartition) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _count_std(comps: tuple) -> int:
-    # branching rule: remove the cell containing n in every admissible way
-    if all(not c for c in comps):
-        return 1
-    total = 0
-    for s, c in enumerate(comps):
-        for i in range(len(c)):
-            if i + 1 < len(c) and c[i + 1] == c[i]:
-                continue
-            smaller = c[:i] + ((c[i] - 1,) if c[i] > 1 else ()) + c[i + 1:]
-            total += _count_std(comps[:s] + (smaller,) + comps[s + 1:])
-    return total
-
-
 def count_std(shape: Multipartition) -> int:
-    return _count_std(shape.comps)
+    """The number of standard tableaux: n! over the product of the hook
+    lengths of all the boxes, taken over every component."""
+    hooks = 1
+    for comp in shape.comps:
+        conj = conjugate_partition(comp)
+        hooks *= prod(row - b + conj[b] - a - 1
+                      for a, row in enumerate(comp) for b in range(row))
+    return factorial(shape.size) // hooks
 
 
 def content_exponents(s: StandardTableau, k: int) -> tuple:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclohecke.cli import main, scalar_from_json, scalar_to_json
 from cyclohecke.combin import enumerate_all, enumerate_pdb
@@ -43,6 +45,9 @@ def test_enumerate_by_n(runner):
     fixed = [s for s in data["shapes"] if s["split"] == 2]
     assert fixed == [{"comps": [[1], [1]], "b": [1, 1], "orbit": 1,
                       "split": 2, "dim_std": 2, "dim_summand": 1}]
+    empty = run_json(runner, ["enumerate", "--p", "2", "--d", "1", "--n", "0"])
+    assert empty["shapes"] == [{"comps": [[], []], "b": [0, 0], "orbit": 1,
+                                "split": 1, "dim_std": 1, "dim_summand": 1}]
 
 
 def test_enumerate_by_b(runner):
@@ -261,6 +266,21 @@ def test_splittable_rejects_boolean_table_entry(runner, tmp_path):
     assert "True" in error["message"]
 
 
+def test_splittable_rejects_boolean_table_label(runner, tmp_path):
+    path = tmp_path / "bool_label.json"
+    path.write_text(json.dumps({"tables": [
+        {"s": 1, "m": 1, "rows": [[[True]]], "cols": [[[True]]],
+         "entries": [[0, 0, 1]]},
+    ]}))
+    result = runner.invoke(main, ["splittable", "--p", "2", "--d", "1",
+                                  "--lambda", "[[1],[1]]",
+                                  "--mu", "[[1],[1]]", "--tables", str(path)])
+    assert result.exit_code == 4
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input-data"
+    assert "True" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # assembly and reduction
 
@@ -413,3 +433,48 @@ def test_klesh_labels_validated(runner, tmp_path):
                                   "--klesh", str(klesh)])
     assert result.exit_code == 4
     assert json.loads(result.output)["error"]["kind"] == "input-data"
+
+
+# ---------------------------------------------------------------------------
+# malformed flags
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--p", "2", "--d", "1", "--b", "[2.7,1]"],
+    ["enumerate", "--p", "2", "--d", "1", "--b", "[true,1]"],
+    ["enumerate", "--p", "2", "--d", "1", "--b", '["3",0]'],
+    ["scalar", "schur", "--p", "2", "--d", "1", "--lambda", "[[1.9],[1]]"],
+    ["scalar", "schur", "--p", "2", "--d", "1", "--lambda", "[[2],[true]]"],
+    ["verify", "pleftmult", "--b", "[1e400]"],
+])
+def test_non_integer_parts_rejected(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["error"]["kind"] == "validation"
+
+
+# small ints keep the valid inputs cheap; 1e400 reads back as infinity
+_JSON_LEAVES = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([2.5, 1e400, float("nan")]),
+    st.booleans(),
+    st.sampled_from(["", "3", "a"]),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+@pytest.mark.parametrize("prefix", [
+    ["enumerate", "--p", "2", "--d", "1", "--b"],
+    ["scalar", "schur", "--p", "2", "--d", "1", "--lambda"],
+])
+@settings(max_examples=150, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value=[1e400])
+@example(value=[[1e400], []])
+def test_malformed_flag_json_exits_cleanly(prefix, value):
+    result = CliRunner().invoke(main, prefix + [json.dumps(value)])
+    assert result.exit_code in (0, 2, 4), (value, result.output)
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), (value, result.exception)

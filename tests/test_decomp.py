@@ -579,6 +579,7 @@ def test_dim_report_examples():
     assert dim_report(mp(2, 1, [[1], [1]])) == (2, 2, 1)
     assert dim_report(mp(2, 1, [[2], [2]])) == (6, 2, 3)
     assert dim_report(mp(2, 1, [[2], []])) == (1, 1, 1)
+    assert dim_report(mp(2, 1, [[], []])) == (1, 1, 1)
 
 
 def test_dim_report_divisibility_small():

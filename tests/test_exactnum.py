@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclohecke import exactnum
+from cyclohecke.cli import scalar_from_json, scalar_to_json
 from cyclohecke.exactnum import (
     CycRat,
+    LaurentPoly,
     PoleError,
     RatFunc,
     SpecPoint,
@@ -390,6 +393,65 @@ def test_specpoint_json_cyclotomic_values():
     assert isinstance(data["q"][0], list)
     back = SpecPoint.from_json(data)
     assert back.q == pt.q
+
+
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 12).flatmap(cycrats))
+def test_cycrat_scalar_json_round_trip(a):
+    data = _through_json(scalar_to_json(a))
+    back = scalar_from_json(data)
+    assert back == a and back.coeffs == a.coeffs
+    assert scalar_to_json(back) == data
+
+
+def laurents(order, nvars):
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    coeffs = cycrats(order).filter(bool)
+    return st.dictionaries(exps, coeffs, max_size=3).map(
+        lambda terms: LaurentPoly(order, nvars, terms))
+
+
+def ratfuncs(order, nvars):
+    return st.tuples(laurents(order, nvars),
+                     laurents(order, nvars).filter(bool)).map(
+        lambda nd: RatFunc(*nd))
+
+
+@settings(max_examples=60)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda on: ratfuncs(*on)))
+def test_ratfunc_scalar_json_round_trip(f):
+    data = _through_json(scalar_to_json(f))
+    back = scalar_from_json(data)
+    assert back == f
+    assert (back.num.terms, back.den.terms) == (f.num.terms, f.den.terms)
+    assert scalar_to_json(back) == data
+
+
+def irrational_points():
+    def draw(pn):
+        p, N = pn
+        nonzero = cycrats(N).filter(bool)
+        return st.builds(
+            lambda q, Qs: SpecPoint(p, N, q, Qs),
+            nonzero.filter(lambda c: not c.is_rational()),
+            st.lists(nonzero, min_size=1, max_size=3))
+    return st.sampled_from(
+        [(2, 4), (3, 3), (2, 6), (3, 6), (4, 8), (3, 9), (5, 5), (4, 12)]
+    ).flatmap(draw)
+
+
+@settings(max_examples=60)
+@given(irrational_points())
+def test_specpoint_json_round_trip_irrational(pt):
+    data = _through_json(pt.to_json())
+    back = SpecPoint.from_json(data)
+    assert back == pt
+    assert back.to_json() == data
 
 
 def test_specpoint_validation():

@@ -15,14 +15,10 @@ from cyclohecke.matrices import (
     mat_add,
     mat_diag,
     mat_eq,
-    mat_identity,
     mat_mul,
     mat_mul_sparse,
     mat_scale,
     mat_scale_cols,
-    mat_sparse_rows,
-    mat_sub,
-    mat_trace,
 )
 from cyclohecke.seminormal import (
     REP_CACHE_SIZE,
@@ -34,7 +30,7 @@ from cyclohecke.seminormal import (
     element_equal,
     eval_word,
 )
-from cyclohecke.tableau import content, enumerate_std
+from cyclohecke.tableau import beta_coeff, content, enumerate_std
 
 
 def mp(p, d, comps):
@@ -49,20 +45,22 @@ K21 = generic_field(2, 1)
 
 def test_one_dimensional_reps():
     row = build_rep(mp(2, 1, [(2,), ()]), K21)
-    assert row.tmat[1] == ((K21.q,),)
+    assert row.t_rows(1) == (((0, K21.q),),)
+    assert eval_word(row, [("T", 1)]) == ((K21.q,),)
     col = build_rep(mp(2, 1, [(1, 1), ()]), K21)
-    assert col.tmat[1] == ((-K21.one,),)
+    assert col.t_rows(1) == (((0, -K21.one),),)
+    assert eval_word(col, [("T", 1)]) == ((-K21.one,),)
 
 
 def test_l1_diagonal_of_contents():
     rep = build_rep(mp(2, 1, [(1,), (1,)]), K21)
     e1Q = K21.eps_pow(1) * K21.Q(1)
     e2Q = K21.eps_pow(2) * K21.Q(1)
-    assert rep.lmat[0][0][0] == e1Q and rep.lmat[0][1][1] == e2Q
-    assert not rep.lmat[0][0][1] and not rep.lmat[0][1][0]
+    assert rep.l_diagonal(1) == (e1Q, e2Q)
+    assert mat_eq(eval_word(rep, [("T", 0)]), mat_diag([e1Q, e2Q]))
     for k in (1, 2):
         for a, s in enumerate(rep.basis):
-            assert rep.lmat[k - 1][a][a] == content(s, k, K21)
+            assert rep.l_diagonal(k)[a] == content(s, k, K21)
 
 
 def test_context_mismatch():
@@ -94,54 +92,59 @@ def test_relations_at_points():
 def test_corrupted_t0_fails_cyclotomic():
     base = build_rep(mp(2, 1, [(1,), (1,)]), K21)
     corrupt = SeminormalRep(base.shape, base.field)
-    corrupt.tmat = dict(base.tmat)
-    corrupt.tmat[0] = mat_add(base.tmat[0], base.identity())
+    corrupt.ldiag = list(base.ldiag)
+    corrupt.ldiag[0] = tuple(c + K21.one for c in base.ldiag[0])
     report = check_relations(corrupt)
     assert any("cyclotomic" in line for line in report)
+
+
+def test_corrupted_t1_row_fails_quadratic():
+    base = build_rep(mp(2, 1, [(2,), (1,)]), K21)
+    corrupt = SeminormalRep(base.shape, base.field)
+    rows = list(base.t_rows(1))
+    rows[0] = tuple((j, 2 * x) for j, x in rows[0])
+    corrupt.trows = dict(base.trows)
+    corrupt.trows[1] = tuple(rows)
+    assert check_relations(base) == []
+    assert "quadratic relation for T_1" in check_relations(corrupt)
 
 
 def test_jm_elements_commute():
     pt = sample_point(2, 2, 3, random.Random(5))
     for shape in enumerate_all(2, 2, 3):
         rep = build_rep(shape, pt)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                La, Lb = rep.lmat[a], rep.lmat[b]
-                assert mat_eq(mat_mul(La, Lb), mat_mul(Lb, La))
+        for a in range(1, 4):
+            for b in range(a + 1, 4):
+                assert mat_eq(eval_word(rep, [("L", a), ("L", b)]),
+                              eval_word(rep, [("L", b), ("L", a)]))
 
 
 def test_jm_exchange_identities():
     # T_k L_k = L_{k+1}(T_k - q + 1) and T_k L_{k+1} = L_k T_k + (q-1) L_{k+1}
-    K = K21
+    q = K21.q
     for shape in enumerate_all(2, 1, 3):
-        rep = build_rep(shape, K)
-        ident = rep.identity()
+        rep = build_rep(shape, K21)
         for k in range(1, 3):
-            Tk, Lk, Lk1 = rep.tmat[k], rep.lmat[k - 1], rep.lmat[k]
-            lhs = mat_mul(Tk, Lk)
-            rhs = mat_mul(Lk1, mat_add(Tk, mat_scale(K.one - K.q, ident)))
-            assert mat_eq(lhs, rhs)
-            lhs = mat_mul(Tk, Lk1)
-            rhs = mat_add(mat_mul(Lk, Tk), mat_scale(K.q - 1, Lk1))
-            assert mat_eq(lhs, rhs)
+            Tk, Lk, Lk1 = ("T", k), ("L", k), ("L", k + 1)
+            assert mat_eq(
+                eval_word(rep, [Tk, Lk]),
+                eval_word(rep, [Lk1, ("sum", [[Tk], [("scal", 1 - q)]])]))
+            assert mat_eq(
+                eval_word(rep, [Tk, Lk1]),
+                eval_word(rep, [("sum", [[Lk, Tk], [("scal", q - 1), Lk1]])]))
 
 
 def test_symmetric_jm_polynomials_central():
     pt = sample_point(3, 1, 3, random.Random(9))
     for shape in enumerate_all(3, 1, 3):
         rep = build_rep(shape, pt)
-        e1 = rep.lmat[0]
-        for L in rep.lmat[1:]:
-            e1 = mat_add(e1, L)
-        e2 = None
-        for a in range(3):
-            for b in range(a + 1, 3):
-                term = mat_mul(rep.lmat[a], rep.lmat[b])
-                e2 = term if e2 is None else mat_add(e2, term)
+        e1 = ("sum", [[("L", k)] for k in range(1, 4)])
+        e2 = ("sum", [[("L", a), ("L", b)]
+                      for a in range(1, 4) for b in range(a + 1, 4)])
         for i in range(3):
-            Ti = rep.tmat[i]
-            assert mat_eq(mat_mul(e1, Ti), mat_mul(Ti, e1))
-            assert mat_eq(mat_mul(e2, Ti), mat_mul(Ti, e2))
+            for e in (e1, e2):
+                assert mat_eq(eval_word(rep, [e, ("T", i)]),
+                              eval_word(rep, [("T", i), e]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def test_eval_word_examples():
 def test_eval_word_quadratic():
     rep = build_rep(mp(2, 1, [(2,), (1,)]), K21)
     lhs = eval_word(rep, [("T", 1), ("T", 1)])
-    rhs = mat_add(mat_scale(K21.q - 1, rep.tmat[1]),
+    rhs = mat_add(mat_scale(K21.q - 1, eval_word(rep, [("T", 1)])),
                   mat_scale(K21.q, rep.identity()))
     assert mat_eq(lhs, rhs)
 
@@ -168,20 +171,47 @@ def test_eval_word_sum_token():
     rep = build_rep(mp(2, 1, [(1,), (1,)]), K21)
     word = [("sum", [[("T", 1)], [("scal", 1)]])]
     assert mat_eq(eval_word(rep, word),
-                  mat_add(rep.tmat[1], rep.identity()))
+                  mat_add(_dense_t(rep, 1), rep.identity()))
+
+
+def _contents(rep, k):
+    return [content(s, k, rep.field) for s in enumerate_std(rep.shape)]
+
+
+def _dense_t(rep, i):
+    """T_i straight from the seminormal formulas, independent of the rep."""
+    if i == 0:
+        return mat_diag(_contents(rep, 1))
+    field, basis = rep.field, enumerate_std(rep.shape)
+    rows = []
+    for s in basis:
+        row = [field.zero] * len(basis)
+        bc = beta_coeff(s, i, field)
+        row[basis.index(s)] = bc
+        t = s.swap(i)
+        if t.is_standard():
+            row[basis.index(t)] = field.one + bc
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _dense_factor(rep, item):
     """One token as a dense matrix, straight from its definition."""
     tag, field, ident = item[0], rep.field, rep.identity()
     if tag == "T":
-        return rep.t_matrix(item[1])
+        return _dense_t(rep, item[1])
+    if tag == "Tinv" and item[1] == 0:
+        return mat_diag([c.inverse() for c in _contents(rep, 1)])
     if tag == "Tinv":
-        return rep.t_inverse(item[1])
+        # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
+        shifted = mat_add(_dense_t(rep, item[1]),
+                          mat_scale(field.one - field.q, ident))
+        return mat_scale(field.q_power(-1), shifted)
     if tag == "L":
-        return rep.l_matrix(item[1])
+        return mat_diag(_contents(rep, item[1]))
     if tag == "ladder":
-        return mat_sub(rep.l_matrix(item[1]), mat_scale(item[2], ident))
+        return mat_add(mat_diag(_contents(rep, item[1])),
+                       mat_scale(-item[2], ident))
     if tag == "scal":
         return mat_scale(field.scalar(item[1]), ident)
     out = mat_scale(field.zero, ident)
@@ -265,8 +295,9 @@ def test_sparse_products_match_mat_mul():
     B = ((Fraction(0), Fraction(4), Fraction(0)),
          (Fraction(7), Fraction(0), Fraction(-1)),
          (Fraction(0), Fraction(0), Fraction(3)))
-    rows = mat_sparse_rows(B)
-    assert rows[0] == ((1, Fraction(4)),)
+    rows = (((1, Fraction(4)),),
+            ((0, Fraction(7)), (2, Fraction(-1))),
+            ((2, Fraction(3)),))
     assert mat_mul_sparse(A, rows) == mat_mul(A, B)
     d = (Fraction(2), Fraction(0), Fraction(-1, 3))
     assert mat_scale_cols(A, d) == mat_mul(A, mat_diag(d))
@@ -294,8 +325,23 @@ def test_inverses():
         for shape in enumerate_all(2, 1, 3):
             rep = build_rep(shape, field)
             for i in range(3):
-                prod = mat_mul(rep.t_matrix(i), rep.t_inverse(i))
-                assert mat_eq(prod, rep.identity())
+                for word in ([("T", i), ("Tinv", i)], [("Tinv", i), ("T", i)]):
+                    assert mat_eq(eval_word(rep, word), rep.identity())
+            for bad in ([("T", 3)], [("Tinv", -1)], [("L", 0)]):
+                with pytest.raises(ValueError):
+                    eval_word(rep, bad)
+
+
+def test_scalar_tokens_are_checked():
+    pt = sample_point(2, 1, 2, random.Random(2))
+    rep = build_rep(mp(2, 1, [(2,), ()]), pt)
+    with pytest.raises(TypeError, match="rational function"):
+        eval_word(rep, [("scal", K21.q), ("T", 1)])
+    for value in ([1, 2], True, 1.5):
+        with pytest.raises(TypeError):
+            eval_word(rep, [("scal", value)])
+    assert eval_word(rep, [("scal", Fraction(1, 2)), ("scal", pt.q)]) \
+        == ((pt.q * Fraction(1, 2),),)
 
 
 def test_t0_inverse_via_word():
