@@ -50,14 +50,12 @@ from .elements import (
 )
 from .exactnum import (
     CycRat,
-    GenericField,
     LaurentPoly,
     PoleError,
     RatFunc,
     SpecPoint,
     generic_field,
     laurent_to_json,
-    sample_point,
 )
 from .scalars import (
     f_lambda_closed,
@@ -236,11 +234,12 @@ def enumerate_cmd(p, d, n, b_text, out):
                 "comps": la.to_json(),
                 "b": list(la.composition()),
                 "orbit": la.orbit_order()[0],
-                "split": dim_report(la).p_lambda,
-                "dim_std": count_std(la),
-                "dim_summand": dim_report(la).dim_summand,
+                "split": dims.p_lambda,
+                "dim_std": dims.dim_specht,
+                "dim_summand": dims.dim_summand,
             }
             for la in shapes
+            for dims in [dim_report(la)]
         ],
     }
     _emit(payload, out)
@@ -448,12 +447,7 @@ def scalar():
 def _scalar_payload(kind, p, d, la_text, b_text, mode, trials, seed, out):
     la = _mp_flag(p, d, la_text)
     b = _comp_flag(b_text) if b_text is not None else la.composition()
-    if mode == "symbolic":
-        fields = [GenericField(p, d)]
-    else:
-        rng = Random(seed)
-        fields = [sample_point(p, d, max(la.size, 1), rng)
-                  for _ in range(trials)]
+    fields = _field_list(p, d, max(la.size, 1), mode, trials, seed)
     values = []
     for field in fields:
         if kind == "schur":
@@ -524,10 +518,7 @@ def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
     else:
         if la.composition() != mu.composition():
             raise ValueError("lambda and mu have different compositions")
-        if mode == "symbolic":
-            field = generic_field(p, d)
-        else:
-            field = sample_point(p, d, la.size, Random(seed))
+        (field,) = _field_list(p, d, la.size, mode, 1, seed)
         b = la.composition()
         ratio = g_lambda(la, b, field) / g_lambda(mu, b, field)
     result = split_by_formula(la, mu, tables, ratio, char=char)
@@ -563,15 +554,13 @@ def assemble_cmd(p, d, n, tables_path, klesh_path, char, mode, seed, out):
     """The labelled decomposition matrix from input tables."""
     tables = _load_tables(tables_path)
     klesh = _load_klesh(klesh_path, p, d)
-    point = None
-    if mode == "random":
-        point = sample_point(p, d, n, Random(seed))
+    (field,) = _field_list(p, d, n, mode, 1, seed)
     payload = assemble_matrix(p * d, p, n, tables, klesh, char=char,
-                              point=point)
+                              point=field)
     payload["mode"] = mode
     payload["seed"] = seed
-    if point is not None:
-        payload["field"] = _field_json(point)
+    if mode == "random":
+        payload["field"] = _field_json(field)
     _emit(payload, out)
 
 
@@ -659,8 +648,8 @@ def _criterion_elements(ps, ds, n) -> str:
     checked = 0
     for p in ps:
         for d in ds:
-            points = [sample_point(p, d, n, Random(211 + 10 * p + d))
-                      for _ in range(3)]
+            points = mode_fields(p, d, n, "random", None, 3,
+                                 Random(211 + 10 * p + d))
             for b in compositions(n, p):
                 for j in range(1, p + 1):
                     if not verify_changing(b, d, j, points=points):
@@ -702,9 +691,8 @@ def _criterion_scalars(ps, ds, n) -> str:
                         raise AssertionError(
                             f"trace identity fails at {la!r}, b={b}")
                     symbolic += 1
-            points = [sample_point(p, d, n, Random(307 + 10 * p + d))
-                      for _ in range(3)]
-            for pt in points:
+            for pt in mode_fields(p, d, n, "random", None, 3,
+                                  Random(307 + 10 * p + d)):
                 for b in compositions(n, p):
                     oracle = flam_eigen_oracle(b, pt)
                     for la in enumerate_pdb(d, b):

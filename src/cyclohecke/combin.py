@@ -194,7 +194,9 @@ def comp_stats(b) -> tuple:
 
 
 def compositions(n: int, p: int):
-    """All weak compositions of n into p parts, lexicographically."""
+    """All weak compositions of n into p >= 1 parts, lexicographically."""
+    if p < 1:
+        raise ValueError(f"a composition needs p >= 1 parts, got p={p}")
     if p == 1:
         yield (n,)
         return
@@ -335,7 +337,9 @@ def component_index(s: int, p: int, d: int) -> tuple:
 
 
 def multipartition_tuples(d: int, m: int):
-    """All d-tuples of partitions with total size m."""
+    """All d-tuples of partitions with total size m, d >= 1."""
+    if d < 1:
+        raise ValueError(f"a tuple of partitions needs d >= 1, got d={d}")
     if d == 1:
         for la in partitions(m):
             yield (la,)

@@ -34,7 +34,13 @@ from .combin import (
 )
 from .matrices import mat_eq, mat_is_zero, mat_mul, mat_rank, mat_scale
 from .scalars import schur_element
-from .seminormal import build_rep, element_equal, eval_word, mode_fields
+from .seminormal import (
+    build_rep,
+    character,
+    element_equal,
+    eval_word,
+    mode_fields,
+)
 from .tableau import count_std
 
 
@@ -297,12 +303,7 @@ def trace(r: int, n: int, word, field):
         word = word(field)
     total = field.zero
     for shape, weight in _schur_inverses(field, n):
-        rep = build_rep(shape, field)
-        chi = field.zero
-        mat = eval_word(rep, word)
-        for i in range(len(mat)):
-            chi = chi + mat[i][i]
-        total = total + chi * weight
+        total = total + character(shape, word, field) * weight
     return total
 
 

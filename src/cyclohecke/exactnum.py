@@ -566,8 +566,8 @@ class GenericField:
 
     def __init__(self, p: int, d: int):
         # p = 1 (eps trivial, plain Ariki-Koike) is allowed here so that
-        # block-wise computations can reuse the same tower; the public
-        # factory generic_field still requires p >= 2.
+        # symbolic checks and block-wise computations can reuse the same
+        # tower; the public factory generic_field still requires p >= 2.
         if p < 1:
             raise ValueError("invalid order: the symbolic field needs p >= 1")
         if d < 1:

@@ -28,7 +28,7 @@ from .combin import (
     comp_stats,
     component_index,
 )
-from .exactnum import GenericField, sample_point
+from .seminormal import mode_fields
 
 __all__ = [
     "hook",
@@ -223,16 +223,8 @@ def verify_factorization(la: Multipartition, b, mode: str = "symbolic",
         g = g_lambda(la, b, field)
         return g ** exps.split == field.eps_pow(e_root) * f
 
-    if mode == "symbolic":
-        return holds(GenericField(la.p, la.d))
-    if mode != "random":
-        raise ValueError(f"unknown mode: {mode!r}")
-    if points is None:
-        import random
-
-        rng = rng if rng is not None else random.Random(0)
-        points = [sample_point(la.p, la.d, max(la.size, 1), rng) for _ in range(trials)]
-    return all(holds(pt) for pt in points)
+    return all(holds(field) for field in mode_fields(
+        la.p, la.d, max(la.size, 1), mode, points, trials, rng))
 
 
 class ScalarBundle(NamedTuple):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from random import Random
 
 from .combin import Multipartition, component_index, enumerate_all
-from .exactnum import CycRat, RatFunc, generic_field, sample_point
+from .exactnum import CycRat, GenericField, RatFunc, sample_point
 from .matrices import (
     mat_add,
     mat_diag,
@@ -274,19 +274,27 @@ def _resolve_word(word, field):
 
 def mode_fields(p, d, n, mode: str = "auto", points=None,
                 trials: int = 3, rng=None) -> list:
-    """Fields to check an identity over: explicit points, one generic
-    field, or `trials` sampled separated semisimple points.
+    """Fields to check an identity over: the explicit points, one generic
+    field Q(eps)(q, Q_1..Q_d) (p >= 1), or `trials` separated semisimple
+    points drawn from one rng.
 
-    The auto rule goes symbolic only while the direct sum of all modules
+    The list is never empty: trials below 1, or an empty list of points,
+    raise ValueError, since a check over no field proves nothing.  The
+    auto rule goes symbolic only while the direct sum of all modules
     stays small, since symbolic products in several variables explode.
     """
     if points is not None:
-        return list(points)
+        fields = list(points)
+        if not fields:
+            raise ValueError("no field to check over: no points given")
+        return fields
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if mode == "auto":
         total = sum(count_std(s) ** 2 for s in enumerate_all(p, d, n))
         mode = "symbolic" if total <= 40 else "random"
     if mode == "symbolic":
-        return [generic_field(p, d)]
+        return [GenericField(p, d)]
     if mode == "random":
         rng = rng or Random(0)
         return [sample_point(p, d, n, rng) for _ in range(trials)]

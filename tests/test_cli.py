@@ -50,6 +50,17 @@ def test_enumerate_by_n(runner):
                                 "split": 1, "dim_std": 1, "dim_summand": 1}]
 
 
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--p", "0", "--d", "1", "--n", "2"],
+    ["enumerate", "--p", "-1", "--d", "1", "--n", "2"],
+    ["enumerate", "--p", "1", "--d", "0", "--n", "2"],
+    ["semisimple-tables", "--s", "0", "--m", "1"],
+])
+def test_nonpositive_sizes_rejected(runner, args):
+    data = run_json(runner, args, exit_code=2)
+    assert data["error"]["kind"] == "validation"
+
+
 def test_enumerate_by_b(runner):
     data = run_json(runner, ["enumerate", "--p", "2", "--d", "2",
                              "--b", "[2,1]"])
@@ -152,6 +163,41 @@ def test_seminormal_check(runner):
     assert data["passed"] is True
     assert len(data["fields"]) == 3
     assert all("q" in f for f in data["fields"])
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (2, 2), (1, 3)])
+def test_seminormal_check_p1_symbolic(runner, d, n):
+    data = run_json(runner, ["seminormal-check", "--p", "1", "--d", str(d),
+                             "--n", str(n), "--mode", "symbolic"])
+    assert data["passed"] is True
+    assert data["fields"] == [{"generic": {"p": 1, "d": d}}]
+
+
+_TRIALS_COMMANDS = [
+    ["seminormal-check", "--p", "2", "--d", "1", "--n", "2"],
+    ["verify", "changing", "--b", "[1,1]", "--d", "1"],
+    ["verify", "pleftmult", "--b", "[1,1]", "--d", "1"],
+    ["verify", "comparison", "--b", "[1,1]", "--d", "1"],
+    ["verify", "trace-vbtb", "--b", "[1,1]", "--d", "1"],
+    ["verify", "factorization", "--p", "2", "--d", "1", "--n", "2"],
+    ["scalar", "schur", "--p", "2", "--d", "1", "--lambda", "[[1],[1]]"],
+    ["scalar", "f", "--p", "2", "--d", "1", "--lambda", "[[1],[1]]"],
+    ["scalar", "g", "--p", "2", "--d", "1", "--lambda", "[[1],[1]]"],
+]
+
+
+@pytest.mark.parametrize("trials", [
+    ["--mode", "random", "--trials", "0"],
+    ["--mode", "random", "--trials", "-1"],
+    ["--trials", "-1"],
+], ids=["random-0", "random-minus-1", "default-minus-1"])
+@pytest.mark.parametrize("command", _TRIALS_COMMANDS,
+                         ids=lambda c: " ".join(w for w in c[:2]
+                                                if not w.startswith("-")))
+def test_trials_below_one_rejected(runner, command, trials):
+    data = run_json(runner, command + trials, exit_code=2)
+    assert data["error"]["kind"] == "validation"
+    assert "trials" in data["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +441,28 @@ def test_fixtures_records_typed_errors_per_criterion(runner, monkeypatch):
     assert results[0]["detail"] == "PoleError: pole at q = 1"
     assert results[1]["detail"] == "InputDataError: bad table"
     assert results[2]["criterion"] == "9 divisibility"
+
+
+@pytest.mark.parametrize("criterion, checker, points_of", [
+    ("_criterion_elements", "verify_changing", lambda *args, points: points),
+    ("_criterion_scalars", "flam_eigen_oracle", lambda b, pt: [pt]),
+], ids=["criterion-3", "criterion-5"])
+def test_sampled_criteria_use_three_distinct_points(monkeypatch, criterion,
+                                                    checker, points_of):
+    from cyclohecke import cli
+
+    seen = {}
+    real = getattr(cli, checker)
+
+    def record(*args, **kwargs):
+        for pt in points_of(*args, **kwargs):
+            seen.setdefault((pt.p, len(pt.Q_vals)), set()).add(pt)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, checker, record)
+    getattr(cli, criterion)((2, 3), (1, 2), 2)
+    assert sorted(seen) == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    assert all(len(points) == 3 for points in seen.values())
 
 
 def test_determinism_same_seed(runner):

@@ -160,6 +160,14 @@ def test_composition_validation():
         check_composition((1, -1))
 
 
+@pytest.mark.parametrize("parts", [0, -1])
+def test_generators_reject_nonpositive_part_counts(parts):
+    with pytest.raises(ValueError):
+        next(compositions(2, parts))
+    with pytest.raises(ValueError):
+        next(multipartition_tuples(parts, 1))
+
+
 def test_alpha():
     assert alpha((1, 2)) == 5
     assert alpha((3, 0, 0)) == 3

@@ -236,6 +236,8 @@ def test_factorization_random_mode():
     assert verify_factorization(la, (1, 1, 1, 1), mode="random", trials=2)
     with pytest.raises(ValueError):
         verify_factorization(la, (1, 1, 1, 1), mode="exact")
+    with pytest.raises(ValueError, match="no points"):
+        verify_factorization(la, (1, 1, 1, 1), points=[])
 
 
 def test_shift_factor_base_and_telescoping():

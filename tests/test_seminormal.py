@@ -6,6 +6,7 @@ import pytest
 from cyclohecke import seminormal
 from cyclohecke.combin import Multipartition, enumerate_all
 from cyclohecke.exactnum import (
+    GenericField,
     RatFunc,
     SpecPoint,
     generic_field,
@@ -29,6 +30,7 @@ from cyclohecke.seminormal import (
     cyclotomic_params,
     element_equal,
     eval_word,
+    mode_fields,
 )
 from cyclohecke.tableau import beta_coeff, content, enumerate_std
 
@@ -398,6 +400,26 @@ def test_element_equal_detects_difference():
                              mode="symbolic")
     assert not element_equal(2, 1, 3, [("L", 2)], [("L", 3)], mode="random",
                              trials=2, rng=random.Random(8))
+
+
+def test_element_equal_needs_a_field():
+    with pytest.raises(ValueError, match="no points"):
+        element_equal(2, 1, 2, [("T", 1)], [("T", 1)], points=[])
+
+
+def test_mode_fields_forms():
+    assert mode_fields(1, 2, 2, "symbolic") == [GenericField(1, 2)]
+    points = mode_fields(2, 1, 3, "random", trials=3, rng=random.Random(5))
+    rng = random.Random(5)
+    assert points == [sample_point(2, 1, 3, rng) for _ in range(3)]
+    assert mode_fields(2, 1, 3, "symbolic", points=points[:1]) == points[:1]
+    assert mode_fields(2, 1, 2, "auto") == [GenericField(2, 1)]
+    for trials in (0, -1):
+        for mode in ("symbolic", "random", "auto"):
+            with pytest.raises(ValueError, match="trials"):
+                mode_fields(2, 1, 2, mode, trials=trials)
+    with pytest.raises(ValueError, match="unknown mode"):
+        mode_fields(2, 1, 2, "exact")
 
 
 def test_cyclotomic_params_order():
