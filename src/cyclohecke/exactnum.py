@@ -3,15 +3,19 @@
 The scalar tower used throughout the package:
 
 * ``CycRat``: an element of Q(zeta_m), stored as the reduced residue of a
-  polynomial in zeta_m modulo the m-th cyclotomic polynomial Phi_m.  The
-  symbolic layer works with m = p (the order of eps); specialization points
-  may use any conductor N with p | N.  All reduction goes through one
-  cached table, the reduced powers zeta_m^0 .. zeta_m^(m-1) built from the
-  Phi_m recurrence: products reduce their high terms with it, and
-  ``_substitute`` reads sum_j c_j zeta_m^(j*step) off it, which gives
-  reduction of long polynomials, the Galois conjugates and the embeddings
-  Q(zeta_m) -> Q(zeta_N).  Inverses are the product of the other Galois
-  conjugates divided by the rational norm.
+  polynomial in zeta_m modulo the m-th cyclotomic polynomial Phi_m, in
+  one integer form: integer numerators over one common denominator, with
+  no common factor left.  The symbolic layer works with m = p (the order
+  of eps); specialization points may use any conductor N with p | N.  All
+  reduction goes through one cached table, the reduced powers
+  zeta_m^0 .. zeta_m^(m-1) built from the Phi_m recurrence; Phi_m is monic
+  and integral, so the table is integral too.  Products reduce their high
+  terms with it, and ``_substitute`` reads sum_j c_j zeta_m^(j*step) off
+  it, which gives reduction of long polynomials, the Galois conjugates and
+  the embeddings Q(zeta_m) -> Q(zeta_N), all on integers.  Sums and
+  products take one gcd over the result at most, and none when the
+  denominators are 1.  Inverses are the product of the other Galois
+  conjugates of the numerators divided by their integer norm.
 * ``LaurentPoly``: a Laurent polynomial in q, Q_1, ..., Q_d (variable 0 is
   always q) with CycRat coefficients.
 * ``RatFunc``: an unreduced ratio of Laurent polynomials.  Equality is
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -86,21 +90,37 @@ def cyclotomic_poly(m: int) -> tuple:
 
 
 class CycRat:
-    """An element of Q(zeta_order), reduced modulo Phi_order."""
+    """An element of Q(zeta_order): integer numerators over one denominator.
 
-    __slots__ = ("order", "coeffs")
+    The value is sum_j nums[j] * zeta^j / den over the power basis
+    zeta^0 .. zeta^(phi(order) - 1).  Every value is kept canonical:
+    den >= 1 and gcd(den, *nums) == 1, so zero is (0, ..., 0)/1 and equal
+    values have equal (order, nums, den).
+    """
 
-    def __init__(self, order: int, coeffs: tuple):
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, nums: tuple, den: int = 1):
         self.order = order
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @staticmethod
     def make(order: int, coeffs: Iterable[Rational]) -> "CycRat":
-        return CycRat(order, _substitute(order, [Fraction(c) for c in coeffs]))
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        return _canonical(order, _substitute(order, nums), den)
 
     @staticmethod
     def from_rational(order: int, value: Rational) -> "CycRat":
-        return CycRat(order, (Fraction(value),) + _zeta_powers(order)[0].coeffs[1:])
+        zeros = _zeta_powers(order)[0].nums[1:]
+        return CycRat(order, (value.numerator,) + zeros, value.denominator)
 
     @staticmethod
     def zeta(order: int) -> "CycRat":
@@ -117,22 +137,41 @@ class CycRat:
             return CycRat.from_rational(self.order, other)
         return None
 
+    def _sum(self, b: tuple, db: int) -> "CycRat":
+        """self + b/db for integer numerators b, den db >= 1."""
+        a, da = self.nums, self.den
+        if da == db:
+            nums = tuple(x + y for x, y in zip(a, b))
+            if da == 1:
+                return CycRat(self.order, nums, 1)
+            return _canonical(self.order, nums, da)
+        g = gcd(da, db)
+        if g == 1:
+            # a prime dividing da leaves x*db + y*da = x*db (mod prime),
+            # and it divides neither db nor every x; so too for db: the
+            # sum is already canonical
+            return CycRat(self.order,
+                          tuple(x * db + y * da for x, y in zip(a, b)), da * db)
+        ea, eb = da // g, db // g
+        return _canonical(self.order,
+                          tuple(x * eb + y * ea for x, y in zip(a, b)), ea * db)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycRat(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._sum(o.nums, o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycRat(self.order, tuple(-a for a in self.coeffs))
+        return CycRat(self.order, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycRat(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._sum(tuple(-b for b in o.nums), o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -144,43 +183,51 @@ class CycRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.nums, o.nums
         deg, m = len(a), self.order
-        powers = _zeta_powers(m)
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        res = conv[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                row = powers[k % m].coeffs
-                for j in range(deg):
-                    if row[j]:
-                        res[j] += c * row[j]
-        return CycRat(self.order, tuple(res))
+        if deg == 1:
+            res = (a[0] * b[0],)
+        else:
+            conv = [0] * (2 * deg - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        conv[j] += ai * bj
+            res = conv[:deg]
+            powers = _zeta_powers(m)
+            for k in range(deg, 2 * deg - 1):
+                c = conv[k]
+                if c:
+                    for j, r in enumerate(powers[k % m].nums):
+                        if r:
+                            res[j] += c * r
+            res = tuple(res)
+        den = self.den * o.den
+        if den == 1:
+            return CycRat(m, res, 1)
+        return _canonical(m, res, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycRat":
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        # a^-1 = (prod of the conjugates sigma_k(a), k != 1) / N(a), where
-        # sigma_k: zeta -> zeta^k runs over the Galois group (Z/m)^*
+        # for a = A/den with A integral, a^-1 = den * (prod of the
+        # conjugates sigma_k(A), k != 1) / N(A), where sigma_k: zeta ->
+        # zeta^k runs over the Galois group (Z/m)^*; the conjugates and
+        # their product stay integral, and N(A) is a nonzero integer
         m = self.order
         rest = CycRat.from_rational(m, 1)
         for k in range(2, m):
             if gcd(k, m) == 1:
-                rest = rest * CycRat(m, _substitute(m, self.coeffs, k))
-        norm = self * rest
+                rest = rest * CycRat(m, _substitute(m, self.nums, k))
+        norm = CycRat(m, self.nums) * rest
         if not norm.is_rational():
             raise RuntimeError(
                 f"internal: the norm of {self!r} is not rational")
-        value = norm.coeffs[0]
-        return CycRat(m, tuple(c / value for c in rest.coeffs))
+        value = norm.nums[0]
+        scale = self.den if value > 0 else -self.den
+        return _canonical(m, tuple(scale * c for c in rest.nums), abs(value))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -210,28 +257,36 @@ class CycRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __repr__(self):
         return f"CycRat({self.order}, {[str(c) for c in self.coeffs]})"
+
+
+def _canonical(order: int, nums: tuple, den: int) -> CycRat:
+    """nums/den (den >= 1) with the common factor of den and nums removed."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return CycRat(order, nums, den)
+    return CycRat(order, tuple(a // g for a in nums), den // g)
 
 
 @lru_cache(maxsize=64)
@@ -240,34 +295,36 @@ def _zeta_powers(order: int) -> tuple:
 
     Each power is the previous one shifted up a degree; a coefficient
     pushed to degree deg(Phi) is folded back with x^deg = x^deg - Phi(x).
+    Phi is monic with integer coefficients, so every power is integral.
     """
     phi = cyclotomic_poly(order)
-    zero = Fraction(0)
-    cur = (Fraction(1),) + (zero,) * (len(phi) - 2)
+    cur = (1,) + (0,) * (len(phi) - 2)
     powers = [CycRat(order, cur)]
     for _ in range(order - 1):
         top = cur[-1]
-        cur = (zero,) + cur[:-1]
+        cur = (0,) + cur[:-1]
         if top:
             cur = tuple(a - top * c for a, c in zip(cur, phi))
         powers.append(CycRat(order, cur))
     return tuple(powers)
 
 
-def _substitute(order: int, coeffs: Sequence[Rational], step: int = 1) -> tuple:
-    """Reduced coefficients of sum_j coeffs[j] * zeta_order^(j * step).
+def _substitute(order: int, nums: Sequence[int], step: int = 1) -> tuple:
+    """Reduced integer coordinates of sum_j nums[j] * zeta_order^(j * step).
 
     step = 1 reduces a polynomial of any length in zeta_order modulo
     Phi_order (``CycRat.make``); step = k coprime to order applies the
     Galois automorphism zeta -> zeta^k (``CycRat.inverse``); with order the
     conductor N and step = N / m it embeds Q(zeta_m) into Q(zeta_N)
-    (``SpecPoint.embed``).
+    (``SpecPoint.embed``).  The last two map Z[zeta_m] into Z[zeta_N] and
+    keep the gcd of the coordinates, so they take canonical numerators to
+    canonical numerators; a reduction (step = 1) may not.
     """
     powers = _zeta_powers(order)
-    out = [Fraction(0)] * len(powers[0].coeffs)
-    for j, c in enumerate(coeffs):
+    out = [0] * len(powers[0].nums)
+    for j, c in enumerate(nums):
         if c:
-            for i, r in enumerate(powers[j * step % order].coeffs):
+            for i, r in enumerate(powers[j * step % order].nums):
                 if r:
                     out[i] += c * r
     return tuple(out)
@@ -701,7 +758,7 @@ class SpecPoint:
             return c
         if self.N % c.order != 0:
             raise ValueError(f"cannot embed order {c.order} into conductor {self.N}")
-        return CycRat(self.N, _substitute(self.N, c.coeffs, self.N // c.order))
+        return CycRat(self.N, _substitute(self.N, c.nums, self.N // c.order), c.den)
 
     def to_json(self) -> dict:
         def enc(v: CycRat):

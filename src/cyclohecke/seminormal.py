@@ -280,8 +280,9 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
 
     The list is never empty: trials below 1, or an empty list of points,
     raise ValueError, since a check over no field proves nothing.  The
-    auto rule goes symbolic only while the direct sum of all modules
-    stays small, since symbolic products in several variables explode.
+    auto rule goes symbolic while the direct sum of all modules stays
+    small, since symbolic products in several variables explode, and
+    always at p = 1, where no point can be sampled.
     """
     if points is not None:
         fields = list(points)
@@ -292,7 +293,7 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
         raise ValueError(f"trials must be at least 1, got {trials}")
     if mode == "auto":
         total = sum(count_std(s) ** 2 for s in enumerate_all(p, d, n))
-        mode = "symbolic" if total <= 40 else "random"
+        mode = "symbolic" if total <= 40 or p == 1 else "random"
     if mode == "symbolic":
         return [GenericField(p, d)]
     if mode == "random":

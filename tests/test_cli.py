@@ -173,6 +173,16 @@ def test_seminormal_check_p1_symbolic(runner, d, n):
     assert data["fields"] == [{"generic": {"p": 1, "d": d}}]
 
 
+@pytest.mark.parametrize("command", [
+    ["seminormal-check", "--p", "1", "--d", "2", "--n", "3"],
+    ["verify", "changing", "--b", "[3]", "--d", "2"],
+])
+def test_auto_mode_p1_is_symbolic(runner, command):
+    # past the auto size limit, but no point can be sampled at p = 1
+    data = run_json(runner, command)
+    assert data["passed"] is True
+
+
 _TRIALS_COMMANDS = [
     ["seminormal-check", "--p", "2", "--d", "1", "--n", "2"],
     ["verify", "changing", "--b", "[1,1]", "--d", "1"],
@@ -546,3 +556,37 @@ def test_malformed_flag_json_exits_cleanly(prefix, value):
     assert result.exit_code in (0, 2, 4), (value, result.output)
     assert result.exception is None \
         or isinstance(result.exception, SystemExit), (value, result.exception)
+
+
+@pytest.fixture(scope="module")
+def assemble_inputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("assemble")
+    tables = write_tables(CliRunner(), tmp_path, ["--s", "1", "--n", "2"])
+    return ["--tables", tables, "--klesh", write_klesh(tmp_path, 2, 1, 2)]
+
+
+_SIZE_COMMANDS = [
+    (["enumerate"], ("--p", "--d", "--n")),
+    (["seminormal-check"], ("--p", "--d", "--n")),
+    (["verify", "factorization"], ("--p", "--d", "--n")),
+    (["assemble"], ("--p", "--d", "--n")),
+    (["semisimple-tables"], ("--s", "--n")),
+]
+
+
+@pytest.mark.parametrize("command, flags", _SIZE_COMMANDS,
+                         ids=[" ".join(c) for c, _ in _SIZE_COMMANDS])
+@settings(max_examples=30, deadline=None)
+# small sizes keep every valid draw cheap: verify factorization runs for
+# minutes at (p, d, n) = (3, 3, 3)
+@given(sizes=st.fixed_dictionaries({
+    "--p": st.integers(-2, 3), "--d": st.integers(-2, 2),
+    "--n": st.integers(-2, 3), "--s": st.integers(-2, 3)}))
+def test_size_flags_exit_cleanly(assemble_inputs, command, flags, sizes):
+    args = list(command) + [w for f in flags for w in (f, str(sizes[f]))]
+    if command == ["assemble"]:
+        args += assemble_inputs
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), (args, result.exception)

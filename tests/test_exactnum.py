@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -116,22 +117,90 @@ def cycrats(order):
     coeff = st.fractions(
         min_value=-5, max_value=5, max_denominator=4
     )
-    from math import gcd
-
     deg = len(cyclotomic_poly(order)) - 1
     return st.lists(coeff, min_size=deg, max_size=deg).map(
         lambda cs: CycRat.make(order, cs)
     )
 
 
-@settings(max_examples=40)
-@given(cycrats(5), cycrats(5), cycrats(5))
-def test_cycrat_ring_axioms(a, b, c):
+def cycrat_triples(order):
+    return st.tuples(cycrats(order), cycrats(order), cycrats(order))
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 12).flatmap(cycrat_triples))
+def test_cycrat_ring_axioms(abc):
+    a, b, c = abc
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b) == -(b - a)
+    assert (a - b) + b == a
+    assert 1 - a == -(a - 1)
+
+
+def _is_canonical(x):
+    deg = len(cyclotomic_poly(x.order)) - 1
+    return (len(x.nums) == deg and all(type(v) is int for v in x.nums)
+            and type(x.den) is int and x.den >= 1
+            and gcd(x.den, *x.nums) == 1)
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 12).flatmap(cycrat_triples))
+def test_cycrat_canonical_form(abc):
+    a, b, c = abc
+    m = a.order
+    values = [a, b, c, a + b, a - b, b - a, 1 - a, a * b, a * b - b * a,
+              a + b - b, CycRat.from_rational(m, Fraction(-6, 4)),
+              CycRat.from_rational(m, 0)]
+    if a:
+        values += [a.inverse(), b / a, a ** -2]
+    pt = SpecPoint(2, 2 * m, 2, [3])
+    values += [pt.embed(v) for v in values]
+    for v in values:
+        assert _is_canonical(v), v
+    # zero is (0, ..., 0)/1 however it was reached
+    zero = a - a
+    assert zero.nums == (0,) * len(a.nums) and zero.den == 1
+    assert (a * 0).den == 1 and not a * 0
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 12).flatmap(cycrat_triples))
+def test_cycrat_equal_values_have_equal_forms(abc):
+    a, b, c = abc
+    for x, y in [((a * b) * c, a * (b * c)), ((a + b) - c, a - (c - b)),
+                 (a * (b + c), b * a + c * a), (a * a - b * b, (a + b) * (a - b)),
+                 (CycRat.make(a.order, a.coeffs), a)]:
+        assert x == y and hash(x) == hash(y)
+        assert (x.nums, x.den) == (y.nums, y.den)
+    if b:
+        x, y = (a / b) * b, a
+        assert x == y and hash(x) == hash(y)
+    # values that differ only in the denominator differ
+    assert (a * Fraction(1, 2) != a) == bool(a)
+    assert CycRat.from_rational(a.order, Fraction(1, 2)) \
+        != CycRat.from_rational(a.order, Fraction(1, 3))
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.tuples(cycrats(m), cycrats(m))))
+def test_product_matches_long_division(ab):
+    a, b = ab
+    expect = _long_division(a.order, _convolve(a.coeffs, b.coeffs))
+    assert (a * b).coeffs == expect
 
 
 # orders 1..12 cover Galois groups of size 1, 2, 4 and 6
@@ -149,7 +218,7 @@ def test_cycrat_inverse_trips_on_injected_fault(monkeypatch):
     # a conjugate that is not one leaves the norm irrational
     a = CycRat.make(3, [1, 2])
     monkeypatch.setattr(exactnum, "_substitute",
-                        lambda order, coeffs, step=1: (Fraction(1), Fraction(1)))
+                        lambda order, nums, step=1: (1, 1))
     with pytest.raises(RuntimeError, match="internal: "):
         a.inverse()
 

@@ -257,7 +257,7 @@ def _form(x):
     """The stored representation of a scalar, not just its value."""
     if isinstance(x, RatFunc):
         return (x.num.terms, x.den.terms)
-    return x.coeffs
+    return (x.nums, x.den)
 
 
 @pytest.mark.parametrize("field, n, count", [
