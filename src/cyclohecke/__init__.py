@@ -54,7 +54,6 @@ from .exactnum import (
     is_separated,
     is_semisimple,
     sample_point,
-    specialize,
 )
 from .scalars import (
     f_lambda_closed,
@@ -70,6 +69,6 @@ from .seminormal import (
     element_equal,
     mode_fields,
 )
-from .tableau import StandardTableau, count_std, enumerate_std, superstandard
+from .tableau import StandardTableau, count_std, enumerate_std
 
 __version__ = "0.1.0"

@@ -50,10 +50,10 @@ from .elements import (
 )
 from .exactnum import (
     CycRat,
-    LaurentPoly,
     PoleError,
     RatFunc,
     SpecPoint,
+    _coeff_json,
     generic_field,
     laurent_to_json,
 )
@@ -132,36 +132,11 @@ def scalar_to_json(value) -> dict:
         return {
             "kind": "cycrat",
             "order": value.order,
-            "coeffs": [[c.numerator, c.denominator] for c in value.coeffs],
+            "coeffs": _coeff_json(value),
         }
     value = Fraction(value)
     return {"kind": "rational",
             "value": [value.numerator, value.denominator]}
-
-
-def _laurent_from_json(rows, order: int, nvars: int) -> LaurentPoly:
-    terms = {}
-    for exps, coeffs in rows:
-        c = CycRat.make(order, [Fraction(a, b) for a, b in coeffs])
-        if c:
-            terms[tuple(exps)] = c
-    return LaurentPoly(order, nvars, terms)
-
-
-def scalar_from_json(data: dict):
-    """Inverse of scalar_to_json."""
-    kind = data["kind"]
-    if kind == "ratfunc":
-        order, nvars = data["order"], data["nvars"]
-        return RatFunc(_laurent_from_json(data["num"], order, nvars),
-                       _laurent_from_json(data["den"], order, nvars))
-    if kind == "cycrat":
-        return CycRat.make(data["order"],
-                           [Fraction(a, b) for a, b in data["coeffs"]])
-    if kind == "rational":
-        a, b = data["value"]
-        return Fraction(a, b)
-    raise ValueError(f"unknown scalar kind {kind!r}")
 
 
 def _load_tables(path: str) -> list:
@@ -828,54 +803,49 @@ def _criterion_divisibility(nmax, pmax, dmax) -> str:
     return f"{checked} shapes"
 
 
+_DESK_GRID = [(2, 2), (2, 3), (3, 3), (4, 3), (2, 4)]
+_QUICK_GRID = [(2, 2), (2, 3)]
+
+# name, check, then (arguments, time budget in seconds) for the desk
+# suite and for the quick suite
+_CRITERIA = [
+    ("1 presentation suite", _criterion_presentation,
+     ((_DESK_GRID,), 120), ((_QUICK_GRID,), 60)),
+    ("2 dimension identity", _criterion_dimension,
+     ((_DESK_GRID,), None), ((_QUICK_GRID,), None)),
+    ("3 element identities", _criterion_elements,
+     (((2, 3), (1, 2), 3), 300), (((2,), (1,), 3), 60)),
+    ("4 trace comparison", _criterion_trace,
+     (((2, 3),), 300), (((2,),), 60)),
+    ("5 scalar theorem", _criterion_scalars,
+     (((2, 3), (1, 2), 3), None), (((2,), (1,), 3), None)),
+    ("6 root factorization", _criterion_factorization,
+     (((2, 3, 4), (1, 2), 4), None), (((2, 3), (1,), 3), None)),
+    ("7 splittable vs oracle", _criterion_splittable,
+     ((20,), 60), ((5,), 60)),
+    ("8 assembly", _criterion_assembly,
+     ((4,), None), ((3,), None)),
+    ("9 divisibility", _criterion_divisibility,
+     ((6, 3, 2), None), ((4, 3, 2), None)),
+]
+
+
+def _suite(column: int) -> list:
+    out = []
+    for name, check, *suites in _CRITERIA:
+        args, budget = suites[column]
+        out.append((name, functools.partial(check, *args), budget))
+    return out
+
+
 def desk_criteria() -> list:
     """The full acceptance grid: (name, check, time budget in seconds)."""
-    grid = [(2, 2), (2, 3), (3, 3), (4, 3), (2, 4)]
-    return [
-        ("1 presentation suite",
-         lambda: _criterion_presentation(grid), 120),
-        ("2 dimension identity",
-         lambda: _criterion_dimension(grid), None),
-        ("3 element identities",
-         lambda: _criterion_elements((2, 3), (1, 2), 3), 300),
-        ("4 trace comparison",
-         lambda: _criterion_trace((2, 3)), 300),
-        ("5 scalar theorem",
-         lambda: _criterion_scalars((2, 3), (1, 2), 3), None),
-        ("6 root factorization",
-         lambda: _criterion_factorization((2, 3, 4), (1, 2), 4), None),
-        ("7 splittable vs oracle",
-         lambda: _criterion_splittable(20), 60),
-        ("8 assembly",
-         lambda: _criterion_assembly(4), None),
-        ("9 divisibility",
-         lambda: _criterion_divisibility(6, 3, 2), None),
-    ]
+    return _suite(0)
 
 
 def quick_criteria() -> list:
     """A trimmed grid that finishes within a minute."""
-    grid = [(2, 2), (2, 3)]
-    return [
-        ("1 presentation suite",
-         lambda: _criterion_presentation(grid), 60),
-        ("2 dimension identity",
-         lambda: _criterion_dimension(grid), None),
-        ("3 element identities",
-         lambda: _criterion_elements((2,), (1,), 3), 60),
-        ("4 trace comparison",
-         lambda: _criterion_trace((2,)), 60),
-        ("5 scalar theorem",
-         lambda: _criterion_scalars((2,), (1,), 3), None),
-        ("6 root factorization",
-         lambda: _criterion_factorization((2, 3), (1,), 3), None),
-        ("7 splittable vs oracle",
-         lambda: _criterion_splittable(5), 60),
-        ("8 assembly",
-         lambda: _criterion_assembly(3), None),
-        ("9 divisibility",
-         lambda: _criterion_divisibility(4, 3, 2), None),
-    ]
+    return _suite(1)
 
 
 @main.command("fixtures")

@@ -5,7 +5,7 @@ context explicitly: the same r-tuple of partitions means different things
 for different factorizations r = p*d, so the context is never inferred.
 
 Permutations are tuples ``img`` with ``img[i-1]`` the image of i, and
-products compose left to right: ``(i)(uv) = ((i)u)v``.
+words act left to right: ``(i)(uv) = ((i)u)v``.
 """
 
 from itertools import product as _cartesian
@@ -60,43 +60,6 @@ def partitions(m: int):
 # ---------------------------------------------------------------------------
 # permutations
 
-def perm_id(n: int) -> tuple:
-    return tuple(range(1, n + 1))
-
-
-def perm_mul(u: tuple, v: tuple) -> tuple:
-    """Apply u first, then v."""
-    if len(u) != len(v):
-        raise ValueError("permutation size mismatch")
-    return tuple(v[x - 1] for x in u)
-
-
-def perm_inv(w: tuple) -> tuple:
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
-def inversions(w: tuple) -> int:
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def perm_from_word(n: int, word) -> tuple:
-    img = list(range(1, n + 1))
-    # right multiplication by s_i swaps the values i, i+1
-    for i in word:
-        if not 1 <= i < n:
-            raise ValueError(f"generator index out of range: s_{i} in S_{n}")
-        for j in range(n):
-            if img[j] == i:
-                img[j] = i + 1
-            elif img[j] == i + 1:
-                img[j] = i
-    return tuple(img)
-
-
 def reduced_word(w: tuple) -> list:
     """A reduced word for w, to be applied left to right."""
     img = list(w)
@@ -123,15 +86,13 @@ def embed_perm(w: tuple, n: int, k: int = 0) -> tuple:
     return tuple(img)
 
 
-def wab_perm(a: int, b: int, k: int = 0, n: int = None) -> tuple:
-    """The block swap moving {k+1..k+a} past {k+a+1..k+a+b}.
+def wab_perm(a: int, b: int, k: int = 0) -> tuple:
+    """The block swap moving {k+1..k+a} past {k+a+1..k+a+b} in S_{k+a+b}.
 
     Equals (s_{a+b+k-1} ... s_{k+1})^b and has length a*b.
     """
     core = tuple(range(b + 1, a + b + 1)) + tuple(range(1, b + 1))
-    if n is None:
-        n = k + a + b
-    return embed_perm(core, n, k)
+    return embed_perm(core, k + a + b, k)
 
 
 def wb_perm(b) -> tuple:
@@ -172,13 +133,13 @@ def shift_composition(b, k: int) -> tuple:
     return b[k:] + b[:k]
 
 
-def orbit_order_composition(b) -> tuple:
-    b = check_composition(b)
-    p = len(b)
+def _rotation_order(blocks: tuple) -> tuple:
+    """(o, p/o) with o the least positive rotation fixing the p blocks."""
+    p = len(blocks)
     for o in range(1, p + 1):
-        if p % o == 0 and shift_composition(b, o) == b:
+        if p % o == 0 and blocks[o:] + blocks[:o] == blocks:
             return o, p // o
-    raise AssertionError("shift by p must fix b")
+    raise RuntimeError(f"internal: no rotation fixes {p} blocks")
 
 
 def alpha(b) -> int:
@@ -258,23 +219,9 @@ class Multipartition:
             ordered.extend(self.block(t + k))
         return Multipartition(self.p, self.d, ordered)
 
-    def conjugate(self) -> "Multipartition":
-        return Multipartition(
-            self.p, self.d,
-            [conjugate_partition(c) for c in reversed(self.comps)],
-        )
-
-    def arrow(self) -> tuple:
-        """All parts pooled into one partition."""
-        merged = sorted((x for c in self.comps for x in c), reverse=True)
-        return tuple(merged)
-
     def orbit_order(self) -> tuple:
         """(o, p/o) with o the least positive block shift fixing self."""
-        for o in range(1, self.p + 1):
-            if self.p % o == 0 and self.shift(o) == self:
-                return o, self.p // o
-        raise AssertionError("shift by p must fix the multipartition")
+        return _rotation_order(self.blocks())
 
     def orbit_slice(self) -> "Multipartition":
         """The first o blocks, which repeat to give the whole tuple."""
@@ -311,10 +258,6 @@ class Multipartition:
     def to_json(self) -> list:
         return [list(c) for c in self.comps]
 
-    @classmethod
-    def from_json(cls, p: int, d: int, data) -> "Multipartition":
-        return cls(p, d, data)
-
     def __eq__(self, other):
         return (
             isinstance(other, Multipartition)
@@ -350,17 +293,6 @@ def multipartition_tuples(d: int, m: int):
                 yield (la,) + rest
 
 
-def count_multipartition_tuples(d: int, m: int) -> int:
-    """Coefficient extraction from prod_k (1 - x^k)^{-d}."""
-    coeffs = [1] + [0] * m
-    for _ in range(d):
-        for k in range(1, m + 1):
-            # multiply by 1/(1 - x^k)
-            for i in range(k, m + 1):
-                coeffs[i] += coeffs[i - k]
-    return coeffs[m]
-
-
 def enumerate_pdb(d: int, b) -> list:
     """All multipartitions whose t-th block has size b_t, sorted."""
     b = check_composition(b)
@@ -382,20 +314,13 @@ def enumerate_all(p: int, d: int, n: int) -> list:
     return out
 
 
-def class_reps(items, relation: str = "sigma", b=None) -> list:
+def class_reps(items, b) -> list:
     """One representative per shift class, minimal in sort order.
 
-    relation "sigma" allows every block shift; relation "b" only shifts
-    by multiples of the orbit order of the fixed composition b.
+    The items all have composition b, so only shifts by multiples of the
+    orbit order of b keep them inside the set.
     """
-    if relation == "sigma":
-        step = 1
-    elif relation == "b":
-        if b is None:
-            raise ValueError("relation 'b' needs the composition")
-        step, _ = orbit_order_composition(b)
-    else:
-        raise ValueError(f"unknown relation: {relation!r}")
+    step, _ = _rotation_order(check_composition(b))
     seen = set()
     reps = []
     for la in sorted(items, key=Multipartition.sort_key):

@@ -171,17 +171,9 @@ def semisimple_table(s: int, m: int, eps_power=None) -> DecompTable:
                        semisimple=True, eps_power=eps_power)
 
 
-def _table_list(tables):
-    if isinstance(tables, DecompTable):
-        return [tables]
-    if isinstance(tables, dict):
-        return list(tables.values())
-    return list(tables)
-
-
 def _find_table(tables, s: int, m: int, t: int, p: int) -> DecompTable:
     """The table for the component algebra of size m at twist t (mod p)."""
-    for tab in _table_list(tables):
+    for tab in tables:
         if tab.s != s or tab.m != m:
             continue
         if tab.eps_power is None or (tab.eps_power - t) % p == 0:
@@ -394,14 +386,8 @@ def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
     value = _as_fraction(values[c - 1])
     if char is None:
         return value
-    if char < 2:
-        raise ValueError(f"characteristic must be at least 2, got {char}")
-    if value.denominator != 1 or value < 0:
-        raise InputDataError(
-            f"multiplicity {value} is not a nonnegative integer; "
-            "input data inconsistent"
-        )
-    return int(value) % char
+    result = SplitResult(la, mu, l, (value,), "formula")
+    return reduce_result(result, char).residues[0]
 
 
 def split_by_formula(la: Multipartition, mu: Multipartition, tables, g_ratio,
@@ -474,17 +460,9 @@ def _normalized_reps(items) -> list:
     reps = []
     for bstar, members in groups.items():
         fixed = [la for la in members if la.composition() == bstar]
-        reps.extend(class_reps(fixed, relation="b", b=bstar))
+        reps.extend(class_reps(fixed, bstar))
     reps.sort(key=Multipartition.sort_key, reverse=True)
     return reps
-
-
-def _as_multipartition(p: int, d: int, data) -> Multipartition:
-    if isinstance(data, Multipartition):
-        if (data.p, data.d) != (p, d):
-            raise ValueError("multipartition context mismatch")
-        return data
-    return Multipartition(p, d, data)
 
 
 def _closed_under_shift(mps) -> bool:
@@ -514,7 +492,9 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     d = r // p
     field = point if point is not None else GenericField(p, d)
 
-    klesh = [_as_multipartition(p, d, x) for x in klesh_labels]
+    klesh = list(klesh_labels)
+    if any((mu.p, mu.d) != (p, d) for mu in klesh):
+        raise ValueError("multipartition context mismatch")
     if len(set(klesh)) != len(klesh):
         raise InputDataError("duplicate simple label")
     for mu in klesh:

@@ -26,7 +26,6 @@ from .combin import (
     check_composition,
     comp_stats,
     enumerate_all,
-    inversions,
     partial_sum,
     reduced_word,
     wab_perm,
@@ -153,44 +152,6 @@ def vb_pivot_word(field, b, j: int, twist: int = 0) -> list:
     return out
 
 
-def ub_plus_word(field, b, twist: int = 0) -> list:
-    """The pure ladder tail of v_b: LL^(k) on 1..(b_1+..+b_{k-1})."""
-    b = _match_context(field, b)
-    out = []
-    for k in range(2, field.p + 1):
-        out.extend(ll_word(field, k + twist, 1, partial_sum(b, 1, k - 1)))
-    return out
-
-
-def ub_minus_word(field, b, twist: int = 0) -> list:
-    """The pure ladder head of v_b: LL^(i) on 1..(b_{i+1}+..+b_p)."""
-    b = _match_context(field, b)
-    out = []
-    for i in range(field.p - 1, 0, -1):
-        out.extend(ll_word(field, i + twist, 1, partial_sum(b, i + 1, field.p)))
-    return out
-
-
-def vb_plus_word(field, b, twist: int = 0) -> list:
-    """Mixed ladder-swap head with v_b = vb_plus * ub_plus."""
-    b = _match_context(field, b)
-    out = []
-    for k in range(field.p - 1, 0, -1):
-        out.extend(ll_range_word(field, 1, k, 1, b[k], twist))
-        out.extend(t_ab_word(b[k], partial_sum(b, 1, k)))
-    return out
-
-
-def vb_minus_word(field, b, twist: int = 0) -> list:
-    """Mixed swap-ladder tail with v_b = ub_minus * vb_minus."""
-    b = _match_context(field, b)
-    out = []
-    for i in range(field.p, 1, -1):
-        out.extend(t_ab_word(partial_sum(b, i, field.p), b[i - 2]))
-        out.extend(ll_range_word(field, i, field.p, 1, b[i - 2], twist))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the one-step shift factors Y_t
 
@@ -202,74 +163,6 @@ def shift_factor_word(field, b, t: int) -> list:
     bt = b[(t - 1) % field.p]
     out = ll_range_word(field, t + 1, t + field.p - 1, 1, bt)
     out.extend(t_ab_word(bt, n - bt))
-    return out
-
-
-def shift_run_word(field, b, t: int, m: int) -> list:
-    """Y_{t,m}: the m-factor window Y_{tm+m} ... Y_{tm+1}, for t >= 0."""
-    if m < 0:
-        raise ValueError(f"window length out of range: {m}")
-    out = []
-    for u in range(t * m + m, t * m, -1):
-        out.extend(shift_factor_word(field, b, u))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# row stabilizer words and the parameter ladder of a multipartition
-
-def _row_sizes(la: Multipartition) -> list:
-    return [part for comp in la.comps for part in comp]
-
-
-def _young_perms(rows, n: int):
-    """All permutations fixing the consecutive intervals of the sizes."""
-    pools = []
-    off = 0
-    for r in rows:
-        pools.append([tuple(off + x for x in w)
-                      for w in _perm_tuples(range(1, r + 1))])
-        off += r
-    tail = tuple(range(off + 1, n + 1))
-    for combo in _cartesian(*pools):
-        yield tuple(x for img in combo for x in img) + tail
-
-
-def young_sym_word(la: Multipartition) -> list:
-    """Sum of T_w over the row stabilizer of the multipartition."""
-    n = la.size
-    return [("sum", [t_word(w) for w in _young_perms(_row_sizes(la), n)])]
-
-
-def young_alt_word(la: Multipartition) -> list:
-    """Signed sum of T_w over the row stabilizer."""
-    n = la.size
-    terms = []
-    for w in _young_perms(_row_sizes(la), n):
-        sign = [("scal", -1)] if inversions(w) % 2 else []
-        terms.append(sign + t_word(w))
-    return [("sum", terms)]
-
-
-def ulam_plus_word(field, la: Multipartition) -> list:
-    """The parameter ladder of the multipartition, block by block.
-
-    Within block t the factor (L_j - eps^t Q_s) runs over the first
-    a(s, t) positions of the block, where a(s, t) counts the boxes of
-    the block's components before the s-th one.
-    """
-    if (field.p, field.d) != (la.p, la.d):
-        raise ValueError("field and multipartition context mismatch")
-    b = la.composition()
-    out = []
-    for t in range(1, la.p + 1):
-        off = partial_sum(b, 1, t - 1)
-        block = la.block(t)
-        for s in range(2, la.d + 1):
-            a_st = sum(sum(block[c]) for c in range(s - 1))
-            root = field.eps_pow(t) * field.Q(s)
-            for j in range(1, a_st + 1):
-                out.append(("ladder", off + j, root))
     return out
 
 
@@ -289,7 +182,7 @@ def _schur_inverses(field, n: int) -> list:
     ]
 
 
-def trace(r: int, n: int, word, field):
+def trace(n: int, word, field):
     """The symmetrizing trace: characters weighted by 1/Schur element.
 
     On basis monomials this is the coefficient-of-identity form, so it
@@ -297,10 +190,6 @@ def trace(r: int, n: int, word, field):
     permutation part.  The field must be semisimple for the expansion
     to exist; a vanishing Schur element raises ZeroDivisionError.
     """
-    if r != field.p * field.d:
-        raise ValueError(f"r={r} does not match the field ({field.p * field.d})")
-    if callable(word):
-        word = word(field)
     total = field.zero
     for shape, weight in _schur_inverses(field, n):
         total = total + character(shape, word, field) * weight
@@ -330,7 +219,7 @@ def trace_vbtb(b, field) -> TraceCheck:
     b = _match_context(field, b)
     closed = vbtb_trace_closed(b, field)
     word = vb_word(field, b) + tb_word(b)
-    expanded = trace(field.p * field.d, sum(b), word, field)
+    expanded = trace(sum(b), word, field)
     return TraceCheck(closed, closed == expanded)
 
 
@@ -473,14 +362,13 @@ def verify_comparison(b, d: int, mode: str = "auto", points=None,
     b = check_composition(b)
     p = len(b)
     n = sum(b)
-    r = p * d
     basis = tensor_basis(d, b)
     for field in mode_fields(p, d, n, mode, points, trials, rng):
         vb = vb_word(field, b)
         tb = tb_word(b)
-        base = trace(r, n, vb + tb, field)
+        base = trace(n, vb + tb, field)
         for h in basis:
-            lhs = trace(r, n, vb + theta_word(h, b) + tb, field)
+            lhs = trace(n, vb + theta_word(h, b) + tb, field)
             rhs = base if is_identity_monomial(h) else field.zero
             if lhs != rhs:
                 return False

@@ -48,7 +48,6 @@ __all__ = [
     "cyclotomic_poly",
     "eps_pow",
     "generic_field",
-    "specialize",
     "is_separated",
     "is_semisimple",
     "sample_point",
@@ -367,12 +366,6 @@ class LaurentPoly:
             return LaurentPoly.zero(order, nvars)
         return LaurentPoly(order, nvars, {tuple(exps): c})
 
-    @staticmethod
-    def variable(order: int, nvars: int, i: int) -> "LaurentPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return LaurentPoly.monomial(order, nvars, exps, 1)
-
     def _check(self, other: "LaurentPoly"):
         if self.order != other.order or self.nvars != other.nvars:
             raise ValueError("Laurent polynomials from different rings")
@@ -474,19 +467,6 @@ class LaurentPoly:
         if not self.terms:
             return CycRat.from_rational(self.order, 0)
         return self.terms[min(self.terms)]
-
-    def eval(self, values: Sequence, embed) -> CycRat:
-        """Evaluate with variable i set to values[i]; embed maps coefficients."""
-        total = None
-        for e, c in self.terms.items():
-            term = embed(c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * values[i] ** k
-            total = term if total is None else total + term
-        if total is None:
-            return embed(CycRat.from_rational(self.order, 0))
-        return total
 
     def __repr__(self):
         if not self.terms:
@@ -719,10 +699,6 @@ class SpecPoint:
     def d(self) -> int:
         return len(self.Q_vals)
 
-    @property
-    def eps(self) -> CycRat:
-        return self.eps_pow(1)
-
     def scalar(self, value) -> CycRat:
         return _as_cycrat(self.N, value)
 
@@ -765,7 +741,7 @@ class SpecPoint:
             if v.is_rational():
                 r = v.rational_value()
                 return [r.numerator, r.denominator]
-            return [[c.numerator, c.denominator] for c in v.coeffs]
+            return _coeff_json(v)
 
         return {
             "p": self.p,
@@ -799,24 +775,6 @@ class SpecPoint:
 
     def __repr__(self):
         return f"SpecPoint(p={self.p}, N={self.N}, q={self.q_val!r}, Q={list(self.Q_vals)!r})"
-
-
-def specialize(f, pt: SpecPoint) -> CycRat:
-    """Exact evaluation of f at pt; raises PoleError on a vanishing denominator."""
-    if isinstance(f, RatFunc):
-        num = specialize(f.num, pt)
-        den = specialize(f.den, pt)
-        if not den:
-            raise PoleError("denominator vanishes at the specialization point")
-        return num / den
-    if isinstance(f, LaurentPoly):
-        if f.nvars != pt.d + 1:
-            raise ValueError(f"polynomial in {f.nvars} variables, point has d={pt.d}")
-        values = (pt.q_val,) + pt.Q_vals
-        return f.eval(values, pt.embed)
-    if isinstance(f, (CycRat, int, Fraction)):
-        return pt.embed(f) if isinstance(f, CycRat) else pt.scalar(f)
-    raise TypeError(f"cannot specialize {type(f).__name__}")
 
 
 def is_separated(pt: SpecPoint, n: int) -> bool:

@@ -32,15 +32,11 @@ from .seminormal import mode_fields
 
 __all__ = [
     "hook",
-    "hook_value",
     "schur_element",
     "schur_element_b",
     "f_lambda_closed",
     "g_lambda",
-    "f_shift_factor",
     "verify_factorization",
-    "ScalarBundle",
-    "scalar_bundle",
 ]
 
 
@@ -64,13 +60,6 @@ def _twisted_hook(field, comps, p: int, d: int, i: int, j: int, s: int, t: int):
     if ds != dt:
         value = value * field.Q_power(ds, 1) * field.Q_power(dt, -1)
     return value
-
-
-def hook_value(la: Multipartition, i: int, j: int, s: int, t: int, field):
-    """The parameter-twisted hook of la at node (i,j,s) against component t."""
-    if not 1 <= t <= la.r:
-        raise ValueError(f"component index out of range: {t}")
-    return _twisted_hook(field, la.comps, la.p, la.d, i, j, s, t)
 
 
 def _boxes(comps):
@@ -142,7 +131,7 @@ def _exponents(la: Multipartition, b) -> _Exponents:
     p, d, n = la.p, la.d, la.size
     ab, lwb = comp_stats(b)
     orbit, split = la.orbit_order()
-    gamma = lwb - beta(la.arrow()) + sum(beta(_pooled(blk)) for blk in la.blocks())
+    gamma = lwb - beta(_pooled(la.comps)) + sum(beta(_pooled(blk)) for blk in la.blocks())
     if gamma % split:
         raise RuntimeError("internal: q-exponent of g must be an integer")
     eps_f = d * n * (p * (p - 1) // 2) - d * ab
@@ -202,15 +191,6 @@ def g_lambda(la: Multipartition, b, field):
     return value
 
 
-def f_shift_factor(la: Multipartition, t: int, field):
-    """The t-th factor in the telescoping factorization of f, t in 1..split."""
-    exps = _exponents(la, la.composition())
-    if not 1 <= t <= exps.split:
-        raise ValueError(f"factor index {t} out of range 1..{exps.split}")
-    shift = -(t - 1) * la.d * exps.orbit * exps.root_size
-    return field.eps_pow(shift) * g_lambda(la, la.composition(), field)
-
-
 def verify_factorization(la: Multipartition, b, mode: str = "symbolic",
                          points=None, trials: int = 3, rng=None) -> bool:
     """Check g^split = eps^E f with E = d * orbit * root_size * C(split, 2)."""
@@ -225,36 +205,3 @@ def verify_factorization(la: Multipartition, b, mode: str = "symbolic",
 
     return all(holds(field) for field in mode_fields(
         la.p, la.d, max(la.size, 1), mode, points, trials, rng))
-
-
-class ScalarBundle(NamedTuple):
-    shape: Multipartition
-    b: tuple
-    schur: object
-    schur_b: object
-    f: object
-    g: object
-    orbit: int
-    split: int
-    root_size: int
-    gamma_root: int
-    eps_exp: int
-
-
-def scalar_bundle(la: Multipartition, b, field) -> ScalarBundle:
-    """All scalars attached to (la, b) over the given field, in one record."""
-    b = check_composition(b)
-    exps = _exponents(la, b)
-    return ScalarBundle(
-        shape=la,
-        b=b,
-        schur=schur_element(la.r, la, field),
-        schur_b=schur_element_b(la, b, field),
-        f=f_lambda_closed(la, b, field),
-        g=g_lambda(la, b, field),
-        orbit=exps.orbit,
-        split=exps.split,
-        root_size=exps.root_size,
-        gamma_root=exps.gamma_root,
-        eps_exp=exps.eps_g,
-    )

@@ -216,7 +216,8 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       entries), when the next other factor comes or the word ends.
     * ``("sum", [w1, w2, ...])``: the sum of the words w1, w2, ..., each
       evaluated densely and summed, then applied by a dense product
-      (n^3 multiplies at most).  The Young symmetrizers use it.
+      (n^3 multiplies at most).  The quadratic relations of
+      `check_relations` use it.
 
     An empty word is the identity.  The result is a dense matrix.
     """

@@ -47,9 +47,6 @@ class StandardTableau:
         """(component, row, column) of the entry k, all 1-based."""
         return self._pos[k]
 
-    def entry(self, s: int, a: int, b: int) -> int:
-        return self.rows[s - 1][a - 1][b - 1]
-
     def reading_word(self) -> tuple:
         return tuple(x for comp in self.rows for row in comp for x in row)
 
@@ -73,24 +70,6 @@ class StandardTableau:
         rows[sj - 1][aj - 1][bj - 1] = i
         return StandardTableau(self.shape, rows)
 
-    def shift(self, z: int) -> "StandardTableau":
-        """Block-rotated tableau of shape λ⟨z⟩; entries follow their boxes."""
-        p, d = self.shape.p, self.shape.d
-        rows = []
-        for t in range(1, p + 1):
-            src = ((t + z - 1) % p) * d
-            rows.extend(self.rows[src: src + d])
-        return StandardTableau(self.shape.shift(z), rows)
-
-    def to_json(self) -> list:
-        return [list(list(row) for row in comp) for comp in self.rows]
-
-    @classmethod
-    def from_json(cls, p: int, d: int, data) -> "StandardTableau":
-        shape = Multipartition(p, d, [tuple(len(r) for r in comp)
-                                      for comp in data])
-        return cls(shape, data)
-
     def __eq__(self, other):
         return (isinstance(other, StandardTableau)
                 and self.shape == other.shape and self.rows == other.rows)
@@ -100,19 +79,6 @@ class StandardTableau:
 
     def __repr__(self):
         return f"StandardTableau({self.rows})"
-
-
-def superstandard(shape: Multipartition) -> StandardTableau:
-    """The tableau with 1..n entered row by row through the components."""
-    rows = []
-    k = 0
-    for c in shape.comps:
-        comp = []
-        for length in c:
-            comp.append(tuple(range(k + 1, k + length + 1)))
-            k += length
-        rows.append(tuple(comp))
-    return StandardTableau(shape, rows)
 
 
 def enumerate_std(shape: Multipartition) -> list:

@@ -1,0 +1,268 @@
+"""Builders and oracles that the tests check the package against.
+
+Nothing in the package calls these.  They are independent ways to get
+what the package computes (the permutation of a word, the number of
+tuples of partitions, the value of a rational function at a point), the
+words of identities from the paper that no command evaluates, and the
+decoder for the scalar JSON the commands write.
+"""
+
+from fractions import Fraction
+from itertools import permutations as _perm_tuples
+from itertools import product as _cartesian
+
+from cyclohecke.combin import Multipartition, partial_sum
+from cyclohecke.elements import (
+    _match_context,
+    ll_range_word,
+    ll_word,
+    shift_factor_word,
+    t_ab_word,
+    t_word,
+)
+from cyclohecke.exactnum import (
+    CycRat,
+    LaurentPoly,
+    PoleError,
+    RatFunc,
+    SpecPoint,
+)
+from cyclohecke.tableau import StandardTableau
+
+
+# ---------------------------------------------------------------------------
+# permutations, composed left to right: (i)(uv) = ((i)u)v
+
+def perm_mul(u: tuple, v: tuple) -> tuple:
+    """Apply u first, then v."""
+    if len(u) != len(v):
+        raise ValueError("permutation size mismatch")
+    return tuple(v[x - 1] for x in u)
+
+
+def perm_inv(w: tuple) -> tuple:
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[x - 1] = i + 1
+    return tuple(out)
+
+
+def inversions(w: tuple) -> int:
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def perm_from_word(n: int, word) -> tuple:
+    img = list(range(1, n + 1))
+    # right multiplication by s_i swaps the values i, i+1
+    for i in word:
+        if not 1 <= i < n:
+            raise ValueError(f"generator index out of range: s_{i} in S_{n}")
+        for j in range(n):
+            if img[j] == i:
+                img[j] = i + 1
+            elif img[j] == i + 1:
+                img[j] = i
+    return tuple(img)
+
+
+# ---------------------------------------------------------------------------
+# counting
+
+def count_multipartition_tuples(d: int, m: int) -> int:
+    """Coefficient extraction from prod_k (1 - x^k)^{-d}."""
+    coeffs = [1] + [0] * m
+    for _ in range(d):
+        for k in range(1, m + 1):
+            # multiply by 1/(1 - x^k)
+            for i in range(k, m + 1):
+                coeffs[i] += coeffs[i - k]
+    return coeffs[m]
+
+
+# ---------------------------------------------------------------------------
+# the halves of v_b: v_b = vb_plus * ub_plus = ub_minus * vb_minus
+
+def ub_plus_word(field, b, twist: int = 0) -> list:
+    """The pure ladder tail of v_b: LL^(k) on 1..(b_1+..+b_{k-1})."""
+    b = _match_context(field, b)
+    out = []
+    for k in range(2, field.p + 1):
+        out.extend(ll_word(field, k + twist, 1, partial_sum(b, 1, k - 1)))
+    return out
+
+
+def ub_minus_word(field, b, twist: int = 0) -> list:
+    """The pure ladder head of v_b: LL^(i) on 1..(b_{i+1}+..+b_p)."""
+    b = _match_context(field, b)
+    out = []
+    for i in range(field.p - 1, 0, -1):
+        out.extend(ll_word(field, i + twist, 1, partial_sum(b, i + 1, field.p)))
+    return out
+
+
+def vb_plus_word(field, b, twist: int = 0) -> list:
+    """Mixed ladder-swap head with v_b = vb_plus * ub_plus."""
+    b = _match_context(field, b)
+    out = []
+    for k in range(field.p - 1, 0, -1):
+        out.extend(ll_range_word(field, 1, k, 1, b[k], twist))
+        out.extend(t_ab_word(b[k], partial_sum(b, 1, k)))
+    return out
+
+
+def vb_minus_word(field, b, twist: int = 0) -> list:
+    """Mixed swap-ladder tail with v_b = ub_minus * vb_minus."""
+    b = _match_context(field, b)
+    out = []
+    for i in range(field.p, 1, -1):
+        out.extend(t_ab_word(partial_sum(b, i, field.p), b[i - 2]))
+        out.extend(ll_range_word(field, i, field.p, 1, b[i - 2], twist))
+    return out
+
+
+def shift_run_word(field, b, t: int, m: int) -> list:
+    """Y_{t,m}: the m-factor window Y_{tm+m} ... Y_{tm+1}, for t >= 0."""
+    if m < 0:
+        raise ValueError(f"window length out of range: {m}")
+    out = []
+    for u in range(t * m + m, t * m, -1):
+        out.extend(shift_factor_word(field, b, u))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# row stabilizer words and the parameter ladder of a multipartition
+
+def _row_sizes(la: Multipartition) -> list:
+    return [part for comp in la.comps for part in comp]
+
+
+def _young_perms(rows, n: int):
+    """All permutations fixing the consecutive intervals of the sizes."""
+    pools = []
+    off = 0
+    for r in rows:
+        pools.append([tuple(off + x for x in w)
+                      for w in _perm_tuples(range(1, r + 1))])
+        off += r
+    tail = tuple(range(off + 1, n + 1))
+    for combo in _cartesian(*pools):
+        yield tuple(x for img in combo for x in img) + tail
+
+
+def young_sym_word(la: Multipartition) -> list:
+    """Sum of T_w over the row stabilizer of the multipartition."""
+    n = la.size
+    return [("sum", [t_word(w) for w in _young_perms(_row_sizes(la), n)])]
+
+
+def young_alt_word(la: Multipartition) -> list:
+    """Signed sum of T_w over the row stabilizer."""
+    n = la.size
+    terms = []
+    for w in _young_perms(_row_sizes(la), n):
+        sign = [("scal", -1)] if inversions(w) % 2 else []
+        terms.append(sign + t_word(w))
+    return [("sum", terms)]
+
+
+def ulam_plus_word(field, la: Multipartition) -> list:
+    """The parameter ladder of the multipartition, block by block.
+
+    Within block t the factor (L_j - eps^t Q_s) runs over the first
+    a(s, t) positions of the block, where a(s, t) counts the boxes of
+    the block's components before the s-th one.
+    """
+    if (field.p, field.d) != (la.p, la.d):
+        raise ValueError("field and multipartition context mismatch")
+    b = la.composition()
+    out = []
+    for t in range(1, la.p + 1):
+        off = partial_sum(b, 1, t - 1)
+        block = la.block(t)
+        for s in range(2, la.d + 1):
+            a_st = sum(sum(block[c]) for c in range(s - 1))
+            root = field.eps_pow(t) * field.Q(s)
+            for j in range(1, a_st + 1):
+                out.append(("ladder", off + j, root))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tableaux
+
+def superstandard(shape: Multipartition) -> StandardTableau:
+    """The tableau with 1..n entered row by row through the components."""
+    rows = []
+    k = 0
+    for c in shape.comps:
+        comp = []
+        for length in c:
+            comp.append(tuple(range(k + 1, k + length + 1)))
+            k += length
+        rows.append(tuple(comp))
+    return StandardTableau(shape, rows)
+
+
+def shift_tableau(t: StandardTableau, z: int) -> StandardTableau:
+    """Block-rotated tableau of shape λ⟨z⟩; entries follow their boxes."""
+    p, d = t.shape.p, t.shape.d
+    rows = []
+    for blk in range(1, p + 1):
+        src = ((blk + z - 1) % p) * d
+        rows.extend(t.rows[src: src + d])
+    return StandardTableau(t.shape.shift(z), rows)
+
+
+# ---------------------------------------------------------------------------
+# specialization and the scalar JSON decoder
+
+def specialize(f, pt: SpecPoint) -> CycRat:
+    """Exact evaluation of f at pt; raises PoleError on a vanishing denominator."""
+    if isinstance(f, RatFunc):
+        num = specialize(f.num, pt)
+        den = specialize(f.den, pt)
+        if not den:
+            raise PoleError("denominator vanishes at the specialization point")
+        return num / den
+    if isinstance(f, LaurentPoly):
+        if f.nvars != pt.d + 1:
+            raise ValueError(f"polynomial in {f.nvars} variables, point has d={pt.d}")
+        values = (pt.q_val,) + pt.Q_vals
+        total = pt.zero
+        for e, c in f.terms.items():
+            term = pt.embed(c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * values[i] ** k
+            total = total + term
+        return total
+    if isinstance(f, (CycRat, int, Fraction)):
+        return pt.embed(f) if isinstance(f, CycRat) else pt.scalar(f)
+    raise TypeError(f"cannot specialize {type(f).__name__}")
+
+
+def _laurent_from_json(rows, order: int, nvars: int) -> LaurentPoly:
+    terms = {}
+    for exps, coeffs in rows:
+        c = CycRat.make(order, [Fraction(a, b) for a, b in coeffs])
+        if c:
+            terms[tuple(exps)] = c
+    return LaurentPoly(order, nvars, terms)
+
+
+def scalar_from_json(data: dict):
+    """Inverse of cli.scalar_to_json."""
+    kind = data["kind"]
+    if kind == "ratfunc":
+        order, nvars = data["order"], data["nvars"]
+        return RatFunc(_laurent_from_json(data["num"], order, nvars),
+                       _laurent_from_json(data["den"], order, nvars))
+    if kind == "cycrat":
+        return CycRat.make(data["order"],
+                           [Fraction(a, b) for a, b in data["coeffs"]])
+    if kind == "rational":
+        a, b = data["value"]
+        return Fraction(a, b)
+    raise ValueError(f"unknown scalar kind {kind!r}")

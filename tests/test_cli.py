@@ -5,8 +5,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclohecke.cli import main, scalar_from_json, scalar_to_json
+from cyclohecke.cli import main, scalar_to_json
 from cyclohecke.combin import enumerate_all, enumerate_pdb
+
+from helpers import scalar_from_json
 
 
 @pytest.fixture

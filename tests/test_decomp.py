@@ -531,10 +531,10 @@ def test_assemble_with_unknown_pair():
     assert bare["split"] == 2 and bare["period"] == 1
     assert bare["entries"] == ["u0.1"]
     assert bare["twist_unknowns"] == [] and bare["relations"] == []
-    assert Multipartition.from_json(2, 1, bare["lambda"]) == mp(
+    assert Multipartition(2, 1, bare["lambda"]) == mp(
         2, 1, [[2], [2]]
     )
-    assert Multipartition.from_json(2, 1, bare["mu"]) == mp(
+    assert Multipartition(2, 1, bare["mu"]) == mp(
         2, 1, [[1, 1], [2]]
     )
 
@@ -546,10 +546,10 @@ def test_assemble_with_unknown_pair():
     assert pinned["relations"] == [
         {"terms": [[1, "d1.1"], [1, "d1.2"]], "rhs": 2}
     ]
-    assert Multipartition.from_json(2, 1, pinned["lambda"]) == mp(
+    assert Multipartition(2, 1, pinned["lambda"]) == mp(
         2, 1, [[1, 1], [2]]
     )
-    assert Multipartition.from_json(2, 1, pinned["mu"]) == mp(
+    assert Multipartition(2, 1, pinned["mu"]) == mp(
         2, 1, [[1, 1], [1, 1]]
     )
 
@@ -564,8 +564,8 @@ def test_assemble_round_trip_labels():
     tables = [semisimple_table(1, m) for m in range(3)]
     klesh = list(enumerate_all(2, 1, 2))
     out = assemble_matrix(2, 2, 2, tables, klesh)
-    rows = [(Multipartition.from_json(2, 1, lab), i) for lab, i in out["rows"]]
-    cols = [(Multipartition.from_json(2, 1, lab), j) for lab, j in out["cols"]]
+    rows = [(Multipartition(2, 1, lab), i) for lab, i in out["rows"]]
+    cols = [(Multipartition(2, 1, lab), j) for lab, j in out["cols"]]
     assert rows == cols
     keys = [la.sort_key() for la, _ in rows]
     assert keys == sorted(keys, reverse=True)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclohecke import exactnum
-from cyclohecke.cli import scalar_from_json, scalar_to_json
+from cyclohecke.cli import scalar_to_json
 from cyclohecke.exactnum import (
     CycRat,
     LaurentPoly,
@@ -21,8 +21,9 @@ from cyclohecke.exactnum import (
     is_separated,
     is_semisimple,
     sample_point,
-    specialize,
 )
+
+from helpers import scalar_from_json, specialize
 
 
 # ---------------------------------------------------------------------------

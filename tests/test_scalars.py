@@ -5,19 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclohecke.combin import Multipartition, comp_stats, compositions, enumerate_pdb
-from cyclohecke.exactnum import GenericField, generic_field, sample_point, specialize
+from cyclohecke.exactnum import GenericField, generic_field, sample_point
 from cyclohecke.scalars import (
+    _exponents,
+    _twisted_hook,
     f_lambda_closed,
-    f_shift_factor,
     g_lambda,
     hook,
-    hook_value,
-    scalar_bundle,
     schur_element,
     schur_element_b,
     verify_factorization,
 )
 from cyclohecke.seminormal import character
+
+from helpers import specialize
 
 
 def mp(p, d, comps):
@@ -71,9 +72,9 @@ def test_hook_value_twists():
     la = mp(2, 2, ((1,), (), (), (1,)))
     # component 1 against component 4: eps^(1-2) q^h Q_1/Q_2 with h = 1
     expected = F.eps_pow(-1) * F.q * F.Q(1) / F.Q(2)
-    assert hook_value(la, 1, 1, 1, 4, F) == expected
+    assert _twisted_hook(F, la.comps, 2, 2, 1, 1, 1, 4) == expected
     with pytest.raises(ValueError):
-        hook_value(la, 1, 1, 1, 5, F)
+        _twisted_hook(F, la.comps, 2, 2, 1, 1, 1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +210,10 @@ def test_g_frozen_example():
     g = g_lambda(la, (1, 1), F)
     assert g == Q1 * (eps * q - one)
     assert g ** 2 == eps * f_lambda_closed(la, (1, 1), F)
-    bundle = scalar_bundle(la, (1, 1), F)
-    assert bundle.eps_exp == 0
-    assert bundle.gamma_root == 0
-    assert bundle.orbit == 1 and bundle.split == 2 and bundle.root_size == 1
+    exps = _exponents(la, (1, 1))
+    assert exps.eps_g == 0
+    assert exps.gamma_root == 0
+    assert exps.orbit == 1 and exps.split == 2 and exps.root_size == 1
 
 
 def test_g_equals_f_for_asymmetric_shape():
@@ -240,26 +241,31 @@ def test_factorization_random_mode():
         verify_factorization(la, (1, 1, 1, 1), points=[])
 
 
+def shift_factor(la, t, field):
+    """The t-th factor eps^shift g in the telescoping factorization of f."""
+    exps = _exponents(la, la.composition())
+    shift = -(t - 1) * la.d * exps.orbit * exps.root_size
+    return field.eps_pow(shift) * g_lambda(la, la.composition(), field)
+
+
 def test_shift_factor_base_and_telescoping():
     F = generic_field(4, 1)
     la = mp(4, 1, ((1,), (1,), (1,), (1,)))
     b = (1, 1, 1, 1)
     g = g_lambda(la, b, F)
-    assert f_shift_factor(la, 1, F) == g
+    assert shift_factor(la, 1, F) == g
+    assert _exponents(la, b).split == 4
     product = F.one
     for t in range(1, 5):
-        product = product * f_shift_factor(la, t, F)
+        product = product * shift_factor(la, t, F)
     assert product == f_lambda_closed(la, b, F)
-    with pytest.raises(ValueError):
-        f_shift_factor(la, 5, F)
 
 
 def test_shift_factor_trivial_split():
     F = generic_field(2, 1)
     la = mp(2, 1, ((2,), ()))
-    assert f_shift_factor(la, 1, F) == f_lambda_closed(la, (2, 0), F)
-    with pytest.raises(ValueError):
-        f_shift_factor(la, 2, F)
+    assert _exponents(la, (2, 0)).split == 1
+    assert shift_factor(la, 1, F) == f_lambda_closed(la, (2, 0), F)
 
 
 @settings(deadline=None, max_examples=25)
@@ -327,22 +333,23 @@ def test_trace_consistency_specialized():
 
 
 # ---------------------------------------------------------------------------
-# bundle
+# all scalars of one shape
 
 
 def test_scalar_bundle_fields():
     F = generic_field(3, 1)
     la = mp(3, 1, ((1,), (1,), (1,)))
-    bundle = scalar_bundle(la, (1, 1, 1), F)
-    assert bundle.shape is la
-    assert bundle.b == (1, 1, 1)
-    assert bundle.orbit == 1 and bundle.split == 3 and bundle.root_size == 1
-    assert bundle.schur == schur_element(3, la, F)
-    assert bundle.schur_b == schur_element_b(la, (1, 1, 1), F)
-    assert bundle.f == f_lambda_closed(la, (1, 1, 1), F)
-    assert bundle.g == g_lambda(la, (1, 1, 1), F)
+    b = (1, 1, 1)
+    exps = _exponents(la, b)
+    assert exps.orbit == 1 and exps.split == 3 and exps.root_size == 1
+    # the Schur element of the block algebra H_{d,b} is 1 here, so the
+    # trace identity f * s_b = s * Tr(v_b T_b) pins f to s times the trace
+    f = f_lambda_closed(la, b, F)
+    assert schur_element_b(la, b, F) == F.one
+    assert f == schur_element(3, la, F) * closed_vb_trace(F, b, 1, 3, 3)
+    g = g_lambda(la, b, F)
     e = 1 * 1 * 1 * (3 * 2 // 2)
-    assert bundle.g ** 3 == F.eps_pow(e) * bundle.f
+    assert g ** 3 == F.eps_pow(e) * f
 
 
 # ---------------------------------------------------------------------------

@@ -19,3 +19,58 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src: {found}"
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _is_command(node) -> bool:
+    return any(isinstance(dec, ast.Call)
+               and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr in ("command", "group")
+               for dec in node.decorator_list)
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def _uses(tree) -> set:
+    """(owner, name) for every name, attribute or string constant used in
+    a module; owner is the top-level definition it sits in, or None."""
+    out = set()
+    for stmt in tree.body:
+        if _is_all(stmt):
+            continue
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.add((owner, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add((owner, node.value))
+    return out
+
+
+def test_public_names_are_used_by_the_package():
+    # a public function or class must be reached from src/ or benchmarks/
+    # through something other than its own body, __all__ or the package's
+    # re-exports; click commands are reached through the CLI
+    modules = [path for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert (BENCHMARKS / "tracer.py").is_file()
+    uses = set()
+    for path in modules + sorted(BENCHMARKS.glob("*.py")):
+        uses |= _uses(ast.parse(path.read_text(), str(path)))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and not _is_command(node)
+        and not any(name == node.name and owner != node.name
+                    for owner, name in uses)
+    ]
+    assert not unused, f"public names used only by tests: {unused}"
