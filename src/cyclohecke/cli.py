@@ -54,6 +54,7 @@ from .exactnum import (
     RatFunc,
     SpecPoint,
     _coeff_json,
+    expand,
     generic_field,
     laurent_to_json,
 )
@@ -119,7 +120,8 @@ def _mp_flag(p: int, d: int, text: str) -> Multipartition:
 
 def scalar_to_json(value) -> dict:
     """A scalar of any of the admissible kinds, with enough context to
-    reconstruct it exactly."""
+    reconstruct it exactly; a Factored value is written multiplied out."""
+    value = expand(value)
     if isinstance(value, RatFunc):
         return {
             "kind": "ratfunc",

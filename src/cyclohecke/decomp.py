@@ -23,7 +23,7 @@ from .combin import (
     enumerate_all,
     shift_composition,
 )
-from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers
+from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers, expand
 from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
@@ -235,9 +235,11 @@ def _ring_order(sample) -> int:
 
 
 def _lift_scalar(value, p: int):
-    """Accept a g value as rational, CycRat, or RatFunc; rationals join Q(eps)."""
+    """Accept a g value as rational, CycRat, RatFunc or Factored; rationals
+    join Q(eps), a Factored value is multiplied out."""
     if isinstance(value, (int, Fraction)):
         return CycRat.from_rational(p, value)
+    value = expand(value)
     order = _ring_order(value)
     if order % p:
         raise ValueError(

@@ -31,6 +31,7 @@ from .combin import (
     wab_perm,
     wb_perm,
 )
+from .exactnum import _factored_view, expand
 from .matrices import mat_eq, mat_is_zero, mat_mul, mat_rank, mat_scale
 from .scalars import schur_element
 from .seminormal import (
@@ -177,7 +178,7 @@ SCHUR_INVERSES_CACHE_SIZE = 1024
 def _schur_inverses(field, n: int) -> list:
     r = field.p * field.d
     return [
-        (shape, schur_element(r, shape, field).inverse())
+        (shape, expand(schur_element(r, shape, field)).inverse())
         for shape in enumerate_all(field.p, field.d, n)
     ]
 
@@ -204,6 +205,7 @@ class TraceCheck(NamedTuple):
 def vbtb_trace_closed(b, field):
     """Closed monomial value of the trace of v_b T_b."""
     b = _match_context(field, b)
+    field = _factored_view(field)
     p, d, n = field.p, field.d, sum(b)
     ab, lwb = comp_stats(b)
     value = field.scalar((-1) ** (d * n * (p - 1))) * field.q_power(lwb)

@@ -23,6 +23,13 @@ The scalar tower used throughout the package:
   normalization (a common monomial shift and a scaling that makes the
   denominator's lex-least coefficient 1) so values do not drift into huge
   representations.  No multivariate gcd is ever computed.
+* ``Factored``: a closed-form scalar (a Schur element, f, g or the trace
+  of v_b T_b) kept as a unit times a monomial times a quotient of two
+  multisets of binomials c*m - 1, the hook-product form.  Products,
+  quotients and powers add multisets; equality first compares the
+  cancelled multisets, which proves it, and otherwise multiplies both
+  sides out.  ``expand`` gives the RatFunc the same factors multiply out
+  to, which is what JSON output holds.
 * ``SpecPoint``: an exact evaluation point (eps, q, Q_1, ..., Q_d) with all
   coordinates in Q(zeta_N) and eps = zeta_N^(N/p).
 
@@ -31,6 +38,7 @@ All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -43,10 +51,12 @@ __all__ = [
     "CycRat",
     "LaurentPoly",
     "RatFunc",
+    "Factored",
     "SpecPoint",
     "GenericField",
     "cyclotomic_poly",
     "eps_pow",
+    "expand",
     "generic_field",
     "is_separated",
     "is_semisimple",
@@ -514,6 +524,8 @@ class RatFunc:
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
+        if isinstance(other, Factored):
+            return other.expand()
         if isinstance(other, LaurentPoly):
             return RatFunc(other)
         if isinstance(other, (int, Fraction, CycRat)):
@@ -596,6 +608,180 @@ class RatFunc:
         return f"RatFunc(({self.num!r}) / ({self.den!r}))"
 
 
+# an empty multiset of binomials, shared; multisets are never mutated
+_NO_FACTORS = Counter()
+
+
+def _union(a: Counter, b: Counter) -> Counter:
+    if not (a and b):
+        return a or b
+    out = a.copy()
+    for f, k in b.items():
+        out[f] += k
+    return out
+
+
+class Factored:
+    """unit * x^mono * prod(num) / prod(den) over Q(zeta_order)(q, Q_1..Q_d).
+
+    unit is a CycRat, mono an exponent vector over (q, Q_1, ..., Q_d), and
+    num and den are multisets of binomials c*x^m - 1, each keyed (m, c)
+    with m lex-positive: a binomial whose monomial is lex-negative is
+    stored as -c*x^m * (c^-1*x^-m - 1).  The two multisets are never
+    cancelled against each other, so ``expand`` multiplies out exactly
+    the factors a closed formula named and gives the RatFunc the same
+    formula gives over GenericField.  A Factored is zero iff its unit is;
+    no binomial with m != 0 vanishes.
+    """
+
+    __slots__ = ("unit", "mono", "num", "den", "_expanded")
+
+    def __init__(self, unit: CycRat, mono: tuple, num: Counter = _NO_FACTORS,
+                 den: Counter = _NO_FACTORS):
+        self.unit = unit
+        self.mono = mono
+        self.num = num
+        self.den = den
+        self._expanded = None
+
+    def _coerce(self, other):
+        if isinstance(other, Factored):
+            if len(other.mono) != len(self.mono):
+                raise ValueError("factored scalars from different rings")
+            return other
+        if isinstance(other, (int, Fraction, CycRat)):
+            return Factored(self.unit._coerce(other), (0,) * len(self.mono))
+        return None
+
+    def expand(self) -> RatFunc:
+        """The factors multiplied out, with nothing cancelled."""
+        if self._expanded is None:
+            order, nvars = self.unit.order, len(self.mono)
+            self._expanded = RatFunc(
+                _multiply_out(LaurentPoly.monomial(order, nvars, self.mono,
+                                                   self.unit), self.num),
+                _multiply_out(LaurentPoly.constant(order, nvars, 1), self.den))
+        return self._expanded
+
+    def __add__(self, other):
+        return self.expand() + other
+
+    def __radd__(self, other):
+        return other + self.expand()
+
+    def __neg__(self):
+        return Factored(-self.unit, self.mono, self.num, self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None or self.num or self.den or o.num or o.den:
+            return self.expand() - other
+        return _binomial(self.unit, self.mono, o.unit, o.mono)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return other - self.expand()
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return self.expand() * other
+        return Factored(self.unit * o.unit,
+                        tuple(a + b for a, b in zip(self.mono, o.mono)),
+                        _union(self.num, o.num), _union(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Factored":
+        return Factored(self.unit.inverse(), tuple(-a for a in self.mono),
+                        self.den, self.num)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return self.expand() / other
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return other / self.expand()
+        return o * self.inverse()
+
+    def __pow__(self, k: int) -> "Factored":
+        if k < 0:
+            return self.inverse() ** (-k)
+        if k == 0:
+            return Factored(self.unit ** 0, tuple(0 for _ in self.mono))
+        return Factored(self.unit ** k, tuple(k * a for a in self.mono),
+                        Counter({f: k * e for f, e in self.num.items()}),
+                        Counter({f: k * e for f, e in self.den.items()}))
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            if isinstance(other, (RatFunc, LaurentPoly)):
+                return self.expand() == other
+            return NotImplemented
+        if not self.unit or not o.unit:
+            return not self.unit and not o.unit
+        if (self.unit == o.unit and self.mono == o.mono
+                and self.num + o.den == o.num + self.den):
+            return True
+        # different multisets can still be equal values: q^2 - 1 is
+        # (q - 1)(q + 1), so the factors are multiplied out to decide
+        return self.expand() == o.expand()
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
+    def __bool__(self):
+        return bool(self.unit)
+
+    def __repr__(self):
+        def factors(ms):
+            return [f"({c!r}*x^{list(m)} - 1)^{k}" for (m, c), k in ms.items()]
+        return (f"Factored({self.unit!r} * x^{list(self.mono)}, "
+                f"num={factors(self.num)}, den={factors(self.den)})")
+
+
+def _binomial(a: CycRat, alpha: tuple, b: CycRat, beta: tuple) -> Factored:
+    """a*x^alpha - b*x^beta as a unit, a monomial and at most one binomial.
+
+    With r = a/b and s = alpha - beta this is b*x^beta * (r*x^s - 1), or
+    for s lex-negative -a*x^alpha * (r^-1*x^-s - 1).
+    """
+    if alpha == beta:
+        return Factored(a - b, alpha)
+    if not a or not b:
+        return Factored(a, alpha) if a else Factored(-b, beta)
+    s = tuple(x - y for x, y in zip(alpha, beta))
+    if next(e for e in s if e) > 0:
+        r = a if b == 1 else a / b
+        return Factored(b, beta, Counter({(s, r): 1}))
+    r = a.inverse() if b == 1 else b / a
+    return Factored(-a, alpha, Counter({(tuple(-e for e in s), r): 1}))
+
+
+def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
+    """poly times every binomial c*x^m - 1 of the multiset, expanded."""
+    origin = (0,) * poly.nvars
+    minus_one = CycRat.from_rational(poly.order, -1)
+    for (m, c), k in factors.items():
+        binomial = LaurentPoly(poly.order, poly.nvars, {m: c, origin: minus_one})
+        for _ in range(k):
+            poly = poly * binomial
+    return poly
+
+
+def expand(value):
+    """A Factored value multiplied out into its RatFunc; others unchanged."""
+    return value.expand() if isinstance(value, Factored) else value
+
+
 class GenericField:
     """Handle for symbolic computation in F = Q(eps_p)(q, Q_1..Q_d)."""
 
@@ -662,6 +848,57 @@ def generic_field(p: int, d: int) -> GenericField:
     if p < 2:
         raise ValueError("invalid order: a primitive root of unity needs p >= 2")
     return GenericField(p, d)
+
+
+class _FactoredView:
+    """A GenericField whose values are built as Factored scalars.
+
+    The closed forms of ``scalars`` and ``elements.vbtb_trace_closed``
+    compute through it, so their identities compare multisets of
+    binomials instead of multiplied-out polynomials.
+    """
+
+    is_generic = True
+
+    def __init__(self, p: int, d: int):
+        self.p = p
+        self.d = d
+        self.nvars = d + 1
+        self._unit = CycRat.from_rational(p, 1)
+        self._origin = (0,) * self.nvars
+
+    def scalar(self, value) -> Factored:
+        return Factored(_as_cycrat(self.p, value), self._origin)
+
+    @property
+    def one(self) -> Factored:
+        return Factored(self._unit, self._origin)
+
+    def eps_pow(self, k: int) -> Factored:
+        if self.p == 1:
+            return self.one
+        return Factored(eps_pow(self.p, k), self._origin)
+
+    def q_power(self, k: int) -> Factored:
+        return Factored(self._unit, (k,) + self._origin[1:])
+
+    @property
+    def q(self) -> Factored:
+        return self.q_power(1)
+
+    def Q_power(self, i: int, k: int) -> Factored:
+        if not 1 <= i <= self.d:
+            raise ValueError(f"Q_{i} out of range for d={self.d}")
+        exps = [0] * self.nvars
+        exps[i] = k
+        return Factored(self._unit, tuple(exps))
+
+
+def _factored_view(field):
+    """The Factored view of a GenericField; any other field unchanged."""
+    if isinstance(field, GenericField):
+        return _FactoredView(field.p, field.d)
+    return field
 
 
 def _as_cycrat(order: int, value) -> CycRat:

@@ -2,16 +2,22 @@
 
 Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
-tuples of partitions, the value of a rational function at a point), the
-words of identities from the paper that no command evaluates, and the
-decoder for the scalar JSON the commands write.
+tuples of partitions, the value of a rational function at a point, the
+closed-form scalars multiplied out factor by factor), the words of
+identities from the paper that no command evaluates, and the decoder for
+the scalar JSON the commands write.
 """
 
 from fractions import Fraction
 from itertools import permutations as _perm_tuples
 from itertools import product as _cartesian
 
-from cyclohecke.combin import Multipartition, partial_sum
+from cyclohecke.combin import (
+    Multipartition,
+    beta,
+    component_index,
+    partial_sum,
+)
 from cyclohecke.elements import (
     _match_context,
     ll_range_word,
@@ -27,6 +33,7 @@ from cyclohecke.exactnum import (
     RatFunc,
     SpecPoint,
 )
+from cyclohecke.scalars import _exponents, hook
 from cyclohecke.tableau import StandardTableau
 
 
@@ -213,6 +220,94 @@ def shift_tableau(t: StandardTableau, z: int) -> StandardTableau:
         src = ((blk + z - 1) % p) * d
         rows.extend(t.rows[src: src + d])
     return StandardTableau(t.shape.shift(z), rows)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form scalars multiplied out: every factor a RatFunc of the
+# field, each product normalized as it is formed; only the exponents come
+# from the package (scalars._exponents)
+
+def _rf_twisted_hook(field, comps, p, d, i, j, s, t):
+    ps, ds = component_index(s, p, d)
+    pt, dt = component_index(t, p, d)
+    value = field.q_power(hook(comps[s - 1], comps[t - 1], i, j))
+    if ps != pt:
+        value = value * field.eps_pow(ps - pt)
+    if ds != dt:
+        value = value * field.Q_power(ds, 1) * field.Q_power(dt, -1)
+    return value
+
+
+def _rf_boxes(comps):
+    for s, comp in enumerate(comps, start=1):
+        for i, row in enumerate(comp, start=1):
+            for j in range(1, row + 1):
+                yield i, j, s
+
+
+def _rf_schur(field, comps, p, d):
+    m = p * d
+    n = sum(sum(c) for c in comps)
+    pooled = tuple(sorted((x for c in comps for x in c), reverse=True))
+    value = field.q_power(-beta(pooled)) / (field.q - field.one) ** n
+    if (n * (m - 1)) % 2:
+        value = -value
+    for i, j, s in _rf_boxes(comps):
+        for t in range(1, m + 1):
+            value = value * (_rf_twisted_hook(field, comps, p, d, i, j, s, t)
+                             - field.one)
+    return value
+
+
+def multiplied_schur(la: Multipartition, field):
+    """The Schur element of la as a RatFunc, multiplied out."""
+    return _rf_schur(field, la.comps, la.p, la.d)
+
+
+def multiplied_schur_b(la: Multipartition, field):
+    """The block Schur element of la as a RatFunc, multiplied out."""
+    value = field.one
+    for t in range(1, la.p + 1):
+        value = value * _rf_schur(field, la.block(t), 1, la.d)
+    return value
+
+
+def multiplied_f(la: Multipartition, field):
+    """The scalar f of (la, its composition) as a RatFunc, multiplied out."""
+    p, d, n = la.p, la.d, la.size
+    exps = _exponents(la, la.composition())
+    value = field.eps_pow(exps.eps_f) * field.q_power(exps.gamma)
+    for c in range(1, d + 1):
+        value = value * field.Q_power(c, n * (p - 1))
+    for i, j, s in _rf_boxes(la.comps):
+        ps = component_index(s, p, d)[0]
+        for t in range(1, la.r + 1):
+            if component_index(t, p, d)[0] != ps:
+                value = value * (_rf_twisted_hook(field, la.comps, p, d,
+                                                  i, j, s, t) - field.one)
+    return value
+
+
+def multiplied_g(la: Multipartition, field):
+    """The root g of (la, its composition) as a RatFunc, multiplied out."""
+    p, d = la.p, la.d
+    exps = _exponents(la, la.composition())
+    root = la.orbit_slice()
+    value = field.eps_pow(exps.eps_g) * field.q_power(exps.gamma_root)
+    for c in range(1, d + 1):
+        value = value * field.Q_power(c, exps.root_size * (p - 1))
+    for i, j, s in _rf_boxes(root.comps):
+        ps = component_index(s, exps.orbit, d)[0]
+        for t in range(1, exps.orbit * d + 1):
+            pt = component_index(t, exps.orbit, d)[0]
+            for a in range(exps.split):
+                if a == 0 and pt == ps:
+                    continue
+                twisted = _rf_twisted_hook(field, root.comps, exps.orbit, d,
+                                           i, j, s, t)
+                value = value * (field.eps_pow(a * exps.orbit) * twisted
+                                 - field.one)
+    return value
 
 
 # ---------------------------------------------------------------------------

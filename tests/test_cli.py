@@ -144,6 +144,13 @@ def test_verify_factorization(runner):
     assert data["passed"] is True
 
 
+def test_verify_factorization_three_parameters(runner):
+    # 255 shapes over Q(eps_3)(q, Q_1, Q_2, Q_3), proved on the factors
+    data = run_json(runner, ["verify", "factorization", "--p", "3",
+                             "--d", "3", "--n", "3"])
+    assert data["passed"] is True and data["shapes"] == 255
+
+
 def test_verify_flag_consistency(runner):
     result = runner.invoke(main, ["verify", "pleftmult", "--b", "[2,1]",
                                   "--d", "1", "--p", "3"])

@@ -11,6 +11,8 @@ from cyclohecke import exactnum
 from cyclohecke.cli import scalar_to_json
 from cyclohecke.exactnum import (
     CycRat,
+    Factored,
+    GenericField,
     LaurentPoly,
     PoleError,
     RatFunc,
@@ -20,6 +22,7 @@ from cyclohecke.exactnum import (
     generic_field,
     is_separated,
     is_semisimple,
+    ratfunc_to_json,
     sample_point,
 )
 
@@ -533,3 +536,117 @@ def test_specpoint_validation():
         SpecPoint(p=2, N=2, q_val=Fraction(0), Q_vals=(Fraction(1),))
     with pytest.raises(ValueError):
         SpecPoint(p=2, N=2, q_val=Fraction(2), Q_vals=())
+
+
+# ---------------------------------------------------------------------------
+# factored closed-form scalars
+
+def factored_view(p, d):
+    return exactnum._factored_view(GenericField(p, d))
+
+
+def count_expansions(monkeypatch) -> list:
+    calls = []
+    real = Factored.expand
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Factored, "expand", counted)
+    return calls
+
+
+def test_factored_binomials_are_lex_positive():
+    V = factored_view(3, 1)
+    one = CycRat.from_rational(3, 1)
+    # q^-1 - 1 = -q^-1 (q - 1)
+    x = V.q_power(-1) - V.one
+    assert x.unit == -one and x.mono == (-1, 0)
+    assert dict(x.num) == {((1, 0), one): 1} and not x.den
+    # eps Q_1 q^-2 - 1 = -eps Q_1 q^-2 (eps^-1 q^2 Q_1^-1 - 1)
+    y = V.eps_pow(1) * V.Q_power(1, 1) * V.q_power(-2) - V.one
+    assert y.mono == (-2, 1) and y.unit == -eps_pow(3, 1)
+    assert dict(y.num) == {((2, -1), eps_pow(3, 2)): 1}
+    # a constant minus one stays in the unit
+    z = V.eps_pow(1) - V.one
+    assert not z.num and z.unit == eps_pow(3, 1) - 1
+
+
+def test_factored_equal_multisets_decide_without_expanding(monkeypatch):
+    V = factored_view(2, 2)
+    calls = count_expansions(monkeypatch)
+    x = V.eps_pow(1) * V.Q_power(1, 1) / V.Q_power(2, 1) - V.one
+    a = (V.q - V.one) * x
+    # q^-1 - 1 = -q^-1 (q - 1)
+    assert a == -V.q * (V.q_power(-1) - V.one) * x
+    assert a / x == V.q - V.one
+    assert (a ** 3) / (a ** 2) == a
+    assert not calls
+
+
+def test_factored_fallback_proves_equal_values(monkeypatch):
+    # q^2 - 1 = -(q - 1)((-q) - 1): one binomial against two
+    V = factored_view(2, 1)
+    lhs = V.q_power(2) - V.one
+    rhs = -(V.q - V.one) * (-V.q - V.one)
+    assert lhs.num != rhs.num
+    calls = count_expansions(monkeypatch)
+    assert lhs == rhs and rhs == lhs
+    assert calls
+
+
+def test_factored_unequal_values_compare_unequal():
+    V = factored_view(2, 1)
+    x = V.q - V.one
+    assert x != V.q_power(2) - V.one
+    assert x != V.eps_pow(1) * x
+    assert x != x * V.q
+    assert x != 0 and V.scalar(0) == V.one - V.one
+    assert V.q - V.one != V.q + V.one
+
+
+def test_factored_compares_with_ratfunc_both_ways():
+    F = GenericField(2, 1)
+    V = factored_view(2, 1)
+    x = (V.eps_pow(1) * V.q * V.Q_power(1, 1) - V.one) / (V.q - V.one)
+    y = (F.eps_pow(1) * F.q * F.Q(1) - F.one) / (F.q - F.one)
+    assert x == y and y == x
+    assert not (x != y) and not (y != x)
+    z = y + F.one
+    assert x != z and z != x
+    # any mix with a RatFunc is a RatFunc
+    assert isinstance(x * F.q, RatFunc) and isinstance(F.q * x, RatFunc)
+    assert isinstance(x + 1, RatFunc) and isinstance(F.one - x, RatFunc)
+    assert x * F.q == y * F.q
+
+
+def test_factored_expands_to_the_multiplied_out_ratfunc():
+    F = GenericField(3, 2)
+    V = factored_view(3, 2)
+
+    def build(K):
+        value = K.eps_pow(2) * K.q_power(-3) * K.Q_power(2, 2)
+        Q1, Q2 = K.Q_power(1, 1), K.Q_power(2, 1)
+        value = value * (K.eps_pow(1) * K.q * Q1 / Q2 - K.one) ** 2
+        value = value / (K.q_power(-1) * Q2 / Q1 - K.one)
+        return -value / (K.q - K.one) ** 3
+
+    x, y = build(V), build(F)
+    assert isinstance(x, Factored)
+    assert ratfunc_to_json(x.expand()) == ratfunc_to_json(y)
+    assert exactnum.expand(x) is x.expand()
+    assert exactnum.expand(y) is y
+
+
+def test_factored_zero_and_division():
+    V = factored_view(2, 1)
+    zero = V.q - V.q
+    assert not zero and zero == 0 and zero.expand() == GenericField(2, 1).zero
+    with pytest.raises(ZeroDivisionError):
+        V.one / zero
+    x = V.q - V.one
+    assert x ** 0 == V.one and not (x ** 0).num
+    assert x ** -2 == V.one / (x * x)
+    assert 2 * x == x + x and x * Fraction(1, 2) * 2 == x
+

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclohecke.combin import Multipartition, comp_stats, compositions, enumerate_pdb
+from cyclohecke.cli import _criterion_factorization, scalar_to_json
+from cyclohecke.combin import (
+    Multipartition,
+    comp_stats,
+    compositions,
+    enumerate_all,
+    enumerate_pdb,
+)
 from cyclohecke.exactnum import GenericField, generic_field, sample_point
 from cyclohecke.scalars import (
     _exponents,
@@ -18,7 +25,13 @@ from cyclohecke.scalars import (
 )
 from cyclohecke.seminormal import character
 
-from helpers import specialize
+from helpers import (
+    multiplied_f,
+    multiplied_g,
+    multiplied_schur,
+    multiplied_schur_b,
+    specialize,
+)
 
 
 def mp(p, d, comps):
@@ -160,8 +173,8 @@ def test_f_is_laurent():
             for la in enumerate_pdb(d, b):
                 f = f_lambda_closed(la, b, F)
                 g = g_lambda(la, b, F)
-                assert len(f.den.terms) == 1
-                assert len(g.den.terms) == 1
+                assert len(f.expand().den.terms) == 1
+                assert len(g.expand().den.terms) == 1
 
 
 def test_f_equals_schur_ratio_times_trace():
@@ -183,7 +196,8 @@ def test_f_nonzero_at_separated_points():
         pt = sample_point(p, d, 3, rng)
         for b in compositions(3, p):
             for la in enumerate_pdb(d, b):
-                assert specialize(f_lambda_closed(la, b, generic_field(p, d)), pt)
+                f = f_lambda_closed(la, b, generic_field(p, d))
+                assert specialize(f.expand(), pt)
                 assert f_lambda_closed(la, b, pt)
 
 
@@ -295,6 +309,26 @@ def test_factorization_at_point(data):
     assert g ** split == pt.eps_pow(e) * f
 
 
+@pytest.mark.parametrize("p, d", [(p, d) for p in (1, 2, 3, 4)
+                                  for d in (1, 2)])
+def test_closed_forms_match_multiplied_out_ratfuncs(p, d):
+    # the factored closed forms against the same products formed one
+    # RatFunc factor at a time, compared as the JSON the commands write
+    F = GenericField(p, d)
+    for n in range(4):
+        for la in enumerate_all(p, d, n):
+            b = la.composition()
+            pairs = (
+                (schur_element(p * d, la, F), multiplied_schur(la, F)),
+                (schur_element_b(la, b, F), multiplied_schur_b(la, F)),
+                (f_lambda_closed(la, b, F), multiplied_f(la, F)),
+                (g_lambda(la, b, F), multiplied_g(la, F)),
+            )
+            for kind, (closed, multiplied) in zip("s b f g".split(), pairs):
+                if scalar_to_json(closed) != scalar_to_json(multiplied):
+                    pytest.fail(f"{kind} differs at {la!r}")
+
+
 # ---------------------------------------------------------------------------
 # trace-form consistency: sum of chi/s over all shapes
 
@@ -367,6 +401,17 @@ def test_laurent_check_trips_on_injected_pole(monkeypatch):
         f_lambda_closed(mp(2, 1, ((1,), (1,))), (1, 1), GenericField(2, 1))
 
 
+def test_laurent_check_on_factored_values():
+    from cyclohecke.exactnum import _factored_view
+    from cyclohecke.scalars import _check_laurent
+
+    V = _factored_view(GenericField(2, 1))
+    x = V.q - V.one
+    _check_laurent(V, x * x / x, "f")
+    with pytest.raises(RuntimeError, match="internal: g must be a Laurent"):
+        _check_laurent(V, x / (x * x), "g")
+
+
 def test_exponent_checks_trip_on_injected_fault(monkeypatch):
     from cyclohecke import scalars
 
@@ -381,3 +426,38 @@ def test_exponent_checks_trip_on_injected_fault(monkeypatch):
                         lambda b: (real(b)[0] + 1, real(b)[1]))
     with pytest.raises(RuntimeError, match="internal: eps-exponent"):
         g_lambda(la, (1, 1), GenericField(2, 1))
+
+
+def off_by_one_hook(monkeypatch):
+    """Make the next call of _twisted_hook, and only that one, one q-power off."""
+    from cyclohecke import scalars
+
+    calls = []
+
+    def bad_hook(field, *args):
+        calls.append(args)
+        value = _twisted_hook(field, *args)
+        return value * field.q if len(calls) == 1 else value
+
+    monkeypatch.setattr(scalars, "_twisted_hook", bad_hook)
+
+
+def test_corrupted_factor_fails_every_identity(monkeypatch):
+    # the checks below use pytest.fail, so they hold under python -O too
+    la = mp(2, 1, ((1,), (1,)))
+    off_by_one_hook(monkeypatch)
+    if verify_factorization(la, (1, 1)) is not False:
+        pytest.fail("factorization holds with a corrupted factor of f")
+    off_by_one_hook(monkeypatch)
+    with pytest.raises(AssertionError, match="factorization fails"):
+        _criterion_factorization((2,), (1,), 2)
+    F = generic_field(2, 1)
+    for b in compositions(2, 2):
+        for shape in enumerate_pdb(1, b):
+            off_by_one_hook(monkeypatch)
+            f = f_lambda_closed(shape, b, F)
+            lhs = f * schur_element_b(shape, b, F)
+            rhs = schur_element(2, shape, F) * closed_vb_trace(F, b, 1, 2, 2)
+            if lhs == rhs:
+                pytest.fail(f"trace identity holds with a corrupted f at {shape!r}")
+
