@@ -76,23 +76,14 @@ def reduced_word(w: tuple) -> list:
     return word
 
 
-def embed_perm(w: tuple, n: int, k: int = 0) -> tuple:
-    """w acting on {k+1, ..., k+len(w)} inside S_n, fixing the rest."""
-    if k + len(w) > n:
-        raise ValueError("shifted permutation does not fit")
-    img = list(range(1, n + 1))
-    for i, x in enumerate(w):
-        img[k + i] = k + x
-    return tuple(img)
+def wab_perm(a: int, b: int) -> tuple:
+    """The block swap moving {1..a} past {a+1..a+b} in S_{a+b}.
 
-
-def wab_perm(a: int, b: int, k: int = 0) -> tuple:
-    """The block swap moving {k+1..k+a} past {k+a+1..k+a+b} in S_{k+a+b}.
-
-    Equals (s_{a+b+k-1} ... s_{k+1})^b and has length a*b.
+    Equals (s_{a+b-1} ... s_1)^b and has length a*b.
     """
-    core = tuple(range(b + 1, a + b + 1)) + tuple(range(1, b + 1))
-    return embed_perm(core, k + a + b, k)
+    if a < 0 or b < 0:
+        raise ValueError(f"block sizes out of range: {a}, {b}")
+    return tuple(range(b + 1, a + b + 1)) + tuple(range(1, b + 1))
 
 
 def wb_perm(b) -> tuple:

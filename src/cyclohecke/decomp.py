@@ -163,12 +163,11 @@ class DecompTable:
         )
 
 
-def semisimple_table(s: int, m: int, eps_power=None) -> DecompTable:
+def semisimple_table(s: int, m: int) -> DecompTable:
     """The identity table over all s-component multipartitions of m."""
     labels = [mp.comps for mp in enumerate_all(1, s, m)]
     entries = [[i, i, 1] for i in range(len(labels))]
-    return DecompTable(s, m, labels, labels, entries,
-                       semisimple=True, eps_power=eps_power)
+    return DecompTable(s, m, labels, labels, entries, semisimple=True)
 
 
 def _find_table(tables, s: int, m: int, t: int, p: int) -> DecompTable:

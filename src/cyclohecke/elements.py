@@ -31,7 +31,6 @@ from .combin import (
     wab_perm,
     wb_perm,
 )
-from .exactnum import _factored_view, expand
 from .matrices import mat_eq, mat_is_zero, mat_mul, mat_rank, mat_scale
 from .scalars import schur_element
 from .seminormal import (
@@ -75,12 +74,11 @@ def ll_word(field, s: int, lo: int, hi: int) -> list:
     return out
 
 
-def ll_range_word(field, i: int, j: int, lo: int, hi: int,
-                  twist: int = 0) -> list:
-    """LL ladders for every superscript in the i..j window, twisted."""
+def ll_range_word(field, i: int, j: int, lo: int, hi: int) -> list:
+    """LL ladders for every superscript in the i..j window."""
     out = []
     for s in superscripts(i, j, field.p):
-        out.extend(ll_word(field, s + twist, lo, hi))
+        out.extend(ll_word(field, s, lo, hi))
     return out
 
 
@@ -88,9 +86,9 @@ def t_word(perm: tuple) -> list:
     return [("T", i) for i in reduced_word(perm)]
 
 
-def t_ab_word(a: int, b: int, shift: int = 0) -> list:
+def t_ab_word(a: int, b: int) -> list:
     """The block swap T_{a,b}, through a reduced word of w_{a,b}."""
-    return t_word(wab_perm(a, b, shift))
+    return t_word(wab_perm(a, b))
 
 
 def tb_word(b) -> list:
@@ -110,8 +108,8 @@ def _match_context(field, b) -> tuple:
     return b
 
 
-def vb_word(field, b, twist: int = 0) -> list:
-    """The shuffle element v_b, or its eps^twist-shifted parameter twin.
+def vb_word(field, b) -> list:
+    """The shuffle element v_b.
 
     Ladder and swap factors interleave from the last block down to the
     second, then the plain ladders close the word in increasing twist
@@ -121,14 +119,14 @@ def vb_word(field, b, twist: int = 0) -> list:
     p = field.p
     out = []
     for k in range(p - 1, 0, -1):
-        out.extend(ll_range_word(field, 1, k, 1, b[k], twist))
+        out.extend(ll_range_word(field, 1, k, 1, b[k]))
         out.extend(t_ab_word(b[k], partial_sum(b, 1, k)))
     for k in range(2, p + 1):
-        out.extend(ll_word(field, k + twist, 1, partial_sum(b, 1, k - 1)))
+        out.extend(ll_word(field, k, 1, partial_sum(b, 1, k - 1)))
     return out
 
 
-def vb_pivot_word(field, b, j: int, twist: int = 0) -> list:
+def vb_pivot_word(field, b, j: int) -> list:
     """Rewriting of v_b pivoted at block j; the same element for every j.
 
     Four runs of factors, each read with decreasing index: mixed
@@ -141,15 +139,15 @@ def vb_pivot_word(field, b, j: int, twist: int = 0) -> list:
         raise ValueError(f"pivot out of range: {j}")
     out = []
     for k in range(p - 1, j - 1, -1):
-        out.extend(ll_range_word(field, j, k, 1, b[k], twist))
+        out.extend(ll_range_word(field, j, k, 1, b[k]))
         out.extend(t_ab_word(b[k], partial_sum(b, j, k)))
     for i in range(j - 1, 0, -1):
-        out.extend(ll_word(field, i + twist, 1, partial_sum(b, i + 1, p)))
+        out.extend(ll_word(field, i, 1, partial_sum(b, i + 1, p)))
     for k in range(p, j, -1):
-        out.extend(ll_word(field, k + twist, 1, partial_sum(b, j, k - 1)))
+        out.extend(ll_word(field, k, 1, partial_sum(b, j, k - 1)))
     for i in range(j, 1, -1):
         out.extend(t_ab_word(partial_sum(b, i, p), b[i - 2]))
-        out.extend(ll_range_word(field, i, p, 1, b[i - 2], twist))
+        out.extend(ll_range_word(field, i, p, 1, b[i - 2]))
     return out
 
 
@@ -178,7 +176,7 @@ SCHUR_INVERSES_CACHE_SIZE = 1024
 def _schur_inverses(field, n: int) -> list:
     r = field.p * field.d
     return [
-        (shape, expand(schur_element(r, shape, field)).inverse())
+        (shape, schur_element(r, shape, field).inverse())
         for shape in enumerate_all(field.p, field.d, n)
     ]
 
@@ -205,7 +203,6 @@ class TraceCheck(NamedTuple):
 def vbtb_trace_closed(b, field):
     """Closed monomial value of the trace of v_b T_b."""
     b = _match_context(field, b)
-    field = _factored_view(field)
     p, d, n = field.p, field.d, sum(b)
     ab, lwb = comp_stats(b)
     value = field.scalar((-1) ** (d * n * (p - 1))) * field.q_power(lwb)

@@ -23,13 +23,15 @@ The scalar tower used throughout the package:
   normalization (a common monomial shift and a scaling that makes the
   denominator's lex-least coefficient 1) so values do not drift into huge
   representations.  No multivariate gcd is ever computed.
-* ``Factored``: a closed-form scalar (a Schur element, f, g or the trace
-  of v_b T_b) kept as a unit times a monomial times a quotient of two
-  multisets of binomials c*m - 1, the hook-product form.  Products,
-  quotients and powers add multisets; equality first compares the
-  cancelled multisets, which proves it, and otherwise multiplies both
-  sides out.  ``expand`` gives the RatFunc the same factors multiply out
-  to, which is what JSON output holds.
+* ``Factored``: the values of ``GenericField``, kept as a unit times a
+  monomial times a quotient of two multisets of binomials c*m - 1, the
+  hook-product form of the Schur elements, f, g and the trace of v_b T_b.
+  Products, quotients and powers add multisets, and a difference of two
+  monomials is one binomial; any other sum, and any mix with a RatFunc,
+  multiplies out into a RatFunc.  Equality first compares the cancelled
+  multisets, which proves it, and otherwise multiplies both sides out.
+  ``expand`` gives the RatFunc the factors multiply out to, which is what
+  JSON output holds.
 * ``SpecPoint``: an exact evaluation point (eps, q, Q_1, ..., Q_d) with all
   coordinates in Q(zeta_N) and eps = zeta_N^(N/p).
 
@@ -130,10 +132,6 @@ class CycRat:
     def from_rational(order: int, value: Rational) -> "CycRat":
         zeros = _zeta_powers(order)[0].nums[1:]
         return CycRat(order, (value.numerator,) + zeros, value.denominator)
-
-    @staticmethod
-    def zeta(order: int) -> "CycRat":
-        return _zeta_powers(order)[1 % order]
 
     def _coerce(self, other):
         if isinstance(other, CycRat):
@@ -629,9 +627,8 @@ class Factored:
     with m lex-positive: a binomial whose monomial is lex-negative is
     stored as -c*x^m * (c^-1*x^-m - 1).  The two multisets are never
     cancelled against each other, so ``expand`` multiplies out exactly
-    the factors a closed formula named and gives the RatFunc the same
-    formula gives over GenericField.  A Factored is zero iff its unit is;
-    no binomial with m != 0 vanishes.
+    the factors a closed formula named, one after another.  A Factored is
+    zero iff its unit is; no binomial with m != 0 vanishes.
     """
 
     __slots__ = ("unit", "mono", "num", "den", "_expanded")
@@ -783,7 +780,13 @@ def expand(value):
 
 
 class GenericField:
-    """Handle for symbolic computation in F = Q(eps_p)(q, Q_1..Q_d)."""
+    """Handle for symbolic computation in F = Q(eps_p)(q, Q_1..Q_d).
+
+    Its values are Factored: each constant, eps^k, q^k and Q_i^k is a
+    unit times a monomial.  Products, quotients and the difference of
+    two monomials stay Factored; any other sum multiplies out into a
+    RatFunc.
+    """
 
     is_generic = True
 
@@ -798,77 +801,15 @@ class GenericField:
         self.p = p
         self.d = d
         self.nvars = d + 1
-
-    def scalar(self, value) -> RatFunc:
-        return RatFunc(LaurentPoly.constant(self.p, self.nvars, value))
-
-    @property
-    def zero(self) -> RatFunc:
-        return RatFunc(LaurentPoly.zero(self.p, self.nvars))
-
-    @property
-    def one(self) -> RatFunc:
-        return self.scalar(1)
-
-    def eps_pow(self, k: int) -> RatFunc:
-        if self.p == 1:
-            return self.one
-        return self.scalar(eps_pow(self.p, k))
-
-    def q_power(self, k: int) -> RatFunc:
-        exps = [k] + [0] * self.d
-        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
-
-    @property
-    def q(self) -> RatFunc:
-        return self.q_power(1)
-
-    def Q_power(self, i: int, k: int) -> RatFunc:
-        if not 1 <= i <= self.d:
-            raise ValueError(f"Q_{i} out of range for d={self.d}")
-        exps = [0] * self.nvars
-        exps[i] = k
-        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
-
-    def Q(self, i: int) -> RatFunc:
-        return self.Q_power(i, 1)
-
-    def __eq__(self, other):
-        return (isinstance(other, GenericField)
-                and (self.p, self.d) == (other.p, other.d))
-
-    def __hash__(self):
-        return hash(("GenericField", self.p, self.d))
-
-    def __repr__(self):
-        return f"GenericField(p={self.p}, d={self.d})"
-
-
-def generic_field(p: int, d: int) -> GenericField:
-    if p < 2:
-        raise ValueError("invalid order: a primitive root of unity needs p >= 2")
-    return GenericField(p, d)
-
-
-class _FactoredView:
-    """A GenericField whose values are built as Factored scalars.
-
-    The closed forms of ``scalars`` and ``elements.vbtb_trace_closed``
-    compute through it, so their identities compare multisets of
-    binomials instead of multiplied-out polynomials.
-    """
-
-    is_generic = True
-
-    def __init__(self, p: int, d: int):
-        self.p = p
-        self.d = d
-        self.nvars = d + 1
         self._unit = CycRat.from_rational(p, 1)
         self._origin = (0,) * self.nvars
 
     def scalar(self, value) -> Factored:
         return Factored(_as_cycrat(self.p, value), self._origin)
+
+    @property
+    def zero(self) -> Factored:
+        return self.scalar(0)
 
     @property
     def one(self) -> Factored:
@@ -893,12 +834,24 @@ class _FactoredView:
         exps[i] = k
         return Factored(self._unit, tuple(exps))
 
+    def Q(self, i: int) -> Factored:
+        return self.Q_power(i, 1)
 
-def _factored_view(field):
-    """The Factored view of a GenericField; any other field unchanged."""
-    if isinstance(field, GenericField):
-        return _FactoredView(field.p, field.d)
-    return field
+    def __eq__(self, other):
+        return (isinstance(other, GenericField)
+                and (self.p, self.d) == (other.p, other.d))
+
+    def __hash__(self):
+        return hash(("GenericField", self.p, self.d))
+
+    def __repr__(self):
+        return f"GenericField(p={self.p}, d={self.d})"
+
+
+def generic_field(p: int, d: int) -> GenericField:
+    if p < 2:
+        raise ValueError("invalid order: a primitive root of unity needs p >= 2")
+    return GenericField(p, d)
 
 
 def _as_cycrat(order: int, value) -> CycRat:

@@ -12,10 +12,11 @@ trace form and to the shift endomorphisms are exercised by the test suite
 against the seminormal representations.
 
 All exponents that are a priori rational are computed exactly and
-checked integral before use.  Over the generic field every value is built
-as an ``exactnum.Factored`` product of binomials, so the identities
-between them are decided on those factors; at a specialization point the
-same formulas run in Q(zeta_N).
+checked integral before use.  The formulas only multiply, divide and
+subtract one from the field's values, so over the generic field, whose
+values are ``exactnum.Factored``, every result stays a product of
+binomials and the identities between them are decided on those factors;
+at a specialization point the same formulas run in Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .combin import (
     comp_stats,
     component_index,
 )
-from .exactnum import Factored, _factored_view
+from .exactnum import Factored
 from .seminormal import mode_fields
 
 __all__ = [
@@ -97,7 +98,7 @@ def schur_element(r: int, la: Multipartition, field):
         raise ValueError(f"multipartition has {la.r} components, expected {r}")
     if (field.p, field.d) != (la.p, la.d):
         raise ValueError("field context mismatch")
-    return _schur_product(_factored_view(field), la.comps, la.p, la.d)
+    return _schur_product(field, la.comps, la.p, la.d)
 
 
 def schur_element_b(la: Multipartition, b, field):
@@ -110,7 +111,6 @@ def schur_element_b(la: Multipartition, b, field):
     b = check_composition(b)
     if la.composition() != b:
         raise ValueError(f"block sizes {la.composition()} do not match b = {b}")
-    field = _factored_view(field)
     value = field.one
     for t in range(1, la.p + 1):
         value = value * _schur_product(field, la.block(t), 1, la.d)
@@ -118,13 +118,10 @@ def schur_element_b(la: Multipartition, b, field):
 
 
 def _check_laurent(field, value, name: str):
-    if not field.is_generic:
-        return
-    if isinstance(value, Factored):
-        pole = value.den - value.num
-    else:
-        pole = len(value.den.terms) != 1
-    if pole:
+    # over the generic field a closed form is a Factored product; a sum
+    # slipped into it would have multiplied it out into a RatFunc
+    if field.is_generic and (not isinstance(value, Factored)
+                             or value.den - value.num):
         raise RuntimeError(f"internal: {name} must be a Laurent polynomial")
 
 
@@ -159,7 +156,6 @@ def f_lambda_closed(la: Multipartition, b, field):
         raise ValueError(f"block sizes {la.composition()} do not match b = {b}")
     p, d, n = la.p, la.d, la.size
     exps = _exponents(la, b)
-    field = _factored_view(field)
     value = field.eps_pow(exps.eps_f) * field.q_power(exps.gamma)
     for c in range(1, d + 1):
         value = value * field.Q_power(c, n * (p - 1))
@@ -187,7 +183,6 @@ def g_lambda(la: Multipartition, b, field):
     p, d = la.p, la.d
     exps = _exponents(la, b)
     root = la.orbit_slice()
-    field = _factored_view(field)
     value = field.eps_pow(exps.eps_g) * field.q_power(exps.gamma_root)
     for c in range(1, d + 1):
         value = value * field.Q_power(c, exps.root_size * (p - 1))
@@ -212,7 +207,6 @@ def verify_factorization(la: Multipartition, b, mode: str = "symbolic",
     e_root = la.d * exps.orbit * exps.root_size * (exps.split * (exps.split - 1) // 2)
 
     def holds(field) -> bool:
-        field = _factored_view(field)
         f = f_lambda_closed(la, b, field)
         g = g_lambda(la, b, field)
         return g ** exps.split == field.eps_pow(e_root) * f

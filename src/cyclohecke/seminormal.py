@@ -17,7 +17,7 @@ from functools import lru_cache
 from random import Random
 
 from .combin import Multipartition, component_index, enumerate_all
-from .exactnum import CycRat, GenericField, RatFunc, sample_point
+from .exactnum import CycRat, Factored, GenericField, RatFunc, sample_point
 from .matrices import (
     mat_add,
     mat_diag,
@@ -174,7 +174,7 @@ def _scalar_token(field, value):
         return field.scalar(value)
     if isinstance(value, CycRat):
         return field.scalar(value) if field.is_generic else field.embed(value)
-    if isinstance(value, RatFunc):
+    if isinstance(value, (RatFunc, Factored)):
         if field.is_generic:
             return value
         raise TypeError("a rational function is not a scalar at a point")

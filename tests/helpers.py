@@ -3,9 +3,10 @@
 Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
 tuples of partitions, the value of a rational function at a point, the
-closed-form scalars multiplied out factor by factor), the words of
-identities from the paper that no command evaluates, and the decoder for
-the scalar JSON the commands write.
+generic field with every value multiplied out, the closed-form scalars
+multiplied out factor by factor), the words of identities from the paper
+that no command evaluates, and the decoder for the scalar JSON the
+commands write.
 """
 
 from fractions import Fraction
@@ -28,10 +29,12 @@ from cyclohecke.elements import (
 )
 from cyclohecke.exactnum import (
     CycRat,
+    Factored,
     LaurentPoly,
     PoleError,
     RatFunc,
     SpecPoint,
+    eps_pow,
 )
 from cyclohecke.scalars import _exponents, hook
 from cyclohecke.tableau import StandardTableau
@@ -90,42 +93,50 @@ def count_multipartition_tuples(d: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # the halves of v_b: v_b = vb_plus * ub_plus = ub_minus * vb_minus
 
-def ub_plus_word(field, b, twist: int = 0) -> list:
+def ub_plus_word(field, b) -> list:
     """The pure ladder tail of v_b: LL^(k) on 1..(b_1+..+b_{k-1})."""
     b = _match_context(field, b)
     out = []
     for k in range(2, field.p + 1):
-        out.extend(ll_word(field, k + twist, 1, partial_sum(b, 1, k - 1)))
+        out.extend(ll_word(field, k, 1, partial_sum(b, 1, k - 1)))
     return out
 
 
-def ub_minus_word(field, b, twist: int = 0) -> list:
+def ub_minus_word(field, b) -> list:
     """The pure ladder head of v_b: LL^(i) on 1..(b_{i+1}+..+b_p)."""
     b = _match_context(field, b)
     out = []
     for i in range(field.p - 1, 0, -1):
-        out.extend(ll_word(field, i + twist, 1, partial_sum(b, i + 1, field.p)))
+        out.extend(ll_word(field, i, 1, partial_sum(b, i + 1, field.p)))
     return out
 
 
-def vb_plus_word(field, b, twist: int = 0) -> list:
+def vb_plus_word(field, b) -> list:
     """Mixed ladder-swap head with v_b = vb_plus * ub_plus."""
     b = _match_context(field, b)
     out = []
     for k in range(field.p - 1, 0, -1):
-        out.extend(ll_range_word(field, 1, k, 1, b[k], twist))
+        out.extend(ll_range_word(field, 1, k, 1, b[k]))
         out.extend(t_ab_word(b[k], partial_sum(b, 1, k)))
     return out
 
 
-def vb_minus_word(field, b, twist: int = 0) -> list:
+def vb_minus_word(field, b) -> list:
     """Mixed swap-ladder tail with v_b = ub_minus * vb_minus."""
     b = _match_context(field, b)
     out = []
     for i in range(field.p, 1, -1):
         out.extend(t_ab_word(partial_sum(b, i, field.p), b[i - 2]))
-        out.extend(ll_range_word(field, i, field.p, 1, b[i - 2], twist))
+        out.extend(ll_range_word(field, i, field.p, 1, b[i - 2]))
     return out
+
+
+def twisted_word(field, word, t: int) -> list:
+    """The word with every ladder root multiplied by eps^t: the parameter
+    twin of the element at the parameters eps^t Q."""
+    eps = field.eps_pow(t)
+    return [("ladder", item[1], eps * item[2]) if item[0] == "ladder"
+            else item for item in word]
 
 
 def shift_run_word(field, b, t: int, m: int) -> list:
@@ -223,9 +234,69 @@ def shift_tableau(t: StandardTableau, z: int) -> StandardTableau:
 
 
 # ---------------------------------------------------------------------------
-# the closed-form scalars multiplied out: every factor a RatFunc of the
-# field, each product normalized as it is formed; only the exponents come
-# from the package (scalars._exponents)
+# the generic field with multiplied-out values
+
+class RatFuncField:
+    """Q(eps_p)(q, Q_1..Q_d) with every value a RatFunc, multiplied out.
+
+    The same handle as exactnum.GenericField, whose values are Factored;
+    built from LaurentPoly monomials only, it checks that field's values
+    and the closed forms computed over it without sharing their code.
+    """
+
+    is_generic = True
+
+    def __init__(self, p: int, d: int):
+        self.p = p
+        self.d = d
+        self.nvars = d + 1
+
+    def scalar(self, value) -> RatFunc:
+        return RatFunc(LaurentPoly.constant(self.p, self.nvars, value))
+
+    @property
+    def zero(self) -> RatFunc:
+        return RatFunc(LaurentPoly.zero(self.p, self.nvars))
+
+    @property
+    def one(self) -> RatFunc:
+        return self.scalar(1)
+
+    def eps_pow(self, k: int) -> RatFunc:
+        if self.p == 1:
+            return self.one
+        return self.scalar(eps_pow(self.p, k))
+
+    def q_power(self, k: int) -> RatFunc:
+        exps = [k] + [0] * self.d
+        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
+
+    @property
+    def q(self) -> RatFunc:
+        return self.q_power(1)
+
+    def Q_power(self, i: int, k: int) -> RatFunc:
+        if not 1 <= i <= self.d:
+            raise ValueError(f"Q_{i} out of range for d={self.d}")
+        exps = [0] * self.nvars
+        exps[i] = k
+        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
+
+    def Q(self, i: int) -> RatFunc:
+        return self.Q_power(i, 1)
+
+    def __eq__(self, other):
+        return (isinstance(other, RatFuncField)
+                and (self.p, self.d) == (other.p, other.d))
+
+    def __hash__(self):
+        return hash(("RatFuncField", self.p, self.d))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form scalars multiplied out: every factor a RatFunc of a
+# RatFuncField, each product normalized as it is formed; only the
+# exponents come from the package (scalars._exponents)
 
 def _rf_twisted_hook(field, comps, p, d, i, j, s, t):
     ps, ds = component_index(s, p, d)
@@ -259,22 +330,24 @@ def _rf_schur(field, comps, p, d):
     return value
 
 
-def multiplied_schur(la: Multipartition, field):
+def multiplied_schur(la: Multipartition):
     """The Schur element of la as a RatFunc, multiplied out."""
-    return _rf_schur(field, la.comps, la.p, la.d)
+    return _rf_schur(RatFuncField(la.p, la.d), la.comps, la.p, la.d)
 
 
-def multiplied_schur_b(la: Multipartition, field):
+def multiplied_schur_b(la: Multipartition):
     """The block Schur element of la as a RatFunc, multiplied out."""
+    field = RatFuncField(la.p, la.d)
     value = field.one
     for t in range(1, la.p + 1):
         value = value * _rf_schur(field, la.block(t), 1, la.d)
     return value
 
 
-def multiplied_f(la: Multipartition, field):
+def multiplied_f(la: Multipartition):
     """The scalar f of (la, its composition) as a RatFunc, multiplied out."""
     p, d, n = la.p, la.d, la.size
+    field = RatFuncField(p, d)
     exps = _exponents(la, la.composition())
     value = field.eps_pow(exps.eps_f) * field.q_power(exps.gamma)
     for c in range(1, d + 1):
@@ -288,9 +361,10 @@ def multiplied_f(la: Multipartition, field):
     return value
 
 
-def multiplied_g(la: Multipartition, field):
+def multiplied_g(la: Multipartition):
     """The root g of (la, its composition) as a RatFunc, multiplied out."""
     p, d = la.p, la.d
+    field = RatFuncField(p, d)
     exps = _exponents(la, la.composition())
     root = la.orbit_slice()
     value = field.eps_pow(exps.eps_g) * field.q_power(exps.gamma_root)
@@ -315,6 +389,8 @@ def multiplied_g(la: Multipartition, field):
 
 def specialize(f, pt: SpecPoint) -> CycRat:
     """Exact evaluation of f at pt; raises PoleError on a vanishing denominator."""
+    if isinstance(f, Factored):
+        f = f.expand()
     if isinstance(f, RatFunc):
         num = specialize(f.num, pt)
         den = specialize(f.den, pt)

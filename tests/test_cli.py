@@ -462,6 +462,25 @@ def test_fixtures_records_typed_errors_per_criterion(runner, monkeypatch):
     assert results[2]["criterion"] == "9 divisibility"
 
 
+def test_failed_verdict_exits_3(runner, monkeypatch):
+    # the first hook one q-power off: that factor of f no longer matches
+    # its factor in g, so g^split = eps^E f fails for that shape
+    from cyclohecke import scalars
+
+    real, calls = scalars._twisted_hook, []
+
+    def bad_hook(field, *args):
+        calls.append(args)
+        value = real(field, *args)
+        return value * field.q if len(calls) == 1 else value
+
+    monkeypatch.setattr(scalars, "_twisted_hook", bad_hook)
+    data = run_json(runner, ["verify", "factorization", "--p", "2",
+                             "--d", "1", "--n", "2"], exit_code=3)
+    assert data["passed"] is False
+    assert data["failures"]
+
+
 @pytest.mark.parametrize("criterion, checker, points_of", [
     ("_criterion_elements", "verify_changing", lambda *args, points: points),
     ("_criterion_scalars", "flam_eigen_oracle", lambda b, pt: [pt]),

@@ -96,11 +96,11 @@ def test_wab_two_line():
 
 
 def test_wab_defining_word():
-    for a, b, k in ((2, 1, 0), (1, 2, 0), (2, 2, 1), (3, 2, 0), (1, 1, 2)):
-        n = a + b + k
-        word = list(range(n - 1, k, -1)) * b
-        assert wab_perm(a, b, k) == perm_from_word(n, word)
-        assert inversions(wab_perm(a, b, k)) == a * b
+    for a, b in ((2, 1), (1, 2), (3, 2)):
+        n = a + b
+        word = list(range(n - 1, 0, -1)) * b
+        assert wab_perm(a, b) == perm_from_word(n, word)
+        assert inversions(wab_perm(a, b)) == a * b
 
 
 def test_wb_examples():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclohecke import cli, decomp
 from cyclohecke.combin import Multipartition, enumerate_all, enumerate_pdb
@@ -25,7 +27,7 @@ from cyclohecke.decomp import (
     split_by_formula,
     splittable_number,
 )
-from cyclohecke.exactnum import CycRat, GenericField, sample_point
+from cyclohecke.exactnum import CycRat, GenericField, eps_pow, sample_point
 from cyclohecke.matrices import mat_mul, mat_solve
 from cyclohecke.scalars import g_lambda
 
@@ -41,6 +43,14 @@ def one_column_table(m, row, col, value, eps_power=None):
     entries = [[i, i, 1] for i in range(len(labels))]
     entries.append([pos[(tuple(row),)], pos[(tuple(col),)], value])
     return DecompTable(1, m, labels, labels, entries, eps_power=eps_power)
+
+
+def twisted_identity_table(m, eps_power):
+    """The identity table over the partitions of m, valid at one twist."""
+    labels = [x.comps for x in enumerate_all(1, 1, m)]
+    entries = [[i, i, 1] for i in range(len(labels))]
+    return DecompTable(1, m, labels, labels, entries, semisimple=True,
+                       eps_power=eps_power)
 
 
 def random_table(rng, s, m):
@@ -141,6 +151,42 @@ def test_table_json_round_trip():
     assert back.to_json() == tab.to_json()
 
 
+@st.composite
+def unitriangular_tables(draw):
+    """A table over some s-multipartitions of m, s <= 2, m <= 3: rows in
+    any order, columns a subset of them, each column's diagonal 1 and
+    entries below it wherever the row dominates the column."""
+    s = draw(st.integers(min_value=1, max_value=2))
+    m = draw(st.integers(min_value=0, max_value=3))
+    rows = draw(st.permutations(list(enumerate_all(1, s, m))))
+    keep = draw(st.lists(st.booleans(), min_size=len(rows),
+                         max_size=len(rows)))
+    cols = [la for la, k in zip(rows, keep) if k]
+    entries = []
+    for a, row in enumerate(rows):
+        for c, col in enumerate(cols):
+            if row == col:
+                entries.append([a, c, 1])
+            elif row.dominates(col):
+                entries.append([a, c, draw(st.integers(0, 3))])
+    eps_power = draw(st.none() | st.integers(min_value=-4, max_value=4))
+    return DecompTable(s, m, [la.comps for la in rows],
+                       [la.comps for la in cols], entries,
+                       eps_power=eps_power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unitriangular_tables())
+def test_table_json_round_trip_property(tab):
+    text = json.dumps(tab.to_json())
+    back = DecompTable.from_json(json.loads(text))
+    assert json.dumps(back.to_json()) == text
+    assert back.eps_power == tab.eps_power
+    for row in tab.rows:
+        for col in tab.cols:
+            assert back.entry(row, col) == tab.entry(row, col)
+
+
 def test_semisimple_table_shape():
     tab = semisimple_table(1, 4)
     assert len(tab.rows) == 5
@@ -168,7 +214,7 @@ def test_d_product_direct():
 def test_d_product_twist_lookup():
     twisted = [
         one_column_table(2, [2], [1, 1], 5, eps_power=1),
-        semisimple_table(1, 2, eps_power=2),
+        twisted_identity_table(2, 2),
         semisimple_table(1, 1),
     ]
     la = mp(2, 1, [[2], [2]])
@@ -209,7 +255,7 @@ def test_orbit_sum_bound():
 
 def twist_matrix(l, p):
     """V(l): the (a, b) entry is eps^((a-1)*b*m), m = p/l, for a, b = 1..l."""
-    zeta = CycRat.zeta(p)
+    zeta = eps_pow(p, 1)
     m = p // l
     return tuple(tuple(zeta ** ((a * b * m) % p) for b in range(1, l + 1))
                  for a in range(l))
@@ -513,7 +559,7 @@ def test_assemble_with_unknown_pair():
     tables = [
         semisimple_table(1, 0),
         semisimple_table(1, 1),
-        semisimple_table(1, 2, eps_power=1),
+        twisted_identity_table(2, 1),
         one_column_table(2, [2], [1, 1], 1, eps_power=2),
         semisimple_table(1, 3),
         semisimple_table(1, 4),

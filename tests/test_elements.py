@@ -43,6 +43,7 @@ from helpers import (
     perm_from_word,
     perm_inv,
     shift_run_word,
+    twisted_word,
     ub_minus_word,
     ub_plus_word,
     ulam_plus_word,
@@ -86,7 +87,7 @@ def test_ll_word_single_factor():
 def test_ll_range_word_counts():
     assert len(ll_range_word(K31, 2, 3, 1, 2)) == 4
     assert len(ll_range_word(K22, 2, 2, 1, 3)) == 6
-    twisted = ll_range_word(K21, 2, 2, 1, 1, twist=1)
+    twisted = twisted_word(K21, ll_range_word(K21, 2, 2, 1, 1), 1)
     assert twisted == ll_word(K21, 3, 1, 1)
 
 
@@ -96,8 +97,6 @@ def test_t_ab_word_is_reduced():
     letters = [i for _, i in word]
     assert perm_from_word(3, letters) == wab_perm(1, 2)
     assert t_ab_word(0, 3) == [] and t_ab_word(3, 0) == []
-    shifted = t_ab_word(1, 1, shift=2)
-    assert shifted == [("T", 3)]
     with pytest.raises(ValueError):
         t_ab_word(-1, 2)
 
@@ -194,7 +193,7 @@ def test_one_step_shift_identity():
         assert element_equal(
             p, d, sum(b),
             lambda f: shift_factor_word(f, b, 1) + vb_word(f, b),
-            lambda f: vb_word(f, rotated, twist=1)
+            lambda f: twisted_word(f, vb_word(f, rotated), 1)
                       + t_ab_word(partial_sum(b, 2, p), b[0])
                       + ll_range_word(f, 2, p, 1, b[0]),
         )

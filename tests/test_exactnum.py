@@ -26,7 +26,7 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 
-from helpers import scalar_from_json, specialize
+from helpers import RatFuncField, scalar_from_json, specialize
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_eps_pow_hom(p, j, k):
 @pytest.mark.parametrize("p, N", [(2, 2), (3, 6), (4, 8), (3, 9)])
 def test_specpoint_eps_pow_matches_powers_of_zeta(p, N):
     pt = SpecPoint(p, N, 2, [3])
-    zeta = CycRat.zeta(N)
+    zeta = eps_pow(N, 1)
     for k in range(-N, 2 * N):
         assert pt.eps_pow(k) == zeta ** ((N // p) * k % N)
     assert pt.embed(eps_pow(p, 1)) == pt.eps_pow(1)
@@ -106,7 +106,7 @@ def test_specpoint_eps_pow_matches_powers_of_zeta(p, N):
 
 def test_zeta_satisfies_cyclotomic():
     for m in (2, 3, 4, 5, 6, 8, 12):
-        z = CycRat.zeta(m)
+        z = eps_pow(m, 1)
         phi = cyclotomic_poly(m)
         acc = CycRat.from_rational(m, 0)
         for c in reversed(phi):
@@ -251,7 +251,7 @@ def test_make_matches_long_division(case):
 @pytest.mark.parametrize("m, N", [(2, 4), (3, 6), (3, 9), (4, 8), (4, 12)])
 def test_embed_is_a_field_embedding(m, N):
     pt = SpecPoint(2 if N % 2 == 0 else 3, N, 2, [3])
-    assert pt.embed(CycRat.zeta(m)) == CycRat.zeta(N) ** (N // m)
+    assert pt.embed(eps_pow(m, 1)) == eps_pow(N, 1) ** (N // m)
     rng = random.Random(m * N)
     deg = len(cyclotomic_poly(m)) - 1
     for _ in range(10):
@@ -263,11 +263,11 @@ def test_embed_is_a_field_embedding(m, N):
 
 def test_cycrat_mixed_order_rejected():
     with pytest.raises(ValueError):
-        CycRat.zeta(3) + CycRat.zeta(4)
+        eps_pow(3, 1) + eps_pow(4, 1)
 
 
 def test_cycrat_rational_detection():
-    z = CycRat.zeta(4)
+    z = eps_pow(4, 1)
     assert not z.is_rational()
     assert (z * z).is_rational()
     assert (z * z).rational_value() == Fraction(-1)
@@ -275,6 +275,35 @@ def test_cycrat_rational_detection():
 
 # ---------------------------------------------------------------------------
 # generic field: Laurent polynomials and rational functions
+
+@pytest.mark.parametrize("p, d", [(1, 1), (2, 1), (3, 2)])
+def test_generic_field_values_are_factored(p, d):
+    K = GenericField(p, d)
+    values = [K.scalar(3), K.scalar(Fraction(-1, 2)), K.zero, K.one,
+              K.eps_pow(1), K.q_power(-2), K.q, K.Q_power(d, 3), K.Q(1)]
+    for value in values:
+        if not isinstance(value, Factored):
+            pytest.fail(f"{value!r} is not Factored")
+        if value.num or value.den:
+            pytest.fail(f"{value!r} is not a unit times a monomial")
+    # a difference of two monomials is one binomial; a sum multiplies out
+    assert isinstance(K.q - K.one, Factored)
+    assert isinstance(K.q + K.one, RatFunc)
+    with pytest.raises(ValueError):
+        K.Q_power(d + 1, 1)
+    with pytest.raises(ValueError):
+        K.scalar(eps_pow(p + 1, 1))
+
+
+def test_generic_field_checks():
+    with pytest.raises(ValueError):
+        GenericField(0, 1)
+    with pytest.raises(ValueError):
+        GenericField(2, 0)
+    assert GenericField(2, 1) == generic_field(2, 1)
+    assert hash(GenericField(2, 1)) == hash(generic_field(2, 1))
+    assert GenericField(2, 1) != GenericField(2, 2)
+    assert repr(GenericField(3, 2)) == "GenericField(p=3, d=2)"
 
 def test_field_ops_examples():
     K = generic_field(2, 1)
@@ -460,7 +489,7 @@ def test_specpoint_json_roundtrip():
 
 def test_specpoint_json_cyclotomic_values():
     # q = zeta_4 inside N = 4: serialized as a coefficient array
-    z = CycRat.zeta(4)
+    z = eps_pow(4, 1)
     pt = SpecPoint(p=2, N=4, q_val=z, Q_vals=(Fraction(3),))
     data = pt.to_json()
     assert isinstance(data["q"][0], list)
@@ -541,10 +570,6 @@ def test_specpoint_validation():
 # ---------------------------------------------------------------------------
 # factored closed-form scalars
 
-def factored_view(p, d):
-    return exactnum._factored_view(GenericField(p, d))
-
-
 def count_expansions(monkeypatch) -> list:
     calls = []
     real = Factored.expand
@@ -558,7 +583,7 @@ def count_expansions(monkeypatch) -> list:
 
 
 def test_factored_binomials_are_lex_positive():
-    V = factored_view(3, 1)
+    V = GenericField(3, 1)
     one = CycRat.from_rational(3, 1)
     # q^-1 - 1 = -q^-1 (q - 1)
     x = V.q_power(-1) - V.one
@@ -574,7 +599,7 @@ def test_factored_binomials_are_lex_positive():
 
 
 def test_factored_equal_multisets_decide_without_expanding(monkeypatch):
-    V = factored_view(2, 2)
+    V = GenericField(2, 2)
     calls = count_expansions(monkeypatch)
     x = V.eps_pow(1) * V.Q_power(1, 1) / V.Q_power(2, 1) - V.one
     a = (V.q - V.one) * x
@@ -587,7 +612,7 @@ def test_factored_equal_multisets_decide_without_expanding(monkeypatch):
 
 def test_factored_fallback_proves_equal_values(monkeypatch):
     # q^2 - 1 = -(q - 1)((-q) - 1): one binomial against two
-    V = factored_view(2, 1)
+    V = GenericField(2, 1)
     lhs = V.q_power(2) - V.one
     rhs = -(V.q - V.one) * (-V.q - V.one)
     assert lhs.num != rhs.num
@@ -597,7 +622,7 @@ def test_factored_fallback_proves_equal_values(monkeypatch):
 
 
 def test_factored_unequal_values_compare_unequal():
-    V = factored_view(2, 1)
+    V = GenericField(2, 1)
     x = V.q - V.one
     assert x != V.q_power(2) - V.one
     assert x != V.eps_pow(1) * x
@@ -607,8 +632,8 @@ def test_factored_unequal_values_compare_unequal():
 
 
 def test_factored_compares_with_ratfunc_both_ways():
-    F = GenericField(2, 1)
-    V = factored_view(2, 1)
+    F = RatFuncField(2, 1)
+    V = GenericField(2, 1)
     x = (V.eps_pow(1) * V.q * V.Q_power(1, 1) - V.one) / (V.q - V.one)
     y = (F.eps_pow(1) * F.q * F.Q(1) - F.one) / (F.q - F.one)
     assert x == y and y == x
@@ -622,8 +647,8 @@ def test_factored_compares_with_ratfunc_both_ways():
 
 
 def test_factored_expands_to_the_multiplied_out_ratfunc():
-    F = GenericField(3, 2)
-    V = factored_view(3, 2)
+    F = RatFuncField(3, 2)
+    V = GenericField(3, 2)
 
     def build(K):
         value = K.eps_pow(2) * K.q_power(-3) * K.Q_power(2, 2)
@@ -640,7 +665,7 @@ def test_factored_expands_to_the_multiplied_out_ratfunc():
 
 
 def test_factored_zero_and_division():
-    V = factored_view(2, 1)
+    V = GenericField(2, 1)
     zero = V.q - V.q
     assert not zero and zero == 0 and zero.expand() == GenericField(2, 1).zero
     with pytest.raises(ZeroDivisionError):

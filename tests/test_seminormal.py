@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from cyclohecke import seminormal
+from cyclohecke.cli import scalar_to_json
 from cyclohecke.combin import Multipartition, enumerate_all
 from cyclohecke.exactnum import (
     GenericField,
     RatFunc,
     SpecPoint,
+    expand,
     generic_field,
     sample_point,
 )
@@ -33,6 +35,8 @@ from cyclohecke.seminormal import (
     mode_fields,
 )
 from cyclohecke.tableau import beta_coeff, content, enumerate_std
+
+from helpers import RatFuncField
 
 
 def mp(p, d, comps):
@@ -81,6 +85,27 @@ def test_relations_symbolic_small():
 def test_relations_symbolic_pair():
     rep = build_rep(mp(2, 1, [(1,), (1,)]), K21)
     assert check_relations(rep) == []
+
+
+@pytest.mark.parametrize("p, d, n", [(2, 1, 3), (2, 2, 2), (1, 2, 3)])
+def test_factored_and_multiplied_out_fields_build_the_same_reps(p, d, n):
+    # GenericField builds Factored values, RatFuncField multiplied-out
+    # RatFuncs: the seminormal entries must print the same
+    factored, multiplied = GenericField(p, d), RatFuncField(p, d)
+    for shape in enumerate_all(p, d, n):
+        a = build_rep(shape, factored)
+        b = build_rep(shape, multiplied)
+        for k in range(1, n + 1):
+            assert [scalar_to_json(x) for x in a.l_diagonal(k)] \
+                == [scalar_to_json(x) for x in b.l_diagonal(k)], (shape, k)
+        for i in range(1, n):
+            for inverse in (False, True):
+                assert [[(j, scalar_to_json(x)) for j, x in row]
+                        for row in a.t_rows(i, inverse)] \
+                    == [[(j, scalar_to_json(x)) for j, x in row]
+                        for row in b.t_rows(i, inverse)], (shape, i, inverse)
+        assert check_relations(a) == []
+        assert check_relations(b) == []
 
 
 def test_relations_at_points():
@@ -254,7 +279,9 @@ def _random_word(rng, field, n, length, depth):
 
 
 def _form(x):
-    """The stored representation of a scalar, not just its value."""
+    """The stored representation of a scalar, not just its value; a
+    Factored one multiplied out, as it is printed."""
+    x = expand(x)
     if isinstance(x, RatFunc):
         return (x.num.terms, x.den.terms)
     return (x.nums, x.den)
