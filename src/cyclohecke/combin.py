@@ -4,6 +4,11 @@ All values are immutable tuples.  A multipartition carries its (p, d)
 context explicitly: the same r-tuple of partitions means different things
 for different factorizations r = p*d, so the context is never inferred.
 
+A multipartition derives its composition and its orbit order under the
+block shift once, on first use, and keeps them.  Values derived from a
+validated multipartition (its shifts, its orbit slice) are built without
+checking their parts again; the public constructor checks everything.
+
 Permutations are tuples ``img`` with ``img[i-1]`` the image of i, and
 words act left to right: ``(i)(uv) = ((i)u)v``.
 """
@@ -163,9 +168,10 @@ def compositions(n: int, p: int):
 class Multipartition:
     """An r-tuple of partitions with explicit (p, d) context, r = p*d."""
 
-    __slots__ = ("p", "d", "comps")
+    __slots__ = ("p", "d", "comps", "_composition", "_orbit_order")
 
     def __init__(self, p: int, d: int, comps):
+        _int_parts((p, d), "(p, d) context")
         if p < 1 or d < 1:
             raise ValueError("need p >= 1 and d >= 1")
         comps = tuple(check_partition(c) for c in comps)
@@ -177,6 +183,19 @@ class Multipartition:
         self.p = p
         self.d = d
         self.comps = comps
+        self._composition = None
+        self._orbit_order = None
+
+    @classmethod
+    def _derived(cls, p: int, d: int, comps: tuple) -> "Multipartition":
+        """A value made from the parts of a validated one, not rechecked."""
+        out = object.__new__(cls)
+        out.p = p
+        out.d = d
+        out.comps = comps
+        out._composition = None
+        out._orbit_order = None
+        return out
 
     @property
     def r(self) -> int:
@@ -201,23 +220,33 @@ class Multipartition:
 
     def composition(self) -> tuple:
         """Block sizes (|block 1|, ..., |block p|)."""
-        return tuple(sum(sum(c) for c in blk) for blk in self.blocks())
+        if self._composition is None:
+            self._composition = tuple(
+                sum(sum(c) for c in blk) for blk in self.blocks())
+        return self._composition
 
     def shift(self, k: int) -> "Multipartition":
         """Cyclic block shift: block t of the result is block t+k of self."""
-        ordered = []
-        for t in range(1, self.p + 1):
-            ordered.extend(self.block(t + k))
-        return Multipartition(self.p, self.d, ordered)
+        k %= self.p
+        cut = self.d * k
+        out = Multipartition._derived(
+            self.p, self.d, self.comps[cut:] + self.comps[:cut])
+        # a shift rotates the composition and keeps the orbit order
+        if self._composition is not None:
+            out._composition = self._composition[k:] + self._composition[:k]
+        out._orbit_order = self._orbit_order
+        return out
 
     def orbit_order(self) -> tuple:
         """(o, p/o) with o the least positive block shift fixing self."""
-        return _rotation_order(self.blocks())
+        if self._orbit_order is None:
+            self._orbit_order = _rotation_order(self.blocks())
+        return self._orbit_order
 
     def orbit_slice(self) -> "Multipartition":
         """The first o blocks, which repeat to give the whole tuple."""
         o, _ = self.orbit_order()
-        return Multipartition(o, self.d, self.comps[: o * self.d])
+        return Multipartition._derived(o, self.d, self.comps[: o * self.d])
 
     def dominates(self, other: "Multipartition") -> bool:
         if (self.p, self.d) != (other.p, other.d):

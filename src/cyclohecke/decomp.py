@@ -68,9 +68,13 @@ class DecompTable:
                  semisimple: bool = False, eps_power=None):
         if s < 1 or m < 0:
             raise InputDataError(f"bad table shape: s={s}, m={m}")
+        if eps_power is not None and (
+                not isinstance(eps_power, int) or isinstance(eps_power, bool)):
+            raise InputDataError(
+                f"eps_power must be an integer or null, got {eps_power!r}")
         self.s = s
         self.m = m
-        self.eps_power = None if eps_power is None else int(eps_power)
+        self.eps_power = eps_power
         self.rows = tuple(self._label(x) for x in rows)
         self.cols = tuple(self._label(x) for x in cols)
         self._row_pos = {lab: i for i, lab in enumerate(self.rows)}
@@ -126,8 +130,10 @@ class DecompTable:
                     raise InputDataError("semisimple table must be the identity")
 
     def entry(self, row_label, col_label) -> int:
-        row = self._label(row_label)
-        col = self._label(col_label)
+        return self._entry(self._label(row_label), self._label(col_label))
+
+    def _entry(self, row: tuple, col: tuple) -> int:
+        """The entry at two labels already checked as component tuples."""
         ri = self._row_pos.get(row)
         if ri is None:
             raise UnknownLabelError(f"unknown row label {row!r}")
@@ -201,7 +207,7 @@ def d_product(la: Multipartition, mu: Multipartition, m: int, tables) -> int:
     out = 1
     for i in range(1, m + 1):
         tab = _find_table(tables, la.d, b[i - 1], i, la.p)
-        out *= tab.entry(la.block(i), mu.block(i))
+        out *= tab._entry(la.block(i), mu.block(i))
     return out
 
 
@@ -438,9 +444,11 @@ def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
 
 def cyclic_reindex(result: SplitResult, i: int, j: int) -> Fraction:
     """[S^la_i : D^mu_j] read off a SplitResult; only j - i matters."""
-    c = (j - i) % result.split or result.split
-    values = result.values
-    return values[c - 1]
+    l = result.split
+    if not (1 <= i <= l and 1 <= j <= l):
+        raise ValueError(f"summand labels out of range: i={i}, j={j}")
+    c = (j - i) % l or l
+    return result.values[c - 1]
 
 
 # --- matrix assembly ------------------------------------------------------
@@ -477,12 +485,14 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
 
     Rows run over (la class representative, i = 1..p_la) for all la of
     size n, columns over (mu, j) for the supplied simple labels, both
-    sorted most dominant first.  Splittable entries are computed by
-    the closed-form twist solve, pairs whose orbit sum vanishes are zero,
-    and the rest become named unknowns; when the twist relations apply
-    their residue-class sums are attached as integer linear forms.  g
-    ratios are evaluated at the given specialization point, or
-    symbolically when none is supplied.
+    sorted most dominant first.  Only pairs of representatives with equal
+    composition can have a nonzero entry, so only those are visited, each
+    row against its columns in column order.  Splittable entries are
+    computed by the closed-form twist solve, pairs whose orbit sum
+    vanishes are zero, and the rest become named unknowns; when the twist
+    relations apply their residue-class sums are attached as integer
+    linear forms.  g ratios are evaluated at the given specialization
+    point, or symbolically when none is supplied.
     """
     if p < 1 or r % p:
         raise ValueError(f"p must divide r, got r={r}, p={p}")
@@ -523,15 +533,17 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             g_cache[shape] = g_lambda(shape, shape.composition(), field)
         return g_cache[shape]
 
+    cols_by_composition = {}
+    for mu in col_reps:
+        cols_by_composition.setdefault(mu.composition(), []).append(mu)
+
     for la in row_reps:
-        for mu in col_reps:
+        for mu in cols_by_composition.get(la.composition(), ()):
             _, p_la = la.orbit_order()
             _, p_mu = mu.orbit_order()
             if la == mu:
                 for i in range(1, p_la + 1):
                     entries[row_pos[la, i], col_pos[mu, i]] = 1
-                continue
-            if la.composition() != mu.composition():
                 continue
             if not la.dominates(mu):
                 continue

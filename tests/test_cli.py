@@ -331,6 +331,26 @@ def test_splittable_rejects_boolean_table_entry(runner, tmp_path):
     assert "True" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["splittable", "assemble"])
+def test_non_integer_eps_power_exits_4(runner, tmp_path, command):
+    tables = write_tables(runner, tmp_path, ["--s", "1", "--n", "2"])
+    with open(tables) as fh:
+        data = json.load(fh)
+    data["tables"][1]["params"] = {"eps_power": 1.5}
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(data))
+    args = ["--p", "2", "--d", "1", "--tables", str(path)]
+    if command == "splittable":
+        args += ["--lambda", "[[1],[1]]", "--mu", "[[1],[1]]"]
+    else:
+        args += ["--n", "2", "--klesh", write_klesh(tmp_path, 2, 1, 2)]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 4, result.output
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input-data"
+    assert "eps_power" in error["message"]
+
+
 def test_splittable_rejects_boolean_table_label(runner, tmp_path):
     path = tmp_path / "bool_label.json"
     path.write_text(json.dumps({"tables": [

@@ -317,3 +317,54 @@ def test_multipartition_validation():
         mp(2, 1, [(1,)])
     with pytest.raises(ValueError):
         mp(2, 1, [(1, 2), ()])
+
+
+@pytest.mark.parametrize("p, d", [(2.0, 1), (2, 1.0), (True, 1), (1, True),
+                                  ("2", 1)])
+def test_multipartition_context_must_be_int(p, d):
+    with pytest.raises(ValueError, match="must be integers"):
+        Multipartition(p, d, [(1,), (1,)])
+
+
+@st.composite
+def small_multipartitions(draw):
+    """A (p, d) multipartition with p <= 4, d <= 2 and size <= 5."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.integers(min_value=0, max_value=5))
+    return draw(st.sampled_from(enumerate_all(p, d, n)))
+
+
+def _recomputed(p, d, comps):
+    """Composition, orbit order and orbit slice components from comps."""
+    blocks = [comps[d * t: d * (t + 1)] for t in range(p)]
+    comp = tuple(sum(sum(c) for c in blk) for blk in blocks)
+    o = next(o for o in range(1, p + 1)
+             if p % o == 0 and blocks[o:] + blocks[:o] == blocks)
+    return comp, (o, p // o), comps[: o * d]
+
+
+@given(small_multipartitions())
+def test_cached_facts_match_recomputation(la):
+    p, d = la.p, la.d
+    comp, order, head = _recomputed(p, d, la.comps)
+    # the first round shifts a value with an empty cache; its last checks
+    # fill that cache, which the shifts of the second round inherit
+    for _ in range(2):
+        for k in range(p + 1):
+            cut = d * (k % p)
+            comps = la.comps[cut:] + la.comps[:cut]
+            checked = Multipartition(p, d, comps)
+            shifted = la.shift(k)
+            assert shifted == checked and hash(shifted) == hash(checked)
+            assert shifted.sort_key() == checked.sort_key()
+            want = _recomputed(p, d, comps)
+            for value in (shifted, checked):
+                # the second answer comes from the cache
+                for _ in range(2):
+                    assert value.composition() == want[0]
+                    assert value.orbit_order() == want[1]
+                    assert value.orbit_slice() == Multipartition(
+                        want[1][0], d, want[2])
+        assert (la.composition(), la.orbit_order()) == (comp, order)
+        assert la.orbit_slice().comps == head

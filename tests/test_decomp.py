@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from random import Random
@@ -140,6 +141,16 @@ def test_table_entry_lookup():
         partial.entry([[2]], [[1, 1]])
 
 
+@pytest.mark.parametrize("eps_power", [1.5, 1.0, True, "1"])
+def test_table_rejects_non_integer_eps_power(eps_power):
+    with pytest.raises(InputDataError, match="eps_power"):
+        one_column_table(2, [2], [1, 1], 3, eps_power=eps_power)
+    data = one_column_table(2, [2], [1, 1], 3).to_json()
+    data["params"] = {"eps_power": eps_power}
+    with pytest.raises(InputDataError, match="eps_power"):
+        DecompTable.from_json(data)
+
+
 def test_table_json_round_trip():
     tab = one_column_table(2, [2], [1, 1], 3, eps_power=1)
     back = DecompTable.from_json(tab.to_json())
@@ -225,6 +236,13 @@ def test_d_product_twist_lookup():
     with pytest.raises(InputDataError):
         d_product(mp(2, 1, [[1], [2]]), mp(2, 1, [[1], [1, 1]]), 2,
                   [semisimple_table(1, 2)])
+    partial = DecompTable(1, 2, [[[2]]], [[[2]]], [[0, 0, 1]])
+    with pytest.raises(UnknownLabelError):
+        d_product(mp(2, 1, [[2], [2]]), mp(2, 1, [[1, 1], [1, 1]]), 1,
+                  [partial])
+    with pytest.raises(UnknownLabelError):
+        d_product(mp(2, 1, [[1, 1], [1, 1]]), mp(2, 1, [[2], [2]]), 1,
+                  [partial])
 
 
 def test_d_product_validates_arguments():
@@ -405,6 +423,9 @@ def test_cyclic_reindex():
     assert cyclic_reindex(result, 1, 2) == 7
     assert cyclic_reindex(result, 2, 1) == 8
     assert cyclic_reindex(result, 2, 3) == cyclic_reindex(result, 1, 2)
+    for i, j in ((0, 1), (1, 0), (4, 1), (1, 4), (0, 7)):
+        with pytest.raises(ValueError, match="out of range"):
+            cyclic_reindex(result, i, j)
 
 
 def test_reduce_result():
@@ -604,6 +625,68 @@ def test_assemble_with_unknown_pair():
                         {"unknown": "u1.1"}, {"unknown": "u1.1"}]
     plain = [v for _, _, v in out["entries"] if not isinstance(v, dict)]
     assert plain == [1] * 13
+
+
+# First 16 hex digits of the sha256 over the outputs of assemble_matrix on
+# three seeded draws of random tables per (d, p, n) cell, symbolically and
+# at a sampled point, with and without char=3: each output as
+# json.dumps(..., sort_keys=True), each refusal as its type and message.
+# Recorded when assembly still visited every pair of representatives; at
+# (1, 2, 4) the third draw is refused in both modes.
+ASSEMBLY_DIGESTS = {
+    (1, 2, 3): "431b29828c87580b",
+    (1, 3, 4): "d7b61a3cb3ec1ebe",
+    (2, 2, 3): "d7498799172cc19c",
+    (1, 2, 4): "b67809486bfba402",
+}
+
+
+@pytest.mark.parametrize("d, p, n", sorted(ASSEMBLY_DIGESTS))
+def test_assemble_output_is_pinned(d, p, n):
+    digest = hashlib.sha256()
+    for draw in range(3):
+        rng = Random(1000 * draw + 100 * d + 10 * p + n)
+        tables = all_tables(p, d, n, semisimple=False, rng=rng)
+        point = sample_point(p, d, n, rng)
+        klesh = enumerate_all(p, d, n)
+        for char in (None, 3):
+            for field in (None, point):
+                try:
+                    out = assemble_matrix(p * d, p, n, tables, klesh,
+                                          char=char, point=field)
+                    text = json.dumps(out, sort_keys=True)
+                except InputDataError as exc:
+                    text = f"refused: {type(exc).__name__}: {exc}"
+                digest.update(text.encode())
+    assert digest.hexdigest()[:16] == ASSEMBLY_DIGESTS[d, p, n]
+
+
+def test_assemble_numbers_unknowns_in_column_order():
+    # The size-3 table is the identity at twist 1 and sends (3) to (2,1)
+    # and (1,1,1) at twist 2, so the row ((3),(3)) meets two unsplittable
+    # columns of its composition; they are numbered in column order.
+    labels = [x.comps for x in enumerate_all(1, 1, 3)]
+    pos = {lab: i for i, lab in enumerate(labels)}
+    entries = [[i, i, 1] for i in range(len(labels))]
+    top = pos[((3,),)]
+    entries += [[top, pos[((2, 1),)], 2], [top, pos[((1, 1, 1),)], 1]]
+    tables = [semisimple_table(1, m) for m in range(7) if m != 3]
+    tables += [twisted_identity_table(3, 1),
+               DecompTable(1, 3, labels, labels, entries, eps_power=2)]
+    out = assemble_matrix(2, 2, 6, tables, enumerate_all(2, 1, 6))
+    pairs = [(u["lambda"], u["mu"]) for u in out["unknowns"]]
+    assert pairs == [
+        ([[3], [3]], [[2, 1], [3]]),
+        ([[3], [3]], [[1, 1, 1], [3]]),
+        ([[2, 1], [3]], [[2, 1], [2, 1]]),
+        ([[1, 1, 1], [3]], [[1, 1, 1], [1, 1, 1]]),
+    ]
+    cols = [lab for lab, _ in out["cols"]]
+    assert cols.index([[2, 1], [3]]) < cols.index([[1, 1, 1], [3]])
+    assert [u["relations"] for u in out["unknowns"]][2:] == [
+        [{"terms": [[1, "d2.1"], [1, "d2.2"]], "rhs": 4}],
+        [{"terms": [[1, "d3.1"], [1, "d3.2"]], "rhs": 2}],
+    ]
 
 
 def test_assemble_round_trip_labels():
