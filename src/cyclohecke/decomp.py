@@ -66,6 +66,10 @@ class DecompTable:
 
     def __init__(self, s: int, m: int, rows, cols, entries,
                  semisimple: bool = False, eps_power=None):
+        for name, value in (("s", s), ("m", m)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputDataError(
+                    f"{name} must be an integer, got {value!r}")
         if s < 1 or m < 0:
             raise InputDataError(f"bad table shape: s={s}, m={m}")
         if eps_power is not None and (

@@ -911,12 +911,12 @@ class SpecPoint:
         return self.q_val
 
     def Q_power(self, i: int, k: int) -> CycRat:
-        if not 1 <= i <= self.d:
-            raise ValueError(f"Q_{i} out of range for d={self.d}")
-        return self.Q_vals[i - 1] ** k
+        return self.Q(i) ** k
 
     def Q(self, i: int) -> CycRat:
-        return self.Q_power(i, 1)
+        if not 1 <= i <= self.d:
+            raise ValueError(f"Q_{i} out of range for d={self.d}")
+        return self.Q_vals[i - 1]
 
     def embed(self, c: CycRat) -> CycRat:
         """Embed Q(zeta_m) into Q(zeta_N) for m | N via zeta_m -> zeta_N^(N/m)."""

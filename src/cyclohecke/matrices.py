@@ -13,9 +13,9 @@ def mat_identity(n: int, field) -> tuple:
     )
 
 
-def mat_diag(entries) -> tuple:
+def mat_diag(entries, zero) -> tuple:
+    """The diagonal matrix with the given entries, `zero` off the diagonal."""
     entries = list(entries)
-    zero = entries[0] * 0 if entries else None
     n = len(entries)
     return tuple(
         tuple(entries[i] if i == j else zero for j in range(n))

@@ -60,13 +60,18 @@ class SeminormalRep:
         self.field = field
         self.basis = enumerate_std(shape)
         self.dim = len(self.basis)
-        self.index = {s: a for a, s in enumerate(self.basis)}
+        index = {s: a for a, s in enumerate(self.basis)}
         self.n = shape.size
 
         self.ldiag = [
             tuple(content(s, k, field) for s in self.basis)
             for k in range(1, self.n + 1)
         ]
+        # ladder diagonals L_k - eps^s Q_i, filled by ladder_diagonal;
+        # none over the generic field, whose Factored roots do not hash
+        self._parameters = (None if field.is_generic
+                            else _parameter_set(field))
+        self._ladders = {}
 
         # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
         # with i and i+1 swapped when that one is standard; zeros dropped
@@ -78,7 +83,7 @@ class SeminormalRep:
                 row = [(a, bc)]
                 t = s.swap(i)
                 if t.is_standard():
-                    row.append((self.index[t], field.one + bc))
+                    row.append((index[t], field.one + bc))
                 rows.append(tuple((j, x) for j, x in row if x))
             self.trows[i] = tuple(rows)
 
@@ -98,6 +103,35 @@ class SeminormalRep:
         if not 1 <= k <= self.n:
             raise ValueError(f"L_{k} out of range for n={self.n}")
         return self.ldiag[k - 1]
+
+    def ladder_diagonal(self, k: int, token) -> tuple:
+        """The diagonal of the ladder factor L_k - root, root read from the
+        scalar token.
+
+        At a point, a CycRat token of the point's conductor equal to one
+        of the p*d cyclotomic parameters eps^s Q_i is the root of every
+        ladder the package builds; its diagonal is kept after the first
+        use, so a rep holds at most n*p*d of them, and each entry is
+        interned per point (`_ladder_entry`).  Any other root, and every
+        root over the generic field, is subtracted afresh.  The memo
+        reads `ldiag` once, so the contents must not change after the
+        first ladder.
+        """
+        memo = (self._parameters is not None and type(token) is CycRat
+                and token.order == self.field.N)
+        if memo:
+            # keyed by the integer form, which hashes and compares
+            # without going through CycRat
+            key = (k, token.nums, token.den)
+            diag = self._ladders.get(key)
+            if diag is not None:
+                return diag
+        root = _scalar_token(self.field, token)
+        if not memo or key[1:] not in self._parameters:
+            return tuple(c - root for c in self.l_diagonal(k))
+        diag = self._ladders[key] = tuple(
+            _ladder_entry(self.field, c, root) for c in self.l_diagonal(k))
+        return diag
 
     def t0_inverse_diagonal(self) -> tuple:
         """The diagonal of T_0^-1 = L_1^-1: the inverted first contents."""
@@ -126,6 +160,23 @@ class SeminormalRep:
 # reps are keyed by sampled points, so the cache is bounded; one pass of
 # the random-mode checks over a (p, d, n) grid touches a few hundred
 REP_CACHE_SIZE = 1024
+
+# a point has at most p*d*(2n - 1) contents and p*d parameters, so a few
+# hundred ladder entries; the memo holds those of some dozens of points
+LADDER_ENTRY_CACHE_SIZE = 16384
+
+
+@lru_cache(maxsize=REP_CACHE_SIZE)
+def _parameter_set(field) -> frozenset:
+    """The cyclotomic parameters eps^s Q_i of a point, each as the pair
+    (nums, den) of its CycRat."""
+    return frozenset((rho.nums, rho.den) for rho in cyclotomic_params(field))
+
+
+@lru_cache(maxsize=LADDER_ENTRY_CACHE_SIZE)
+def _ladder_entry(field, c, root):
+    """c - root, one object per point for equal contents and roots."""
+    return c - root
 
 
 @lru_cache(maxsize=REP_CACHE_SIZE)
@@ -181,9 +232,11 @@ def _scalar_token(field, value):
     raise TypeError(f"cannot read scalar token {value!r}")
 
 
-def _times_diagonal(acc, diag) -> tuple:
+def _times_diagonal(acc, diag, field) -> tuple:
     """acc times the diagonal matrix diag; acc None stands for the identity."""
-    return mat_diag(diag) if acc is None else mat_scale_cols(acc, diag)
+    if acc is None:
+        return mat_diag(diag, field.zero)
+    return mat_scale_cols(acc, diag)
 
 
 def _from_rows(rows, zero) -> tuple:
@@ -214,6 +267,14 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       diagonal, n multiplies per factor, which is applied to the product
       once, as a column scaling (at most n^2 multiplies, none for zero
       entries), when the next other factor comes or the word ends.
+    * A ladder costs n subtractions the first time.  At a point, when
+      the root is a CycRat of the point's conductor equal to a cyclotomic
+      parameter eps^s Q_i (the root of every ladder the element words
+      build), its diagonal is kept on the rep and later uses cost one
+      dict lookup; the memo holds at most n_L * p * d diagonals for
+      L_1..L_{n_L} (`SeminormalRep.ladder_diagonal`).  Other roots, and
+      every root over the generic field, pay the n subtractions each
+      time.
     * ``("sum", [w1, w2, ...])``: the sum of the words w1, w2, ..., each
       evaluated densely and summed, then applied by a dense product
       (n^3 multiplies at most).  The quadratic relations of
@@ -228,8 +289,7 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         if tag == "L":
             factor = rep.l_diagonal(item[1])
         elif tag == "ladder":
-            root = _scalar_token(field, item[2])
-            factor = [c - root for c in rep.l_diagonal(item[1])]
+            factor = rep.ladder_diagonal(item[1], item[2])
         elif tag == "scal":
             factor = [_scalar_token(field, item[1])] * rep.dim
         elif tag == "T" and item[1] == 0:
@@ -243,7 +303,7 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
                 x * y if x else x for x, y in zip(diag, factor)]
             continue
         if diag is not None:
-            acc, diag = _times_diagonal(acc, diag), None
+            acc, diag = _times_diagonal(acc, diag, field), None
         if tag in ("T", "Tinv"):
             rows = rep.t_rows(item[1], tag == "Tinv")
             acc = _from_rows(rows, field.zero) if acc is None \
@@ -259,7 +319,7 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         else:
             raise ValueError(f"unknown word token {tag!r}")
     if diag is not None:
-        acc = _times_diagonal(acc, diag)
+        acc = _times_diagonal(acc, diag, field)
     return rep.identity() if acc is None else acc
 
 

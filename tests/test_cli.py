@@ -438,6 +438,27 @@ def test_reduce_mod_rejects_non_integral(runner, tmp_path):
     assert json.loads(result.output)["error"]["kind"] == "input-data"
 
 
+@pytest.mark.parametrize("m", [2.0, "2"])
+@pytest.mark.parametrize("command", ["splittable", "assemble"])
+def test_non_integer_table_size_exits_4(runner, tmp_path, command, m):
+    tables = write_tables(runner, tmp_path, ["--s", "1", "--n", "2"])
+    with open(tables) as fh:
+        data = json.load(fh)
+    data["tables"][1]["m"] = m
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    args = ["--p", "2", "--d", "1", "--tables", str(path)]
+    if command == "splittable":
+        args += ["--lambda", "[[1],[1]]", "--mu", "[[1],[1]]"]
+    else:
+        args += ["--n", "2", "--klesh", write_klesh(tmp_path, 2, 1, 2)]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 4, result.output
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input-data"
+    assert "m must be an integer" in error["message"]
+
+
 def test_reduce_mod_rejects_composite_char(runner, tmp_path):
     mat = tmp_path / "mat.json"
     mat.write_text(json.dumps({"entries": [], "unknowns": []}))
@@ -454,6 +475,13 @@ def test_fixtures_unknown_suite(runner):
     result = runner.invoke(main, ["fixtures", "--suite", "nightly"])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"]["kind"] == "validation"
+
+
+def test_fixtures_quick_passes(runner):
+    data = run_json(runner, ["fixtures", "--suite", "quick"])
+    assert data["passed"] is True
+    assert data["results"]
+    assert all(r["passed"] is True for r in data["results"]), data["results"]
 
 
 def test_fixtures_records_typed_errors_per_criterion(runner, monkeypatch):

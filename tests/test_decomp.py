@@ -117,6 +117,18 @@ def test_table_rejects_boolean_entries():
         DecompTable(1, 1, [[[1]]], [[[1]]], [[0, 0, True]])
 
 
+@pytest.mark.parametrize("m", [2.0, "2", True, None])
+def test_table_rejects_non_integer_m(m):
+    labels = [[[2]], [[1, 1]]]
+    good = [[0, 0, 1], [1, 1, 1]]
+    with pytest.raises(InputDataError, match="m must be an integer"):
+        DecompTable(1, m, labels, labels, good)
+    data = DecompTable(1, 2, labels, labels, good).to_json()
+    data["m"] = m
+    with pytest.raises(InputDataError, match="m must be an integer"):
+        DecompTable.from_json(data)
+
+
 def test_table_semisimple_flag_enforced():
     labels = [[[2]], [[1, 1]]]
     with pytest.raises(InputDataError):

@@ -63,7 +63,8 @@ def test_l1_diagonal_of_contents():
     e1Q = K21.eps_pow(1) * K21.Q(1)
     e2Q = K21.eps_pow(2) * K21.Q(1)
     assert rep.l_diagonal(1) == (e1Q, e2Q)
-    assert mat_eq(eval_word(rep, [("T", 0)]), mat_diag([e1Q, e2Q]))
+    assert mat_eq(eval_word(rep, [("T", 0)]),
+                  mat_diag([e1Q, e2Q], K21.zero))
     for k in (1, 2):
         for a, s in enumerate(rep.basis):
             assert rep.l_diagonal(k)[a] == content(s, k, K21)
@@ -123,6 +124,20 @@ def test_corrupted_t0_fails_cyclotomic():
     corrupt.ldiag[0] = tuple(c + K21.one for c in base.ldiag[0])
     report = check_relations(corrupt)
     assert any("cyclotomic" in line for line in report)
+
+
+def test_corrupted_t0_fails_cyclotomic_at_a_point():
+    # the cyclotomic relation is a word of ladder tokens, so at a point it
+    # goes through the ladder memo of the corrupted rep
+    pt = sample_point(2, 1, 2, random.Random(9))
+    base = build_rep(mp(2, 1, [(1,), (1,)]), pt)
+    assert check_relations(base) == []
+    corrupt = SeminormalRep(base.shape, base.field)
+    corrupt.ldiag = list(base.ldiag)
+    corrupt.ldiag[0] = tuple(c + pt.one for c in base.ldiag[0])
+    report = check_relations(corrupt)
+    assert any("cyclotomic" in line for line in report)
+    assert corrupt._ladders
 
 
 def test_corrupted_t1_row_fails_quadratic():
@@ -208,7 +223,7 @@ def _contents(rep, k):
 def _dense_t(rep, i):
     """T_i straight from the seminormal formulas, independent of the rep."""
     if i == 0:
-        return mat_diag(_contents(rep, 1))
+        return mat_diag(_contents(rep, 1), rep.field.zero)
     field, basis = rep.field, enumerate_std(rep.shape)
     rows = []
     for s in basis:
@@ -228,16 +243,17 @@ def _dense_factor(rep, item):
     if tag == "T":
         return _dense_t(rep, item[1])
     if tag == "Tinv" and item[1] == 0:
-        return mat_diag([c.inverse() for c in _contents(rep, 1)])
+        return mat_diag([c.inverse() for c in _contents(rep, 1)],
+                        field.zero)
     if tag == "Tinv":
         # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
         shifted = mat_add(_dense_t(rep, item[1]),
                           mat_scale(field.one - field.q, ident))
         return mat_scale(field.q_power(-1), shifted)
     if tag == "L":
-        return mat_diag(_contents(rep, item[1]))
+        return mat_diag(_contents(rep, item[1]), field.zero)
     if tag == "ladder":
-        return mat_add(mat_diag(_contents(rep, item[1])),
+        return mat_add(mat_diag(_contents(rep, item[1]), field.zero),
                        mat_scale(-item[2], ident))
     if tag == "scal":
         return mat_scale(field.scalar(item[1]), ident)
@@ -317,6 +333,66 @@ def test_eval_word_matches_dense_reference(field, n, count):
                 == [[_form(x) for x in row] for row in expect]
 
 
+@pytest.mark.parametrize("p, d, n, seed", [
+    (2, 1, 3, 21), (3, 1, 3, 22), (2, 2, 3, 23),
+])
+def test_memoized_ladders_match_dense_reference(p, d, n, seed):
+    rng = random.Random(seed)
+    field = sample_point(p, d, n, rng)
+    for shape in enumerate_all(p, d, n):
+        rep = SeminormalRep(shape, field)
+        for _ in range(3):
+            word = _random_word(rng, field, n, rng.randint(1, 6), 1)
+            # parameter roots built afresh each time, as the element
+            # words build them, so they reach the memo by value
+            word += [("ladder", rng.randint(1, n),
+                      field.eps_pow(rng.randint(1, p))
+                      * field.Q(rng.randint(1, d)))
+                     for _ in range(4)]
+            rng.shuffle(word)
+            expect = _dense_word(rep, word)
+            first = eval_word(rep, word)
+            second = eval_word(rep, word)
+            assert mat_eq(first, expect), (shape, word)
+            assert [[_form(x) for x in row] for row in second] \
+                == [[_form(x) for x in row] for row in expect]
+        assert 0 < len(rep._ladders) <= n * p * d
+
+
+def test_ladder_memo_keeps_only_parameter_roots():
+    p, d, n = 2, 2, 3
+    field = sample_point(p, d, n, random.Random(24))
+    params = set(cyclotomic_params(field))
+    rep = SeminormalRep(mp(p, d, [(2,), (1,), (), ()]), field)
+    # the parameters are integers, these roots are not
+    roots = [field.scalar(Fraction(2 * j + 1, 2)) for j in range(1000)]
+    assert not params.intersection(roots)
+    entries = seminormal._ladder_entry.cache_info().currsize
+    for j, root in enumerate(roots):
+        k = 1 + j % n
+        got = eval_word(rep, [("ladder", k, root)])
+        assert mat_eq(got, mat_diag([c - root for c in rep.l_diagonal(k)],
+                                    field.zero))
+    assert rep._ladders == {}
+    assert seminormal._ladder_entry.cache_info().currsize == entries
+    for k in range(1, n + 1):
+        for rho in params:
+            eval_word(rep, [("ladder", k, rho)])
+    assert len(rep._ladders) == n * p * d
+
+
+def test_ladder_memo_does_not_read_booleans_as_roots():
+    # Q_1 = 1 makes 1 a parameter, so its ladder is kept; True equals 1
+    # and hashes like it, and must still be refused
+    field = SpecPoint(2, 2, 3, [1])
+    rep = SeminormalRep(mp(2, 1, [(1,), (1,)]), field)
+    for root in (1, field.one):
+        eval_word(rep, [("ladder", 1, root)])
+    assert len(rep._ladders) == 1
+    with pytest.raises(TypeError, match="boolean"):
+        eval_word(rep, [("ladder", 1, True)])
+
+
 def test_sparse_products_match_mat_mul():
     A = ((Fraction(1), Fraction(0), Fraction(2)),
          (Fraction(0), Fraction(0), Fraction(0)),
@@ -329,7 +405,7 @@ def test_sparse_products_match_mat_mul():
             ((2, Fraction(3)),))
     assert mat_mul_sparse(A, rows) == mat_mul(A, B)
     d = (Fraction(2), Fraction(0), Fraction(-1, 3))
-    assert mat_scale_cols(A, d) == mat_mul(A, mat_diag(d))
+    assert mat_scale_cols(A, d) == mat_mul(A, mat_diag(d, Fraction(0)))
     with pytest.raises(ValueError):
         mat_mul_sparse(A, rows[:2])
     with pytest.raises(ValueError):

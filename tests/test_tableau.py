@@ -98,6 +98,23 @@ def test_content_examples():
     assert content(col, 2, K) == content(col, 1, K) / K.q
 
 
+def test_contents_shared_across_modules_at_a_point():
+    pt = SpecPoint(3, 3, Fraction(5), [Fraction(7), Fraction(11)])
+    seen = {}
+    for shape in enumerate_all(3, 2, 3):
+        for s in enumerate_std(shape):
+            for k in range(1, 4):
+                value = content(s, k, pt)
+                e, h, c = content_exponents(s, k)
+                assert value == pt.eps_pow(e) * pt.q_power(h) * pt.Q(c)
+                # one object per (point, exponents), whatever the module
+                assert seen.setdefault((e, h, c), value) is value
+    # an equal point built separately reads the same memo entries
+    twin = SpecPoint(3, 3, Fraction(5), [Fraction(7), Fraction(11)])
+    t = superstandard(mp(3, 2, [(1,), (), (), (), (), ()]))
+    assert content(t, 1, twin) is seen[content_exponents(t, 1)]
+
+
 def test_content_vectors_distinguish_tableaux():
     for p, d, nmax in ((2, 1, 4), (3, 1, 4), (4, 1, 3), (2, 2, 3)):
         for n in range(1, nmax + 1):
