@@ -31,7 +31,7 @@ from .combin import (
     wab_perm,
     wb_perm,
 )
-from .matrices import mat_eq, mat_is_zero, mat_mul, mat_rank, mat_scale
+from .matrices import mat_is_zero, mat_mul_sparse, mat_rank, mat_rows
 from .scalars import schur_element
 from .seminormal import (
     build_rep,
@@ -251,21 +251,17 @@ def flam_eigen_oracle(b, field) -> dict:
                     f"v_b does not annihilate the module of shape {shape!r}"
                 )
             continue
-        vtb = mat_mul(vmat, eval_word(rep, tb))
-        prod = mat_mul(vtb, vmat)
-        scalar = None
-        for row_v, row_p in zip(vmat, prod):
-            for x, y in zip(row_v, row_p):
-                if x:
-                    scalar = y / x
-                    break
-            if scalar is not None:
-                break
-        if scalar is None:
+        vtb = mat_mul_sparse(vmat, mat_rows(eval_word(rep, tb)), field.zero)
+        prod = mat_mul_sparse(vtb, mat_rows(vmat), field.zero)
+        pairs = [(x, y) for row_v, row_p in zip(vmat, prod)
+                 for x, y in zip(row_v, row_p)]
+        first = next(((x, y) for x, y in pairs if x), None)
+        if first is None:
             raise VerificationError(f"v_b vanishes on its own block {shape!r}")
+        scalar = first[1] / first[0]
         if not scalar:
             raise VerificationError(f"zero eigenvalue at shape {shape!r}")
-        if not mat_eq(prod, mat_scale(scalar, vmat)):
+        if not all(y == scalar * x for x, y in pairs):
             raise VerificationError(
                 f"v_b T_b is not proportional to v_b at shape {shape!r}"
             )

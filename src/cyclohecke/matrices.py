@@ -1,16 +1,10 @@
-"""Dense exact matrices over any of the scalar types in exactnum.
+"""Exact matrices over any of the scalar types in exactnum.
 
-Matrices are tuples of tuples.  Entries only need ring operations plus
-truth testing; rank and solving additionally divide, which every scalar
-here supports.
+Matrices are tuples of tuples.  A product takes its right factor as
+sparse rows or as a diagonal, and the zero of the field from the caller.
+Entries only need ring operations plus truth testing; rank and solving
+additionally divide, which every scalar here supports.
 """
-
-
-def mat_identity(n: int, field) -> tuple:
-    one, zero = field.one, field.zero
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
 
 
 def mat_diag(entries, zero) -> tuple:
@@ -23,45 +17,16 @@ def mat_diag(entries, zero) -> tuple:
     )
 
 
-def mat_add(A, B) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+def mat_rows(A) -> tuple:
+    """The sparse rows of A: row i as its (column, entry) pairs, zeros left out."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in A)
 
 
-def mat_scale(c, A) -> tuple:
-    return tuple(tuple(c * x for x in row) for row in A)
-
-
-def mat_mul(A, B) -> tuple:
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("matrix dimension mismatch")
-    if not A or not B or not B[0]:
-        return tuple(row[:0] for row in A)
-    zero = A[0][0] * 0
-    out = []
-    for row in A:
-        acc = [zero] * len(B[0])
-        for x, brow in zip(row, B):
-            # generator matrices are mostly zeros; skip the dead terms
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = acc[j] + x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_mul_sparse(A, S) -> tuple:
-    """A times the square matrix S given by its sparse rows: row i of S
-    is a tuple of (column, entry) pairs with the zero entries left out.
-
-    Terms are summed in the order mat_mul sums them, so both products
-    build every entry the same way.
-    """
+def mat_mul_sparse(A, S, zero) -> tuple:
+    """A times the square matrix S given by its sparse rows (`mat_rows`);
+    entry (i, j) sums the nonzero A[i][k] * S[k][j] in increasing k."""
     if A and len(A[0]) != len(S):
         raise ValueError("matrix dimension mismatch")
-    if not A or not S:
-        return tuple(row[:0] for row in A)
-    zero = A[0][0] * 0
     out = []
     for row in A:
         acc = [zero] * len(S)
@@ -73,11 +38,11 @@ def mat_mul_sparse(A, S) -> tuple:
     return tuple(out)
 
 
-def mat_scale_cols(A, d) -> tuple:
-    """A times the diagonal matrix with diagonal d: column j scaled by d[j]."""
+def mat_scale_cols(A, d, zero) -> tuple:
+    """A times the diagonal matrix with diagonal d: column j scaled by d[j],
+    `zero` the zero of the field."""
     if A and len(A[0]) != len(d):
         raise ValueError("matrix dimension mismatch")
-    zero = A[0][0] * 0 if A and d else None
     return tuple(tuple(x * y if x and y else zero for x, y in zip(row, d))
                  for row in A)
 

@@ -6,10 +6,11 @@ order.  T_0 is the diagonal of first contents; its cyclotomic relation
 with parameters (eps Q_1, ..., eps^p Q_d) is what pins down the content
 convention.
 
-Each generator is stored in one form.  L_k, T_0 = L_1 and T_0^-1 are
-diagonals; T_i and T_i^-1 for i >= 1 are sparse rows with at most two
-nonzero entries each.  Dense matrices only arise as the values of words
-(`eval_word`), and every relation is checked on those values.
+Each generator is stored in one form.  L_k and T_0 = L_1 are
+diagonals; T_i for i >= 1 is sparse rows with at most two nonzero
+entries each.  The value of a word (`eval_word`) is a matrix built by
+multiplying on the right by those rows or diagonals, and every relation
+is checked on such values.
 """
 
 from fractions import Fraction
@@ -19,13 +20,9 @@ from random import Random
 from .combin import Multipartition, component_index, enumerate_all
 from .exactnum import CycRat, Factored, GenericField, RatFunc, sample_point
 from .matrices import (
-    mat_add,
     mat_diag,
     mat_eq,
-    mat_identity,
-    mat_mul,
     mat_mul_sparse,
-    mat_scale,
     mat_scale_cols,
     mat_trace,
 )
@@ -47,10 +44,9 @@ class SeminormalRep:
     module.
 
     L_k is stored as its diagonal, the k-th contents of the basis
-    tableaux (`l_diagonal`); T_0 = L_1, and T_0^-1 is the entrywise
-    inverse of that diagonal (`t0_inverse_diagonal`).  T_i for i >= 1 is
-    stored as sparse rows built from the seminormal ratios (`t_rows`);
-    T_i^-1 = q^-1 (T_i + 1 - q) is read off those rows entrywise.
+    tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
+    sparse rows built from the seminormal ratios (`t_rows`); T_i + c is
+    read off those rows by adding c on the diagonal.
     """
 
     def __init__(self, shape: Multipartition, field):
@@ -96,7 +92,7 @@ class SeminormalRep:
                     f"on {shape!r}")
 
     def identity(self) -> tuple:
-        return mat_identity(self.dim, self.field)
+        return mat_diag([self.field.one] * self.dim, self.field.zero)
 
     def l_diagonal(self, k: int) -> tuple:
         """The diagonal of L_k: the k-th contents of the basis tableaux."""
@@ -133,27 +129,22 @@ class SeminormalRep:
             _ladder_entry(self.field, c, root) for c in self.l_diagonal(k))
         return diag
 
-    def t0_inverse_diagonal(self) -> tuple:
-        """The diagonal of T_0^-1 = L_1^-1: the inverted first contents."""
-        return tuple(c.inverse() for c in self.l_diagonal(1))
-
-    def t_rows(self, i: int, inverse: bool = False) -> tuple:
-        """T_i, or its inverse, for 1 <= i < n as sparse rows: row a is a
-        tuple of (column, entry) pairs, zeros dropped, at most two pairs.
+    def t_rows(self, i: int, shift=None) -> tuple:
+        """T_i for 1 <= i < n as sparse rows: row a is a tuple of (column,
+        entry) pairs, zeros dropped, at most two pairs.  With a shift c
+        (a value of the field), the rows of T_i + c: c added on the
+        diagonal.
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"T_{i} out of range for n={self.n}")
         rows = self.trows[i]
-        if not inverse:
+        if shift is None:
             return rows
-        # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
-        field = self.field
-        qinv, shift = field.q_power(-1), field.one - field.q
         out = []
         for a, row in enumerate(rows):
             entries = dict(row)
-            entries[a] = entries.get(a, field.zero) + shift
-            out.append(tuple((j, qinv * x) for j, x in entries.items() if x))
+            entries[a] = entries.get(a, self.field.zero) + shift
+            out.append(tuple((j, x) for j, x in entries.items() if x))
         return tuple(out)
 
 
@@ -194,8 +185,9 @@ def _relations(field, n: int) -> list:
     q, zero = field.q, [("scal", 0)]
     table = [("cyclotomic relation for T_0",
               [("ladder", 1, rho) for rho in cyclotomic_params(field)], zero)]
-    table += [(f"quadratic relation for T_{i}", [("T", i), ("T", i)],
-               [("sum", [[("scal", q - 1), ("T", i)], [("scal", q)]])])
+    # (T_i - q)(T_i + 1) = 0
+    table += [(f"quadratic relation for T_{i}",
+               [("Tshift", i, -q), ("Tshift", i, 1)], zero)
               for i in range(1, n)]
     if n >= 2:
         table.append(("braid relation T_0T_1T_0T_1 = T_1T_0T_1T_0",
@@ -236,7 +228,7 @@ def _times_diagonal(acc, diag, field) -> tuple:
     """acc times the diagonal matrix diag; acc None stands for the identity."""
     if acc is None:
         return mat_diag(diag, field.zero)
-    return mat_scale_cols(acc, diag)
+    return mat_scale_cols(acc, diag, field.zero)
 
 
 def _from_rows(rows, zero) -> tuple:
@@ -255,18 +247,19 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
 
     The tokens, and their cost on a module of dimension n:
 
-    * ``("T", i)``, ``("Tinv", i)`` for i >= 1: the generator T_i or its
-      inverse, as sparse rows with at most two nonzeros each (the rows of
-      the inverse are formed from those of T_i, about 3 n multiplies),
-      applied by a dense x sparse product, at most 2 n^2 multiplies.  As
-      the first factor of a word they are just written out densely.
+    * ``("T", i)`` for i >= 1: the generator T_i, as sparse rows with at
+      most two nonzeros each, applied by a dense x sparse product, at
+      most 2 n^2 multiplies.  ``("Tshift", i, c)`` for i >= 1: T_i + c,
+      the same rows with the scalar c added on the diagonal (n more
+      additions).  As the first factor of a word either is just written
+      out densely.
     * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, root)``:
       the ladder factor L_k - root; ``("scal", c)``: c times the identity;
-      ``("T", 0)`` and ``("Tinv", 0)``.  All of these are diagonal.  A run
-      of consecutive diagonal factors is multiplied into one pending
-      diagonal, n multiplies per factor, which is applied to the product
-      once, as a column scaling (at most n^2 multiplies, none for zero
-      entries), when the next other factor comes or the word ends.
+      ``("T", 0)``.  All of these are diagonal.  A run of consecutive
+      diagonal factors is multiplied into one pending diagonal, n
+      multiplies per factor, which is applied to the product once, as a
+      column scaling (at most n^2 multiplies, none for zero entries),
+      when the next other factor comes or the word ends.
     * A ladder costs n subtractions the first time.  At a point, when
       the root is a CycRat of the point's conductor equal to a cyclotomic
       parameter eps^s Q_i (the root of every ladder the element words
@@ -275,10 +268,6 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       L_1..L_{n_L} (`SeminormalRep.ladder_diagonal`).  Other roots, and
       every root over the generic field, pay the n subtractions each
       time.
-    * ``("sum", [w1, w2, ...])``: the sum of the words w1, w2, ..., each
-      evaluated densely and summed, then applied by a dense product
-      (n^3 multiplies at most).  The quadratic relations of
-      `check_relations` use it.
 
     An empty word is the identity.  The result is a dense matrix.
     """
@@ -294,8 +283,6 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
             factor = [_scalar_token(field, item[1])] * rep.dim
         elif tag == "T" and item[1] == 0:
             factor = rep.l_diagonal(1)
-        elif tag == "Tinv" and item[1] == 0:
-            factor = rep.t0_inverse_diagonal()
         else:
             factor = None
         if factor is not None:
@@ -304,20 +291,14 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
             continue
         if diag is not None:
             acc, diag = _times_diagonal(acc, diag, field), None
-        if tag in ("T", "Tinv"):
-            rows = rep.t_rows(item[1], tag == "Tinv")
-            acc = _from_rows(rows, field.zero) if acc is None \
-                else mat_mul_sparse(acc, rows)
-        elif tag == "sum":
-            m = None
-            for sub in item[1]:
-                part = eval_word(rep, sub)
-                m = part if m is None else mat_add(m, part)
-            if m is None:
-                m = mat_scale(field.zero, rep.identity())
-            acc = m if acc is None else mat_mul(acc, m)
+        if tag == "T":
+            rows = rep.t_rows(item[1])
+        elif tag == "Tshift":
+            rows = rep.t_rows(item[1], _scalar_token(field, item[2]))
         else:
             raise ValueError(f"unknown word token {tag!r}")
+        acc = _from_rows(rows, field.zero) if acc is None \
+            else mat_mul_sparse(acc, rows, field.zero)
     if diag is not None:
         acc = _times_diagonal(acc, diag, field)
     return rep.identity() if acc is None else acc

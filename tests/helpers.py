@@ -4,9 +4,10 @@ Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
 tuples of partitions, the value of a rational function at a point, the
 generic field with every value multiplied out, the closed-form scalars
-multiplied out factor by factor), the words of identities from the paper
-that no command evaluates, and the decoder for the scalar JSON the
-commands write.
+multiplied out factor by factor, dense matrix arithmetic and the
+inverse generators), the words of identities from the paper that no
+command evaluates, sums of word values, and the decoder for the scalar
+JSON the commands write.
 """
 
 from fractions import Fraction
@@ -36,7 +37,9 @@ from cyclohecke.exactnum import (
     SpecPoint,
     eps_pow,
 )
+from cyclohecke.matrices import mat_diag
 from cyclohecke.scalars import _exponents, hook
+from cyclohecke.seminormal import eval_word
 from cyclohecke.tableau import StandardTableau
 
 
@@ -74,6 +77,61 @@ def perm_from_word(n: int, word) -> tuple:
             elif img[j] == i + 1:
                 img[j] = i
     return tuple(img)
+
+
+# ---------------------------------------------------------------------------
+# dense matrices: the reference the package's sparse and diagonal
+# products are checked against
+
+def mat_add(A, B) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_scale(c, A) -> tuple:
+    return tuple(tuple(c * x for x in row) for row in A)
+
+
+def mat_mul(A, B) -> tuple:
+    if A and B and len(A[0]) != len(B):
+        raise ValueError("matrix dimension mismatch")
+    if not A or not B or not B[0]:
+        return tuple(row[:0] for row in A)
+    zero = A[0][0] * 0
+    out = []
+    for row in A:
+        acc = [zero] * len(B[0])
+        for x, brow in zip(row, B):
+            # generator matrices are mostly zeros; skip the dead terms
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def eval_sum(rep, words) -> tuple:
+    """The sum of the values of the words on the rep; zero for no words."""
+    out = mat_scale(rep.field.zero, rep.identity())
+    for word in words:
+        out = mat_add(out, eval_word(rep, word))
+    return out
+
+
+def t_inverse(rep, i: int) -> tuple:
+    """T_i^-1 as a dense matrix: the inverted first contents for i = 0,
+    else q^-1 (T_i + 1 - q) from the quadratic relation, off the rows."""
+    field = rep.field
+    if i == 0:
+        return mat_diag([c.inverse() for c in rep.l_diagonal(1)], field.zero)
+    out = []
+    for a, row in enumerate(rep.t_rows(i)):
+        dense = [field.zero] * rep.dim
+        for j, x in row:
+            dense[j] = x
+        dense[a] = dense[a] + field.one - field.q
+        out.append(tuple(field.q_power(-1) * x for x in dense))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +228,21 @@ def _young_perms(rows, n: int):
 
 
 def young_sym_word(la: Multipartition) -> list:
-    """Sum of T_w over the row stabilizer of the multipartition."""
+    """The terms T_w over the row stabilizer of the multipartition, one
+    word each; the element is their sum (`eval_sum`)."""
     n = la.size
-    return [("sum", [t_word(w) for w in _young_perms(_row_sizes(la), n)])]
+    return [t_word(w) for w in _young_perms(_row_sizes(la), n)]
 
 
 def young_alt_word(la: Multipartition) -> list:
-    """Signed sum of T_w over the row stabilizer."""
+    """The signed terms of the alternating sum of T_w over the row
+    stabilizer, one word each."""
     n = la.size
     terms = []
     for w in _young_perms(_row_sizes(la), n):
         sign = [("scal", -1)] if inversions(w) % 2 else []
         terms.append(sign + t_word(w))
-    return [("sum", terms)]
+    return terms
 
 
 def ulam_plus_word(field, la: Multipartition) -> list:

@@ -29,8 +29,10 @@ from cyclohecke.decomp import (
     splittable_number,
 )
 from cyclohecke.exactnum import CycRat, GenericField, eps_pow, sample_point
-from cyclohecke.matrices import mat_mul, mat_solve
+from cyclohecke.matrices import mat_solve
 from cyclohecke.scalars import g_lambda
+
+from helpers import mat_mul
 
 
 def mp(p, d, comps):

@@ -2,15 +2,18 @@ from random import Random
 
 import pytest
 
+from cyclohecke import elements
 from cyclohecke.combin import (
     Multipartition,
     compositions,
+    enumerate_all,
     enumerate_pdb,
     partial_sum,
     wab_perm,
     wb_perm,
 )
 from cyclohecke.elements import (
+    VerificationError,
     flam_eigen_oracle,
     is_identity_monomial,
     ll_range_word,
@@ -36,10 +39,17 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 from cyclohecke.scalars import f_lambda_closed
-from cyclohecke.seminormal import build_rep, element_equal, eval_word
+from cyclohecke.matrices import mat_eq
+from cyclohecke.seminormal import (
+    build_rep,
+    element_equal,
+    eval_word,
+    mode_fields,
+)
 from cyclohecke.tableau import count_std
 
 from helpers import (
+    eval_sum,
     perm_from_word,
     perm_inv,
     shift_run_word,
@@ -314,6 +324,18 @@ def test_flam_oracle_symbolic_agreement():
             assert value == f_lambda_closed(shape, b, K21)
 
 
+def test_flam_oracle_rejects_a_product_out_of_proportion(monkeypatch):
+    # one added to every entry of both products: a zero entry of v_b
+    # then faces a nonzero entry of v_b T_b v_b
+    product = elements.mat_mul_sparse
+    monkeypatch.setattr(
+        elements, "mat_mul_sparse",
+        lambda A, S, zero: tuple(tuple(x + 1 for x in row)
+                                 for row in product(A, S, zero)))
+    with pytest.raises(VerificationError, match="not proportional"):
+        flam_eigen_oracle((2, 1), sample_point(2, 1, 3, Random(4)))
+
+
 # ---------------------------------------------------------------------------
 # trace comparison over the tensor basis
 
@@ -364,31 +386,33 @@ def test_comparison_l_monomials_vanish():
 # row stabilizer words and the multipartition ladder
 
 def test_young_sym_word_row_symmetry():
+    # (sum of T_w) T_1 = q (sum of T_w) on every module, at the points
+    # the auto mode picks
     la = mp(2, 1, [(2, 1), ()])
-    word = young_sym_word(la)
-    assert len(word[0][1]) == 2
-    assert element_equal(
-        2, 1, 3,
-        lambda f: word + [("T", 1)],
-        lambda f: [("scal", f.q)] + word,
-    )
+    terms = young_sym_word(la)
+    assert len(terms) == 2
+    for field in mode_fields(2, 1, 3):
+        for shape in enumerate_all(2, 1, 3):
+            rep = build_rep(shape, field)
+            assert mat_eq(
+                eval_sum(rep, [w + [("T", 1)] for w in terms]),
+                eval_sum(rep, [[("scal", field.q)] + w for w in terms]))
 
 
 def test_young_alt_word_signs():
     la = mp(2, 1, [(2,), ()])
-    word = young_alt_word(la)
-    terms = word[0][1]
+    terms = young_alt_word(la)
     assert sorted(terms, key=len) == [[], [("scal", -1), ("T", 1)]]
     rep_row = build_rep(mp(2, 1, [(2,), ()]), K21)
     rep_col = build_rep(mp(2, 1, [(1, 1), ()]), K21)
-    assert eval_word(rep_row, word) == ((K21.one - K21.q,),)
-    assert eval_word(rep_col, word) == ((K21.scalar(2),),)
+    assert eval_sum(rep_row, terms) == ((K21.one - K21.q,),)
+    assert eval_sum(rep_col, terms) == ((K21.scalar(2),),)
 
 
 def test_young_words_trivial_stabilizer():
     la = mp(2, 1, [(1,), (1, 1)])
-    assert young_sym_word(la) == [("sum", [[]])]
-    assert young_alt_word(la) == [("sum", [[]])]
+    assert young_sym_word(la) == [[]]
+    assert young_alt_word(la) == [[]]
 
 
 def test_ulam_plus_word():

@@ -15,12 +15,11 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 from cyclohecke.matrices import (
-    mat_add,
     mat_diag,
     mat_eq,
-    mat_mul,
+    mat_is_zero,
     mat_mul_sparse,
-    mat_scale,
+    mat_rows,
     mat_scale_cols,
 )
 from cyclohecke.seminormal import (
@@ -36,7 +35,14 @@ from cyclohecke.seminormal import (
 )
 from cyclohecke.tableau import beta_coeff, content, enumerate_std
 
-from helpers import RatFuncField
+from helpers import (
+    RatFuncField,
+    eval_sum,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    t_inverse,
+)
 
 
 def mp(p, d, comps):
@@ -93,6 +99,8 @@ def test_factored_and_multiplied_out_fields_build_the_same_reps(p, d, n):
     # GenericField builds Factored values, RatFuncField multiplied-out
     # RatFuncs: the seminormal entries must print the same
     factored, multiplied = GenericField(p, d), RatFuncField(p, d)
+    shifts = [(None, None), (factored.one - factored.q,
+                             multiplied.one - multiplied.q)]
     for shape in enumerate_all(p, d, n):
         a = build_rep(shape, factored)
         b = build_rep(shape, multiplied)
@@ -100,11 +108,11 @@ def test_factored_and_multiplied_out_fields_build_the_same_reps(p, d, n):
             assert [scalar_to_json(x) for x in a.l_diagonal(k)] \
                 == [scalar_to_json(x) for x in b.l_diagonal(k)], (shape, k)
         for i in range(1, n):
-            for inverse in (False, True):
+            for shift_a, shift_b in shifts:
                 assert [[(j, scalar_to_json(x)) for j, x in row]
-                        for row in a.t_rows(i, inverse)] \
+                        for row in a.t_rows(i, shift_a)] \
                     == [[(j, scalar_to_json(x)) for j, x in row]
-                        for row in b.t_rows(i, inverse)], (shape, i, inverse)
+                        for row in b.t_rows(i, shift_b)], (shape, i, shift_a)
         assert check_relations(a) == []
         assert check_relations(b) == []
 
@@ -141,14 +149,15 @@ def test_corrupted_t0_fails_cyclotomic_at_a_point():
 
 
 def test_corrupted_t1_row_fails_quadratic():
-    base = build_rep(mp(2, 1, [(2,), (1,)]), K21)
-    corrupt = SeminormalRep(base.shape, base.field)
-    rows = list(base.t_rows(1))
-    rows[0] = tuple((j, 2 * x) for j, x in rows[0])
-    corrupt.trows = dict(base.trows)
-    corrupt.trows[1] = tuple(rows)
-    assert check_relations(base) == []
-    assert "quadratic relation for T_1" in check_relations(corrupt)
+    for field in (K21, sample_point(2, 1, 3, random.Random(11))):
+        base = build_rep(mp(2, 1, [(2,), (1,)]), field)
+        corrupt = SeminormalRep(base.shape, base.field)
+        rows = list(base.t_rows(1))
+        rows[0] = tuple((j, 2 * x) for j, x in rows[0])
+        corrupt.trows = dict(base.trows)
+        corrupt.trows[1] = tuple(rows)
+        assert check_relations(base) == []
+        assert "quadratic relation for T_1" in check_relations(corrupt)
 
 
 def test_jm_elements_commute():
@@ -170,23 +179,23 @@ def test_jm_exchange_identities():
             Tk, Lk, Lk1 = ("T", k), ("L", k), ("L", k + 1)
             assert mat_eq(
                 eval_word(rep, [Tk, Lk]),
-                eval_word(rep, [Lk1, ("sum", [[Tk], [("scal", 1 - q)]])]))
+                eval_word(rep, [Lk1, ("Tshift", k, 1 - q)]))
             assert mat_eq(
                 eval_word(rep, [Tk, Lk1]),
-                eval_word(rep, [("sum", [[Lk, Tk], [("scal", q - 1), Lk1]])]))
+                eval_sum(rep, [[Lk, Tk], [("scal", q - 1), Lk1]]))
 
 
 def test_symmetric_jm_polynomials_central():
     pt = sample_point(3, 1, 3, random.Random(9))
     for shape in enumerate_all(3, 1, 3):
         rep = build_rep(shape, pt)
-        e1 = ("sum", [[("L", k)] for k in range(1, 4)])
-        e2 = ("sum", [[("L", a), ("L", b)]
-                      for a in range(1, 4) for b in range(a + 1, 4)])
+        e1 = [[("L", k)] for k in range(1, 4)]
+        e2 = [[("L", a), ("L", b)]
+              for a in range(1, 4) for b in range(a + 1, 4)]
         for i in range(3):
             for e in (e1, e2):
-                assert mat_eq(eval_word(rep, [e, ("T", i)]),
-                              eval_word(rep, [("T", i), e]))
+                assert mat_eq(eval_sum(rep, [w + [("T", i)] for w in e]),
+                              eval_sum(rep, [[("T", i)] + w for w in e]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +216,9 @@ def test_eval_word_quadratic():
     rhs = mat_add(mat_scale(K21.q - 1, eval_word(rep, [("T", 1)])),
                   mat_scale(K21.q, rep.identity()))
     assert mat_eq(lhs, rhs)
-
-
-def test_eval_word_sum_token():
-    rep = build_rep(mp(2, 1, [(1,), (1,)]), K21)
-    word = [("sum", [[("T", 1)], [("scal", 1)]])]
-    assert mat_eq(eval_word(rep, word),
-                  mat_add(_dense_t(rep, 1), rep.identity()))
+    # the same relation as a product, as check_relations states it
+    assert mat_is_zero(
+        eval_word(rep, [("Tshift", 1, -K21.q), ("Tshift", 1, 1)]))
 
 
 def _contents(rep, k):
@@ -242,14 +247,11 @@ def _dense_factor(rep, item):
     tag, field, ident = item[0], rep.field, rep.identity()
     if tag == "T":
         return _dense_t(rep, item[1])
-    if tag == "Tinv" and item[1] == 0:
-        return mat_diag([c.inverse() for c in _contents(rep, 1)],
-                        field.zero)
-    if tag == "Tinv":
-        # quadratic relation: T_i^-1 = q^-1 (T_i + (1 - q))
-        shifted = mat_add(_dense_t(rep, item[1]),
-                          mat_scale(field.one - field.q, ident))
-        return mat_scale(field.q_power(-1), shifted)
+    if tag == "Tshift":
+        c = item[2]
+        if isinstance(c, (int, Fraction)):
+            c = field.scalar(c)
+        return mat_add(_dense_t(rep, item[1]), mat_scale(c, ident))
     if tag == "L":
         return mat_diag(_contents(rep, item[1]), field.zero)
     if tag == "ladder":
@@ -257,10 +259,7 @@ def _dense_factor(rep, item):
                        mat_scale(-item[2], ident))
     if tag == "scal":
         return mat_scale(field.scalar(item[1]), ident)
-    out = mat_scale(field.zero, ident)
-    for sub in item[1]:
-        out = mat_add(out, _dense_word(rep, sub))
-    return out
+    raise ValueError(f"unknown word token {tag!r}")
 
 
 def _dense_word(rep, word):
@@ -270,13 +269,16 @@ def _dense_word(rep, word):
     return acc
 
 
-def _random_word(rng, field, n, length, depth):
-    tags = ["T", "Tinv", "L", "ladder", "scal"] + (["sum"] if depth else [])
+def _random_word(rng, field, n, length):
     word = []
     for _ in range(length):
-        tag = rng.choice(tags)
-        if tag in ("T", "Tinv"):
-            word.append((tag, rng.randrange(n)))
+        tag = rng.choice(["T", "Tshift", "L", "ladder", "scal"])
+        if tag == "T":
+            word.append(("T", rng.randrange(n)))
+        elif tag == "Tshift":
+            # -q makes the diagonal entry of a one-row block vanish
+            shift = rng.choice([-1, 1, Fraction(1, 3), -field.q])
+            word.append(("Tshift", rng.randint(1, n - 1), shift))
         elif tag == "L":
             word.append(("L", rng.randint(1, n)))
         elif tag == "ladder":
@@ -285,12 +287,8 @@ def _random_word(rng, field, n, length, depth):
                     * field.Q(rng.randint(1, field.d))
                     * field.q_power(rng.randint(-1, 1)))
             word.append(("ladder", rng.randint(1, n), root))
-        elif tag == "scal":
-            word.append(("scal", rng.choice([-1, 0, 2, Fraction(1, 3)])))
         else:
-            word.append(("sum", [
-                _random_word(rng, field, n, rng.randrange(4), depth - 1)
-                for _ in range(rng.randrange(3))]))
+            word.append(("scal", rng.choice([-1, 0, 2, Fraction(1, 3)])))
     return word
 
 
@@ -313,15 +311,15 @@ def test_eval_word_matches_dense_reference(field, n, count):
     ladder = ("ladder", 1, field.eps_pow(1) * field.Q(1))
     words = [
         [],
-        [("L", 2), ladder, ("scal", 2), ("T", 1), ("Tinv", 2)],
-        [("T", 2), ("Tinv", 0), ("T", 0), ladder, ("L", 3)],
+        [("L", 2), ladder, ("scal", 2), ("T", 1), ("Tshift", 2, -field.q)],
+        [("T", 2), ("Tshift", 1, 1), ("T", 0), ladder, ("L", 3)],
         [ladder, ("T", 0), ("scal", -1)],
-        [("sum", [[ladder], [("T", 1), ("Tinv", 1)]]), ("L", 1)],
+        [("Tshift", 1, -field.q), ("Tshift", 1, 1), ("L", 1)],
     ]
-    words += [_random_word(rng, field, n, rng.randint(1, 8), 2)
+    words += [_random_word(rng, field, n, rng.randint(1, 8))
               for _ in range(count)]
     tags = {item[0] for word in words for item in word}
-    assert tags == {"T", "Tinv", "L", "ladder", "scal", "sum"}
+    assert tags == {"T", "Tshift", "L", "ladder", "scal"}
     for shape in enumerate_all(field.p, field.d, n):
         rep = build_rep(shape, field)
         for word in words:
@@ -342,7 +340,7 @@ def test_memoized_ladders_match_dense_reference(p, d, n, seed):
     for shape in enumerate_all(p, d, n):
         rep = SeminormalRep(shape, field)
         for _ in range(3):
-            word = _random_word(rng, field, n, rng.randint(1, 6), 1)
+            word = _random_word(rng, field, n, rng.randint(1, 6))
             # parameter roots built afresh each time, as the element
             # words build them, so they reach the memo by value
             word += [("ladder", rng.randint(1, n),
@@ -403,13 +401,15 @@ def test_sparse_products_match_mat_mul():
     rows = (((1, Fraction(4)),),
             ((0, Fraction(7)), (2, Fraction(-1))),
             ((2, Fraction(3)),))
-    assert mat_mul_sparse(A, rows) == mat_mul(A, B)
+    zero = Fraction(0)
+    assert mat_rows(B) == rows
+    assert mat_mul_sparse(A, rows, zero) == mat_mul(A, B)
     d = (Fraction(2), Fraction(0), Fraction(-1, 3))
-    assert mat_scale_cols(A, d) == mat_mul(A, mat_diag(d, Fraction(0)))
+    assert mat_scale_cols(A, d, zero) == mat_mul(A, mat_diag(d, zero))
     with pytest.raises(ValueError):
-        mat_mul_sparse(A, rows[:2])
+        mat_mul_sparse(A, rows[:2], zero)
     with pytest.raises(ValueError):
-        mat_scale_cols(A, d[:2])
+        mat_scale_cols(A, d[:2], zero)
 
 
 def test_rep_cache_stops_growing_at_cap():
@@ -430,11 +430,31 @@ def test_inverses():
         for shape in enumerate_all(2, 1, 3):
             rep = build_rep(shape, field)
             for i in range(3):
-                for word in ([("T", i), ("Tinv", i)], [("Tinv", i), ("T", i)]):
-                    assert mat_eq(eval_word(rep, word), rep.identity())
-            for bad in ([("T", 3)], [("Tinv", -1)], [("L", 0)]):
+                t, tinv = eval_word(rep, [("T", i)]), t_inverse(rep, i)
+                assert mat_eq(mat_mul(t, tinv), rep.identity())
+                assert mat_eq(mat_mul(tinv, t), rep.identity())
+                if i:
+                    # T_i^-1 = q^-1 (T_i + 1 - q) as one word
+                    assert mat_eq(eval_word(rep, [
+                        ("scal", field.q_power(-1)),
+                        ("Tshift", i, field.one - field.q)]), tinv)
+            for bad in ([("T", 3)], [("T", -1)], [("L", 0)]):
                 with pytest.raises(ValueError):
                     eval_word(rep, bad)
+
+
+def test_shift_tokens_are_checked():
+    pt = sample_point(2, 1, 3, random.Random(2))
+    for field in (K21, pt):
+        rep = build_rep(mp(2, 1, [(2,), (1,)]), field)
+        for bad in ([("Tshift", 0, 1)], [("Tshift", 3, 1)]):
+            with pytest.raises(ValueError):
+                eval_word(rep, bad)
+        with pytest.raises(TypeError, match="boolean"):
+            eval_word(rep, [("Tshift", 1, True)])
+    rep = build_rep(mp(2, 1, [(2,), (1,)]), pt)
+    with pytest.raises(TypeError, match="rational function"):
+        eval_word(rep, [("Tshift", 1, K21.q)])
 
 
 def test_scalar_tokens_are_checked():
@@ -451,7 +471,8 @@ def test_scalar_tokens_are_checked():
 
 def test_t0_inverse_via_word():
     rep = build_rep(mp(2, 1, [(1,), (1,)]), K21)
-    assert mat_eq(eval_word(rep, [("T", 0), ("Tinv", 0)]), rep.identity())
+    assert mat_eq(mat_mul(eval_word(rep, [("T", 0)]), t_inverse(rep, 0)),
+                  rep.identity())
 
 
 # ---------------------------------------------------------------------------
