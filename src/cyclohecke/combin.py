@@ -122,13 +122,6 @@ def partial_sum(b, i: int, j: int) -> int:
     return sum(b[i - 1:j])
 
 
-def shift_composition(b, k: int) -> tuple:
-    b = check_composition(b)
-    p = len(b)
-    k %= p
-    return b[k:] + b[:k]
-
-
 def _rotation_order(blocks: tuple) -> tuple:
     """(o, p/o) with o the least positive rotation fixing the p blocks."""
     p = len(blocks)

@@ -21,7 +21,6 @@ from .combin import (
     Multipartition,
     class_reps,
     enumerate_all,
-    shift_composition,
 )
 from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers, expand
 from .matrices import mat_solve
@@ -468,7 +467,7 @@ def _normalized_reps(items) -> list:
     groups = {}
     for la in items:
         b = la.composition()
-        bstar = min(shift_composition(b, k) for k in range(len(b)))
+        bstar = min(b[k:] + b[:k] for k in range(len(b)))
         groups.setdefault(bstar, []).append(la)
     reps = []
     for bstar, members in groups.items():
@@ -554,7 +553,8 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             if orbit_sum_bound(la, mu, tables) == 0:
                 continue
             if p_la == p_mu:
-                ratio = g_value(la) / g_value(mu)
+                # the twist solve reads no g ratio at split 1
+                ratio = 1 if p_la == 1 else g_value(la) / g_value(mu)
                 result = split_by_formula(la, mu, tables, ratio, char=char)
                 source = result.residues if char is not None else result.values
                 for i in range(1, p_la + 1):

@@ -8,10 +8,6 @@ token words, never structure constants; equality of elements is decided
 through the faithful seminormal matrices, and the canonical symmetrizing
 trace is evaluated as the weighted sum of module characters with Schur
 element weights.
-
-Word builders that need scalar coefficients take the field first, so a
-builder partially applied to everything but the field is exactly the
-callable form the equality checker accepts.
 """
 
 from __future__ import annotations
@@ -63,22 +59,19 @@ def superscripts(i: int, j: int, p: int) -> list:
     return list(range(1, j + 1)) + list(range(i, p + 1))
 
 
-def ll_word(field, s: int, lo: int, hi: int) -> list:
+def ll_word(d: int, s: int, lo: int, hi: int) -> list:
     """Product of (L_k - eps^s Q_i) over k = lo..hi and i = 1..d."""
     if lo < 1:
         raise ValueError(f"L index out of range: {lo}")
-    out = []
-    for k in range(lo, hi + 1):
-        for i in range(1, field.d + 1):
-            out.append(("ladder", k, field.eps_pow(s) * field.Q(i)))
-    return out
+    return [("ladder", k, s, i)
+            for k in range(lo, hi + 1) for i in range(1, d + 1)]
 
 
-def ll_range_word(field, i: int, j: int, lo: int, hi: int) -> list:
+def ll_range_word(p: int, d: int, i: int, j: int, lo: int, hi: int) -> list:
     """LL ladders for every superscript in the i..j window."""
     out = []
-    for s in superscripts(i, j, field.p):
-        out.extend(ll_word(field, s, lo, hi))
+    for s in superscripts(i, j, p):
+        out.extend(ll_word(d, s, lo, hi))
     return out
 
 
@@ -108,59 +101,59 @@ def _match_context(field, b) -> tuple:
     return b
 
 
-def vb_word(field, b) -> list:
-    """The shuffle element v_b.
+def vb_word(b, d: int) -> list:
+    """The shuffle element v_b, with p = len(b).
 
     Ladder and swap factors interleave from the last block down to the
     second, then the plain ladders close the word in increasing twist
     order.
     """
-    b = _match_context(field, b)
-    p = field.p
+    b = check_composition(b)
+    p = len(b)
     out = []
     for k in range(p - 1, 0, -1):
-        out.extend(ll_range_word(field, 1, k, 1, b[k]))
+        out.extend(ll_range_word(p, d, 1, k, 1, b[k]))
         out.extend(t_ab_word(b[k], partial_sum(b, 1, k)))
     for k in range(2, p + 1):
-        out.extend(ll_word(field, k, 1, partial_sum(b, 1, k - 1)))
+        out.extend(ll_word(d, k, 1, partial_sum(b, 1, k - 1)))
     return out
 
 
-def vb_pivot_word(field, b, j: int) -> list:
+def vb_pivot_word(b, d: int, j: int) -> list:
     """Rewriting of v_b pivoted at block j; the same element for every j.
 
     Four runs of factors, each read with decreasing index: mixed
     ladder-swap factors above the pivot, plain ladders below and above
     it, and swap-ladder factors back down to block two.
     """
-    b = _match_context(field, b)
-    p = field.p
+    b = check_composition(b)
+    p = len(b)
     if not 1 <= j <= p:
         raise ValueError(f"pivot out of range: {j}")
     out = []
     for k in range(p - 1, j - 1, -1):
-        out.extend(ll_range_word(field, j, k, 1, b[k]))
+        out.extend(ll_range_word(p, d, j, k, 1, b[k]))
         out.extend(t_ab_word(b[k], partial_sum(b, j, k)))
     for i in range(j - 1, 0, -1):
-        out.extend(ll_word(field, i, 1, partial_sum(b, i + 1, p)))
+        out.extend(ll_word(d, i, 1, partial_sum(b, i + 1, p)))
     for k in range(p, j, -1):
-        out.extend(ll_word(field, k, 1, partial_sum(b, j, k - 1)))
+        out.extend(ll_word(d, k, 1, partial_sum(b, j, k - 1)))
     for i in range(j, 1, -1):
         out.extend(t_ab_word(partial_sum(b, i, p), b[i - 2]))
-        out.extend(ll_range_word(field, i, p, 1, b[i - 2]))
+        out.extend(ll_range_word(p, d, i, p, 1, b[i - 2]))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the one-step shift factors Y_t
 
-def shift_factor_word(field, b, t: int) -> list:
+def shift_factor_word(b, d: int, t: int) -> list:
     """Y_t: the ladder over every twist except t on block t, then the
     swap moving that block past the rest.  Indices are cyclic in t."""
-    b = _match_context(field, b)
-    n = sum(b)
-    bt = b[(t - 1) % field.p]
-    out = ll_range_word(field, t + 1, t + field.p - 1, 1, bt)
+    b = check_composition(b)
+    p, n = len(b), sum(b)
+    bt = b[(t - 1) % p]
+    out = ll_range_word(p, d, t + 1, t + p - 1, 1, bt)
     out.extend(t_ab_word(bt, n - bt))
     return out
 
@@ -217,7 +210,7 @@ def trace_vbtb(b, field) -> TraceCheck:
     expansion of the actual word."""
     b = _match_context(field, b)
     closed = vbtb_trace_closed(b, field)
-    word = vb_word(field, b) + tb_word(b)
+    word = vb_word(b, field.d) + tb_word(b)
     expanded = trace(sum(b), word, field)
     return TraceCheck(closed, closed == expanded)
 
@@ -239,7 +232,7 @@ def flam_eigen_oracle(b, field) -> dict:
     """
     b = _match_context(field, b)
     n = sum(b)
-    vb = vb_word(field, b)
+    vb = vb_word(b, field.d)
     tb = tb_word(b)
     found = {}
     for shape in enumerate_all(field.p, field.d, n):
@@ -281,14 +274,8 @@ def verify_changing(b, d: int, j: int, mode: str = "auto", points=None,
                     trials: int = 3, rng=None) -> bool:
     """Check that the pivot-j rewriting of v_b is the same element."""
     b = check_composition(b)
-    if not 1 <= j <= len(b):
-        raise ValueError(f"pivot out of range: {j}")
-    return element_equal(
-        len(b), d, sum(b),
-        lambda field: vb_word(field, b),
-        lambda field: vb_pivot_word(field, b, j),
-        mode, points, trials, rng,
-    )
+    return element_equal(len(b), d, sum(b), vb_word(b, d),
+                         vb_pivot_word(b, d, j), mode, points, trials, rng)
 
 
 def verify_pleftmult(b, d: int, mode: str = "auto", points=None,
@@ -296,19 +283,10 @@ def verify_pleftmult(b, d: int, mode: str = "auto", points=None,
     """Check that the full shift cycle Y_p ... Y_1 equals v_b T_b."""
     b = check_composition(b)
     p = len(b)
-
-    def cycle(field):
-        out = []
-        for t in range(p, 0, -1):
-            out.extend(shift_factor_word(field, b, t))
-        return out
-
-    return element_equal(
-        p, d, sum(b),
-        cycle,
-        lambda field: vb_word(field, b) + tb_word(b),
-        mode, points, trials, rng,
-    )
+    cycle = [item for t in range(p, 0, -1)
+             for item in shift_factor_word(b, d, t)]
+    return element_equal(p, d, sum(b), cycle, vb_word(b, d) + tb_word(b),
+                         mode, points, trials, rng)
 
 
 def tensor_basis(d: int, b) -> list:
@@ -358,9 +336,9 @@ def verify_comparison(b, d: int, mode: str = "auto", points=None,
     p = len(b)
     n = sum(b)
     basis = tensor_basis(d, b)
+    vb = vb_word(b, d)
+    tb = tb_word(b)
     for field in mode_fields(p, d, n, mode, points, trials, rng):
-        vb = vb_word(field, b)
-        tb = tb_word(b)
         base = trace(n, vb + tb, field)
         for h in basis:
             lhs = trace(n, vb + theta_word(h, b) + tb, field)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from .combin import Multipartition, component_index, enumerate_all
+from .combin import Multipartition, enumerate_all
 from .exactnum import CycRat, Factored, GenericField, RatFunc, sample_point
 from .matrices import (
     mat_diag,
@@ -29,16 +29,6 @@ from .matrices import (
 from .tableau import beta_coeff, content, count_std, enumerate_std
 
 
-def cyclotomic_params(field) -> list:
-    """The T_0 eigenvalue list (eps Q_1, ..., eps^p Q_d) in block order."""
-    r = field.p * field.d
-    return [
-        field.eps_pow(pu) * field.Q(du)
-        for pu, du in (component_index(u, field.p, field.d)
-                       for u in range(1, r + 1))
-    ]
-
-
 class SeminormalRep:
     """Exact seminormal action of T_0..T_{n-1} and L_1..L_n on one Specht
     module.
@@ -46,7 +36,9 @@ class SeminormalRep:
     L_k is stored as its diagonal, the k-th contents of the basis
     tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
     sparse rows built from the seminormal ratios (`t_rows`); T_i + c is
-    read off those rows by adding c on the diagonal.
+    read off those rows by adding c on the diagonal.  The ladder factors
+    L_k - eps^s Q_i are diagonals kept after their first use
+    (`ladder_diagonal`), at most n*p*d of them.
     """
 
     def __init__(self, shape: Multipartition, field):
@@ -63,10 +55,8 @@ class SeminormalRep:
             tuple(content(s, k, field) for s in self.basis)
             for k in range(1, self.n + 1)
         ]
-        # ladder diagonals L_k - eps^s Q_i, filled by ladder_diagonal;
-        # none over the generic field, whose Factored roots do not hash
-        self._parameters = (None if field.is_generic
-                            else _parameter_set(field))
+        # ladder diagonals L_k - eps^s Q_i by (k, s mod p, i), filled by
+        # ladder_diagonal
         self._ladders = {}
 
         # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
@@ -100,33 +90,29 @@ class SeminormalRep:
             raise ValueError(f"L_{k} out of range for n={self.n}")
         return self.ldiag[k - 1]
 
-    def ladder_diagonal(self, k: int, token) -> tuple:
-        """The diagonal of the ladder factor L_k - root, root read from the
-        scalar token.
+    def ladder_diagonal(self, k: int, s: int, i: int) -> tuple:
+        """The diagonal of the ladder factor L_k - eps^s Q_i, s read mod p
+        and 1 <= i <= d: the stored k-th contents (`l_diagonal`) less the
+        parameter.
 
-        At a point, a CycRat token of the point's conductor equal to one
-        of the p*d cyclotomic parameters eps^s Q_i is the root of every
-        ladder the package builds; its diagonal is kept after the first
-        use, so a rep holds at most n*p*d of them, and each entry is
-        interned per point (`_ladder_entry`).  Any other root, and every
-        root over the generic field, is subtracted afresh.  The memo
-        reads `ldiag` once, so the contents must not change after the
-        first ladder.
+        Each diagonal is kept after its first use under (k, s mod p, i),
+        so a rep holds at most n*p*d of them.  At a point each entry is
+        interned per point (`_ladder_entry`); over the generic field,
+        whose Factored values do not hash, it is the plain difference.
+        The memo reads the contents once, so they must not change after
+        the first ladder.
         """
-        memo = (self._parameters is not None and type(token) is CycRat
-                and token.order == self.field.N)
-        if memo:
-            # keyed by the integer form, which hashes and compares
-            # without going through CycRat
-            key = (k, token.nums, token.den)
-            diag = self._ladders.get(key)
-            if diag is not None:
-                return diag
-        root = _scalar_token(self.field, token)
-        if not memo or key[1:] not in self._parameters:
-            return tuple(c - root for c in self.l_diagonal(k))
-        diag = self._ladders[key] = tuple(
-            _ladder_entry(self.field, c, root) for c in self.l_diagonal(k))
+        field = self.field
+        key = (k, s % field.p, i)
+        diag = self._ladders.get(key)
+        if diag is None:
+            root = field.eps_pow(s) * field.Q(i)
+            if field.is_generic:
+                diag = tuple(c - root for c in self.l_diagonal(k))
+            else:
+                diag = tuple(_ladder_entry(field, c, root)
+                             for c in self.l_diagonal(k))
+            self._ladders[key] = diag
         return diag
 
     def t_rows(self, i: int, shift=None) -> tuple:
@@ -157,13 +143,6 @@ REP_CACHE_SIZE = 1024
 LADDER_ENTRY_CACHE_SIZE = 16384
 
 
-@lru_cache(maxsize=REP_CACHE_SIZE)
-def _parameter_set(field) -> frozenset:
-    """The cyclotomic parameters eps^s Q_i of a point, each as the pair
-    (nums, den) of its CycRat."""
-    return frozenset((rho.nums, rho.den) for rho in cyclotomic_params(field))
-
-
 @lru_cache(maxsize=LADDER_ENTRY_CACHE_SIZE)
 def _ladder_entry(field, c, root):
     """c - root, one object per point for equal contents and roots."""
@@ -184,7 +163,8 @@ def _relations(field, n: int) -> list:
     """(name, lhs word, rhs word) for every defining relation of H_n."""
     q, zero = field.q, [("scal", 0)]
     table = [("cyclotomic relation for T_0",
-              [("ladder", 1, rho) for rho in cyclotomic_params(field)], zero)]
+              [("ladder", 1, s, i) for s in range(1, field.p + 1)
+               for i in range(1, field.d + 1)], zero)]
     # (T_i - q)(T_i + 1) = 0
     table += [(f"quadratic relation for T_{i}",
                [("Tshift", i, -q), ("Tshift", i, 1)], zero)
@@ -253,21 +233,18 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       the same rows with the scalar c added on the diagonal (n more
       additions).  As the first factor of a word either is just written
       out densely.
-    * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, root)``:
-      the ladder factor L_k - root; ``("scal", c)``: c times the identity;
-      ``("T", 0)``.  All of these are diagonal.  A run of consecutive
-      diagonal factors is multiplied into one pending diagonal, n
-      multiplies per factor, which is applied to the product once, as a
-      column scaling (at most n^2 multiplies, none for zero entries),
-      when the next other factor comes or the word ends.
-    * A ladder costs n subtractions the first time.  At a point, when
-      the root is a CycRat of the point's conductor equal to a cyclotomic
-      parameter eps^s Q_i (the root of every ladder the element words
-      build), its diagonal is kept on the rep and later uses cost one
-      dict lookup; the memo holds at most n_L * p * d diagonals for
-      L_1..L_{n_L} (`SeminormalRep.ladder_diagonal`).  Other roots, and
-      every root over the generic field, pay the n subtractions each
-      time.
+    * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, s, i)``:
+      the ladder factor L_k - eps^s Q_i, s read mod p and 1 <= i <= d;
+      ``("scal", c)``: c times the identity; ``("T", 0)``.  All of these
+      are diagonal.  A run of consecutive diagonal factors is multiplied
+      into one pending diagonal, n multiplies per factor, which is
+      applied to the product once, as a column scaling (at most n^2
+      multiplies, none for zero entries), when the next other factor
+      comes or the word ends.
+    * A ladder costs n subtractions the first time it meets a rep, in
+      either backend; its diagonal is then kept on the rep, and later
+      uses cost one dict lookup (`SeminormalRep.ladder_diagonal`, at most
+      n_L * p * d diagonals for L_1..L_{n_L}).
 
     An empty word is the identity.  The result is a dense matrix.
     """
@@ -278,7 +255,7 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         if tag == "L":
             factor = rep.l_diagonal(item[1])
         elif tag == "ladder":
-            factor = rep.ladder_diagonal(item[1], item[2])
+            factor = rep.ladder_diagonal(item[1], item[2], item[3])
         elif tag == "scal":
             factor = [_scalar_token(field, item[1])] * rep.dim
         elif tag == "T" and item[1] == 0:
@@ -308,10 +285,6 @@ def character(shape: Multipartition, word, field):
     """Trace of the word on the module labelled by the shape."""
     rep = build_rep(shape, field)
     return mat_trace(eval_word(rep, word))
-
-
-def _resolve_word(word, field):
-    return word(field) if callable(word) else word
 
 
 def mode_fields(p, d, n, mode: str = "auto", points=None,
@@ -354,10 +327,8 @@ def element_equal(p, d, n, w1, w2, mode: str = "auto",
     shapes = enumerate_all(p, d, n)
     fields = mode_fields(p, d, n, mode, points, trials, rng)
     for field in fields:
-        u1 = _resolve_word(w1, field)
-        u2 = _resolve_word(w2, field)
         for shape in shapes:
             rep = build_rep(shape, field)
-            if not mat_eq(eval_word(rep, u1), eval_word(rep, u2)):
+            if not mat_eq(eval_word(rep, w1), eval_word(rep, w2)):
                 return False
     return True

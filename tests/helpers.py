@@ -21,7 +21,6 @@ from cyclohecke.combin import (
     partial_sum,
 )
 from cyclohecke.elements import (
-    _match_context,
     ll_range_word,
     ll_word,
     shift_factor_word,
@@ -151,59 +150,58 @@ def count_multipartition_tuples(d: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # the halves of v_b: v_b = vb_plus * ub_plus = ub_minus * vb_minus
 
-def ub_plus_word(field, b) -> list:
+def ub_plus_word(b, d: int) -> list:
     """The pure ladder tail of v_b: LL^(k) on 1..(b_1+..+b_{k-1})."""
-    b = _match_context(field, b)
     out = []
-    for k in range(2, field.p + 1):
-        out.extend(ll_word(field, k, 1, partial_sum(b, 1, k - 1)))
+    for k in range(2, len(b) + 1):
+        out.extend(ll_word(d, k, 1, partial_sum(b, 1, k - 1)))
     return out
 
 
-def ub_minus_word(field, b) -> list:
+def ub_minus_word(b, d: int) -> list:
     """The pure ladder head of v_b: LL^(i) on 1..(b_{i+1}+..+b_p)."""
-    b = _match_context(field, b)
+    p = len(b)
     out = []
-    for i in range(field.p - 1, 0, -1):
-        out.extend(ll_word(field, i, 1, partial_sum(b, i + 1, field.p)))
+    for i in range(p - 1, 0, -1):
+        out.extend(ll_word(d, i, 1, partial_sum(b, i + 1, p)))
     return out
 
 
-def vb_plus_word(field, b) -> list:
+def vb_plus_word(b, d: int) -> list:
     """Mixed ladder-swap head with v_b = vb_plus * ub_plus."""
-    b = _match_context(field, b)
+    p = len(b)
     out = []
-    for k in range(field.p - 1, 0, -1):
-        out.extend(ll_range_word(field, 1, k, 1, b[k]))
+    for k in range(p - 1, 0, -1):
+        out.extend(ll_range_word(p, d, 1, k, 1, b[k]))
         out.extend(t_ab_word(b[k], partial_sum(b, 1, k)))
     return out
 
 
-def vb_minus_word(field, b) -> list:
+def vb_minus_word(b, d: int) -> list:
     """Mixed swap-ladder tail with v_b = ub_minus * vb_minus."""
-    b = _match_context(field, b)
+    p = len(b)
     out = []
-    for i in range(field.p, 1, -1):
-        out.extend(t_ab_word(partial_sum(b, i, field.p), b[i - 2]))
-        out.extend(ll_range_word(field, i, field.p, 1, b[i - 2]))
+    for i in range(p, 1, -1):
+        out.extend(t_ab_word(partial_sum(b, i, p), b[i - 2]))
+        out.extend(ll_range_word(p, d, i, p, 1, b[i - 2]))
     return out
 
 
-def twisted_word(field, word, t: int) -> list:
-    """The word with every ladder root multiplied by eps^t: the parameter
-    twin of the element at the parameters eps^t Q."""
-    eps = field.eps_pow(t)
-    return [("ladder", item[1], eps * item[2]) if item[0] == "ladder"
-            else item for item in word]
+def twisted_word(word, t: int) -> list:
+    """The word with every ladder root multiplied by eps^t, that is t
+    added to its twist exponent: the parameter twin of the element at
+    the parameters eps^t Q."""
+    return [("ladder", item[1], item[2] + t, item[3])
+            if item[0] == "ladder" else item for item in word]
 
 
-def shift_run_word(field, b, t: int, m: int) -> list:
+def shift_run_word(b, d: int, t: int, m: int) -> list:
     """Y_{t,m}: the m-factor window Y_{tm+m} ... Y_{tm+1}, for t >= 0."""
     if m < 0:
         raise ValueError(f"window length out of range: {m}")
     out = []
     for u in range(t * m + m, t * m, -1):
-        out.extend(shift_factor_word(field, b, u))
+        out.extend(shift_factor_word(b, d, u))
     return out
 
 
@@ -245,15 +243,13 @@ def young_alt_word(la: Multipartition) -> list:
     return terms
 
 
-def ulam_plus_word(field, la: Multipartition) -> list:
+def ulam_plus_word(la: Multipartition) -> list:
     """The parameter ladder of the multipartition, block by block.
 
     Within block t the factor (L_j - eps^t Q_s) runs over the first
     a(s, t) positions of the block, where a(s, t) counts the boxes of
     the block's components before the s-th one.
     """
-    if (field.p, field.d) != (la.p, la.d):
-        raise ValueError("field and multipartition context mismatch")
     b = la.composition()
     out = []
     for t in range(1, la.p + 1):
@@ -261,9 +257,7 @@ def ulam_plus_word(field, la: Multipartition) -> list:
         block = la.block(t)
         for s in range(2, la.d + 1):
             a_st = sum(sum(block[c]) for c in range(s - 1))
-            root = field.eps_pow(t) * field.Q(s)
-            for j in range(1, a_st + 1):
-                out.append(("ladder", off + j, root))
+            out.extend(("ladder", off + j, t, s) for j in range(1, a_st + 1))
     return out
 
 

@@ -22,7 +22,6 @@ from cyclohecke.combin import (
     partial_sum,
     partitions,
     reduced_word,
-    shift_composition,
     wab_perm,
     wb_perm,
 )
@@ -150,12 +149,6 @@ def test_partial_sum():
     assert partial_sum(b, 1, 4) == 6
     assert partial_sum(b, 2, 3) == 2
     assert partial_sum(b, 3, 2) == 0
-
-
-def test_shift_composition():
-    assert shift_composition((1, 2, 0), 2) == (0, 1, 2)
-    assert shift_composition((1, 2, 0), 3) == (1, 2, 0)
-    assert shift_composition((1, 2, 0), -1) == (0, 1, 2)
 
 
 def test_composition_validation():

@@ -675,6 +675,28 @@ def test_assemble_output_is_pinned(d, p, n):
     assert digest.hexdigest()[:16] == ASSEMBLY_DIGESTS[d, p, n]
 
 
+def test_assemble_reads_g_only_for_split_above_one(monkeypatch):
+    # the twist solves read g only for a split above 1, so assembly asks
+    # g_lambda for no shape whose shift orbit is not split
+    asked = []
+    real = decomp.g_lambda
+    monkeypatch.setattr(decomp, "g_lambda", lambda shape, b, field: (
+        asked.append(shape), real(shape, b, field))[1])
+    p, d, n = 2, 1, 4
+    for seed in range(4):
+        rng = Random(seed)
+        tables = all_tables(p, d, n, semisimple=False, rng=rng)
+        point = sample_point(p, d, n, rng)
+        for field in (None, point):
+            try:
+                assemble_matrix(p * d, p, n, tables, enumerate_all(p, d, n),
+                                point=field)
+            except (InputDataError, NonConstantRatioError):
+                pass
+    assert asked
+    assert all(shape.orbit_order()[1] > 1 for shape in asked)
+
+
 def test_assemble_numbers_unknowns_in_column_order():
     # The size-3 table is the identity at twist 1 and sends (3) to (2,1)
     # and (1,1,1) at twist 2, so the row ((3),(3)) meets two unsplittable

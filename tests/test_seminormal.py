@@ -28,7 +28,6 @@ from cyclohecke.seminormal import (
     build_rep,
     character,
     check_relations,
-    cyclotomic_params,
     element_equal,
     eval_word,
     mode_fields,
@@ -255,8 +254,9 @@ def _dense_factor(rep, item):
     if tag == "L":
         return mat_diag(_contents(rep, item[1]), field.zero)
     if tag == "ladder":
+        root = field.eps_pow(item[2]) * field.Q(item[3])
         return mat_add(mat_diag(_contents(rep, item[1]), field.zero),
-                       mat_scale(-item[2], ident))
+                       mat_scale(-root, ident))
     if tag == "scal":
         return mat_scale(field.scalar(item[1]), ident)
     raise ValueError(f"unknown word token {tag!r}")
@@ -282,11 +282,10 @@ def _random_word(rng, field, n, length):
         elif tag == "L":
             word.append(("L", rng.randint(1, n)))
         elif tag == "ladder":
-            # roots of the form of a content, so that ladders hit zeros
-            root = (field.eps_pow(rng.randrange(field.p))
-                    * field.Q(rng.randint(1, field.d))
-                    * field.q_power(rng.randint(-1, 1)))
-            word.append(("ladder", rng.randint(1, n), root))
+            # twist exponents past 1..p too, which are read mod p
+            word.append(("ladder", rng.randint(1, n),
+                         rng.randint(-field.p, 2 * field.p),
+                         rng.randint(1, field.d)))
         else:
             word.append(("scal", rng.choice([-1, 0, 2, Fraction(1, 3)])))
     return word
@@ -308,7 +307,7 @@ def _form(x):
 ])
 def test_eval_word_matches_dense_reference(field, n, count):
     rng = random.Random(17)
-    ladder = ("ladder", 1, field.eps_pow(1) * field.Q(1))
+    ladder = ("ladder", 1, 1, 1)
     words = [
         [],
         [("L", 2), ladder, ("scal", 2), ("T", 1), ("Tshift", 2, -field.q)],
@@ -341,12 +340,8 @@ def test_memoized_ladders_match_dense_reference(p, d, n, seed):
         rep = SeminormalRep(shape, field)
         for _ in range(3):
             word = _random_word(rng, field, n, rng.randint(1, 6))
-            # parameter roots built afresh each time, as the element
-            # words build them, so they reach the memo by value
-            word += [("ladder", rng.randint(1, n),
-                      field.eps_pow(rng.randint(1, p))
-                      * field.Q(rng.randint(1, d)))
-                     for _ in range(4)]
+            word += [("ladder", rng.randint(1, n), rng.randint(1, p),
+                      rng.randint(1, d)) for _ in range(4)]
             rng.shuffle(word)
             expect = _dense_word(rep, word)
             first = eval_word(rep, word)
@@ -357,38 +352,58 @@ def test_memoized_ladders_match_dense_reference(p, d, n, seed):
         assert 0 < len(rep._ladders) <= n * p * d
 
 
-def test_ladder_memo_keeps_only_parameter_roots():
-    p, d, n = 2, 2, 3
-    field = sample_point(p, d, n, random.Random(24))
-    params = set(cyclotomic_params(field))
-    rep = SeminormalRep(mp(p, d, [(2,), (1,), (), ()]), field)
-    # the parameters are integers, these roots are not
-    roots = [field.scalar(Fraction(2 * j + 1, 2)) for j in range(1000)]
-    assert not params.intersection(roots)
-    entries = seminormal._ladder_entry.cache_info().currsize
-    for j, root in enumerate(roots):
-        k = 1 + j % n
-        got = eval_word(rep, [("ladder", k, root)])
-        assert mat_eq(got, mat_diag([c - root for c in rep.l_diagonal(k)],
-                                    field.zero))
-    assert rep._ladders == {}
-    assert seminormal._ladder_entry.cache_info().currsize == entries
-    for k in range(1, n + 1):
-        for rho in params:
-            eval_word(rep, [("ladder", k, rho)])
-    assert len(rep._ladders) == n * p * d
+def test_ladder_memo_reads_s_mod_p():
+    # s and s + p name one parameter, so they share one memo entry
+    for field in (K21, sample_point(3, 2, 2, random.Random(25))):
+        p = field.p
+        rep = SeminormalRep(mp(p, field.d, [(2,)] + [()] * (p * field.d - 1)),
+                            field)
+        first = rep.ladder_diagonal(2, 1, 1)
+        for s in (1 + p, 1 - p, 1 + 3 * p):
+            assert rep.ladder_diagonal(2, s, 1) is first
+            assert mat_eq(eval_word(rep, [("ladder", 2, s, 1)]),
+                          mat_diag(first, field.zero))
+        assert list(rep._ladders) == [(2, 1, 1)]
 
 
-def test_ladder_memo_does_not_read_booleans_as_roots():
-    # Q_1 = 1 makes 1 a parameter, so its ladder is kept; True equals 1
-    # and hashes like it, and must still be refused
-    field = SpecPoint(2, 2, 3, [1])
-    rep = SeminormalRep(mp(2, 1, [(1,), (1,)]), field)
-    for root in (1, field.one):
-        eval_word(rep, [("ladder", 1, root)])
-    assert len(rep._ladders) == 1
-    with pytest.raises(TypeError, match="boolean"):
-        eval_word(rep, [("ladder", 1, True)])
+def test_ladder_indices_out_of_range():
+    pt = sample_point(2, 2, 3, random.Random(26))
+    for field in (GenericField(2, 2), pt):
+        rep = SeminormalRep(mp(2, 2, [(2,), (1,), (), ()]), field)
+        for k, i in ((0, 1), (4, 1), (-1, 1), (1, 0), (1, 3), (1, -1)):
+            with pytest.raises(ValueError):
+                rep.ladder_diagonal(k, 1, i)
+            with pytest.raises(ValueError):
+                eval_word(rep, [("ladder", k, 1, i)])
+        assert rep._ladders == {}
+
+
+def test_ladder_memo_fills_over_the_generic_field():
+    field = GenericField(2, 2)
+    rep = SeminormalRep(mp(2, 2, [(1,), (1,), (1,), ()]), field)
+    cyclotomic = seminormal._relations(field, rep.n)[0][1]
+    for k in range(1, rep.n + 1):
+        word = [("ladder", k) + item[2:] for item in cyclotomic]
+        first = eval_word(rep, word)
+        assert len(rep._ladders) == 4 * k
+        assert mat_eq(first, _dense_word(rep, word))
+        for item in word:
+            diag = rep.ladder_diagonal(*item[1:])
+            assert diag is rep._ladders[k, item[2] % 2, item[3]]
+            root = field.eps_pow(item[2]) * field.Q(item[3])
+            assert diag == tuple(c - root for c in rep.l_diagonal(k))
+    assert len(rep._ladders) == rep.n * field.p * field.d
+
+
+def test_reps_on_one_point_share_ladder_entries():
+    pt = sample_point(2, 1, 3, random.Random(27))
+    shape = mp(2, 1, [(2,), (1,)])
+    one, two = SeminormalRep(shape, pt), SeminormalRep(shape, pt)
+    for k in range(1, 4):
+        for s in (1, 2):
+            a, b = one.ladder_diagonal(k, s, 1), two.ladder_diagonal(k, s, 1)
+            assert a is not b
+            assert all(x is y for x, y in zip(a, b))
 
 
 def test_sparse_products_match_mat_mul():
@@ -501,7 +516,7 @@ def test_character_l1():
 
 def test_element_equal_jm_definition():
     w1 = [("T", 1), ("L", 1), ("T", 1)]
-    w2 = lambda F: [("scal", F.q), ("L", 2)]  # noqa: E731
+    w2 = [("scal", K21.q), ("L", 2)]
     assert element_equal(2, 1, 2, w1, w2, mode="symbolic")
 
 
@@ -547,11 +562,20 @@ def test_mode_fields_forms():
 
 
 def test_cyclotomic_params_order():
+    # the cyclotomic word of T_0 runs over the parameters in block order,
+    # (eps Q_1, eps Q_2, eps^2 Q_1, eps^2 Q_2) at (p, d) = (2, 2)
     pt = SpecPoint(p=2, N=2, q_val=Fraction(2),
                    Q_vals=(Fraction(3), Fraction(5)))
-    rho = cyclotomic_params(pt)
+    name, word, _ = seminormal._relations(pt, 1)[0]
+    assert name == "cyclotomic relation for T_0"
+    assert word == [("ladder", 1, 1, 1), ("ladder", 1, 1, 2),
+                    ("ladder", 1, 2, 1), ("ladder", 1, 2, 2)]
     eps = pt.eps_pow(1)
-    assert rho == [eps * pt.Q(1), eps * pt.Q(2), pt.Q(1), pt.Q(2)]
+    rho = [eps * pt.Q(1), eps * pt.Q(2), pt.Q(1), pt.Q(2)]
+    rep = build_rep(mp(2, 2, [(1,), (), (), ()]), pt)
+    for item, root in zip(word, rho):
+        assert rep.ladder_diagonal(*item[1:]) \
+            == tuple(c - root for c in rep.l_diagonal(1))
 
 
 def test_l_recursion_check_trips_on_injected_fault(monkeypatch):
