@@ -27,7 +27,7 @@ from .combin import (
     wab_perm,
     wb_perm,
 )
-from .matrices import mat_is_zero, mat_mul_sparse, mat_rank, mat_rows
+from .matrices import mat_rank, rows_dense, rows_mul, rows_scale_cols
 from .scalars import schur_element
 from .seminormal import (
     build_rep,
@@ -227,7 +227,8 @@ def flam_eigen_oracle(b, field) -> dict:
     matrix of v_b scales the latter by f(lam) whenever the block sizes
     of lam equal b; v_b acts as zero on every other shape.  The scalar
     is extracted from the first nonzero matrix entry and the full
-    proportionality, the rank, and nonvanishing are all re-checked.
+    proportionality, at every entry, the rank, and nonvanishing are all
+    re-checked.
     Returns a map shape -> scalar over the matching shapes.
     """
     b = _match_context(field, b)
@@ -239,29 +240,28 @@ def flam_eigen_oracle(b, field) -> dict:
         rep = build_rep(shape, field)
         vmat = eval_word(rep, vb)
         if shape.composition() != b:
-            if not mat_is_zero(vmat):
+            if any(vmat):
                 raise VerificationError(
                     f"v_b does not annihilate the module of shape {shape!r}"
                 )
             continue
-        vtb = mat_mul_sparse(vmat, mat_rows(eval_word(rep, tb)), field.zero)
-        prod = mat_mul_sparse(vtb, mat_rows(vmat), field.zero)
-        pairs = [(x, y) for row_v, row_p in zip(vmat, prod)
-                 for x, y in zip(row_v, row_p)]
-        first = next(((x, y) for x, y in pairs if x), None)
-        if first is None:
+        prod = rows_mul(rows_mul(vmat, eval_word(rep, tb)), vmat)
+        a = next((a for a, row in enumerate(vmat) if row), None)
+        if a is None:
             raise VerificationError(f"v_b vanishes on its own block {shape!r}")
-        scalar = first[1] / first[0]
+        j, x = vmat[a][0]
+        scalar = dict(prod[a]).get(j, field.zero) / x
         if not scalar:
             raise VerificationError(f"zero eigenvalue at shape {shape!r}")
-        if not all(y == scalar * x for x, y in pairs):
+        # rows compare every position, those where v_b is zero included
+        if prod != rows_scale_cols(vmat, [scalar] * rep.dim):
             raise VerificationError(
                 f"v_b T_b is not proportional to v_b at shape {shape!r}"
             )
         expected = 1
         for t in range(1, field.p + 1):
             expected *= count_std(Multipartition(1, field.d, shape.block(t)))
-        if mat_rank(vmat) != expected:
+        if mat_rank(rows_dense(vmat, field.zero)) != expected:
             raise VerificationError(f"rank of v_b is off at shape {shape!r}")
         found[shape] = scalar
     return found

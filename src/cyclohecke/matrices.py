@@ -1,70 +1,71 @@
 """Exact matrices over any of the scalar types in exactnum.
 
-Matrices are tuples of tuples.  A product takes its right factor as
-sparse rows or as a diagonal, and the zero of the field from the caller.
-Entries only need ring operations plus truth testing; rank and solving
-additionally divide, which every scalar here supports.
+A square matrix is kept as its sparse rows: row a is a tuple of
+(column, entry) pairs in increasing column order, and a zero entry is
+never stored.  So two matrices are equal exactly when their rows are
+(``==``), a zero row costs nothing, and products, column scalings and
+traces touch only the stored entries.  Entries are elements of a
+field: a product of two nonzero entries is nonzero and is stored
+untested, a sum is tested.  Rank and solving run on dense rows
+(`rows_dense`) and additionally divide.
 """
 
 
-def mat_diag(entries, zero) -> tuple:
-    """The diagonal matrix with the given entries, `zero` off the diagonal."""
-    entries = list(entries)
-    n = len(entries)
-    return tuple(
-        tuple(entries[i] if i == j else zero for j in range(n))
-        for i in range(n)
-    )
+def rows_diag(entries) -> tuple:
+    """The diagonal matrix with the given entries, as sparse rows."""
+    return tuple(((a, x),) if x else () for a, x in enumerate(entries))
 
 
-def mat_rows(A) -> tuple:
-    """The sparse rows of A: row i as its (column, entry) pairs, zeros left out."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in A)
-
-
-def mat_mul_sparse(A, S, zero) -> tuple:
-    """A times the square matrix S given by its sparse rows (`mat_rows`);
-    entry (i, j) sums the nonzero A[i][k] * S[k][j] in increasing k."""
-    if A and len(A[0]) != len(S):
+def rows_mul(A, B) -> tuple:
+    """A times B, both square and given by sparse rows; entry (i, j) sums
+    A[i][k] * B[k][j] over the stored pairs in increasing k, and a sum
+    that cancels to zero is dropped."""
+    if len(A) != len(B):
         raise ValueError("matrix dimension mismatch")
     out = []
     for row in A:
-        acc = [zero] * len(S)
-        for x, srow in zip(row, S):
-            if x:
-                for j, y in srow:
-                    acc[j] = acc[j] + x * y
-        out.append(tuple(acc))
+        if len(row) > 1:
+            acc = {}
+            for k, x in row:
+                for j, y in B[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            row = tuple(sorted(item for item in acc.items() if item[1]))
+        elif row:
+            # one term per entry, so no sum to test
+            (k, x), = row
+            row = tuple((j, x * y) for j, y in B[k])
+        out.append(row)
     return tuple(out)
 
 
-def mat_scale_cols(A, d, zero) -> tuple:
-    """A times the diagonal matrix with diagonal d: column j scaled by d[j],
-    `zero` the zero of the field."""
-    if A and len(A[0]) != len(d):
+def rows_scale_cols(A, d) -> tuple:
+    """A times the diagonal matrix with diagonal d: each stored entry in
+    column j scaled by d[j], and dropped where d[j] is zero."""
+    if len(A) != len(d):
         raise ValueError("matrix dimension mismatch")
-    return tuple(tuple(x * y if x and y else zero for x, y in zip(row, d))
-                 for row in A)
+    return tuple(tuple((j, x * d[j]) for j, x in row if d[j]) for row in A)
 
 
-def mat_trace(A):
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
+def rows_trace(A, zero):
+    """The sum of the diagonal in increasing order, `zero` standing for an
+    entry that is not stored."""
+    diag = [next((x for j, x in row if j == a), zero)
+            for a, row in enumerate(A)]
+    acc = diag[0]
+    for x in diag[1:]:
+        acc = acc + x
     return acc
 
 
-def mat_eq(A, B) -> bool:
-    if len(A) != len(B):
-        return False
-    return all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(A, B)
-    )
-
-
-def mat_is_zero(A) -> bool:
-    return all(not x for row in A for x in row)
+def rows_dense(A, zero) -> tuple:
+    """The dense matrix with the given sparse rows, `zero` elsewhere."""
+    out = []
+    for row in A:
+        dense = [zero] * len(A)
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def _echelon(rows: list) -> list:

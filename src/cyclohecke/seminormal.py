@@ -8,9 +8,9 @@ convention.
 
 Each generator is stored in one form.  L_k and T_0 = L_1 are
 diagonals; T_i for i >= 1 is sparse rows with at most two nonzero
-entries each.  The value of a word (`eval_word`) is a matrix built by
-multiplying on the right by those rows or diagonals, and every relation
-is checked on such values.
+entries each.  The value of a word (`eval_word`) is a matrix in the
+same sparse rows, built by multiplying on the right by those rows or
+diagonals, and every relation is checked on such values.
 """
 
 from fractions import Fraction
@@ -19,13 +19,7 @@ from random import Random
 
 from .combin import Multipartition, enumerate_all
 from .exactnum import CycRat, Factored, GenericField, RatFunc, sample_point
-from .matrices import (
-    mat_diag,
-    mat_eq,
-    mat_mul_sparse,
-    mat_scale_cols,
-    mat_trace,
-)
+from .matrices import rows_diag, rows_mul, rows_scale_cols, rows_trace
 from .tableau import beta_coeff, content, count_std, enumerate_std
 
 
@@ -35,10 +29,12 @@ class SeminormalRep:
 
     L_k is stored as its diagonal, the k-th contents of the basis
     tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
-    sparse rows built from the seminormal ratios (`t_rows`); T_i + c is
+    sparse rows built from the seminormal ratios (`t_rows`), in the
+    form of `matrices` (columns increasing, zeros dropped); T_i + c is
     read off those rows by adding c on the diagonal.  The ladder factors
     L_k - eps^s Q_i are diagonals kept after their first use
-    (`ladder_diagonal`), at most n*p*d of them.
+    (`ladder_diagonal`), at most n*p*d of them.  Everything stored is a
+    tuple, so a word value that shares it cannot change it.
     """
 
     def __init__(self, shape: Multipartition, field):
@@ -70,19 +66,16 @@ class SeminormalRep:
                 t = s.swap(i)
                 if t.is_standard():
                     row.append((index[t], field.one + bc))
-                rows.append(tuple((j, x) for j, x in row if x))
+                rows.append(tuple(sorted((j, x) for j, x in row if x)))
             self.trows[i] = tuple(rows)
 
         # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents
         for k in range(1, self.n):
-            if not mat_eq(eval_word(self, [("T", k), ("L", k), ("T", k)]),
-                          eval_word(self, [("scal", field.q), ("L", k + 1)])):
+            if eval_word(self, [("T", k), ("L", k), ("T", k)]) \
+                    != eval_word(self, [("scal", field.q), ("L", k + 1)]):
                 raise RuntimeError(
                     f"internal: L_{k + 1} recursion disagrees with contents "
                     f"on {shape!r}")
-
-    def identity(self) -> tuple:
-        return mat_diag([self.field.one] * self.dim, self.field.zero)
 
     def l_diagonal(self, k: int) -> tuple:
         """The diagonal of L_k: the k-th contents of the basis tableaux."""
@@ -117,9 +110,9 @@ class SeminormalRep:
 
     def t_rows(self, i: int, shift=None) -> tuple:
         """T_i for 1 <= i < n as sparse rows: row a is a tuple of (column,
-        entry) pairs, zeros dropped, at most two pairs.  With a shift c
-        (a value of the field), the rows of T_i + c: c added on the
-        diagonal.
+        entry) pairs, columns increasing, zeros dropped, at most two
+        pairs.  With a shift c (a value of the field), the rows of
+        T_i + c: c added on the diagonal.
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"T_{i} out of range for n={self.n}")
@@ -130,7 +123,7 @@ class SeminormalRep:
         for a, row in enumerate(rows):
             entries = dict(row)
             entries[a] = entries.get(a, self.field.zero) + shift
-            out.append(tuple((j, x) for j, x in entries.items() if x))
+            out.append(tuple(sorted((j, x) for j, x in entries.items() if x)))
         return tuple(out)
 
 
@@ -187,7 +180,7 @@ def check_relations(rep: SeminormalRep) -> list:
     if rep.n == 0:
         return []
     return [name for name, lhs, rhs in _relations(rep.field, rep.n)
-            if not mat_eq(eval_word(rep, lhs), eval_word(rep, rhs))]
+            if eval_word(rep, lhs) != eval_word(rep, rhs)]
 
 
 def _scalar_token(field, value):
@@ -204,49 +197,35 @@ def _scalar_token(field, value):
     raise TypeError(f"cannot read scalar token {value!r}")
 
 
-def _times_diagonal(acc, diag, field) -> tuple:
-    """acc times the diagonal matrix diag; acc None stands for the identity."""
-    if acc is None:
-        return mat_diag(diag, field.zero)
-    return mat_scale_cols(acc, diag, field.zero)
-
-
-def _from_rows(rows, zero) -> tuple:
-    """The dense matrix with the given sparse rows."""
-    out = []
-    for row in rows:
-        dense = [zero] * len(rows)
-        for j, x in row:
-            dense[j] = x
-        out.append(tuple(dense))
-    return tuple(out)
-
-
 def eval_word(rep: SeminormalRep, word) -> tuple:
     """Evaluate a token word as the product of its factors, left to right.
 
-    The tokens, and their cost on a module of dimension n:
+    The tokens, and their cost on a module of dimension n, given m
+    stored nonzeros in the product so far:
 
     * ``("T", i)`` for i >= 1: the generator T_i, as sparse rows with at
-      most two nonzeros each, applied by a dense x sparse product, at
-      most 2 n^2 multiplies.  ``("Tshift", i, c)`` for i >= 1: T_i + c,
+      most two nonzeros each, applied by a sparse x sparse product, at
+      most 2 m multiplies.  ``("Tshift", i, c)`` for i >= 1: T_i + c,
       the same rows with the scalar c added on the diagonal (n more
-      additions).  As the first factor of a word either is just written
-      out densely.
+      additions).  As the first factor of a word either is taken as it
+      is, each row scaled by the pending diagonal if one came before.
     * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, s, i)``:
       the ladder factor L_k - eps^s Q_i, s read mod p and 1 <= i <= d;
       ``("scal", c)``: c times the identity; ``("T", 0)``.  All of these
-      are diagonal.  A run of consecutive diagonal factors is multiplied
-      into one pending diagonal, n multiplies per factor, which is
-      applied to the product once, as a column scaling (at most n^2
-      multiplies, none for zero entries), when the next other factor
-      comes or the word ends.
+      are diagonal.  A run of them at the start of the word is
+      multiplied into one pending diagonal, n multiplies per factor,
+      which becomes the rows of the product when the first T_i comes or
+      the word ends.  After that each one scales the stored nonzeros,
+      at most m multiplies, and drops those its diagonal sends to zero.
     * A ladder costs n subtractions the first time it meets a rep, in
       either backend; its diagonal is then kept on the rep, and later
       uses cost one dict lookup (`SeminormalRep.ladder_diagonal`, at most
       n_L * p * d diagonals for L_1..L_{n_L}).
 
-    An empty word is the identity.  The result is a dense matrix.
+    A zero row costs nothing for the rest of the word, but every token
+    is still read and checked.  An empty word is the identity.  The
+    result is the matrix as sparse rows (`matrices`): tuples, columns
+    increasing, no zero stored, so equal values compare equal.
     """
     field = rep.field
     acc = diag = None
@@ -263,28 +242,31 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         else:
             factor = None
         if factor is not None:
-            diag = factor if diag is None else [
-                x * y if x else x for x, y in zip(diag, factor)]
+            if acc is not None:
+                acc = rows_scale_cols(acc, factor)
+            else:
+                diag = factor if diag is None else [
+                    x * y if x else x for x, y in zip(diag, factor)]
             continue
-        if diag is not None:
-            acc, diag = _times_diagonal(acc, diag, field), None
         if tag == "T":
             rows = rep.t_rows(item[1])
         elif tag == "Tshift":
             rows = rep.t_rows(item[1], _scalar_token(field, item[2]))
         else:
             raise ValueError(f"unknown word token {tag!r}")
-        acc = _from_rows(rows, field.zero) if acc is None \
-            else mat_mul_sparse(acc, rows, field.zero)
-    if diag is not None:
-        acc = _times_diagonal(acc, diag, field)
-    return rep.identity() if acc is None else acc
+        if acc is not None:
+            acc = rows_mul(acc, rows)
+        else:
+            acc = rows if diag is None else rows_mul(rows_diag(diag), rows)
+    if acc is None:
+        return rows_diag([field.one] * rep.dim if diag is None else diag)
+    return acc
 
 
 def character(shape: Multipartition, word, field):
     """Trace of the word on the module labelled by the shape."""
     rep = build_rep(shape, field)
-    return mat_trace(eval_word(rep, word))
+    return rows_trace(eval_word(rep, word), field.zero)
 
 
 def mode_fields(p, d, n, mode: str = "auto", points=None,
@@ -329,6 +311,6 @@ def element_equal(p, d, n, w1, w2, mode: str = "auto",
     for field in fields:
         for shape in shapes:
             rep = build_rep(shape, field)
-            if not mat_eq(eval_word(rep, w1), eval_word(rep, w2)):
+            if eval_word(rep, w1) != eval_word(rep, w2):
                 return False
     return True

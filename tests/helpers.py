@@ -36,7 +36,7 @@ from cyclohecke.exactnum import (
     SpecPoint,
     eps_pow,
 )
-from cyclohecke.matrices import mat_diag
+from cyclohecke.matrices import rows_dense
 from cyclohecke.scalars import _exponents, hook
 from cyclohecke.seminormal import eval_word
 from cyclohecke.tableau import StandardTableau
@@ -79,8 +79,32 @@ def perm_from_word(n: int, word) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices: the reference the package's sparse and diagonal
-# products are checked against
+# dense matrices: the reference the package's sparse products are
+# checked against
+
+def mat_diag(entries, zero) -> tuple:
+    """The diagonal matrix with the given entries, `zero` off the diagonal."""
+    entries = list(entries)
+    return tuple(
+        tuple(x if i == j else zero for j in range(len(entries)))
+        for i, x in enumerate(entries)
+    )
+
+
+def mat_rows(A) -> tuple:
+    """The sparse rows of A: row i as its (column, entry) pairs, zeros left out."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in A)
+
+
+def mat_identity(rep) -> tuple:
+    return mat_diag([rep.field.one] * rep.dim, rep.field.zero)
+
+
+def eval_dense(rep, word) -> tuple:
+    """The value of the word on the rep as a dense matrix, the field's
+    zero where `eval_word` stores no entry."""
+    return rows_dense(eval_word(rep, word), rep.field.zero)
+
 
 def mat_add(A, B) -> tuple:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
@@ -111,9 +135,10 @@ def mat_mul(A, B) -> tuple:
 
 def eval_sum(rep, words) -> tuple:
     """The sum of the values of the words on the rep; zero for no words."""
-    out = mat_scale(rep.field.zero, rep.identity())
+    zero = rep.field.zero
+    out = mat_diag([zero] * rep.dim, zero)
     for word in words:
-        out = mat_add(out, eval_word(rep, word))
+        out = mat_add(out, eval_dense(rep, word))
     return out
 
 

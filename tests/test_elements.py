@@ -39,7 +39,6 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 from cyclohecke.scalars import f_lambda_closed
-from cyclohecke.matrices import mat_eq
 from cyclohecke.seminormal import (
     build_rep,
     element_equal,
@@ -315,15 +314,45 @@ def test_flam_oracle_symbolic_agreement():
 
 
 def test_flam_oracle_rejects_a_product_out_of_proportion(monkeypatch):
-    # one added to every entry of both products: a zero entry of v_b
-    # then faces a nonzero entry of v_b T_b v_b
-    product = elements.mat_mul_sparse
-    monkeypatch.setattr(
-        elements, "mat_mul_sparse",
-        lambda A, S, zero: tuple(tuple(x + 1 for x in row)
-                                 for row in product(A, S, zero)))
+    # one added to every entry of both products, zeros included: a zero
+    # entry of v_b then faces a nonzero entry of v_b T_b v_b
+    point = sample_point(2, 1, 3, Random(4))
+    product = elements.rows_mul
+
+    def plus_one(A, B):
+        return tuple(
+            tuple((j, dict(row).get(j, point.zero) + 1)
+                  for j in range(len(A)))
+            for row in product(A, B))
+
+    monkeypatch.setattr(elements, "rows_mul", plus_one)
+    with pytest.raises(VerificationError, match="not proportional"):
+        flam_eigen_oracle((2, 1), point)
+
+
+def test_flam_oracle_checks_where_v_b_is_zero(monkeypatch):
+    # v_b T_b v_b gains one nonzero entry at one position where v_b is
+    # zero; a check over the stored entries of v_b alone would pass it
+    product = elements.rows_mul
+    calls = []
+
+    def patched(A, B):
+        out = product(A, B)
+        calls.append(B)
+        if len(calls) % 2:
+            return out
+        # the second product of a shape ends with v_b itself, B
+        a, j = next((a, j) for a, row in enumerate(B)
+                    for j in range(len(B)) if j not in dict(row))
+        assert j not in dict(out[a])
+        x = next(x for row in B for _, x in row)
+        patched_row = tuple(sorted(out[a] + ((j, x),)))
+        return out[:a] + (patched_row,) + out[a + 1:]
+
+    monkeypatch.setattr(elements, "rows_mul", patched)
     with pytest.raises(VerificationError, match="not proportional"):
         flam_eigen_oracle((2, 1), sample_point(2, 1, 3, Random(4)))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +413,8 @@ def test_young_sym_word_row_symmetry():
     for field in mode_fields(2, 1, 3):
         for shape in enumerate_all(2, 1, 3):
             rep = build_rep(shape, field)
-            assert mat_eq(
-                eval_sum(rep, [w + [("T", 1)] for w in terms]),
-                eval_sum(rep, [[("scal", field.q)] + w for w in terms]))
+            assert eval_sum(rep, [w + [("T", 1)] for w in terms]) \
+                == eval_sum(rep, [[("scal", field.q)] + w for w in terms])
 
 
 def test_young_alt_word_signs():

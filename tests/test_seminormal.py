@@ -15,12 +15,11 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 from cyclohecke.matrices import (
-    mat_diag,
-    mat_eq,
-    mat_is_zero,
-    mat_mul_sparse,
-    mat_rows,
-    mat_scale_cols,
+    rows_dense,
+    rows_diag,
+    rows_mul,
+    rows_scale_cols,
+    rows_trace,
 )
 from cyclohecke.seminormal import (
     REP_CACHE_SIZE,
@@ -36,9 +35,13 @@ from cyclohecke.tableau import beta_coeff, content, enumerate_std
 
 from helpers import (
     RatFuncField,
+    eval_dense,
     eval_sum,
     mat_add,
+    mat_diag,
+    mat_identity,
     mat_mul,
+    mat_rows,
     mat_scale,
     t_inverse,
 )
@@ -57,10 +60,10 @@ K21 = generic_field(2, 1)
 def test_one_dimensional_reps():
     row = build_rep(mp(2, 1, [(2,), ()]), K21)
     assert row.t_rows(1) == (((0, K21.q),),)
-    assert eval_word(row, [("T", 1)]) == ((K21.q,),)
+    assert eval_word(row, [("T", 1)]) == (((0, K21.q),),)
     col = build_rep(mp(2, 1, [(1, 1), ()]), K21)
     assert col.t_rows(1) == (((0, -K21.one),),)
-    assert eval_word(col, [("T", 1)]) == ((-K21.one,),)
+    assert eval_word(col, [("T", 1)]) == (((0, -K21.one),),)
 
 
 def test_l1_diagonal_of_contents():
@@ -68,8 +71,7 @@ def test_l1_diagonal_of_contents():
     e1Q = K21.eps_pow(1) * K21.Q(1)
     e2Q = K21.eps_pow(2) * K21.Q(1)
     assert rep.l_diagonal(1) == (e1Q, e2Q)
-    assert mat_eq(eval_word(rep, [("T", 0)]),
-                  mat_diag([e1Q, e2Q], K21.zero))
+    assert eval_dense(rep, [("T", 0)]) == mat_diag([e1Q, e2Q], K21.zero)
     for k in (1, 2):
         for a, s in enumerate(rep.basis):
             assert rep.l_diagonal(k)[a] == content(s, k, K21)
@@ -165,8 +167,8 @@ def test_jm_elements_commute():
         rep = build_rep(shape, pt)
         for a in range(1, 4):
             for b in range(a + 1, 4):
-                assert mat_eq(eval_word(rep, [("L", a), ("L", b)]),
-                              eval_word(rep, [("L", b), ("L", a)]))
+                assert eval_word(rep, [("L", a), ("L", b)]) \
+                    == eval_word(rep, [("L", b), ("L", a)])
 
 
 def test_jm_exchange_identities():
@@ -176,12 +178,10 @@ def test_jm_exchange_identities():
         rep = build_rep(shape, K21)
         for k in range(1, 3):
             Tk, Lk, Lk1 = ("T", k), ("L", k), ("L", k + 1)
-            assert mat_eq(
-                eval_word(rep, [Tk, Lk]),
-                eval_word(rep, [Lk1, ("Tshift", k, 1 - q)]))
-            assert mat_eq(
-                eval_word(rep, [Tk, Lk1]),
-                eval_sum(rep, [[Lk, Tk], [("scal", q - 1), Lk1]]))
+            assert eval_word(rep, [Tk, Lk]) \
+                == eval_word(rep, [Lk1, ("Tshift", k, 1 - q)])
+            assert eval_dense(rep, [Tk, Lk1]) \
+                == eval_sum(rep, [[Lk, Tk], [("scal", q - 1), Lk1]])
 
 
 def test_symmetric_jm_polynomials_central():
@@ -193,8 +193,8 @@ def test_symmetric_jm_polynomials_central():
               for a in range(1, 4) for b in range(a + 1, 4)]
         for i in range(3):
             for e in (e1, e2):
-                assert mat_eq(eval_sum(rep, [w + [("T", i)] for w in e]),
-                              eval_sum(rep, [[("T", i)] + w for w in e]))
+                assert eval_sum(rep, [w + [("T", i)] for w in e]) \
+                    == eval_sum(rep, [[("T", i)] + w for w in e])
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +202,34 @@ def test_symmetric_jm_polynomials_central():
 
 def test_eval_word_examples():
     rep = build_rep(mp(2, 1, [(2,), (1,)]), K21)
-    assert mat_eq(eval_word(rep, []), rep.identity())
+    assert eval_dense(rep, []) == mat_identity(rep)
     via_recursion = mat_scale(
         K21.q_power(-1),
-        eval_word(rep, [("T", 1), ("L", 1), ("T", 1)]))
-    assert mat_eq(eval_word(rep, [("L", 2)]), via_recursion)
+        eval_dense(rep, [("T", 1), ("L", 1), ("T", 1)]))
+    assert eval_dense(rep, [("L", 2)]) == via_recursion
 
 
 def test_eval_word_quadratic():
     rep = build_rep(mp(2, 1, [(2,), (1,)]), K21)
-    lhs = eval_word(rep, [("T", 1), ("T", 1)])
-    rhs = mat_add(mat_scale(K21.q - 1, eval_word(rep, [("T", 1)])),
-                  mat_scale(K21.q, rep.identity()))
-    assert mat_eq(lhs, rhs)
-    # the same relation as a product, as check_relations states it
-    assert mat_is_zero(
-        eval_word(rep, [("Tshift", 1, -K21.q), ("Tshift", 1, 1)]))
+    lhs = eval_dense(rep, [("T", 1), ("T", 1)])
+    rhs = mat_add(mat_scale(K21.q - 1, eval_dense(rep, [("T", 1)])),
+                  mat_scale(K21.q, mat_identity(rep)))
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("field", [
+    GenericField(2, 1), sample_point(2, 1, 3, random.Random(28)),
+    GenericField(2, 2), sample_point(2, 2, 2, random.Random(29)),
+])
+def test_quadratic_product_stores_no_entry(field):
+    # (T_i - q)(T_i + 1), as check_relations states the quadratic
+    # relation: every sum in the product cancels, and none is kept
+    n = 3 if field.d == 1 else 2
+    for shape in enumerate_all(field.p, field.d, n):
+        rep = build_rep(shape, field)
+        for i in range(1, n):
+            got = eval_word(rep, [("Tshift", i, -field.q), ("Tshift", i, 1)])
+            assert got == ((),) * rep.dim, (shape, i)
 
 
 def _contents(rep, k):
@@ -243,7 +255,7 @@ def _dense_t(rep, i):
 
 def _dense_factor(rep, item):
     """One token as a dense matrix, straight from its definition."""
-    tag, field, ident = item[0], rep.field, rep.identity()
+    tag, field, ident = item[0], rep.field, mat_identity(rep)
     if tag == "T":
         return _dense_t(rep, item[1])
     if tag == "Tshift":
@@ -263,7 +275,7 @@ def _dense_factor(rep, item):
 
 
 def _dense_word(rep, word):
-    acc = rep.identity()
+    acc = mat_identity(rep)
     for item in word:
         acc = mat_mul(acc, _dense_factor(rep, item))
     return acc
@@ -300,6 +312,21 @@ def _form(x):
     return (x.nums, x.den)
 
 
+def _check_rows(value, dense_expect, zero):
+    """The sparse rows of a word value against the dense reference: the
+    same values and stored representations, columns increasing and no
+    zero stored."""
+    dense = rows_dense(value, zero)
+    assert dense == dense_expect
+    # the same representations too, so printed output is unchanged
+    assert [[_form(x) for x in row] for row in dense] \
+        == [[_form(x) for x in row] for row in dense_expect]
+    for row in value:
+        assert all(x for _, x in row)
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+
+
 @pytest.mark.parametrize("field, n, count", [
     (K21, 3, 12),
     (sample_point(3, 1, 3, random.Random(5)), 3, 16),
@@ -322,12 +349,8 @@ def test_eval_word_matches_dense_reference(field, n, count):
     for shape in enumerate_all(field.p, field.d, n):
         rep = build_rep(shape, field)
         for word in words:
-            got = eval_word(rep, word)
-            expect = _dense_word(rep, word)
-            assert mat_eq(got, expect), (shape, word)
-            # the same representations too, so printed output is unchanged
-            assert [[_form(x) for x in row] for row in got] \
-                == [[_form(x) for x in row] for row in expect]
+            _check_rows(eval_word(rep, word), _dense_word(rep, word),
+                        field.zero)
 
 
 @pytest.mark.parametrize("p, d, n, seed", [
@@ -346,9 +369,8 @@ def test_memoized_ladders_match_dense_reference(p, d, n, seed):
             expect = _dense_word(rep, word)
             first = eval_word(rep, word)
             second = eval_word(rep, word)
-            assert mat_eq(first, expect), (shape, word)
-            assert [[_form(x) for x in row] for row in second] \
-                == [[_form(x) for x in row] for row in expect]
+            assert first == second, (shape, word)
+            _check_rows(second, expect, field.zero)
         assert 0 < len(rep._ladders) <= n * p * d
 
 
@@ -361,8 +383,8 @@ def test_ladder_memo_reads_s_mod_p():
         first = rep.ladder_diagonal(2, 1, 1)
         for s in (1 + p, 1 - p, 1 + 3 * p):
             assert rep.ladder_diagonal(2, s, 1) is first
-            assert mat_eq(eval_word(rep, [("ladder", 2, s, 1)]),
-                          mat_diag(first, field.zero))
+            assert eval_dense(rep, [("ladder", 2, s, 1)]) \
+                == mat_diag(first, field.zero)
         assert list(rep._ladders) == [(2, 1, 1)]
 
 
@@ -386,7 +408,7 @@ def test_ladder_memo_fills_over_the_generic_field():
         word = [("ladder", k) + item[2:] for item in cyclotomic]
         first = eval_word(rep, word)
         assert len(rep._ladders) == 4 * k
-        assert mat_eq(first, _dense_word(rep, word))
+        _check_rows(first, _dense_word(rep, word), field.zero)
         for item in word:
             diag = rep.ladder_diagonal(*item[1:])
             assert diag is rep._ladders[k, item[2] % 2, item[3]]
@@ -406,6 +428,23 @@ def test_reps_on_one_point_share_ladder_entries():
             assert all(x is y for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize("field", [
+    GenericField(2, 1), sample_point(2, 1, 3, random.Random(30)),
+])
+def test_word_values_share_nothing_mutable(field):
+    # reps are shared through the rep cache, so a value that a caller
+    # could change in place would change every later verdict
+    rep = build_rep(mp(2, 1, [(2,), (1,)]), field)
+    for word in ([], [("T", 1)], [("L", 1)], [("ladder", 1, 1, 1)]):
+        first = eval_word(rep, word)
+        assert type(first) is tuple
+        for row in first:
+            assert type(row) is tuple
+            assert all(type(pair) is tuple for pair in row)
+        assert eval_word(rep, word) == first
+    assert all(type(d) is tuple for d in rep._ladders.values())
+
+
 def test_sparse_products_match_mat_mul():
     A = ((Fraction(1), Fraction(0), Fraction(2)),
          (Fraction(0), Fraction(0), Fraction(0)),
@@ -413,18 +452,32 @@ def test_sparse_products_match_mat_mul():
     B = ((Fraction(0), Fraction(4), Fraction(0)),
          (Fraction(7), Fraction(0), Fraction(-1)),
          (Fraction(0), Fraction(0), Fraction(3)))
+    # row 0 of C times B cancels in column 2
+    C = ((Fraction(0), Fraction(3), Fraction(1)),
+         (Fraction(0), Fraction(1), Fraction(0)),
+         (Fraction(0), Fraction(0), Fraction(0)))
     rows = (((1, Fraction(4)),),
             ((0, Fraction(7)), (2, Fraction(-1))),
             ((2, Fraction(3)),))
     zero = Fraction(0)
     assert mat_rows(B) == rows
-    assert mat_mul_sparse(A, rows, zero) == mat_mul(A, B)
+    assert rows_dense(rows, zero) == B
     d = (Fraction(2), Fraction(0), Fraction(-1, 3))
-    assert mat_scale_cols(A, d, zero) == mat_mul(A, mat_diag(d, zero))
+    for X in (A, B, C):
+        for got, expect in (
+                (rows_mul(mat_rows(X), rows), mat_mul(X, B)),
+                (rows_mul(rows, mat_rows(X)), mat_mul(B, X)),
+                (rows_scale_cols(mat_rows(X), d),
+                 mat_mul(X, mat_diag(d, zero)))):
+            # the dense product with its zeros left out
+            assert got == mat_rows(expect)
+        assert rows_trace(mat_rows(X), zero) == X[0][0] + X[1][1] + X[2][2]
+    assert rows_mul(mat_rows(C), rows)[0] == ((0, Fraction(21)),)
+    assert rows_diag(d) == mat_rows(mat_diag(d, zero))
     with pytest.raises(ValueError):
-        mat_mul_sparse(A, rows[:2], zero)
+        rows_mul(mat_rows(A), rows[:2])
     with pytest.raises(ValueError):
-        mat_scale_cols(A, d[:2], zero)
+        rows_scale_cols(mat_rows(A), d[:2])
 
 
 def test_rep_cache_stops_growing_at_cap():
@@ -445,14 +498,14 @@ def test_inverses():
         for shape in enumerate_all(2, 1, 3):
             rep = build_rep(shape, field)
             for i in range(3):
-                t, tinv = eval_word(rep, [("T", i)]), t_inverse(rep, i)
-                assert mat_eq(mat_mul(t, tinv), rep.identity())
-                assert mat_eq(mat_mul(tinv, t), rep.identity())
+                t, tinv = eval_dense(rep, [("T", i)]), t_inverse(rep, i)
+                assert mat_mul(t, tinv) == mat_identity(rep)
+                assert mat_mul(tinv, t) == mat_identity(rep)
                 if i:
                     # T_i^-1 = q^-1 (T_i + 1 - q) as one word
-                    assert mat_eq(eval_word(rep, [
+                    assert eval_dense(rep, [
                         ("scal", field.q_power(-1)),
-                        ("Tshift", i, field.one - field.q)]), tinv)
+                        ("Tshift", i, field.one - field.q)]) == tinv
             for bad in ([("T", 3)], [("T", -1)], [("L", 0)]):
                 with pytest.raises(ValueError):
                     eval_word(rep, bad)
@@ -481,13 +534,13 @@ def test_scalar_tokens_are_checked():
         with pytest.raises(TypeError):
             eval_word(rep, [("scal", value)])
     assert eval_word(rep, [("scal", Fraction(1, 2)), ("scal", pt.q)]) \
-        == ((pt.q * Fraction(1, 2),),)
+        == (((0, pt.q * Fraction(1, 2)),),)
 
 
 def test_t0_inverse_via_word():
     rep = build_rep(mp(2, 1, [(1,), (1,)]), K21)
-    assert mat_eq(mat_mul(eval_word(rep, [("T", 0)]), t_inverse(rep, 0)),
-                  rep.identity())
+    assert mat_mul(eval_dense(rep, [("T", 0)]), t_inverse(rep, 0)) \
+        == mat_identity(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +634,7 @@ def test_cyclotomic_params_order():
 def test_l_recursion_check_trips_on_injected_fault(monkeypatch):
     from cyclohecke import seminormal
 
-    monkeypatch.setattr(seminormal, "mat_eq", lambda a, b: False)
+    # the two sides of every recursion check then differ
+    monkeypatch.setattr(seminormal, "eval_word", lambda rep, word: word)
     with pytest.raises(RuntimeError, match="internal: L_2 recursion"):
         SeminormalRep(mp(2, 1, [(1,), (1,)]), K21)
