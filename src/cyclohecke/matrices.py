@@ -5,8 +5,8 @@ A square matrix is kept as its sparse rows: row a is a tuple of
 never stored.  So two matrices are equal exactly when their rows are
 (``==``), a zero row costs nothing, and products, column scalings and
 traces touch only the stored entries.  Entries are elements of a
-field: a product of two nonzero entries is nonzero and is stored
-untested, a sum is tested.  Rank and solving run on dense rows
+field, so only a zero factor or a sum that cancels makes a zero, and
+only those are dropped.  Rank and solving run on dense rows
 (`rows_dense`) and additionally divide.
 """
 
@@ -24,16 +24,12 @@ def rows_mul(A, B) -> tuple:
         raise ValueError("matrix dimension mismatch")
     out = []
     for row in A:
-        if len(row) > 1:
+        if row:
             acc = {}
             for k, x in row:
                 for j, y in B[k]:
                     acc[j] = acc[j] + x * y if j in acc else x * y
             row = tuple(sorted(item for item in acc.items() if item[1]))
-        elif row:
-            # one term per entry, so no sum to test
-            (k, x), = row
-            row = tuple((j, x * y) for j, y in B[k])
         out.append(row)
     return tuple(out)
 

@@ -208,15 +208,13 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       most 2 m multiplies.  ``("Tshift", i, c)`` for i >= 1: T_i + c,
       the same rows with the scalar c added on the diagonal (n more
       additions).  As the first factor of a word either is taken as it
-      is, each row scaled by the pending diagonal if one came before.
+      is.
     * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, s, i)``:
       the ladder factor L_k - eps^s Q_i, s read mod p and 1 <= i <= d;
       ``("scal", c)``: c times the identity; ``("T", 0)``.  All of these
-      are diagonal.  A run of them at the start of the word is
-      multiplied into one pending diagonal, n multiplies per factor,
-      which becomes the rows of the product when the first T_i comes or
-      the word ends.  After that each one scales the stored nonzeros,
-      at most m multiplies, and drops those its diagonal sends to zero.
+      are diagonal.  As the first factor of a word one becomes sparse
+      rows, n tests; after that each one scales the stored nonzeros, at
+      most m multiplies, and drops those its diagonal sends to zero.
     * A ladder costs n subtractions the first time it meets a rep, in
       either backend; its diagonal is then kept on the rep, and later
       uses cost one dict lookup (`SeminormalRep.ladder_diagonal`, at most
@@ -228,7 +226,7 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
     increasing, no zero stored, so equal values compare equal.
     """
     field = rep.field
-    acc = diag = None
+    acc = None
     for item in word:
         tag = item[0]
         if tag == "L":
@@ -242,11 +240,8 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         else:
             factor = None
         if factor is not None:
-            if acc is not None:
-                acc = rows_scale_cols(acc, factor)
-            else:
-                diag = factor if diag is None else [
-                    x * y if x else x for x, y in zip(diag, factor)]
+            acc = (rows_diag(factor) if acc is None
+                   else rows_scale_cols(acc, factor))
             continue
         if tag == "T":
             rows = rep.t_rows(item[1])
@@ -254,13 +249,8 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
             rows = rep.t_rows(item[1], _scalar_token(field, item[2]))
         else:
             raise ValueError(f"unknown word token {tag!r}")
-        if acc is not None:
-            acc = rows_mul(acc, rows)
-        else:
-            acc = rows if diag is None else rows_mul(rows_diag(diag), rows)
-    if acc is None:
-        return rows_diag([field.one] * rep.dim if diag is None else diag)
-    return acc
+        acc = rows if acc is None else rows_mul(acc, rows)
+    return rows_diag([field.one] * rep.dim) if acc is None else acc
 
 
 def character(shape: Multipartition, word, field):
