@@ -2,8 +2,9 @@
 
 Every subcommand reads flags and JSON files, runs one computation, and
 emits a single JSON document on standard output (or to --out).  Exit
-codes: 0 success, 2 validation error, 3 verification failure, 4
-inconsistent input data.  All randomness is seeded; sampled points are
+codes: 0 success, 2 validation error, 3 verification failure or a
+failed internal invariant (error kind ``internal``), 4 inconsistent
+input data.  All randomness is seeded; sampled points are
 logged in the output so runs can be replayed.
 """
 
@@ -97,6 +98,8 @@ def _guarded(fn):
             _fail("input-data", str(exc), 4)
         except VerificationError as exc:
             _fail("verification", str(exc), 3)
+        except RuntimeError as exc:
+            _fail("internal", str(exc), 3)
         except (ValueError, TypeError, KeyError, OSError) as exc:
             _fail("validation", str(exc), 2)
 

@@ -35,6 +35,11 @@ class SeminormalRep:
     L_k - eps^s Q_i are diagonals kept after their first use
     (`ladder_diagonal`), at most n*p*d of them.  Everything stored is a
     tuple, so a word value that shares it cannot change it.
+
+    The stored generators must not change after the rep is built: at a
+    point, `eval_word` keeps word values in a memo (at most
+    `WORD_CACHE_SIZE` of them) keyed by the rep itself, not by what it
+    stores.  Building a rep adds nothing to that memo.
     """
 
     def __init__(self, shape: Multipartition, field):
@@ -69,10 +74,11 @@ class SeminormalRep:
                 rows.append(tuple(sorted((j, x) for j, x in row if x)))
             self.trows[i] = tuple(rows)
 
-        # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents
+        # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents;
+        # evaluated past the word memo, which would keep words used once
         for k in range(1, self.n):
-            if eval_word(self, [("T", k), ("L", k), ("T", k)]) \
-                    != eval_word(self, [("scal", field.q), ("L", k + 1)]):
+            if _eval_word(self, [("T", k), ("L", k), ("T", k)]) \
+                    != _eval_word(self, [("scal", field.q), ("L", k + 1)]):
                 raise RuntimeError(
                     f"internal: L_{k + 1} recursion disagrees with contents "
                     f"on {shape!r}")
@@ -135,6 +141,13 @@ REP_CACHE_SIZE = 1024
 # hundred ladder entries; the memo holds those of some dozens of points
 LADDER_ENTRY_CACHE_SIZE = 16384
 
+# one verdict evaluates two words on every module at 3 points, and the
+# next pivot repeats the first of them, so the memo must hold one such
+# sweep or LRU evicts each value just before its reuse: 2 * 3 * 98 = 588
+# words on the largest desk cell, (p, d, n) = (3, 2, 3).  A memo without
+# a bound costs more peak memory than the benchmark allows.
+WORD_CACHE_SIZE = 1024
+
 
 @lru_cache(maxsize=LADDER_ENTRY_CACHE_SIZE)
 def _ladder_entry(field, c, root):
@@ -145,6 +158,11 @@ def _ladder_entry(field, c, root):
 @lru_cache(maxsize=REP_CACHE_SIZE)
 def _cached_rep(shape: Multipartition, field) -> SeminormalRep:
     return SeminormalRep(shape, field)
+
+
+@lru_cache(maxsize=WORD_CACHE_SIZE)
+def _memo_word(rep: SeminormalRep, key: tuple) -> tuple:
+    return _eval_word(rep, key)
 
 
 def build_rep(shape: Multipartition, field) -> SeminormalRep:
@@ -224,7 +242,34 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
     is still read and checked.  An empty word is the identity.  The
     result is the matrix as sparse rows (`matrices`): tuples, columns
     increasing, no zero stored, so equal values compare equal.
+
+    At a point the value is kept in one memo (LRU) of at most
+    `WORD_CACHE_SIZE` words, keyed by the rep and the word with every
+    ``scal`` and ``Tshift`` scalar already read and checked, so a bad
+    scalar raises before any lookup and a value repeated across calls
+    (v_b for every pivot, the shift cycle and the eigen oracle) is
+    computed once.  Indices are compared by value, as the ladder memo
+    compares them.  Over the generic field, whose Factored values do
+    not hash, every word is evaluated afresh.  Sharing a value is safe
+    because it is made of tuples, and the key is sound because a rep's
+    generators never change after it is built.
     """
+    field = rep.field
+    if field.is_generic:
+        return _eval_word(rep, word)
+    key = []
+    for item in word:
+        tag = item[0]
+        if tag == "scal":
+            item = ("scal", _scalar_token(field, item[1]))
+        elif tag == "Tshift":
+            item = ("Tshift", item[1], _scalar_token(field, item[2]))
+        key.append(item)
+    return _memo_word(rep, tuple(key))
+
+
+def _eval_word(rep: SeminormalRep, word) -> tuple:
+    """`eval_word` without the memo."""
     field = rep.field
     acc = None
     for item in word:

@@ -529,6 +529,22 @@ def test_failed_verdict_exits_3(runner, monkeypatch):
     assert data["failures"]
 
 
+def test_internal_invariant_exits_3_without_traceback(runner, monkeypatch):
+    from cyclohecke import scalars
+
+    def broken(field, value, name):
+        raise RuntimeError(f"internal: {name} must be a Laurent polynomial")
+
+    monkeypatch.setattr(scalars, "_check_laurent", broken)
+    result = runner.invoke(main, ["scalar", "f", "--p", "2", "--d", "1",
+                                  "--lambda", "[[1],[1]]"])
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    assert json.loads(result.output) == {"error": {
+        "kind": "internal",
+        "message": "internal: f must be a Laurent polynomial"}}
+
+
 @pytest.mark.parametrize("criterion, checker, points_of", [
     ("_criterion_elements", "verify_changing", lambda *args, points: points),
     ("_criterion_scalars", "flam_eigen_oracle", lambda b, pt: [pt]),

@@ -23,6 +23,7 @@ from cyclohecke.matrices import (
 )
 from cyclohecke.seminormal import (
     REP_CACHE_SIZE,
+    WORD_CACHE_SIZE,
     SeminormalRep,
     build_rep,
     character,
@@ -445,6 +446,74 @@ def test_word_values_share_nothing_mutable(field):
     assert all(type(d) is tuple for d in rep._ladders.values())
 
 
+@pytest.fixture
+def word_memo():
+    memo = seminormal._memo_word
+    memo.cache_clear()
+    yield memo
+    memo.cache_clear()
+
+
+def test_word_memo_returns_the_evaluated_value(word_memo):
+    pt = sample_point(2, 2, 3, random.Random(31))
+    rng = random.Random(32)
+    words = [_random_word(rng, pt, 3, rng.randint(1, 8)) for _ in range(12)]
+    for shape in enumerate_all(2, 2, 3):
+        rep = build_rep(shape, pt)
+        for word in words:
+            expect = _dense_word(rep, word)
+            first = eval_word(rep, word)
+            _check_rows(first, expect, pt.zero)
+            # a repeat is a hit: the same value, not a recomputed one
+            assert eval_word(rep, word) is first
+            word_memo.cache_clear()
+            again = eval_word(rep, word)
+            assert again == first
+            _check_rows(again, expect, pt.zero)
+
+
+def test_word_memo_checks_scalar_tokens_before_lookup(word_memo):
+    # True == 1 == 1.0 with equal hashes, so a memo keyed on the raw
+    # tokens would return the value of ("scal", 1) for ("scal", True)
+    pt = sample_point(2, 1, 3, random.Random(33))
+    rep = build_rep(mp(2, 1, [(2,), (1,)]), pt)
+    eval_word(rep, [("scal", 1)])
+    eval_word(rep, [("Tshift", 1, 1)])
+    assert word_memo.cache_info().currsize == 2
+    for bad in ([("scal", True)], [("scal", 1.0)], [("Tshift", 1, True)]):
+        with pytest.raises(TypeError):
+            eval_word(rep, bad)
+    with pytest.raises(TypeError, match="rational function"):
+        eval_word(rep, [("Tshift", 1, K21.one)])
+    assert word_memo.cache_info().hits == 0
+
+
+def test_word_memo_stays_within_its_bound(word_memo):
+    pt = sample_point(2, 1, 3, random.Random(34))
+    rep = build_rep(mp(2, 1, [(2,), (1,)]), pt)
+    words = [[("scal", k), ("T", 1)] for k in range(WORD_CACHE_SIZE + 20)]
+    for word in words:
+        eval_word(rep, word)
+        assert word_memo.cache_info().currsize <= WORD_CACHE_SIZE
+    assert word_memo.cache_info().currsize == WORD_CACHE_SIZE
+    # the first words were evicted; evaluated again they are still right
+    for word in words[:20] + words[-5:]:
+        _check_rows(eval_word(rep, word), _dense_word(rep, word), pt.zero)
+    assert word_memo.cache_info().currsize == WORD_CACHE_SIZE
+
+
+def test_word_memo_skips_rep_builds_and_the_generic_field(word_memo):
+    pt = sample_point(2, 1, 3, random.Random(35))
+    for field in (pt, K21):
+        # the L-recursion self-check evaluates words once, past the memo
+        for shape in enumerate_all(2, 1, 3):
+            SeminormalRep(shape, field)
+        assert word_memo.cache_info().currsize == 0
+    rep = SeminormalRep(mp(2, 1, [(2,), (1,)]), K21)
+    eval_word(rep, [("T", 1), ("L", 2)])
+    assert word_memo.cache_info().currsize == 0
+
+
 def test_sparse_products_match_mat_mul():
     A = ((Fraction(1), Fraction(0), Fraction(2)),
          (Fraction(0), Fraction(0), Fraction(0)),
@@ -635,6 +704,6 @@ def test_l_recursion_check_trips_on_injected_fault(monkeypatch):
     from cyclohecke import seminormal
 
     # the two sides of every recursion check then differ
-    monkeypatch.setattr(seminormal, "eval_word", lambda rep, word: word)
+    monkeypatch.setattr(seminormal, "_eval_word", lambda rep, word: word)
     with pytest.raises(RuntimeError, match="internal: L_2 recursion"):
         SeminormalRep(mp(2, 1, [(1,), (1,)]), K21)

@@ -74,3 +74,44 @@ def test_public_names_are_used_by_the_package():
                     for owner, name in uses)
     ]
     assert not unused, f"public names used only by tests: {unused}"
+
+
+def _module_ints(tree) -> dict:
+    """Module-level names bound to an int literal."""
+    return {target.id: stmt.value.value
+            for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Constant)
+            and type(stmt.value.value) is int
+            for target in stmt.targets if isinstance(target, ast.Name)}
+
+
+def _cache_decorators(tree):
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in ("lru_cache", "cache"):
+                yield node, dec
+
+
+def test_every_lru_cache_is_bounded():
+    # a cache without a finite bound grows with every point a process
+    # samples, so each one names its maxsize as a positive int
+    found, unbounded = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        ints = _module_ints(tree)
+        for node, dec in _cache_decorators(tree):
+            found += 1
+            size = None
+            if isinstance(dec, ast.Call):
+                args = [kw.value for kw in dec.keywords
+                        if kw.arg == "maxsize"] + dec.args[:1]
+                if args and isinstance(args[0], ast.Constant):
+                    size = args[0].value
+                elif args and isinstance(args[0], ast.Name):
+                    size = ints.get(args[0].id)
+            if type(size) is not int or size < 1:
+                unbounded.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found >= 6
+    assert not unbounded, f"caches without a finite int maxsize: {unbounded}"
