@@ -44,6 +44,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -766,14 +767,22 @@ def _binomial(a: CycRat, alpha: tuple, b: CycRat, beta: tuple) -> Factored:
 
 
 def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
-    """poly times every binomial c*x^m - 1 of the multiset, expanded."""
-    origin = (0,) * poly.nvars
-    minus_one = CycRat.from_rational(poly.order, -1)
+    """poly times every binomial c*x^m - 1 of the multiset, one pass each:
+    the terms shifted by m (m != 0) and scaled by c, minus the terms."""
+    terms = poly.terms
     for (m, c), k in factors.items():
-        binomial = LaurentPoly(poly.order, poly.nvars, {m: c, origin: minus_one})
+        scaled = c != 1
         for _ in range(k):
-            poly = poly * binomial
-    return poly
+            out = {tuple(map(add, e, m)): v * c if scaled else v
+                   for e, v in terms.items()}
+            for e, v in terms.items():
+                cur = out.pop(e, None)
+                if cur is None:
+                    out[e] = -v
+                elif cur != v:
+                    out[e] = cur - v
+            terms = out
+    return LaurentPoly(poly.order, poly.nvars, terms)
 
 
 def expand(value):

@@ -11,6 +11,12 @@ choosing the trivial root.  The identities connecting these values to the
 trace form and to the shift endomorphisms are exercised by the test suite
 against the seminormal representations.
 
+The Schur elements, f and g are products of pair factors (one component's
+hook binomials against another's), all read from one memo bounded at
+PAIR_CACHE_SIZE = 1024.  So the two sides of f * s_b = s * tr(v_b T_b)
+share factors; the independent check is the test suite's reference,
+which multiplies out every hook binomial as a rational function.
+
 All exponents that are a priori rational are computed exactly and
 checked integral before use.  The formulas only multiply, divide and
 subtract one from the field's values, so over the generic field, whose
@@ -22,6 +28,7 @@ at a specialization point the same formulas run in Q(zeta_N).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .combin import (
@@ -55,23 +62,35 @@ def hook(la, mu, i: int, j: int) -> int:
     return la[i - 1] - i + mu_conj_j - j + 1
 
 
-def _twisted_hook(field, comps, p: int, d: int, i: int, j: int, s: int, t: int):
-    """eps^(p_s-p_t) q^hook Q_{d_s} / Q_{d_t} for components s, t of comps."""
-    ps, ds = component_index(s, p, d)
-    pt, dt = component_index(t, p, d)
-    value = field.q_power(hook(comps[s - 1], comps[t - 1], i, j))
-    if ps != pt:
-        value = value * field.eps_pow(ps - pt)
+# a pass of the symbolic or the points benchmark workload needs < 300 keys
+PAIR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _pair_factor(field, la: tuple, mu: tuple, e: int, ds: int, dt: int):
+    """Product over the boxes (i,j) of la of eps^e q^hook(la,mu,i,j) Q_ds/Q_dt - 1."""
+    twist = field.eps_pow(e)
     if ds != dt:
-        value = value * field.Q_power(ds, 1) * field.Q_power(dt, -1)
+        twist = twist * field.Q_power(ds, 1) * field.Q_power(dt, -1)
+    value = field.one
+    for i, row in enumerate(la, start=1):
+        for j in range(1, row + 1):
+            value = value * (twist * field.q_power(hook(la, mu, i, j)) - field.one)
     return value
 
 
-def _boxes(comps):
-    for s, comp in enumerate(comps, start=1):
-        for i, row in enumerate(comp, start=1):
-            for j in range(1, row + 1):
-                yield i, j, s
+def _pair(field, comps, p: int, d: int, s: int, t: int, shift: int = 0):
+    """Pair factor of components s, t of comps at eps^(p_s-p_t+shift), keyed mod p."""
+    ps, ds = component_index(s, p, d)
+    pt, dt = component_index(t, p, d)
+    return _pair_factor(field, comps[s - 1], comps[t - 1],
+                        (ps - pt + shift) % field.p, ds, dt)
+
+
+def _filled_pairs(comps) -> list:
+    """(s, t) for each component s with a box (else the factor is 1), each t."""
+    r = range(1, len(comps) + 1)
+    return [(s, t) for s in r if comps[s - 1] for t in r]
 
 
 def _pooled(comps) -> tuple:
@@ -86,9 +105,8 @@ def _schur_product(field, comps, p: int, d: int):
     value = field.q_power(-beta(_pooled(comps))) / (field.q - field.one) ** n
     if (n * (m - 1)) % 2:
         value = -value
-    for i, j, s in _boxes(comps):
-        for t in range(1, m + 1):
-            value = value * (_twisted_hook(field, comps, p, d, i, j, s, t) - field.one)
+    for s, t in _filled_pairs(comps):
+        value = value * _pair(field, comps, p, d, s, t)
     return value
 
 
@@ -159,12 +177,9 @@ def f_lambda_closed(la: Multipartition, b, field):
     value = field.eps_pow(exps.eps_f) * field.q_power(exps.gamma)
     for c in range(1, d + 1):
         value = value * field.Q_power(c, n * (p - 1))
-    for i, j, s in _boxes(la.comps):
-        ps = component_index(s, p, d)[0]
-        for t in range(1, la.r + 1):
-            if component_index(t, p, d)[0] == ps:
-                continue
-            value = value * (_twisted_hook(field, la.comps, p, d, i, j, s, t) - field.one)
+    for s, t in _filled_pairs(la.comps):
+        if (s - 1) // d != (t - 1) // d:
+            value = value * _pair(field, la.comps, p, d, s, t)
     _check_laurent(field, value, "f")
     return value
 
@@ -186,15 +201,11 @@ def g_lambda(la: Multipartition, b, field):
     value = field.eps_pow(exps.eps_g) * field.q_power(exps.gamma_root)
     for c in range(1, d + 1):
         value = value * field.Q_power(c, exps.root_size * (p - 1))
-    for i, j, s in _boxes(root.comps):
-        ps = component_index(s, exps.orbit, d)[0]
-        for t in range(1, exps.orbit * d + 1):
-            pt = component_index(t, exps.orbit, d)[0]
-            for a in range(exps.split):
-                if a == 0 and pt == ps:
-                    continue
-                twisted = _twisted_hook(field, root.comps, exps.orbit, d, i, j, s, t)
-                value = value * (field.eps_pow(a * exps.orbit) * twisted - field.one)
+    for s, t in _filled_pairs(root.comps):
+        for a in range(exps.split):
+            if a or (s - 1) // d != (t - 1) // d:
+                value = value * _pair(field, root.comps, exps.orbit, d,
+                                      s, t, a * exps.orbit)
     _check_laurent(field, value, "g")
     return value
 

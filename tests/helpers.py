@@ -3,11 +3,11 @@
 Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
 tuples of partitions, the value of a rational function at a point, the
-generic field with every value multiplied out, the closed-form scalars
-multiplied out factor by factor, dense matrix arithmetic and the
-inverse generators), the words of identities from the paper that no
-command evaluates, sums of word values, and the decoder for the scalar
-JSON the commands write.
+generic field with every value multiplied out, binomials multiplied out
+by generic products, the closed-form scalars multiplied out factor by
+factor, dense matrix arithmetic and the inverse generators), the words
+of identities from the paper that no command evaluates, sums of word
+values, and the decoder for the scalar JSON the commands write.
 """
 
 from fractions import Fraction
@@ -370,6 +370,21 @@ class RatFuncField:
 
     def __hash__(self):
         return hash(("RatFuncField", self.p, self.d))
+
+
+def multiply_out_by_products(poly: LaurentPoly, factors) -> LaurentPoly:
+    """poly times each binomial c*x^m - 1 of factors, one generic product each.
+
+    factors maps (m, c) to a multiplicity, as the multisets of
+    exactnum.Factored do.
+    """
+    origin = (0,) * poly.nvars
+    minus_one = CycRat.from_rational(poly.order, -1)
+    for (m, c), k in factors.items():
+        binomial = LaurentPoly(poly.order, poly.nvars, {m: c, origin: minus_one})
+        for _ in range(k):
+            poly = poly * binomial
+    return poly
 
 
 # ---------------------------------------------------------------------------

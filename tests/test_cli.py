@@ -511,18 +511,19 @@ def test_fixtures_records_typed_errors_per_criterion(runner, monkeypatch):
 
 
 def test_failed_verdict_exits_3(runner, monkeypatch):
-    # the first hook one q-power off: that factor of f no longer matches
-    # its factor in g, so g^split = eps^E f fails for that shape
+    # the first pair factor one q-power off: f no longer matches its
+    # factors in g, so g^split = eps^E f fails for that shape; the memo
+    # behind _pair_factor keeps the true value
     from cyclohecke import scalars
 
-    real, calls = scalars._twisted_hook, []
+    real, calls = scalars._pair_factor, []
 
-    def bad_hook(field, *args):
-        calls.append(args)
-        value = real(field, *args)
+    def bad_pair(field, *key):
+        calls.append(key)
+        value = real(field, *key)
         return value * field.q if len(calls) == 1 else value
 
-    monkeypatch.setattr(scalars, "_twisted_hook", bad_hook)
+    monkeypatch.setattr(scalars, "_pair_factor", bad_pair)
     data = run_json(runner, ["verify", "factorization", "--p", "2",
                              "--d", "1", "--n", "2"], exit_code=3)
     assert data["passed"] is False

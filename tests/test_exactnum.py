@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -26,7 +27,12 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 
-from helpers import RatFuncField, scalar_from_json, specialize
+from helpers import (
+    RatFuncField,
+    multiply_out_by_products,
+    scalar_from_json,
+    specialize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -675,3 +681,90 @@ def test_factored_zero_and_division():
     assert x ** -2 == V.one / (x * x)
     assert 2 * x == x + x and x * Fraction(1, 2) * 2 == x
 
+
+
+# ---------------------------------------------------------------------------
+# the binomial kernel behind Factored.expand
+
+
+def kernel_coefficients(order):
+    """c in {1, -1, eps, eps^2, 2/3} of Q(zeta_order)."""
+    eps = eps_pow(order, 1)
+    return [CycRat.from_rational(order, 1), CycRat.from_rational(order, -1),
+            eps, eps * eps, CycRat.from_rational(order, Fraction(2, 3))]
+
+
+def random_lex_positive(rng, nvars):
+    while True:
+        m = tuple(rng.randint(-2, 2) for _ in range(nvars))
+        if any(m) and next(e for e in m if e) > 0:
+            return m
+
+
+def random_cycrat(rng, order):
+    """A nonzero element of Q(zeta_order) with small coordinates."""
+    width = len(cyclotomic_poly(order)) - 1
+    while True:
+        c = CycRat.make(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(width)])
+        if c:
+            return c
+
+
+def random_laurent(rng, order, nvars, terms):
+    return LaurentPoly(order, nvars, {
+        tuple(rng.randint(-2, 2) for _ in range(nvars)): random_cycrat(rng, order)
+        for _ in range(terms)})
+
+
+def random_binomials(rng, order, nvars, count):
+    cs = kernel_coefficients(order)
+    return Counter({(random_lex_positive(rng, nvars), rng.choice(cs)):
+                    rng.randint(1, 3) for _ in range(count)})
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_multiply_out_matches_generic_products(order):
+    rng = random.Random(order)
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        poly = random_laurent(rng, order, nvars, rng.randint(0, 5))
+        factors = random_binomials(rng, order, nvars, rng.randint(0, 3))
+        out = exactnum._multiply_out(poly, factors)
+        assert out == multiply_out_by_products(poly, factors)
+        assert all(out.terms.values())
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_multiply_out_cancels_terms(order):
+    # (1 + c x^m + ... + (c x^m)^k) (c x^m - 1) = (c x^m)^(k+1) - 1: every
+    # middle term cancels, also with the binomial taken k times
+    one = CycRat.from_rational(order, 1)
+    m, origin = (1, -1), (0, 0)
+    for c in kernel_coefficients(order):
+        for k in range(1, 4):
+            poly = LaurentPoly(order, 2, {(j, -j): c ** j for j in range(k + 1)})
+            out = exactnum._multiply_out(poly, Counter({(m, c): 1}))
+            assert out.terms == {(k + 1, -k - 1): c ** (k + 1), origin: -one}
+            ones = LaurentPoly(order, 2, {origin: one})
+            out = exactnum._multiply_out(ones, Counter({(m, c): k}))
+            assert out == multiply_out_by_products(ones, Counter({(m, c): k}))
+    zero = LaurentPoly.zero(order, 2)
+    assert exactnum._multiply_out(zero, Counter({(m, one): 3})) == zero
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_factored_json_matches_generic_products(order):
+    rng = random.Random(10 + order)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        unit = random_cycrat(rng, order)
+        mono = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        num = random_binomials(rng, order, nvars, rng.randint(0, 3))
+        den = random_binomials(rng, order, nvars, rng.randint(0, 3))
+        value = Factored(unit, mono, num, den)
+        reference = RatFunc(
+            multiply_out_by_products(
+                LaurentPoly.monomial(order, nvars, mono, unit), num),
+            multiply_out_by_products(LaurentPoly.constant(order, nvars, 1), den))
+        assert scalar_to_json(value) == scalar_to_json(reference)

@@ -15,7 +15,8 @@ from cyclohecke.combin import (
 from cyclohecke.exactnum import GenericField, generic_field, sample_point
 from cyclohecke.scalars import (
     _exponents,
-    _twisted_hook,
+    _pair,
+    _pair_factor,
     f_lambda_closed,
     g_lambda,
     hook,
@@ -83,11 +84,13 @@ def test_hook_diagonal_is_ordinary_hook(parts):
 def test_hook_value_twists():
     F = generic_field(2, 2)
     la = mp(2, 2, ((1,), (), (), (1,)))
-    # component 1 against component 4: eps^(1-2) q^h Q_1/Q_2 with h = 1
-    expected = F.eps_pow(-1) * F.q * F.Q(1) / F.Q(2)
-    assert _twisted_hook(F, la.comps, 2, 2, 1, 1, 1, 4) == expected
+    # component 1 against component 4: one box, eps^(1-2) q^h Q_1/Q_2 - 1
+    # with h = 1, and eps^-1 keyed as eps^1
+    expected = F.eps_pow(-1) * F.q * F.Q(1) / F.Q(2) - F.one
+    assert _pair(F, la.comps, 2, 2, 1, 4) == expected
+    assert _pair_factor(F, (1,), (1,), 1, 1, 2) == expected
     with pytest.raises(ValueError):
-        _twisted_hook(F, la.comps, 2, 2, 1, 1, 1, 5)
+        _pair(F, la.comps, 2, 2, 1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +393,27 @@ def test_scalar_bundle_fields():
 # internal invariants raise, also under python -O
 
 
-def test_laurent_check_trips_on_injected_pole(monkeypatch):
+def corrupt_first_pair(monkeypatch, corrupt):
+    """Make the next call of _pair_factor, and only that one, return a wrong value.
+
+    The wrapper corrupts what the memo returns, so the memo keeps only
+    true values.
+    """
     from cyclohecke import scalars
 
-    def bad_hook(field, *args):
-        return field.one + field.one / (field.q + field.one)
+    calls = []
 
-    monkeypatch.setattr(scalars, "_twisted_hook", bad_hook)
+    def bad_pair(field, *key):
+        calls.append(key)
+        value = _pair_factor(field, *key)
+        return corrupt(field, value) if len(calls) == 1 else value
+
+    monkeypatch.setattr(scalars, "_pair_factor", bad_pair)
+
+
+def test_laurent_check_trips_on_injected_pole(monkeypatch):
+    corrupt_first_pair(monkeypatch, lambda field, value: value * (
+        field.one + field.one / (field.q + field.one)))
     with pytest.raises(RuntimeError, match="internal: f must be a Laurent"):
         f_lambda_closed(mp(2, 1, ((1,), (1,))), (1, 1), GenericField(2, 1))
 
@@ -428,17 +445,8 @@ def test_exponent_checks_trip_on_injected_fault(monkeypatch):
 
 
 def off_by_one_hook(monkeypatch):
-    """Make the next call of _twisted_hook, and only that one, one q-power off."""
-    from cyclohecke import scalars
-
-    calls = []
-
-    def bad_hook(field, *args):
-        calls.append(args)
-        value = _twisted_hook(field, *args)
-        return value * field.q if len(calls) == 1 else value
-
-    monkeypatch.setattr(scalars, "_twisted_hook", bad_hook)
+    """Make the next pair factor, and only that one, one q-power off."""
+    corrupt_first_pair(monkeypatch, lambda field, value: value * field.q)
 
 
 def test_corrupted_factor_fails_every_identity(monkeypatch):
@@ -460,3 +468,76 @@ def test_corrupted_factor_fails_every_identity(monkeypatch):
             if lhs == rhs:
                 pytest.fail(f"trace identity holds with a corrupted f at {shape!r}")
 
+
+# ---------------------------------------------------------------------------
+# the pair-factor memo
+
+
+def test_pair_memo_stays_within_its_bound():
+    from cyclohecke.scalars import PAIR_CACHE_SIZE
+
+    F = GenericField(2, 1)
+    _pair_factor.cache_clear()
+    # mu = (1,)*k gives the one box of la = (1,) the hook k
+    keys = [(F, (1,), (1,) * k, 0, 1, 1) for k in range(1, PAIR_CACHE_SIZE + 21)]
+    first = [_pair_factor(*key) for key in keys[:20]]
+    for key in keys[20:]:
+        _pair_factor(*key)
+        assert _pair_factor.cache_info().currsize <= PAIR_CACHE_SIZE
+    misses = _pair_factor.cache_info().misses
+    for key, value in zip(keys[:20], first):
+        again = _pair_factor(*key)
+        assert again is not value and again == value
+        assert scalar_to_json(again) == scalar_to_json(value)
+    assert _pair_factor.cache_info().misses == misses + 20
+    assert first[4] == F.q_power(5) - F.one
+
+
+def snapshot(value):
+    return value.unit, value.mono, dict(value.num), dict(value.den)
+
+
+def test_memoized_pair_factors_are_never_changed(monkeypatch):
+    from cyclohecke import scalars
+
+    used = []
+
+    def recording(field, *key):
+        value = _pair_factor(field, *key)
+        used.append((value, snapshot(value)))
+        return value
+
+    monkeypatch.setattr(scalars, "_pair_factor", recording)
+    F = GenericField(3, 1)
+    values = []
+    for la in enumerate_all(3, 1, 3):
+        b = la.composition()
+        values += [f_lambda_closed(la, b, F), schur_element(3, la, F),
+                   schur_element_b(la, b, F), g_lambda(la, b, F)]
+    assert len(used) > 100
+    for value, before in used:
+        assert snapshot(value) == before
+    for value in values:
+        value.expand()
+    for value, before in used:
+        value.expand()
+        assert snapshot(value) == before
+
+
+@pytest.mark.parametrize("p, d, n", [(3, 2, 2), (2, 2, 3)])
+def test_cold_and_warm_pair_memo_agree(p, d, n):
+    def scalars_of(la, field):
+        b = la.composition()
+        values = (schur_element(p * d, la, field), schur_element_b(la, b, field),
+                  f_lambda_closed(la, b, field), g_lambda(la, b, field))
+        return [scalar_to_json(v) for v in values]
+
+    shapes = enumerate_all(p, d, n)
+    for field in (GenericField(p, d), sample_point(p, d, n, Random(7))):
+        cold = []
+        for la in shapes:
+            _pair_factor.cache_clear()
+            cold.append(scalars_of(la, field))
+        warm = [scalars_of(la, field) for la in shapes]
+        assert _pair_factor.cache_info().hits > 0
+        assert warm == cold

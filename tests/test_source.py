@@ -113,5 +113,5 @@ def test_every_lru_cache_is_bounded():
                     size = ints.get(args[0].id)
             if type(size) is not int or size < 1:
                 unbounded.append(f"{path.name}:{node.lineno} {node.name}")
-    assert found >= 6
+    assert found >= 7
     assert not unbounded, f"caches without a finite int maxsize: {unbounded}"
