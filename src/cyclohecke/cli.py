@@ -51,13 +51,13 @@ from .elements import (
 )
 from .exactnum import (
     CycRat,
+    Factored,
     PoleError,
     RatFunc,
     SpecPoint,
     _coeff_json,
-    expand,
     generic_field,
-    laurent_to_json,
+    ratfunc_to_json,
 )
 from .scalars import (
     f_lambda_closed,
@@ -123,16 +123,9 @@ def _mp_flag(p: int, d: int, text: str) -> Multipartition:
 
 def scalar_to_json(value) -> dict:
     """A scalar of any of the admissible kinds, with enough context to
-    reconstruct it exactly; a Factored value is written multiplied out."""
-    value = expand(value)
-    if isinstance(value, RatFunc):
-        return {
-            "kind": "ratfunc",
-            "order": value.num.order,
-            "nvars": value.num.nvars,
-            "num": laurent_to_json(value.num),
-            "den": laurent_to_json(value.den),
-        }
+    reconstruct it exactly; a symbolic value is written multiplied out."""
+    if isinstance(value, (RatFunc, Factored)):
+        return {"kind": "ratfunc", **ratfunc_to_json(value)}
     if isinstance(value, CycRat):
         return {
             "kind": "cycrat",

@@ -22,7 +22,7 @@ from .combin import (
     class_reps,
     enumerate_all,
 )
-from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers, expand
+from .exactnum import CycRat, GenericField, _zeta_powers
 from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
@@ -234,32 +234,23 @@ def orbit_sum_bound(la: Multipartition, mu: Multipartition, tables) -> int:
 # --- cyclic-twist system --------------------------------------------------
 
 
-def _ring_order(sample) -> int:
-    if isinstance(sample, RatFunc):
-        return sample.num.order
-    if isinstance(sample, CycRat):
-        return sample.order
-    raise TypeError(f"unsupported scalar type: {type(sample).__name__}")
-
-
 def _lift_scalar(value, p: int):
     """Accept a g value as rational, CycRat, RatFunc or Factored; rationals
-    join Q(eps), a Factored value is multiplied out."""
+    join Q(eps)."""
     if isinstance(value, (int, Fraction)):
         return CycRat.from_rational(p, value)
-    value = expand(value)
-    order = _ring_order(value)
-    if order % p:
-        raise ValueError(
-            f"scalar lives over order {order}, incompatible with eps of order {p}"
-        )
+    if not hasattr(value, "order"):
+        raise TypeError(f"unsupported scalar type: {type(value).__name__}")
+    if value.order % p:
+        raise ValueError(f"scalar lives over order {value.order}, "
+                         f"incompatible with eps of order {p}")
     return value
 
 
-def _eps_in(sample, p: int, k: int):
-    """eps^k as an element of sample's ring."""
-    order = _ring_order(sample)
-    return sample * 0 + _zeta_powers(order)[(order // p) * k % order]
+def _eps_in(sample, p: int, k: int) -> CycRat:
+    """eps^k in the cyclotomic field of sample's ring."""
+    order = sample.order
+    return _zeta_powers(order)[(order // p) * k % order]
 
 
 def _as_fraction(value) -> Fraction:
@@ -273,20 +264,13 @@ def _as_fraction(value) -> Fraction:
                 "with the tables at these parameters"
             )
         return value.rational_value()
-    if isinstance(value, RatFunc):
-        if not value.num.terms:
-            return Fraction(0)
-        exps, dc = value.den.sorted_terms()[0]
-        nc = value.num.terms.get(tuple(exps))
-        if nc is not None:
-            cand = nc / dc
-            if value == cand and cand.is_rational():
-                return cand.rational_value()
+    c = value.constant()
+    if c is None or not c.is_rational():
         raise NonConstantRatioError(
             "the symbolic g ratio does not cancel to a rational constant; "
             "specialize it or fix the inputs"
         )
-    raise TypeError(f"unsupported scalar type: {type(value).__name__}")
+    return c.rational_value()
 
 
 def _inverse_dft(l: int, p: int, ratio, column) -> list:

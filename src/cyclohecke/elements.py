@@ -27,6 +27,7 @@ from .combin import (
     wab_perm,
     wb_perm,
 )
+from .exactnum import laurent_quotient
 from .matrices import mat_rank, rows_dense, rows_mul, rows_scale_cols
 from .scalars import schur_element
 from .seminormal import (
@@ -226,9 +227,9 @@ def flam_eigen_oracle(b, field) -> dict:
     module generated by v_b, so composing its matrix on the left of the
     matrix of v_b scales the latter by f(lam) whenever the block sizes
     of lam equal b; v_b acts as zero on every other shape.  The scalar
-    is extracted from the first nonzero matrix entry and the full
-    proportionality, at every entry, the rank, and nonvanishing are all
-    re-checked.
+    is read off the first nonzero entry (exactly divided over the generic
+    field, where f is a Laurent polynomial) and the full proportionality,
+    at every entry, the rank, and nonvanishing are all re-checked.
     Returns a map shape -> scalar over the matching shapes.
     """
     b = _match_context(field, b)
@@ -250,7 +251,13 @@ def flam_eigen_oracle(b, field) -> dict:
         if a is None:
             raise VerificationError(f"v_b vanishes on its own block {shape!r}")
         j, x = vmat[a][0]
-        scalar = dict(prod[a]).get(j, field.zero) / x
+        y = dict(prod[a]).get(j, field.zero)
+        try:
+            scalar = laurent_quotient(y, x) if field.is_generic else y / x
+        except ArithmeticError:
+            raise VerificationError(
+                f"v_b T_b is not proportional to v_b at shape {shape!r}"
+            ) from None
         if not scalar:
             raise VerificationError(f"zero eigenvalue at shape {shape!r}")
         # rows compare every position, those where v_b is zero included

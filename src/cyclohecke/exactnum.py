@@ -18,20 +18,17 @@ The scalar tower used throughout the package:
   conjugates of the numerators divided by their integer norm.
 * ``LaurentPoly``: a Laurent polynomial in q, Q_1, ..., Q_d (variable 0 is
   always q) with CycRat coefficients.
-* ``RatFunc``: an unreduced ratio of Laurent polynomials.  Equality is
-  cross-multiplication equality; construction performs a cheap content
-  normalization (a common monomial shift and a scaling that makes the
-  denominator's lex-least coefficient 1) so values do not drift into huge
-  representations.  No multivariate gcd is ever computed.
-* ``Factored``: the values of ``GenericField``, kept as a unit times a
-  monomial times a quotient of two multisets of binomials c*m - 1, the
-  hook-product form of the Schur elements, f, g and the trace of v_b T_b.
-  Products, quotients and powers add multisets, and a difference of two
-  monomials is one binomial; any other sum, and any mix with a RatFunc,
-  multiplies out into a RatFunc.  Equality first compares the cancelled
-  multisets, which proves it, and otherwise multiplies both sides out.
-  ``expand`` gives the RatFunc the factors multiply out to, which is what
-  JSON output holds.
+* ``RatFunc`` and ``Factored``: the values of ``GenericField``.  Every
+  denominator over the generic field is a product of binomials c*x^m - 1
+  (contents differ by such factors, and the Schur elements are hook
+  products), and both keep it as a multiset of them.  A ``Factored`` is
+  a unit times a monomial times one multiset over another, the form of
+  the Schur elements, f and g; products, quotients and differences of
+  two monomials stay in it.  Any other sum is a ``RatFunc``, a
+  LaurentPoly numerator over a multiset: sums and equality lift both
+  sides to the multiset union, products add multisets, and only a
+  one-term numerator is divided by.  No gcd is ever taken.  The
+  denominator is multiplied out only for JSON (``ratfunc_to_json``).
 * ``SpecPoint``: an exact evaluation point (eps, q, Q_1, ..., Q_d) with all
   coordinates in Q(zeta_N) and eps = zeta_N^(N/p).
 
@@ -59,10 +56,10 @@ __all__ = [
     "GenericField",
     "cyclotomic_poly",
     "eps_pow",
-    "expand",
     "generic_field",
     "is_separated",
     "is_semisimple",
+    "laurent_quotient",
     "sample_point",
     "laurent_to_json",
     "ratfunc_to_json",
@@ -269,10 +266,6 @@ class CycRat:
             return NotImplemented
         return self.nums == o.nums and self.den == o.den
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.order, self.nums, self.den))
 
@@ -401,11 +394,6 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly(self.order, self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -439,22 +427,42 @@ class LaurentPoly:
             {tuple(a + b for a, b in zip(e, vec)): c for e, c in self.terms.items()},
         )
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative power of a Laurent polynomial; use RatFunc")
-        result = LaurentPoly.constant(self.order, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return (self.order, self.nvars, self.terms) == (other.order, other.nvars, other.terms)
+
+    def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
+        """self / other when that is a Laurent polynomial, by long division
+        on lex-greatest terms; ArithmeticError when it is not.  In each
+        variable the top and bottom degrees of a product add, so an exact
+        quotient lies in the box they allow, and as each step lowers the
+        remainder's lex-greatest term, one outside it ends the division."""
+        self._check(other)
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(other.terms)
+        inv = other.terms[lead].inverse()
+        lo = [a - b for a, b in zip(self.content(), other.content())]
+        hi = [max(a) - max(b)
+              for a, b in zip(zip(*self.terms), zip(*other.terms))]
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            e = max(rem)
+            s = tuple(a - b for a, b in zip(e, lead))
+            if not all(l <= x <= h for x, l, h in zip(s, lo, hi)):
+                raise ArithmeticError("inexact Laurent polynomial division")
+            c = rem[e] * inv
+            quot[s] = c
+            for f, v in other.terms.items():
+                g = tuple(a + b for a, b in zip(f, s))
+                r = rem.get(g, 0) - c * v
+                if r:
+                    rem[g] = r
+                else:
+                    del rem[g]
+        return LaurentPoly(self.order, self.nvars, quot)
 
     def __bool__(self):
         return bool(self.terms)
@@ -463,21 +471,10 @@ class LaurentPoly:
         """Componentwise minimum exponent over all terms (zero poly: origin)."""
         if not self.terms:
             return (0,) * self.nvars
-        its = iter(self.terms)
-        mins = list(next(its))
-        for e in its:
-            for i, v in enumerate(e):
-                if v < mins[i]:
-                    mins[i] = v
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
-
-    def lex_least_coeff(self) -> CycRat:
-        if not self.terms:
-            return CycRat.from_rational(self.order, 0)
-        return self.terms[min(self.terms)]
 
     def __repr__(self):
         if not self.terms:
@@ -493,122 +490,6 @@ class LaurentPoly:
         return " + ".join(bits)
 
 
-class RatFunc:
-    """Unreduced ratio of Laurent polynomials over Q(zeta_order)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
-        if den is None:
-            den = LaurentPoly.constant(num.order, num.nvars, 1)
-        num._check(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in rational function")
-        if not num:
-            num = LaurentPoly.zero(num.order, num.nvars)
-            den = LaurentPoly.constant(num.order, num.nvars, 1)
-        else:
-            cn = num.content()
-            cd = den.content()
-            vec = tuple(-min(a, b) for a, b in zip(cn, cd))
-            if any(vec):
-                num = num.shift(vec)
-                den = den.shift(vec)
-            lead = den.lex_least_coeff()
-            if lead != CycRat.from_rational(den.order, 1):
-                inv = lead.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Factored):
-            return other.expand()
-        if isinstance(other, LaurentPoly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction, CycRat)):
-            return RatFunc(LaurentPoly.constant(self.num.order, self.num.nvars, other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def inverse(self) -> "RatFunc":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __pow__(self, k: int) -> "RatFunc":
-        if k < 0:
-            return self.inverse() ** (-k)
-        num = self.num ** k
-        den = self.den ** k
-        return RatFunc(num, den)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __repr__(self):
-        return f"RatFunc(({self.num!r}) / ({self.den!r}))"
-
-
 # an empty multiset of binomials, shared; multisets are never mutated
 _NO_FACTORS = Counter()
 
@@ -622,19 +503,140 @@ def _union(a: Counter, b: Counter) -> Counter:
     return out
 
 
-class Factored:
+def _is_one(c: CycRat) -> bool:
+    return c.den == 1 and c.nums[0] == 1 and not any(c.nums[1:])
+
+
+def _factors(ms: Counter) -> list:
+    return [f"({c!r}*x^{list(m)} - 1)^{k}" for (m, c), k in ms.items()]
+
+
+class _Symbolic:
+    """What RatFunc and Factored share: constants join as Factored, sums
+    and equality go through the RatFunc form, and subtraction and
+    division are defined through negation and inverses."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, (RatFunc, Factored)):
+            if (other.order, other.nvars) != (self.order, self.nvars):
+                raise ValueError("symbolic values from different rings")
+            return other
+        if isinstance(other, (int, Fraction, CycRat)):
+            return Factored(_as_cycrat(self.order, other), (0,) * self.nvars)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        x, y, den = _common(self, o)
+        return RatFunc(x + y, den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else -self + o
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        x, y, _ = _common(self, o)
+        return x == y
+
+    def constant(self):
+        """The CycRat this value equals, or None.  The only candidate is
+        the numerator's constant term over (-1)^k, the constant term of a
+        product of k binomials."""
+        f = self.as_ratfunc()
+        c = f.num.terms.get((0,) * self.nvars) or CycRat.from_rational(
+            self.order, 0)
+        c = -c if sum(f.den.values()) % 2 else c
+        return c if self == c else None
+
+
+class RatFunc(_Symbolic):
+    """num / prod(den) over Q(zeta_order)(q, Q_1..Q_d): a LaurentPoly over
+    a multiset of binomials c*x^m - 1 keyed (m, c), m lex-positive, as in
+    ``Factored``.  Nothing is cancelled, yet a value is zero exactly when
+    its numerator is, and equal values have equal numerators over a
+    common multiset."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: Counter = _NO_FACTORS):
+        self.num = num
+        self.den = den if num else _NO_FACTORS
+
+    @property
+    def order(self) -> int:
+        return self.num.order
+
+    @property
+    def nvars(self) -> int:
+        return self.num.nvars
+
+    def as_ratfunc(self) -> "RatFunc":
+        return self
+
+    def __neg__(self):
+        return RatFunc(-self.num, self.den)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, Factored):
+            return RatFunc(o._times(self.num), _union(self.den, o.den))
+        return RatFunc(self.num * o.num, _union(self.den, o.den))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Factored":
+        """1 / self, for a one-term numerator: a Factored value."""
+        if len(self.num.terms) != 1:
+            if not self.num:
+                raise ZeroDivisionError("inverse of zero rational function")
+            raise NotImplementedError(
+                f"division by a numerator of {len(self.num.terms)} terms")
+        (e, c), = self.num.terms.items()
+        return Factored(c.inverse(), tuple(-a for a in e), self.den)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __repr__(self):
+        return f"RatFunc(({self.num!r}) / {_factors(self.den)})"
+
+
+class Factored(_Symbolic):
     """unit * x^mono * prod(num) / prod(den) over Q(zeta_order)(q, Q_1..Q_d).
 
     unit is a CycRat, mono an exponent vector over (q, Q_1, ..., Q_d), and
     num and den are multisets of binomials c*x^m - 1, each keyed (m, c)
     with m lex-positive: a binomial whose monomial is lex-negative is
     stored as -c*x^m * (c^-1*x^-m - 1).  The two multisets are never
-    cancelled against each other, so ``expand`` multiplies out exactly
-    the factors a closed formula named, one after another.  A Factored is
-    zero iff its unit is; no binomial with m != 0 vanishes.
+    cancelled against each other, so the JSON form multiplies out
+    exactly the factors a closed formula named, one after another.  A
+    Factored is zero iff its unit is; no binomial with m != 0 vanishes.
     """
 
-    __slots__ = ("unit", "mono", "num", "den", "_expanded")
+    __slots__ = ("unit", "mono", "num", "den", "_lifted")
 
     def __init__(self, unit: CycRat, mono: tuple, num: Counter = _NO_FACTORS,
                  den: Counter = _NO_FACTORS):
@@ -642,54 +644,53 @@ class Factored:
         self.mono = mono
         self.num = num
         self.den = den
-        self._expanded = None
+        self._lifted = None
 
-    def _coerce(self, other):
-        if isinstance(other, Factored):
-            if len(other.mono) != len(self.mono):
-                raise ValueError("factored scalars from different rings")
-            return other
-        if isinstance(other, (int, Fraction, CycRat)):
-            return Factored(self.unit._coerce(other), (0,) * len(self.mono))
-        return None
+    @property
+    def order(self) -> int:
+        return self.unit.order
 
-    def expand(self) -> RatFunc:
-        """The factors multiplied out, with nothing cancelled."""
-        if self._expanded is None:
-            order, nvars = self.unit.order, len(self.mono)
-            self._expanded = RatFunc(
-                _multiply_out(LaurentPoly.monomial(order, nvars, self.mono,
-                                                   self.unit), self.num),
-                _multiply_out(LaurentPoly.constant(order, nvars, 1), self.den))
-        return self._expanded
+    @property
+    def nvars(self) -> int:
+        return len(self.mono)
 
-    def __add__(self, other):
-        return self.expand() + other
+    def _times(self, poly: LaurentPoly) -> LaurentPoly:
+        """poly times this value's numerator, multiplied out."""
+        if any(self.mono):
+            poly = poly.shift(self.mono)
+        if not _is_one(self.unit):
+            poly = poly.scale(self.unit)
+        return _multiply_out(poly, self.num)
 
-    def __radd__(self, other):
-        return other + self.expand()
+    def as_ratfunc(self) -> RatFunc:
+        """The same value with its numerator multiplied out over the same
+        denominator multiset."""
+        if self._lifted is None:
+            one = LaurentPoly.constant(self.order, self.nvars, 1)
+            self._lifted = RatFunc(self._times(one), self.den)
+        return self._lifted
 
     def __neg__(self):
         return Factored(-self.unit, self.mono, self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None or self.num or self.den or o.num or o.den:
-            return self.expand() - other
-        return _binomial(self.unit, self.mono, o.unit, o.mono)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other - self.expand()
-        return o - self
+        if isinstance(o, Factored) and not (self.num or self.den
+                                            or o.num or o.den):
+            return _binomial(self.unit, self.mono, o.unit, o.mono)
+        return super().__sub__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return self.expand() * other
-        return Factored(self.unit * o.unit,
-                        tuple(a + b for a, b in zip(self.mono, o.mono)),
+        if not isinstance(o, Factored):
+            return NotImplemented if o is None else o * self
+        if _is_one(self.unit):
+            unit = o.unit
+        elif _is_one(o.unit):
+            unit = self.unit
+        else:
+            unit = self.unit * o.unit
+        return Factored(unit, tuple(a + b for a, b in zip(self.mono, o.mono)),
                         _union(self.num, o.num), _union(self.den, o.den))
 
     __rmul__ = __mul__
@@ -697,18 +698,6 @@ class Factored:
     def inverse(self) -> "Factored":
         return Factored(self.unit.inverse(), tuple(-a for a in self.mono),
                         self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return self.expand() / other
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other / self.expand()
-        return o * self.inverse()
 
     def __pow__(self, k: int) -> "Factored":
         if k < 0:
@@ -721,31 +710,33 @@ class Factored:
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (RatFunc, LaurentPoly)):
-                return self.expand() == other
-            return NotImplemented
+        if not isinstance(o, Factored):
+            return super().__eq__(other)
         if not self.unit or not o.unit:
             return not self.unit and not o.unit
-        if (self.unit == o.unit and self.mono == o.mono
-                and self.num + o.den == o.num + self.den):
-            return True
         # different multisets can still be equal values: q^2 - 1 is
-        # (q - 1)(q + 1), so the factors are multiplied out to decide
-        return self.expand() == o.expand()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        # (q - 1)(q + 1), so only then are the numerators multiplied out
+        return ((self.unit == o.unit and self.mono == o.mono
+                 and self.num + o.den == o.num + self.den)
+                or super().__eq__(o))
 
     def __bool__(self):
         return bool(self.unit)
 
     def __repr__(self):
-        def factors(ms):
-            return [f"({c!r}*x^{list(m)} - 1)^{k}" for (m, c), k in ms.items()]
         return (f"Factored({self.unit!r} * x^{list(self.mono)}, "
-                f"num={factors(self.num)}, den={factors(self.den)})")
+                f"num={_factors(self.num)}, den={_factors(self.den)})")
+
+
+def _common(a, b) -> tuple:
+    """The numerators of two symbolic values over the union of their
+    multisets (each binomial at its larger multiplicity), and the union."""
+    a, b = a.as_ratfunc(), b.as_ratfunc()
+    if a.den == b.den:
+        return a.num, b.num, a.den
+    den = a.den | b.den
+    return (_multiply_out(a.num, den - a.den),
+            _multiply_out(b.num, den - b.den), den)
 
 
 def _binomial(a: CycRat, alpha: tuple, b: CycRat, beta: tuple) -> Factored:
@@ -771,7 +762,7 @@ def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
     the terms shifted by m (m != 0) and scaled by c, minus the terms."""
     terms = poly.terms
     for (m, c), k in factors.items():
-        scaled = c != 1
+        scaled = not _is_one(c)
         for _ in range(k):
             out = {tuple(map(add, e, m)): v * c if scaled else v
                    for e, v in terms.items()}
@@ -785,9 +776,11 @@ def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
     return LaurentPoly(poly.order, poly.nvars, terms)
 
 
-def expand(value):
-    """A Factored value multiplied out into its RatFunc; others unchanged."""
-    return value.expand() if isinstance(value, Factored) else value
+def laurent_quotient(a, b) -> RatFunc:
+    """a / b for symbolic values, their numerators over one multiset
+    divided exactly; ArithmeticError unless a / b is a Laurent polynomial."""
+    x, y, _ = _common(a, b)
+    return RatFunc(x.divide_exact(y))
 
 
 class GenericField:
@@ -795,8 +788,8 @@ class GenericField:
 
     Its values are Factored: each constant, eps^k, q^k and Q_i^k is a
     unit times a monomial.  Products, quotients and the difference of
-    two monomials stay Factored; any other sum multiplies out into a
-    RatFunc.
+    two monomials stay Factored; any other sum is a RatFunc over the
+    same binomial denominators.
     """
 
     is_generic = True
@@ -1052,5 +1045,20 @@ def laurent_to_json(poly: LaurentPoly) -> list:
     return [[list(e), _coeff_json(c)] for e, c in poly.sorted_terms()]
 
 
-def ratfunc_to_json(f: RatFunc) -> dict:
-    return {"num": laurent_to_json(f.num), "den": laurent_to_json(f.den)}
+def ratfunc_to_json(value) -> dict:
+    """A symbolic value as its ring and num/den, the denominator multiplied
+    out, both shifted by their common content and scaled so that the
+    denominator's lex-least coefficient is 1; zero is 0/1."""
+    f = value.as_ratfunc()
+    num = f.num
+    den = _multiply_out(LaurentPoly.constant(f.order, f.nvars, 1), f.den)
+    if num:
+        vec = tuple(-min(a, b) for a, b in zip(num.content(), den.content()))
+        if any(vec):
+            num, den = num.shift(vec), den.shift(vec)
+        lead = den.terms[min(den.terms)]
+        if not _is_one(lead):
+            inv = lead.inverse()
+            num, den = num.scale(inv), den.scale(inv)
+    return {"order": f.order, "nvars": f.nvars,
+            "num": laurent_to_json(num), "den": laurent_to_json(den)}

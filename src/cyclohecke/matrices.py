@@ -7,7 +7,7 @@ never stored.  So two matrices are equal exactly when their rows are
 traces touch only the stored entries.  Entries are elements of a
 field, so only a zero factor or a sum that cancels makes a zero, and
 only those are dropped.  Rank and solving run on dense rows
-(`rows_dense`) and additionally divide.
+(`rows_dense`) by one elimination that does not divide.
 """
 
 
@@ -65,7 +65,8 @@ def rows_dense(A, zero) -> tuple:
 
 
 def _echelon(rows: list) -> list:
-    """Reduce the list rows to row echelon form in place; return the pivot columns."""
+    """Reduce rows to echelon form in place, without dividing: a row with
+    a below pivot p becomes p * row - a * (pivot row); return the pivot columns."""
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -77,9 +78,9 @@ def _echelon(rows: list) -> list:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][col]
         for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            a = rows[i][col]
+            if a:
+                rows[i] = [pv * x - a * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
     return pivots
 
@@ -89,7 +90,7 @@ def mat_rank(A) -> int:
 
 
 def mat_solve(A, b) -> list:
-    """The x with A x = b for square invertible A, by elimination."""
+    """The x with A x = b for square invertible A; divides in back-substitution only."""
     n = len(A)
     if any(len(row) != n for row in A) or len(b) != n:
         raise ValueError("solve needs a square matrix and a matching column")

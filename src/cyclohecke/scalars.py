@@ -137,7 +137,7 @@ def schur_element_b(la: Multipartition, b, field):
 
 def _check_laurent(field, value, name: str):
     # over the generic field a closed form is a Factored product; a sum
-    # slipped into it would have multiplied it out into a RatFunc
+    # slipped into it would have made it a RatFunc
     if field.is_generic and (not isinstance(value, Factored)
                              or value.den - value.num):
         raise RuntimeError(f"internal: {name} must be a Laurent polynomial")

@@ -208,7 +208,8 @@ def _scalar_token(field, value):
         return field.scalar(value)
     if isinstance(value, CycRat):
         return field.scalar(value) if field.is_generic else field.embed(value)
-    if isinstance(value, (RatFunc, Factored)):
+    # a symbolic value, or a value of another generic backend's own type
+    if isinstance(value, (RatFunc, Factored, type(field.one))):
         if field.is_generic:
             return value
         raise TypeError("a rational function is not a scalar at a point")
@@ -248,23 +249,27 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
     ``scal`` and ``Tshift`` scalar already read and checked, so a bad
     scalar raises before any lookup and a value repeated across calls
     (v_b for every pivot, the shift cycle and the eigen oracle) is
-    computed once.  Indices are compared by value, as the ladder memo
-    compares them.  Over the generic field, whose Factored values do
-    not hash, every word is evaluated afresh.  Sharing a value is safe
+    computed once.  Every index must be an int, not a bool, in both
+    backends, since 1.0 and True would find the value of 1.  Over the
+    generic field, whose values do not hash, every word is evaluated
+    afresh.  Sharing a value is safe
     because it is made of tuples, and the key is sound because a rep's
     generators never change after it is built.
     """
     field = rep.field
-    if field.is_generic:
-        return _eval_word(rep, word)
     key = []
     for item in word:
         tag = item[0]
         if tag == "scal":
             item = ("scal", _scalar_token(field, item[1]))
+        elif type(item[1]) is not int or tag == "ladder" and not (
+                type(item[2]) is type(item[3]) is int):
+            raise TypeError(f"token indices must be ints: {item!r}")
         elif tag == "Tshift":
             item = ("Tshift", item[1], _scalar_token(field, item[2]))
         key.append(item)
+    if field.is_generic:
+        return _eval_word(rep, key)
     return _memo_word(rep, tuple(key))
 
 
@@ -312,9 +317,10 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
 
     The list is never empty: trials below 1, or an empty list of points,
     raise ValueError, since a check over no field proves nothing.  The
-    auto rule goes symbolic while the direct sum of all modules stays
-    small, since symbolic products in several variables explode, and
-    always at p = 1, where no point can be sampled.
+    auto rule goes symbolic while the squared dimensions of all modules
+    sum to at most 40, since the numerators of symbolic sums grow with
+    every binomial of their denominators while a value at a point stays
+    one number, and always at p = 1, where no point can be sampled.
     """
     if points is not None:
         fields = list(points)

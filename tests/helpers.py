@@ -3,8 +3,8 @@
 Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
 tuples of partitions, the value of a rational function at a point, the
-generic field with every value multiplied out, binomials multiplied out
-by generic products, the closed-form scalars multiplied out factor by
+generic field with every value multiplied out and its cross-multiplying
+arithmetic, binomials multiplied out by generic products, the closed-form scalars multiplied out factor by
 factor, dense matrix arithmetic and the inverse generators), the words
 of identities from the paper that no command evaluates, sums of word
 values, and the decoder for the scalar JSON the commands write.
@@ -27,6 +27,7 @@ from cyclohecke.elements import (
     t_ab_word,
     t_word,
 )
+from cyclohecke.cli import scalar_to_json
 from cyclohecke.exactnum import (
     CycRat,
     Factored,
@@ -35,6 +36,7 @@ from cyclohecke.exactnum import (
     RatFunc,
     SpecPoint,
     eps_pow,
+    laurent_to_json,
 )
 from cyclohecke.matrices import rows_dense
 from cyclohecke.scalars import _exponents, hook
@@ -315,12 +317,159 @@ def shift_tableau(t: StandardTableau, z: int) -> StandardTableau:
 # ---------------------------------------------------------------------------
 # the generic field with multiplied-out values
 
-class RatFuncField:
-    """Q(eps_p)(q, Q_1..Q_d) with every value a RatFunc, multiplied out.
+class RefRatFunc:
+    """A ratio of two multiplied-out Laurent polynomials, the reference
+    for the package's symbolic values.
 
-    The same handle as exactnum.GenericField, whose values are Factored;
-    built from LaurentPoly monomials only, it checks that field's values
-    and the closed forms computed over it without sharing their code.
+    Sums and equality cross-multiply, with no gcd and no factored form;
+    each value is normalized as it is formed: a common monomial shift,
+    and the denominator's lex-least coefficient scaled to 1.  A value of
+    the package (Factored or RatFunc) that meets one is multiplied out
+    by generic products first (`to_reference`).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
+        if den is None:
+            den = LaurentPoly.constant(num.order, num.nvars, 1)
+        if not den:
+            raise ZeroDivisionError("zero denominator in rational function")
+        if not num:
+            num = LaurentPoly.zero(num.order, num.nvars)
+            den = LaurentPoly.constant(num.order, num.nvars, 1)
+        else:
+            vec = tuple(-min(a, b) for a, b in zip(num.content(), den.content()))
+            if any(vec):
+                num = num.shift(vec)
+                den = den.shift(vec)
+            lead = den.terms[min(den.terms)]
+            if lead != CycRat.from_rational(den.order, 1):
+                inv = lead.inverse()
+                num = num.scale(inv)
+                den = den.scale(inv)
+        self.num = num
+        self.den = den
+
+    def _coerce(self, other):
+        if isinstance(other, RefRatFunc):
+            return other
+        if isinstance(other, (Factored, RatFunc)):
+            return to_reference(other)
+        if isinstance(other, LaurentPoly):
+            return RefRatFunc(other)
+        if isinstance(other, (int, Fraction, CycRat)):
+            return RefRatFunc(LaurentPoly.constant(self.num.order,
+                                                   self.num.nvars, other))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.den == o.den:
+            return RefRatFunc(self.num + o.num, self.den)
+        return RefRatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefRatFunc(-self.num, self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefRatFunc(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.num:
+            raise ZeroDivisionError("division by zero rational function")
+        return RefRatFunc(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def inverse(self) -> "RefRatFunc":
+        if not self.num:
+            raise ZeroDivisionError("inverse of zero rational function")
+        return RefRatFunc(self.den, self.num)
+
+    def __pow__(self, k: int) -> "RefRatFunc":
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = RefRatFunc(LaurentPoly.constant(self.num.order, self.num.nvars, 1))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num * o.den == o.num * self.den
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __repr__(self):
+        return f"RefRatFunc(({self.num!r}) / ({self.den!r}))"
+
+
+def to_reference(value) -> RefRatFunc:
+    """A Factored or RatFunc value multiplied out by generic products."""
+    order, nvars = value.order, value.nvars
+    one = LaurentPoly.constant(order, nvars, 1)
+    if isinstance(value, Factored):
+        num = multiply_out_by_products(
+            LaurentPoly.monomial(order, nvars, value.mono, value.unit),
+            value.num)
+    else:
+        num = value.num
+    return RefRatFunc(num, multiply_out_by_products(one, value.den))
+
+
+def reference_json(value) -> dict:
+    """cli.scalar_to_json, extended to RefRatFunc values."""
+    if isinstance(value, RefRatFunc):
+        return {"kind": "ratfunc", "order": value.num.order,
+                "nvars": value.num.nvars,
+                "num": laurent_to_json(value.num),
+                "den": laurent_to_json(value.den)}
+    return scalar_to_json(value)
+
+
+class RatFuncField:
+    """Q(eps_p)(q, Q_1..Q_d) with every value a RefRatFunc, multiplied out.
+
+    The same handle as exactnum.GenericField, whose values are Factored
+    and RatFunc; built from LaurentPoly monomials only, it checks that
+    field's values and the closed forms computed over it without sharing
+    their code.
     """
 
     is_generic = True
@@ -330,38 +479,38 @@ class RatFuncField:
         self.d = d
         self.nvars = d + 1
 
-    def scalar(self, value) -> RatFunc:
-        return RatFunc(LaurentPoly.constant(self.p, self.nvars, value))
+    def scalar(self, value) -> RefRatFunc:
+        return RefRatFunc(LaurentPoly.constant(self.p, self.nvars, value))
 
     @property
-    def zero(self) -> RatFunc:
-        return RatFunc(LaurentPoly.zero(self.p, self.nvars))
+    def zero(self) -> RefRatFunc:
+        return RefRatFunc(LaurentPoly.zero(self.p, self.nvars))
 
     @property
-    def one(self) -> RatFunc:
+    def one(self) -> RefRatFunc:
         return self.scalar(1)
 
-    def eps_pow(self, k: int) -> RatFunc:
+    def eps_pow(self, k: int) -> RefRatFunc:
         if self.p == 1:
             return self.one
         return self.scalar(eps_pow(self.p, k))
 
-    def q_power(self, k: int) -> RatFunc:
+    def q_power(self, k: int) -> RefRatFunc:
         exps = [k] + [0] * self.d
-        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
+        return RefRatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
 
     @property
-    def q(self) -> RatFunc:
+    def q(self) -> RefRatFunc:
         return self.q_power(1)
 
-    def Q_power(self, i: int, k: int) -> RatFunc:
+    def Q_power(self, i: int, k: int) -> RefRatFunc:
         if not 1 <= i <= self.d:
             raise ValueError(f"Q_{i} out of range for d={self.d}")
         exps = [0] * self.nvars
         exps[i] = k
-        return RatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
+        return RefRatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
 
-    def Q(self, i: int) -> RatFunc:
+    def Q(self, i: int) -> RefRatFunc:
         return self.Q_power(i, 1)
 
     def __eq__(self, other):
@@ -388,7 +537,7 @@ def multiply_out_by_products(poly: LaurentPoly, factors) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# the closed-form scalars multiplied out: every factor a RatFunc of a
+# the closed-form scalars multiplied out: every factor a RefRatFunc of a
 # RatFuncField, each product normalized as it is formed; only the
 # exponents come from the package (scalars._exponents)
 
@@ -425,12 +574,12 @@ def _rf_schur(field, comps, p, d):
 
 
 def multiplied_schur(la: Multipartition):
-    """The Schur element of la as a RatFunc, multiplied out."""
+    """The Schur element of la as a RefRatFunc, multiplied out."""
     return _rf_schur(RatFuncField(la.p, la.d), la.comps, la.p, la.d)
 
 
 def multiplied_schur_b(la: Multipartition):
-    """The block Schur element of la as a RatFunc, multiplied out."""
+    """The block Schur element of la as a RefRatFunc, multiplied out."""
     field = RatFuncField(la.p, la.d)
     value = field.one
     for t in range(1, la.p + 1):
@@ -439,7 +588,7 @@ def multiplied_schur_b(la: Multipartition):
 
 
 def multiplied_f(la: Multipartition):
-    """The scalar f of (la, its composition) as a RatFunc, multiplied out."""
+    """The scalar f of (la, its composition) as a RefRatFunc, multiplied out."""
     p, d, n = la.p, la.d, la.size
     field = RatFuncField(p, d)
     exps = _exponents(la, la.composition())
@@ -456,7 +605,7 @@ def multiplied_f(la: Multipartition):
 
 
 def multiplied_g(la: Multipartition):
-    """The root g of (la, its composition) as a RatFunc, multiplied out."""
+    """The root g of (la, its composition) as a RefRatFunc, multiplied out."""
     p, d = la.p, la.d
     field = RatFuncField(p, d)
     exps = _exponents(la, la.composition())
@@ -483,9 +632,9 @@ def multiplied_g(la: Multipartition):
 
 def specialize(f, pt: SpecPoint) -> CycRat:
     """Exact evaluation of f at pt; raises PoleError on a vanishing denominator."""
-    if isinstance(f, Factored):
-        f = f.expand()
-    if isinstance(f, RatFunc):
+    if isinstance(f, (Factored, RatFunc)):
+        f = to_reference(f)
+    if isinstance(f, RefRatFunc):
         num = specialize(f.num, pt)
         den = specialize(f.den, pt)
         if not den:
@@ -522,8 +671,8 @@ def scalar_from_json(data: dict):
     kind = data["kind"]
     if kind == "ratfunc":
         order, nvars = data["order"], data["nvars"]
-        return RatFunc(_laurent_from_json(data["num"], order, nvars),
-                       _laurent_from_json(data["den"], order, nvars))
+        return RefRatFunc(_laurent_from_json(data["num"], order, nvars),
+                          _laurent_from_json(data["den"], order, nvars))
     if kind == "cycrat":
         return CycRat.make(data["order"],
                            [Fraction(a, b) for a, b in data["coeffs"]])

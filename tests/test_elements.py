@@ -313,6 +313,54 @@ def test_flam_oracle_symbolic_agreement():
             assert value == f_lambda_closed(shape, b, K21)
 
 
+@pytest.mark.parametrize("p, d, n", [(2, 2, 2), (2, 1, 3)])
+def test_flam_oracle_generic_matches_closed_formula(p, d, n):
+    # over the generic field the scalar is an exact Laurent quotient of
+    # entries whose numerators have several terms, and the rank of v_b
+    # comes from an elimination that does not divide
+    field = GenericField(p, d)
+    for b in compositions(n, p):
+        got = flam_eigen_oracle(b, field)
+        assert set(got) == set(enumerate_pdb(d, b))
+        for shape, value in got.items():
+            assert value == f_lambda_closed(shape, b, field), (b, shape)
+
+
+def test_flam_oracle_generic_rejects_an_inexact_quotient(monkeypatch):
+    # the entry of v_b T_b v_b that the scalar is read from gains a pole
+    # at q = Q_1, so it no longer divides by the entry of v_b there
+    field = GenericField(2, 1)
+    product = elements.rows_mul
+    quotient = elements.laurent_quotient
+    calls, inexact = [], []
+
+    def patched(A, B):
+        out = product(A, B)
+        calls.append(B)
+        if len(calls) % 2:
+            return out
+        # the second product of a shape ends with v_b itself, B
+        a = next(a for a, row in enumerate(B) if row)
+        j = B[a][0][0]
+        entries = dict(out[a])
+        entries[j] = entries.get(j, field.zero) \
+            + field.one / (field.q - field.Q(1))
+        return out[:a] + (tuple(sorted(entries.items())),) + out[a + 1:]
+
+    def recording(y, x):
+        try:
+            return quotient(y, x)
+        except ArithmeticError:
+            inexact.append(y)
+            raise
+
+    monkeypatch.setattr(elements, "rows_mul", patched)
+    monkeypatch.setattr(elements, "laurent_quotient", recording)
+    with pytest.raises(VerificationError, match="not proportional"):
+        flam_eigen_oracle((1, 1), field)
+    assert len(inexact) == 1
+
+
 def test_flam_oracle_rejects_a_product_out_of_proportion(monkeypatch):
     # one added to every entry of both products, zeros included: a zero
     # entry of v_b then faces a nonzero entry of v_b T_b v_b

@@ -23,15 +23,20 @@ from cyclohecke.exactnum import (
     generic_field,
     is_separated,
     is_semisimple,
+    laurent_quotient,
     ratfunc_to_json,
     sample_point,
 )
+from cyclohecke.matrices import mat_rank, rows_mul
 
 from helpers import (
     RatFuncField,
+    RefRatFunc,
     multiply_out_by_products,
+    reference_json,
     scalar_from_json,
     specialize,
+    to_reference,
 )
 
 
@@ -523,9 +528,16 @@ def laurents(order, nvars):
         lambda terms: LaurentPoly(order, nvars, terms))
 
 
+def binomial_multisets(order, nvars):
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars).filter(
+        lambda m: any(m) and next(e for e in m if e) > 0)
+    keys = st.tuples(exps, cycrats(order).filter(bool))
+    return st.dictionaries(keys, st.integers(1, 2), max_size=3).map(Counter)
+
+
 def ratfuncs(order, nvars):
     return st.tuples(laurents(order, nvars),
-                     laurents(order, nvars).filter(bool)).map(
+                     binomial_multisets(order, nvars)).map(
         lambda nd: RatFunc(*nd))
 
 
@@ -533,11 +545,14 @@ def ratfuncs(order, nvars):
 @given(st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
     lambda on: ratfuncs(*on)))
 def test_ratfunc_scalar_json_round_trip(f):
+    # the JSON holds the value multiplied out and normalized as the
+    # cross-multiplying reference normalizes it
     data = _through_json(scalar_to_json(f))
     back = scalar_from_json(data)
     assert back == f
-    assert (back.num.terms, back.den.terms) == (f.num.terms, f.den.terms)
-    assert scalar_to_json(back) == data
+    ref = to_reference(f)
+    assert (back.num.terms, back.den.terms) == (ref.num.terms, ref.den.terms)
+    assert reference_json(back) == data
 
 
 def irrational_points():
@@ -578,13 +593,13 @@ def test_specpoint_validation():
 
 def count_expansions(monkeypatch) -> list:
     calls = []
-    real = Factored.expand
+    real = Factored.as_ratfunc
 
     def counted(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(Factored, "expand", counted)
+    monkeypatch.setattr(Factored, "as_ratfunc", counted)
     return calls
 
 
@@ -646,10 +661,12 @@ def test_factored_compares_with_ratfunc_both_ways():
     assert not (x != y) and not (y != x)
     z = y + F.one
     assert x != z and z != x
-    # any mix with a RatFunc is a RatFunc
-    assert isinstance(x * F.q, RatFunc) and isinstance(F.q * x, RatFunc)
-    assert isinstance(x + 1, RatFunc) and isinstance(F.one - x, RatFunc)
+    # any mix with the reference is a reference value; a sum of package
+    # values is a RatFunc
+    assert isinstance(x * F.q, RefRatFunc) and isinstance(F.q * x, RefRatFunc)
+    assert isinstance(x + 1, RatFunc) and isinstance(F.one - x, RefRatFunc)
     assert x * F.q == y * F.q
+    assert x + 1 == z and z == x + 1 and x + 2 != z
 
 
 def test_factored_expands_to_the_multiplied_out_ratfunc():
@@ -665,15 +682,14 @@ def test_factored_expands_to_the_multiplied_out_ratfunc():
 
     x, y = build(V), build(F)
     assert isinstance(x, Factored)
-    assert ratfunc_to_json(x.expand()) == ratfunc_to_json(y)
-    assert exactnum.expand(x) is x.expand()
-    assert exactnum.expand(y) is y
+    assert scalar_to_json(x) == reference_json(y)
+    assert ratfunc_to_json(x) == ratfunc_to_json(x.as_ratfunc())
 
 
 def test_factored_zero_and_division():
     V = GenericField(2, 1)
     zero = V.q - V.q
-    assert not zero and zero == 0 and zero.expand() == GenericField(2, 1).zero
+    assert not zero and zero == 0 and zero.as_ratfunc() == GenericField(2, 1).zero
     with pytest.raises(ZeroDivisionError):
         V.one / zero
     x = V.q - V.one
@@ -683,8 +699,142 @@ def test_factored_zero_and_division():
 
 
 
+
+def test_factored_products_skip_unit_one(monkeypatch):
+    V = GenericField(3, 2)
+    x = V.eps_pow(1) * V.q - V.one
+    y = V.Q(1) / (V.q - V.one)
+    expect = [x * y, y * x, V.q * x, x * V.Q(2), V.one * V.one]
+    calls = []
+    product = CycRat.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(CycRat, "__mul__", counted)
+    # y, q, Q_2 and one have unit 1: no unit product is taken
+    got = [x * y, y * x, V.q * x, x * V.Q(2), V.one * V.one]
+    assert not calls
+    assert got == expect
+    assert (x * x).unit == x.unit * x.unit and calls
+
+
 # ---------------------------------------------------------------------------
-# the binomial kernel behind Factored.expand
+# sums: a Laurent numerator over the union of the binomial multisets
+
+def test_sum_denominator_is_the_multiset_union():
+    # 1/(q - 1) - q/(q - 1) = -1: the difference stays over one binomial,
+    # not over the product (q - 1)^2 of the operands' denominators
+    V = GenericField(2, 1)
+    b = V.q - V.one
+    r = V.one / b - V.q / b
+    assert isinstance(r, RatFunc)
+    assert sum(r.den.values()) == 1
+    assert r == -1 and -1 == r and r.constant() == -1
+    assert len(scalar_to_json(r)["den"]) == 2
+    # over two different binomials the union holds both, once each
+    c = V.q * V.Q(1) - V.one
+    s = V.one / b + V.one / c + V.one / (b * c)
+    assert s.den == b.num + c.num
+    F = RatFuncField(2, 1)
+    bf, cf = F.q - F.one, F.q * F.Q(1) - F.one
+    assert s == F.one / bf + F.one / cf + F.one / (bf * cf)
+
+
+def test_equal_values_with_different_multisets():
+    # (q^2 - 1)/(q - 1) = q + 1, as Factored, as RatFunc and across them
+    V = GenericField(2, 2)
+    b = V.q - V.one
+    factored = (V.q_power(2) - V.one) / b
+    summed = V.q + V.one
+    over_b = (V.q_power(2) + V.scalar(-1)) / b
+    assert isinstance(factored, Factored) and isinstance(over_b, RatFunc)
+    assert factored.den != summed.den and over_b.den != summed.den
+    for x, y in ((factored, summed), (summed, over_b), (over_b, factored)):
+        assert x == y and y == x and not (x != y)
+        assert x != y * V.q and x != y + 1 and x * V.Q(2) != y
+    assert scalar_to_json(summed) == scalar_to_json(V.q + 1)
+
+
+def test_cancelling_sum_is_falsy_and_sparse_rows_drop_it():
+    V = GenericField(2, 1)
+    x = V.Q(1) / (V.q - V.one) + V.one
+    zero = x - x
+    assert not zero and zero == 0 and not zero.den
+    assert not (x + (-1) * x) and x + x == 2 * x
+    # the (0, 0) entry is x * 1 + x * (-1); rows_mul stores no zero
+    one = V.one
+    A = (((0, x), (1, x)), ((1, one),))
+    B = (((0, one),), ((0, -one), (1, x)))
+    assert rows_mul(A, B) == (((1, x * x),), ((0, -one), (1, x)))
+
+
+def test_division_only_by_a_one_term_numerator():
+    V = GenericField(2, 1)
+    s = V.q + V.one
+    t = s * V.Q(1) / (V.q - V.one)
+    assert t / (V.Q(1) + 0) == s / (V.q - V.one)
+    assert (V.q_power(2) + V.q) / V.q == s
+    assert 1 / (V.Q(1) + 0) == V.Q_power(1, -1)
+    with pytest.raises(NotImplementedError):
+        V.one / s
+    with pytest.raises(NotImplementedError):
+        t / s
+    with pytest.raises(ZeroDivisionError):
+        t / (s - s)
+
+
+def test_exact_laurent_division():
+    V = GenericField(3, 2)
+    a = V.eps_pow(1) * V.q * V.Q(2) + V.Q(1)
+    b = V.q_power(-1) + V.eps_pow(2) * V.Q(1) * V.Q_power(2, 3)
+    prod = (a * b).num
+    assert prod.divide_exact(b.num) == a.num
+    assert prod.divide_exact(a.num) == b.num
+    assert LaurentPoly.zero(3, 3).divide_exact(b.num) == LaurentPoly.zero(3, 3)
+    # numerators over different multisets are lifted to one first
+    x = a / (V.q - V.one)
+    y = b / (V.q * V.Q(1) - V.one)
+    assert laurent_quotient(x * y, y / (V.q - V.one)) == a
+    assert laurent_quotient(a * (V.q - V.one), V.q - V.one) == a
+
+
+def test_inexact_laurent_division_raises():
+    V = GenericField(2, 2)
+    a = V.q + V.one
+    b = V.q + V.Q(1)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        (a * a + V.one).num.divide_exact(a.num)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        a.num.divide_exact(b.num)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        laurent_quotient(V.one, a)
+    # a quotient with a pole is not a Laurent polynomial either
+    with pytest.raises(ArithmeticError, match="inexact"):
+        laurent_quotient(a, a * (V.q - V.one))
+    with pytest.raises(ZeroDivisionError):
+        a.num.divide_exact(LaurentPoly.zero(2, 3))
+
+
+def test_division_free_rank_of_a_generic_matrix():
+    # row 3 = (q + 1) row 1 + row 2 / (q - Q_1): rank 2; every pivot has a
+    # numerator of several terms, so an elimination that divided by it
+    # would raise
+    V = GenericField(2, 1)
+    a = V.q + V.one
+    c = V.one / (V.q - V.Q(1))
+    r1 = [a, V.Q(1) + V.one, V.q_power(2)]
+    r2 = [V.q + V.Q(1), V.one, V.q * a]
+    r3 = [a * x + c * y for x, y in zip(r1, r2)]
+    assert mat_rank([r1, r2, r3]) == 2
+    assert mat_rank([r1, r2, [x + V.one for x in r3]]) == 3
+    assert mat_rank([r1, [a * x for x in r1]]) == 1
+    assert mat_rank([[V.zero] * 3] * 2) == 0
+
+
+# ---------------------------------------------------------------------------
+# the binomial kernel behind sums and the JSON form
 
 
 def kernel_coefficients(order):
@@ -763,8 +913,8 @@ def test_factored_json_matches_generic_products(order):
         num = random_binomials(rng, order, nvars, rng.randint(0, 3))
         den = random_binomials(rng, order, nvars, rng.randint(0, 3))
         value = Factored(unit, mono, num, den)
-        reference = RatFunc(
+        reference = RefRatFunc(
             multiply_out_by_products(
                 LaurentPoly.monomial(order, nvars, mono, unit), num),
             multiply_out_by_products(LaurentPoly.constant(order, nvars, 1), den))
-        assert scalar_to_json(value) == scalar_to_json(reference)
+        assert scalar_to_json(value) == reference_json(reference)

@@ -12,7 +12,12 @@ from cyclohecke.combin import (
     enumerate_all,
     enumerate_pdb,
 )
-from cyclohecke.exactnum import GenericField, generic_field, sample_point
+from cyclohecke.exactnum import (
+    GenericField,
+    generic_field,
+    ratfunc_to_json,
+    sample_point,
+)
 from cyclohecke.scalars import (
     _exponents,
     _pair,
@@ -31,6 +36,7 @@ from helpers import (
     multiplied_g,
     multiplied_schur,
     multiplied_schur_b,
+    reference_json,
     specialize,
 )
 
@@ -176,8 +182,8 @@ def test_f_is_laurent():
             for la in enumerate_pdb(d, b):
                 f = f_lambda_closed(la, b, F)
                 g = g_lambda(la, b, F)
-                assert len(f.expand().den.terms) == 1
-                assert len(g.expand().den.terms) == 1
+                assert len(ratfunc_to_json(f)["den"]) == 1
+                assert len(ratfunc_to_json(g)["den"]) == 1
 
 
 def test_f_equals_schur_ratio_times_trace():
@@ -200,7 +206,7 @@ def test_f_nonzero_at_separated_points():
         for b in compositions(3, p):
             for la in enumerate_pdb(d, b):
                 f = f_lambda_closed(la, b, generic_field(p, d))
-                assert specialize(f.expand(), pt)
+                assert specialize(f, pt)
                 assert f_lambda_closed(la, b, pt)
 
 
@@ -328,7 +334,7 @@ def test_closed_forms_match_multiplied_out_ratfuncs(p, d):
                 (g_lambda(la, b, F), multiplied_g(la)),
             )
             for kind, (closed, multiplied) in zip("s b f g".split(), pairs):
-                if scalar_to_json(closed) != scalar_to_json(multiplied):
+                if scalar_to_json(closed) != reference_json(multiplied):
                     pytest.fail(f"{kind} differs at {la!r}")
 
 
@@ -413,7 +419,7 @@ def corrupt_first_pair(monkeypatch, corrupt):
 
 def test_laurent_check_trips_on_injected_pole(monkeypatch):
     corrupt_first_pair(monkeypatch, lambda field, value: value * (
-        field.one + field.one / (field.q + field.one)))
+        field.one + field.one / (field.q - field.one)))
     with pytest.raises(RuntimeError, match="internal: f must be a Laurent"):
         f_lambda_closed(mp(2, 1, ((1,), (1,))), (1, 1), GenericField(2, 1))
 
@@ -518,9 +524,9 @@ def test_memoized_pair_factors_are_never_changed(monkeypatch):
     for value, before in used:
         assert snapshot(value) == before
     for value in values:
-        value.expand()
+        scalar_to_json(value)
     for value, before in used:
-        value.expand()
+        scalar_to_json(value)
         assert snapshot(value) == before
 
 

@@ -7,11 +7,11 @@ from cyclohecke import seminormal
 from cyclohecke.cli import scalar_to_json
 from cyclohecke.combin import Multipartition, enumerate_all
 from cyclohecke.exactnum import (
+    CycRat,
     GenericField,
-    RatFunc,
     SpecPoint,
-    expand,
     generic_field,
+    ratfunc_to_json,
     sample_point,
 )
 from cyclohecke.matrices import (
@@ -44,6 +44,7 @@ from helpers import (
     mat_mul,
     mat_rows,
     mat_scale,
+    reference_json,
     t_inverse,
 )
 
@@ -108,12 +109,12 @@ def test_factored_and_multiplied_out_fields_build_the_same_reps(p, d, n):
         b = build_rep(shape, multiplied)
         for k in range(1, n + 1):
             assert [scalar_to_json(x) for x in a.l_diagonal(k)] \
-                == [scalar_to_json(x) for x in b.l_diagonal(k)], (shape, k)
+                == [reference_json(x) for x in b.l_diagonal(k)], (shape, k)
         for i in range(1, n):
             for shift_a, shift_b in shifts:
                 assert [[(j, scalar_to_json(x)) for j, x in row]
                         for row in a.t_rows(i, shift_a)] \
-                    == [[(j, scalar_to_json(x)) for j, x in row]
+                    == [[(j, reference_json(x)) for j, x in row]
                         for row in b.t_rows(i, shift_b)], (shape, i, shift_a)
         assert check_relations(a) == []
         assert check_relations(b) == []
@@ -306,11 +307,10 @@ def _random_word(rng, field, n, length):
 
 def _form(x):
     """The stored representation of a scalar, not just its value; a
-    Factored one multiplied out, as it is printed."""
-    x = expand(x)
-    if isinstance(x, RatFunc):
-        return (x.num.terms, x.den.terms)
-    return (x.nums, x.den)
+    symbolic one multiplied out, as it is printed."""
+    if isinstance(x, CycRat):
+        return (x.nums, x.den)
+    return ratfunc_to_json(x)
 
 
 def _check_rows(value, dense_expect, zero):
@@ -486,6 +486,29 @@ def test_word_memo_checks_scalar_tokens_before_lookup(word_memo):
     with pytest.raises(TypeError, match="rational function"):
         eval_word(rep, [("Tshift", 1, K21.one)])
     assert word_memo.cache_info().hits == 0
+
+
+def test_word_indices_are_typed_before_lookup(word_memo):
+    # 1.0 and True hash and compare equal to 1, so a warm memo would
+    # return L_1 or T_1 for them; a fresh one must refuse them too
+    pt = sample_point(2, 1, 3, random.Random(35))
+    rep = build_rep(mp(2, 1, [(2,), (1,)]), pt)
+    bad = [[("L", 1.0)], [("L", True)], [("T", True)], [("T", 1.0)],
+           [("Tshift", True, 1)], [("ladder", 1, 1.0, 1)],
+           [("ladder", 1, 1, True)], [("T", 1), ("L", "1")]]
+    for warm in (False, True):
+        if warm:
+            for word in ([("L", 1)], [("T", 1)], [("Tshift", 1, 1)],
+                         [("ladder", 1, 1, 1)]):
+                eval_word(rep, word)
+        for word in bad:
+            with pytest.raises(TypeError, match="must be ints"):
+                eval_word(rep, word)
+    assert word_memo.cache_info().hits == 0
+    generic = build_rep(mp(2, 1, [(2,), (1,)]), K21)
+    for word in bad:
+        with pytest.raises(TypeError, match="must be ints"):
+            eval_word(generic, word)
 
 
 def test_word_memo_stays_within_its_bound(word_memo):
