@@ -51,7 +51,6 @@ from .elements import (
 )
 from .exactnum import (
     CycRat,
-    Factored,
     PoleError,
     RatFunc,
     SpecPoint,
@@ -124,7 +123,7 @@ def _mp_flag(p: int, d: int, text: str) -> Multipartition:
 def scalar_to_json(value) -> dict:
     """A scalar of any of the admissible kinds, with enough context to
     reconstruct it exactly; a symbolic value is written multiplied out."""
-    if isinstance(value, (RatFunc, Factored)):
+    if isinstance(value, RatFunc):
         return {"kind": "ratfunc", **ratfunc_to_json(value)}
     if isinstance(value, CycRat):
         return {
@@ -376,7 +375,10 @@ def verify_trace_vbtb_cmd(b_text, d, p, n, mode, trials, seed, out):
 def verify_factorization_cmd(p, d, n, la_text, mode, trials, seed, out):
     """g^split against the eps-power times f, per shape."""
     if la_text is not None:
-        shapes = [_mp_flag(p, d, la_text)]
+        la = _mp_flag(p, d, la_text)
+        if n is not None and la.size != n:
+            raise ValueError(f"lambda has size {la.size}, expected {n}")
+        shapes = [la]
     elif n is not None:
         shapes = enumerate_all(p, d, n)
     else:
@@ -846,6 +848,28 @@ def quick_criteria() -> list:
     return _suite(1)
 
 
+def run_criterion(name: str, check, budget) -> dict:
+    """Run one criterion: its record for the fixtures table.  A check
+    fails on an AssertionError or a typed error, and a passing check
+    fails too when it takes budget seconds or more."""
+    start = time.perf_counter()
+    try:
+        detail = check()
+        passed = True
+    except AssertionError as exc:
+        detail = str(exc)
+        passed = False
+    except (PoleError, InputDataError, VerificationError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        passed = False
+    elapsed = time.perf_counter() - start
+    if passed and budget is not None and elapsed >= budget:
+        detail = f"took {elapsed:.1f}s, budget {budget}s: {detail}"
+        passed = False
+    return {"criterion": name, "passed": passed,
+            "seconds": round(elapsed, 2), "detail": detail}
+
+
 @main.command("fixtures")
 @click.option("--suite", required=True)
 @click.option("--out", default=None)
@@ -855,26 +879,8 @@ def fixtures_cmd(suite, out):
     suites = {"desk": desk_criteria, "quick": quick_criteria}
     if suite not in suites:
         raise ValueError(f"unknown suite {suite!r}; pick from desk, quick")
-    results = []
-    ok = True
-    for name, check, _budget in suites[suite]():
-        start = time.perf_counter()
-        try:
-            detail = check()
-            passed = True
-        except AssertionError as exc:
-            detail = str(exc)
-            passed = False
-        except (PoleError, InputDataError, VerificationError) as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            passed = False
-        ok = ok and passed
-        results.append({
-            "criterion": name,
-            "passed": passed,
-            "seconds": round(time.perf_counter() - start, 2),
-            "detail": detail,
-        })
+    results = [run_criterion(*criterion) for criterion in suites[suite]()]
+    ok = all(r["passed"] for r in results)
     _emit({"suite": suite, "passed": ok, "results": results}, out)
     if not ok:
         sys.exit(3)

@@ -22,7 +22,7 @@ from .combin import (
     class_reps,
     enumerate_all,
 )
-from .exactnum import CycRat, GenericField, _zeta_powers
+from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers
 from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
@@ -235,11 +235,11 @@ def orbit_sum_bound(la: Multipartition, mu: Multipartition, tables) -> int:
 
 
 def _lift_scalar(value, p: int):
-    """Accept a g value as rational, CycRat, RatFunc or Factored; rationals
-    join Q(eps)."""
+    """Accept a g value as rational, CycRat or RatFunc; rationals join
+    Q(eps)."""
     if isinstance(value, (int, Fraction)):
         return CycRat.from_rational(p, value)
-    if not hasattr(value, "order"):
+    if not isinstance(value, (CycRat, RatFunc)):
         raise TypeError(f"unsupported scalar type: {type(value).__name__}")
     if value.order % p:
         raise ValueError(f"scalar lives over order {value.order}, "

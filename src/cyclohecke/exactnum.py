@@ -18,17 +18,18 @@ The scalar tower used throughout the package:
   conjugates of the numerators divided by their integer norm.
 * ``LaurentPoly``: a Laurent polynomial in q, Q_1, ..., Q_d (variable 0 is
   always q) with CycRat coefficients.
-* ``RatFunc`` and ``Factored``: the values of ``GenericField``.  Every
+* ``RatFunc``: the one value type of ``GenericField``.  Every
   denominator over the generic field is a product of binomials c*x^m - 1
   (contents differ by such factors, and the Schur elements are hook
-  products), and both keep it as a multiset of them.  A ``Factored`` is
-  a unit times a monomial times one multiset over another, the form of
-  the Schur elements, f and g; products, quotients and differences of
-  two monomials stay in it.  Any other sum is a ``RatFunc``, a
-  LaurentPoly numerator over a multiset: sums and equality lift both
-  sides to the multiset union, products add multisets, and only a
-  one-term numerator is divided by.  No gcd is ever taken.  The
-  denominator is multiplied out only for JSON (``ratfunc_to_json``).
+  products), kept as a multiset of them.  A value is a unit times a
+  monomial times an optional multiplied-out LaurentPoly times one
+  multiset over another.  The closed forms (Schur elements, f and g)
+  have no poly; products, quotients and differences of two monomials
+  keep it that way.  Any other sum multiplies both numerators out over
+  the multiset union into a poly, so a sum is one more factor, not
+  another type; only a closed form is divided by.  No gcd is ever
+  taken.  The denominator is multiplied out only for JSON
+  (``ratfunc_to_json``).
 * ``SpecPoint``: an exact evaluation point (eps, q, Q_1, ..., Q_d) with all
   coordinates in Q(zeta_N) and eps = zeta_N^(N/p).
 
@@ -51,7 +52,6 @@ __all__ = [
     "CycRat",
     "LaurentPoly",
     "RatFunc",
-    "Factored",
     "SpecPoint",
     "GenericField",
     "cyclotomic_poly",
@@ -511,137 +511,34 @@ def _factors(ms: Counter) -> list:
     return [f"({c!r}*x^{list(m)} - 1)^{k}" for (m, c), k in ms.items()]
 
 
-class _Symbolic:
-    """What RatFunc and Factored share: constants join as Factored, sums
-    and equality go through the RatFunc form, and subtraction and
-    division are defined through negation and inverses."""
-
-    __slots__ = ()
-
-    def _coerce(self, other):
-        if isinstance(other, (RatFunc, Factored)):
-            if (other.order, other.nvars) != (self.order, self.nvars):
-                raise ValueError("symbolic values from different rings")
-            return other
-        if isinstance(other, (int, Fraction, CycRat)):
-            return Factored(_as_cycrat(self.order, other), (0,) * self.nvars)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        x, y, den = _common(self, o)
-        return RatFunc(x + y, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else -self + o
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        x, y, _ = _common(self, o)
-        return x == y
-
-    def constant(self):
-        """The CycRat this value equals, or None.  The only candidate is
-        the numerator's constant term over (-1)^k, the constant term of a
-        product of k binomials."""
-        f = self.as_ratfunc()
-        c = f.num.terms.get((0,) * self.nvars) or CycRat.from_rational(
-            self.order, 0)
-        c = -c if sum(f.den.values()) % 2 else c
-        return c if self == c else None
+def _power(ms: Counter, k: int) -> Counter:
+    if not (ms and k):
+        return _NO_FACTORS
+    return Counter({f: k * e for f, e in ms.items()})
 
 
-class RatFunc(_Symbolic):
-    """num / prod(den) over Q(zeta_order)(q, Q_1..Q_d): a LaurentPoly over
-    a multiset of binomials c*x^m - 1 keyed (m, c), m lex-positive, as in
-    ``Factored``.  Nothing is cancelled, yet a value is zero exactly when
-    its numerator is, and equal values have equal numerators over a
-    common multiset."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: Counter = _NO_FACTORS):
-        self.num = num
-        self.den = den if num else _NO_FACTORS
-
-    @property
-    def order(self) -> int:
-        return self.num.order
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    def as_ratfunc(self) -> "RatFunc":
-        return self
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Factored):
-            return RatFunc(o._times(self.num), _union(self.den, o.den))
-        return RatFunc(self.num * o.num, _union(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Factored":
-        """1 / self, for a one-term numerator: a Factored value."""
-        if len(self.num.terms) != 1:
-            if not self.num:
-                raise ZeroDivisionError("inverse of zero rational function")
-            raise NotImplementedError(
-                f"division by a numerator of {len(self.num.terms)} terms")
-        (e, c), = self.num.terms.items()
-        return Factored(c.inverse(), tuple(-a for a in e), self.den)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __repr__(self):
-        return f"RatFunc(({self.num!r}) / {_factors(self.den)})"
-
-
-class Factored(_Symbolic):
-    """unit * x^mono * prod(num) / prod(den) over Q(zeta_order)(q, Q_1..Q_d).
+class RatFunc:
+    """unit * x^mono * poly * prod(num) / prod(den) over
+    Q(zeta_order)(q, Q_1..Q_d), the values of ``GenericField``.
 
     unit is a CycRat, mono an exponent vector over (q, Q_1, ..., Q_d), and
     num and den are multisets of binomials c*x^m - 1, each keyed (m, c)
     with m lex-positive: a binomial whose monomial is lex-negative is
     stored as -c*x^m * (c^-1*x^-m - 1).  The two multisets are never
     cancelled against each other, so the JSON form multiplies out
-    exactly the factors a closed formula named, one after another.  A
-    Factored is zero iff its unit is; no binomial with m != 0 vanishes.
+    exactly the factors a closed formula named, one after another.
+    poly is None for a closed form and, after a sum, a LaurentPoly of
+    two or more terms.  A value is zero iff its unit is: no binomial
+    with m != 0 vanishes, and neither does poly.
     """
 
-    __slots__ = ("unit", "mono", "num", "den", "_lifted")
+    __slots__ = ("unit", "mono", "poly", "num", "den", "_lifted")
 
     def __init__(self, unit: CycRat, mono: tuple, num: Counter = _NO_FACTORS,
-                 den: Counter = _NO_FACTORS):
+                 den: Counter = _NO_FACTORS, poly: LaurentPoly = None):
         self.unit = unit
         self.mono = mono
+        self.poly = poly
         self.num = num
         self.den = den
         self._lifted = None
@@ -654,107 +551,170 @@ class Factored(_Symbolic):
     def nvars(self) -> int:
         return len(self.mono)
 
-    def _times(self, poly: LaurentPoly) -> LaurentPoly:
-        """poly times this value's numerator, multiplied out."""
-        if any(self.mono):
-            poly = poly.shift(self.mono)
-        if not _is_one(self.unit):
-            poly = poly.scale(self.unit)
-        return _multiply_out(poly, self.num)
+    def _coerce(self, other):
+        if isinstance(other, RatFunc):
+            if (other.order, other.nvars) != (self.order, self.nvars):
+                raise ValueError("symbolic values from different rings")
+            return other
+        if isinstance(other, (int, Fraction, CycRat)):
+            return RatFunc(_as_cycrat(self.order, other), (0,) * self.nvars)
+        return None
 
-    def as_ratfunc(self) -> RatFunc:
-        """The same value with its numerator multiplied out over the same
-        denominator multiset."""
+    def _expanded(self) -> tuple:
+        """The numerator multiplied out and the denominator multiset,
+        emptied when the value is zero."""
         if self._lifted is None:
-            one = LaurentPoly.constant(self.order, self.nvars, 1)
-            self._lifted = RatFunc(self._times(one), self.den)
+            poly = self.poly or LaurentPoly.constant(self.order, self.nvars, 1)
+            if any(self.mono):
+                poly = poly.shift(self.mono)
+            if not _is_one(self.unit):
+                poly = poly.scale(self.unit)
+            self._lifted = (_multiply_out(poly, self.num),
+                            self.den if self.unit else _NO_FACTORS)
         return self._lifted
 
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        x, y, den = _common(self, o)
+        return _over(x + y, den)
+
+    __radd__ = __add__
+
     def __neg__(self):
-        return Factored(-self.unit, self.mono, self.num, self.den)
+        return RatFunc(-self.unit, self.mono, self.num, self.den, self.poly)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if isinstance(o, Factored) and not (self.num or self.den
-                                            or o.num or o.den):
+        if o is None:
+            return NotImplemented
+        if not (self.poly or self.num or self.den
+                or o.poly or o.num or o.den):
             return _binomial(self.unit, self.mono, o.unit, o.mono)
-        return super().__sub__(other)
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else -self + o
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if not isinstance(o, Factored):
-            return NotImplemented if o is None else o * self
+        if o is None:
+            return NotImplemented
         if _is_one(self.unit):
             unit = o.unit
         elif _is_one(o.unit):
             unit = self.unit
         else:
             unit = self.unit * o.unit
-        return Factored(unit, tuple(a + b for a, b in zip(self.mono, o.mono)),
-                        _union(self.num, o.num), _union(self.den, o.den))
+        if self.poly is None or o.poly is None:
+            poly = self.poly or o.poly
+        else:
+            poly = self.poly * o.poly
+        return RatFunc(unit, tuple(map(add, self.mono, o.mono)),
+                       _union(self.num, o.num), _union(self.den, o.den), poly)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Factored":
-        return Factored(self.unit.inverse(), tuple(-a for a in self.mono),
-                        self.den, self.num)
+    def inverse(self) -> "RatFunc":
+        """1 / self, for a closed form only: a poly is never divided by."""
+        if self.poly is not None:
+            if not self:
+                raise ZeroDivisionError("inverse of zero rational function")
+            raise NotImplementedError(
+                f"division by a numerator of {len(self.poly.terms)} terms")
+        return RatFunc(self.unit.inverse(), tuple(-a for a in self.mono),
+                       self.den, self.num)
 
-    def __pow__(self, k: int) -> "Factored":
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
+
+    def __pow__(self, k: int):
+        if self.poly is not None:
+            return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            return Factored(self.unit ** 0, tuple(0 for _ in self.mono))
-        return Factored(self.unit ** k, tuple(k * a for a in self.mono),
-                        Counter({f: k * e for f, e in self.num.items()}),
-                        Counter({f: k * e for f, e in self.den.items()}))
+        return RatFunc(self.unit ** k, tuple(k * a for a in self.mono),
+                       _power(self.num, k), _power(self.den, k))
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if not isinstance(o, Factored):
-            return super().__eq__(other)
+        if o is None:
+            return NotImplemented
         if not self.unit or not o.unit:
             return not self.unit and not o.unit
         # different multisets can still be equal values: q^2 - 1 is
         # (q - 1)(q + 1), so only then are the numerators multiplied out
-        return ((self.unit == o.unit and self.mono == o.mono
-                 and self.num + o.den == o.num + self.den)
-                or super().__eq__(o))
+        if (self.unit == o.unit and self.mono == o.mono
+                and self.poly == o.poly
+                and self.num + o.den == o.num + self.den):
+            return True
+        x, y, _ = _common(self, o)
+        return x == y
 
     def __bool__(self):
         return bool(self.unit)
 
+    def constant(self):
+        """The CycRat this value equals, or None.  The only candidate is
+        the numerator's constant term over (-1)^k, the constant term of a
+        product of k binomials."""
+        num, den = self._expanded()
+        c = num.terms.get((0,) * self.nvars) or CycRat.from_rational(
+            self.order, 0)
+        c = -c if sum(den.values()) % 2 else c
+        return c if self == c else None
+
     def __repr__(self):
-        return (f"Factored({self.unit!r} * x^{list(self.mono)}, "
+        poly = "" if self.poly is None else f" * ({self.poly!r})"
+        return (f"RatFunc({self.unit!r} * x^{list(self.mono)}{poly}, "
                 f"num={_factors(self.num)}, den={_factors(self.den)})")
 
 
-def _common(a, b) -> tuple:
-    """The numerators of two symbolic values over the union of their
-    multisets (each binomial at its larger multiplicity), and the union."""
-    a, b = a.as_ratfunc(), b.as_ratfunc()
-    if a.den == b.den:
-        return a.num, b.num, a.den
-    den = a.den | b.den
-    return (_multiply_out(a.num, den - a.den),
-            _multiply_out(b.num, den - b.den), den)
+def _over(poly: LaurentPoly, den: Counter) -> RatFunc:
+    """poly / prod(den); a closed form when poly has at most one term."""
+    origin = (0,) * poly.nvars
+    if not poly:
+        return RatFunc(CycRat.from_rational(poly.order, 0), origin)
+    if len(poly.terms) == 1:
+        (e, c), = poly.terms.items()
+        return RatFunc(c, e, den=den)
+    return RatFunc(CycRat.from_rational(poly.order, 1), origin, den=den,
+                   poly=poly)
 
 
-def _binomial(a: CycRat, alpha: tuple, b: CycRat, beta: tuple) -> Factored:
+def _common(a: RatFunc, b: RatFunc) -> tuple:
+    """The numerators of two values over the union of their multisets
+    (each binomial at its larger multiplicity), and the union."""
+    (x, da), (y, db) = a._expanded(), b._expanded()
+    if da == db:
+        return x, y, da
+    den = da | db
+    return _multiply_out(x, den - da), _multiply_out(y, den - db), den
+
+
+def _binomial(a: CycRat, alpha: tuple, b: CycRat, beta: tuple) -> RatFunc:
     """a*x^alpha - b*x^beta as a unit, a monomial and at most one binomial.
 
     With r = a/b and s = alpha - beta this is b*x^beta * (r*x^s - 1), or
     for s lex-negative -a*x^alpha * (r^-1*x^-s - 1).
     """
     if alpha == beta:
-        return Factored(a - b, alpha)
+        return RatFunc(a - b, alpha)
     if not a or not b:
-        return Factored(a, alpha) if a else Factored(-b, beta)
+        return RatFunc(a, alpha) if a else RatFunc(-b, beta)
     s = tuple(x - y for x, y in zip(alpha, beta))
     if next(e for e in s if e) > 0:
         r = a if b == 1 else a / b
-        return Factored(b, beta, Counter({(s, r): 1}))
+        return RatFunc(b, beta, Counter({(s, r): 1}))
     r = a.inverse() if b == 1 else b / a
-    return Factored(-a, alpha, Counter({(tuple(-e for e in s), r): 1}))
+    return RatFunc(-a, alpha, Counter({(tuple(-e for e in s), r): 1}))
 
 
 def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
@@ -776,20 +736,21 @@ def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
     return LaurentPoly(poly.order, poly.nvars, terms)
 
 
-def laurent_quotient(a, b) -> RatFunc:
-    """a / b for symbolic values, their numerators over one multiset
-    divided exactly; ArithmeticError unless a / b is a Laurent polynomial."""
+def laurent_quotient(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a / b, their numerators over one multiset divided exactly;
+    ArithmeticError unless a / b is a Laurent polynomial."""
     x, y, _ = _common(a, b)
-    return RatFunc(x.divide_exact(y))
+    return _over(x.divide_exact(y), _NO_FACTORS)
 
 
 class GenericField:
     """Handle for symbolic computation in F = Q(eps_p)(q, Q_1..Q_d).
 
-    Its values are Factored: each constant, eps^k, q^k and Q_i^k is a
-    unit times a monomial.  Products, quotients and the difference of
-    two monomials stay Factored; any other sum is a RatFunc over the
-    same binomial denominators.
+    Its values are RatFunc: each constant, eps^k, q^k and Q_i^k is a
+    closed form, a unit times a monomial.  Products, quotients and the
+    difference of two monomials stay closed forms; any other sum
+    multiplies its numerator out into poly, over the same binomial
+    denominators.
     """
 
     is_generic = True
@@ -808,37 +769,37 @@ class GenericField:
         self._unit = CycRat.from_rational(p, 1)
         self._origin = (0,) * self.nvars
 
-    def scalar(self, value) -> Factored:
-        return Factored(_as_cycrat(self.p, value), self._origin)
+    def scalar(self, value) -> RatFunc:
+        return RatFunc(_as_cycrat(self.p, value), self._origin)
 
     @property
-    def zero(self) -> Factored:
+    def zero(self) -> RatFunc:
         return self.scalar(0)
 
     @property
-    def one(self) -> Factored:
-        return Factored(self._unit, self._origin)
+    def one(self) -> RatFunc:
+        return RatFunc(self._unit, self._origin)
 
-    def eps_pow(self, k: int) -> Factored:
+    def eps_pow(self, k: int) -> RatFunc:
         if self.p == 1:
             return self.one
-        return Factored(eps_pow(self.p, k), self._origin)
+        return RatFunc(eps_pow(self.p, k), self._origin)
 
-    def q_power(self, k: int) -> Factored:
-        return Factored(self._unit, (k,) + self._origin[1:])
+    def q_power(self, k: int) -> RatFunc:
+        return RatFunc(self._unit, (k,) + self._origin[1:])
 
     @property
-    def q(self) -> Factored:
+    def q(self) -> RatFunc:
         return self.q_power(1)
 
-    def Q_power(self, i: int, k: int) -> Factored:
+    def Q_power(self, i: int, k: int) -> RatFunc:
         if not 1 <= i <= self.d:
             raise ValueError(f"Q_{i} out of range for d={self.d}")
         exps = [0] * self.nvars
         exps[i] = k
-        return Factored(self._unit, tuple(exps))
+        return RatFunc(self._unit, tuple(exps))
 
-    def Q(self, i: int) -> Factored:
+    def Q(self, i: int) -> RatFunc:
         return self.Q_power(i, 1)
 
     def __eq__(self, other):
@@ -1045,13 +1006,12 @@ def laurent_to_json(poly: LaurentPoly) -> list:
     return [[list(e), _coeff_json(c)] for e, c in poly.sorted_terms()]
 
 
-def ratfunc_to_json(value) -> dict:
-    """A symbolic value as its ring and num/den, the denominator multiplied
-    out, both shifted by their common content and scaled so that the
+def ratfunc_to_json(value: RatFunc) -> dict:
+    """A symbolic value as its ring and num/den, both multiplied out,
+    shifted by their common content and scaled so that the
     denominator's lex-least coefficient is 1; zero is 0/1."""
-    f = value.as_ratfunc()
-    num = f.num
-    den = _multiply_out(LaurentPoly.constant(f.order, f.nvars, 1), f.den)
+    num, den = value._expanded()
+    den = _multiply_out(LaurentPoly.constant(value.order, value.nvars, 1), den)
     if num:
         vec = tuple(-min(a, b) for a, b in zip(num.content(), den.content()))
         if any(vec):
@@ -1060,5 +1020,5 @@ def ratfunc_to_json(value) -> dict:
         if not _is_one(lead):
             inv = lead.inverse()
             num, den = num.scale(inv), den.scale(inv)
-    return {"order": f.order, "nvars": f.nvars,
+    return {"order": value.order, "nvars": value.nvars,
             "num": laurent_to_json(num), "den": laurent_to_json(den)}

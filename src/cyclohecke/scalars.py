@@ -19,10 +19,11 @@ which multiplies out every hook binomial as a rational function.
 
 All exponents that are a priori rational are computed exactly and
 checked integral before use.  The formulas only multiply, divide and
-subtract one from the field's values, so over the generic field, whose
-values are ``exactnum.Factored``, every result stays a product of
-binomials and the identities between them are decided on those factors;
-at a specialization point the same formulas run in Q(zeta_N).
+subtract one from the field's values, so over the generic field every
+result is an ``exactnum.RatFunc`` closed form, a product of binomials
+with no multiplied-out poly, and the identities between them are
+decided on those factors; at a specialization point the same formulas
+run in Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .combin import (
     comp_stats,
     component_index,
 )
-from .exactnum import Factored
 from .seminormal import mode_fields
 
 __all__ = [
@@ -136,10 +136,9 @@ def schur_element_b(la: Multipartition, b, field):
 
 
 def _check_laurent(field, value, name: str):
-    # over the generic field a closed form is a Factored product; a sum
-    # slipped into it would have made it a RatFunc
-    if field.is_generic and (not isinstance(value, Factored)
-                             or value.den - value.num):
+    # over the generic field a closed form has no poly; a sum slipped
+    # into it would have multiplied one out
+    if field.is_generic and (value.poly is not None or value.den - value.num):
         raise RuntimeError(f"internal: {name} must be a Laurent polynomial")
 
 

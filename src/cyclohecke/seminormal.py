@@ -18,7 +18,7 @@ from functools import lru_cache
 from random import Random
 
 from .combin import Multipartition, enumerate_all
-from .exactnum import CycRat, Factored, GenericField, RatFunc, sample_point
+from .exactnum import CycRat, GenericField, RatFunc, sample_point
 from .matrices import rows_diag, rows_mul, rows_scale_cols, rows_trace
 from .tableau import beta_coeff, content, count_std, enumerate_std
 
@@ -97,7 +97,8 @@ class SeminormalRep:
         Each diagonal is kept after its first use under (k, s mod p, i),
         so a rep holds at most n*p*d of them.  At a point each entry is
         interned per point (`_ladder_entry`); over the generic field,
-        whose Factored values do not hash, it is the plain difference.
+        whose RatFunc values do not hash, it is the plain difference of
+        two monomials, one binomial closed form.
         The memo reads the contents once, so they must not change after
         the first ladder.
         """
@@ -209,7 +210,7 @@ def _scalar_token(field, value):
     if isinstance(value, CycRat):
         return field.scalar(value) if field.is_generic else field.embed(value)
     # a symbolic value, or a value of another generic backend's own type
-    if isinstance(value, (RatFunc, Factored, type(field.one))):
+    if isinstance(value, (RatFunc, type(field.one))):
         if field.is_generic:
             return value
         raise TypeError("a rational function is not a scalar at a point")

@@ -30,7 +30,6 @@ from cyclohecke.elements import (
 from cyclohecke.cli import scalar_to_json
 from cyclohecke.exactnum import (
     CycRat,
-    Factored,
     LaurentPoly,
     PoleError,
     RatFunc,
@@ -324,7 +323,7 @@ class RefRatFunc:
     Sums and equality cross-multiply, with no gcd and no factored form;
     each value is normalized as it is formed: a common monomial shift,
     and the denominator's lex-least coefficient scaled to 1.  A value of
-    the package (Factored or RatFunc) that meets one is multiplied out
+    the package (a RatFunc) that meets one is multiplied out
     by generic products first (`to_reference`).
     """
 
@@ -354,7 +353,7 @@ class RefRatFunc:
     def _coerce(self, other):
         if isinstance(other, RefRatFunc):
             return other
-        if isinstance(other, (Factored, RatFunc)):
+        if isinstance(other, RatFunc):
             return to_reference(other)
         if isinstance(other, LaurentPoly):
             return RefRatFunc(other)
@@ -440,17 +439,15 @@ class RefRatFunc:
         return f"RefRatFunc(({self.num!r}) / ({self.den!r}))"
 
 
-def to_reference(value) -> RefRatFunc:
-    """A Factored or RatFunc value multiplied out by generic products."""
+def to_reference(value: RatFunc) -> RefRatFunc:
+    """A RatFunc multiplied out by generic products."""
     order, nvars = value.order, value.nvars
+    num = LaurentPoly.monomial(order, nvars, value.mono, value.unit)
+    if value.poly is not None:
+        num = num * value.poly
     one = LaurentPoly.constant(order, nvars, 1)
-    if isinstance(value, Factored):
-        num = multiply_out_by_products(
-            LaurentPoly.monomial(order, nvars, value.mono, value.unit),
-            value.num)
-    else:
-        num = value.num
-    return RefRatFunc(num, multiply_out_by_products(one, value.den))
+    return RefRatFunc(multiply_out_by_products(num, value.num),
+                      multiply_out_by_products(one, value.den))
 
 
 def reference_json(value) -> dict:
@@ -466,10 +463,9 @@ def reference_json(value) -> dict:
 class RatFuncField:
     """Q(eps_p)(q, Q_1..Q_d) with every value a RefRatFunc, multiplied out.
 
-    The same handle as exactnum.GenericField, whose values are Factored
-    and RatFunc; built from LaurentPoly monomials only, it checks that
-    field's values and the closed forms computed over it without sharing
-    their code.
+    The same handle as exactnum.GenericField, whose values are RatFunc;
+    built from LaurentPoly monomials only, it checks that field's values
+    and the closed forms computed over it without sharing their code.
     """
 
     is_generic = True
@@ -525,7 +521,7 @@ def multiply_out_by_products(poly: LaurentPoly, factors) -> LaurentPoly:
     """poly times each binomial c*x^m - 1 of factors, one generic product each.
 
     factors maps (m, c) to a multiplicity, as the multisets of
-    exactnum.Factored do.
+    exactnum.RatFunc do.
     """
     origin = (0,) * poly.nvars
     minus_one = CycRat.from_rational(poly.order, -1)
@@ -632,7 +628,7 @@ def multiplied_g(la: Multipartition):
 
 def specialize(f, pt: SpecPoint) -> CycRat:
     """Exact evaluation of f at pt; raises PoleError on a vanishing denominator."""
-    if isinstance(f, (Factored, RatFunc)):
+    if isinstance(f, RatFunc):
         f = to_reference(f)
     if isinstance(f, RefRatFunc):
         num = specialize(f.num, pt)

@@ -1,15 +1,14 @@
 """Acceptance gate: every criterion of the desk suite, one line each.
 
 Each criterion is a self-contained check over its stated parameter grid.
-The implementations live next to the fixtures subcommand so the command
-line and this gate run exactly the same code.
+The implementations and the runner that times them against their budgets
+live next to the fixtures subcommand, so the command line and this gate
+run exactly the same code.
 """
-
-import time
 
 import pytest
 
-from cyclohecke.cli import desk_criteria
+from cyclohecke.cli import desk_criteria, run_criterion
 
 CRITERIA = desk_criteria()
 
@@ -20,16 +19,9 @@ CRITERIA = desk_criteria()
     ids=[name.replace(" ", "-") for name, _, _ in CRITERIA],
 )
 def test_criterion(name, check, budget):
-    start = time.perf_counter()
-    try:
-        detail = check()
-    except AssertionError as exc:
-        elapsed = time.perf_counter() - start
-        print(f"criterion {name}: FAIL ({elapsed:.1f}s) {exc}")
-        raise
-    elapsed = time.perf_counter() - start
-    print(f"criterion {name}: PASS ({elapsed:.1f}s) {detail}")
-    if budget is not None:
-        assert elapsed < budget, (
-            f"criterion {name} took {elapsed:.1f}s, budget {budget}s"
-        )
+    record = run_criterion(name, check, budget)
+    verdict = "PASS" if record["passed"] else "FAIL"
+    print(f"criterion {name}: {verdict} ({record['seconds']:.1f}s) "
+          f"{record['detail']}")
+    if not record["passed"]:
+        pytest.fail(f"criterion {name}: {record['detail']}")

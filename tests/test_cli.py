@@ -510,6 +510,38 @@ def test_fixtures_records_typed_errors_per_criterion(runner, monkeypatch):
     assert results[2]["criterion"] == "9 divisibility"
 
 
+def test_fixtures_fails_a_criterion_over_its_budget(runner, monkeypatch):
+    # the same runner as the pytest gate: a passing check over its time
+    # budget fails, the budget named; one without a budget is not timed out
+    from cyclohecke import cli
+
+    divisibility = [c for c in cli.quick_criteria()
+                    if c[0] == "9 divisibility"]
+    monkeypatch.setattr(cli, "quick_criteria", lambda: [
+        ("1 slow", lambda: "checked", 0),
+        *divisibility,
+    ])
+    data = run_json(runner, ["fixtures", "--suite", "quick"], exit_code=3)
+    assert data["passed"] is False
+    slow, plain = data["results"]
+    assert slow["passed"] is False
+    assert slow["detail"].startswith("took ")
+    assert slow["detail"].endswith(", budget 0s: checked")
+    assert plain["passed"] is True and plain["detail"] == "779 shapes"
+
+
+def test_verify_factorization_rejects_a_size_mismatch(runner):
+    data = run_json(runner, ["verify", "factorization", "--p", "2",
+                             "--d", "1", "--lambda", "[[1],[1]]",
+                             "--n", "3"], exit_code=2)
+    assert data["error"] == {"kind": "validation",
+                             "message": "lambda has size 2, expected 3"}
+    data = run_json(runner, ["verify", "factorization", "--p", "2",
+                             "--d", "1", "--lambda", "[[1],[1]]",
+                             "--n", "2"])
+    assert data["passed"] is True and data["shapes"] == 1
+
+
 def test_failed_verdict_exits_3(runner, monkeypatch):
     # the first pair factor one q-power off: f no longer matches its
     # factors in g, so g^split = eps^E f fails for that shape; the memo

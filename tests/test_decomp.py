@@ -28,7 +28,13 @@ from cyclohecke.decomp import (
     split_by_formula,
     splittable_number,
 )
-from cyclohecke.exactnum import CycRat, GenericField, eps_pow, sample_point
+from cyclohecke.exactnum import (
+    CycRat,
+    GenericField,
+    LaurentPoly,
+    eps_pow,
+    sample_point,
+)
 from cyclohecke.matrices import mat_solve
 from cyclohecke.scalars import g_lambda
 
@@ -427,6 +433,23 @@ def test_split_at_specialization_point():
     result = split_by_formula(la, la, [semisimple_table(1, 1)],
                               g_val / g_val)
     assert result.values == (Fraction(0), Fraction(1))
+
+
+def test_split_ratio_types():
+    # a ratio is an int, a Fraction, a CycRat or a RatFunc; any other
+    # value with an order, such as a bare Laurent polynomial, is refused
+    la = mp(2, 1, [[1], [1]])
+    tables = [semisimple_table(1, 1)]
+    field = GenericField(2, 1)
+    expect = (Fraction(0), Fraction(1))
+    for ratio in (1, Fraction(1), CycRat.from_rational(2, 1), field.one,
+                  field.q / field.q):
+        assert split_by_formula(la, la, tables, ratio).values == expect
+    for ratio in (LaurentPoly.constant(2, 2, 1), 1.0, "1"):
+        with pytest.raises(TypeError, match="unsupported scalar type"):
+            split_by_formula(la, la, tables, ratio)
+    with pytest.raises(ValueError, match="incompatible"):
+        split_by_formula(la, la, tables, CycRat.from_rational(3, 1))
 
 
 def test_cyclic_reindex():

@@ -99,8 +99,8 @@ def test_relations_symbolic_pair():
 
 @pytest.mark.parametrize("p, d, n", [(2, 1, 3), (2, 2, 2), (1, 2, 3)])
 def test_factored_and_multiplied_out_fields_build_the_same_reps(p, d, n):
-    # GenericField builds Factored values, RatFuncField multiplied-out
-    # RatFuncs: the seminormal entries must print the same
+    # GenericField builds closed-form RatFunc values, RatFuncField
+    # multiplied-out RefRatFuncs: the seminormal entries must print the same
     factored, multiplied = GenericField(p, d), RatFuncField(p, d)
     shifts = [(None, None), (factored.one - factored.q,
                              multiplied.one - multiplied.q)]
