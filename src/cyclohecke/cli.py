@@ -152,14 +152,16 @@ def _load_klesh(path: str, p: int, d: int) -> list:
     return [Multipartition(p, d, x) for x in data]
 
 
-def _field_list(p, d, n, mode, trials, seed) -> list:
-    return mode_fields(p, d, n, mode, None, trials, Random(seed))
-
-
 def _field_json(field) -> dict:
     if isinstance(field, SpecPoint):
         return field.to_json()
     return {"generic": {"p": field.p, "d": field.d}}
+
+
+def _prime_char(char) -> None:
+    if char is not None and (char < 2 or any(
+            char % k == 0 for k in range(2, math.isqrt(char) + 1))):
+        raise ValueError(f"characteristic must be prime, got {char}")
 
 
 def _check_pn(b, p, n) -> None:
@@ -237,7 +239,7 @@ def seminormal_check(p, d, n, la_text, mode, trials, seed, out):
         shapes = [la]
     else:
         shapes = enumerate_all(p, d, n)
-    fields = _field_list(p, d, n, mode, trials, seed)
+    fields = mode_fields(p, d, n, mode, trials=trials, rng=Random(seed))
     failures = []
     for idx, field in enumerate(fields):
         for shape in shapes:
@@ -302,13 +304,14 @@ def verify_changing_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Pivot rewritings of v_b against the plain product, all pivots."""
     b = _comp_flag(b_text)
     _check_pn(b, p, n)
-    pivots = {}
-    for j in range(1, len(b) + 1):
-        pivots[str(j)] = verify_changing(b, d, j, mode=mode, trials=trials,
-                                         rng=Random(seed))
+    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
+                         rng=Random(seed)) if b else []
+    pivots = {str(j): verify_changing(b, d, j, fields)
+              for j in range(1, len(b) + 1)}
     _emit_verdict({
         "op": "verify changing", "b": list(b), "d": d,
         "mode": mode, "trials": trials, "seed": seed,
+        "fields": [_field_json(f) for f in fields],
         "pivots": pivots, "passed": all(pivots.values()),
     }, out)
 
@@ -320,11 +323,13 @@ def verify_pleftmult_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Full shift cycle against v_b T_b."""
     b = _comp_flag(b_text)
     _check_pn(b, p, n)
-    passed = verify_pleftmult(b, d, mode=mode, trials=trials,
-                              rng=Random(seed))
+    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
+                         rng=Random(seed))
     _emit_verdict({
         "op": "verify pleftmult", "b": list(b), "d": d,
-        "mode": mode, "trials": trials, "seed": seed, "passed": passed,
+        "mode": mode, "trials": trials, "seed": seed,
+        "fields": [_field_json(f) for f in fields],
+        "passed": verify_pleftmult(b, d, fields),
     }, out)
 
 
@@ -335,11 +340,13 @@ def verify_comparison_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Trace comparison over the full tensor basis."""
     b = _comp_flag(b_text)
     _check_pn(b, p, n)
-    passed = verify_comparison(b, d, mode=mode, trials=trials,
-                               rng=Random(seed))
+    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
+                         rng=Random(seed))
     _emit_verdict({
         "op": "verify comparison", "b": list(b), "d": d,
-        "mode": mode, "trials": trials, "seed": seed, "passed": passed,
+        "mode": mode, "trials": trials, "seed": seed,
+        "fields": [_field_json(f) for f in fields],
+        "passed": verify_comparison(b, d, fields),
     }, out)
 
 
@@ -350,7 +357,8 @@ def verify_trace_vbtb_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Closed trace of v_b T_b against the character expansion."""
     b = _comp_flag(b_text)
     _check_pn(b, p, n)
-    fields = _field_list(len(b), d, sum(b), mode, trials, seed)
+    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
+                         rng=Random(seed))
     checks = [trace_vbtb(b, field) for field in fields]
     _emit_verdict({
         "op": "verify trace-vbtb", "b": list(b), "d": d,
@@ -383,15 +391,15 @@ def verify_factorization_cmd(p, d, n, la_text, mode, trials, seed, out):
         shapes = enumerate_all(p, d, n)
     else:
         raise ValueError("need --lambda or --n")
-    failures = [
-        la.to_json() for la in shapes
-        if not verify_factorization(la, la.composition(), mode=mode,
-                                    trials=trials, rng=Random(seed))
-    ]
+    fields = mode_fields(p, d, max(shapes[0].size, 1), mode, trials=trials,
+                         rng=Random(seed)) if shapes else []
+    failures = [la.to_json() for la in shapes
+                if not verify_factorization(la, la.composition(), fields)]
     _emit_verdict({
         "op": "verify factorization", "p": p, "d": d,
-        "mode": mode, "seed": seed, "shapes": len(shapes),
-        "failures": failures, "passed": not failures,
+        "mode": mode, "seed": seed,
+        "fields": [_field_json(f) for f in fields],
+        "shapes": len(shapes), "failures": failures, "passed": not failures,
     }, out)
 
 
@@ -419,51 +427,38 @@ def scalar():
     """Schur elements and the scalars f and g."""
 
 
-def _scalar_payload(kind, p, d, la_text, b_text, mode, trials, seed, out):
-    la = _mp_flag(p, d, la_text)
-    b = _comp_flag(b_text) if b_text is not None else la.composition()
-    fields = _field_list(p, d, max(la.size, 1), mode, trials, seed)
-    values = []
-    for field in fields:
-        if kind == "schur":
-            value = (schur_element(p * d, la, field) if b_text is None
-                     else schur_element_b(la, b, field))
-        elif kind == "f":
-            value = f_lambda_closed(la, b, field)
-        else:
-            value = g_lambda(la, b, field)
-        values.append(value)
-    _emit({
-        "op": f"scalar {kind}", "p": p, "d": d,
-        "lambda": la.to_json(), "b": list(b),
-        "mode": mode, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
-        "values": [scalar_to_json(v) for v in values],
-    }, out)
+def _scalar_command(kind: str, doc: str):
+    @scalar.command(kind, help=doc)
+    @_scalar_options
+    @_guarded
+    def command(p, d, la_text, b_text, mode, trials, seed, out):
+        la = _mp_flag(p, d, la_text)
+        b = _comp_flag(b_text) if b_text is not None else la.composition()
+        fields = mode_fields(p, d, max(la.size, 1), mode, trials=trials,
+                             rng=Random(seed))
+        values = []
+        for field in fields:
+            if kind == "schur":
+                value = (schur_element(p * d, la, field) if b_text is None
+                         else schur_element_b(la, b, field))
+            elif kind == "f":
+                value = f_lambda_closed(la, b, field)
+            else:
+                value = g_lambda(la, b, field)
+            values.append(value)
+        _emit({
+            "op": f"scalar {kind}", "p": p, "d": d,
+            "lambda": la.to_json(), "b": list(b),
+            "mode": mode, "seed": seed,
+            "fields": [_field_json(f) for f in fields],
+            "values": [scalar_to_json(v) for v in values],
+        }, out)
 
 
-@scalar.command("schur")
-@_scalar_options
-@_guarded
-def scalar_schur(p, d, la_text, b_text, mode, trials, seed, out):
-    """Schur element; of H_{r,n} by default, of H_{d,b} with --b."""
-    _scalar_payload("schur", p, d, la_text, b_text, mode, trials, seed, out)
-
-
-@scalar.command("f")
-@_scalar_options
-@_guarded
-def scalar_f(p, d, la_text, b_text, mode, trials, seed, out):
-    """The central-element scalar f."""
-    _scalar_payload("f", p, d, la_text, b_text, mode, trials, seed, out)
-
-
-@scalar.command("g")
-@_scalar_options
-@_guarded
-def scalar_g(p, d, la_text, b_text, mode, trials, seed, out):
-    """The distinguished root g of f."""
-    _scalar_payload("g", p, d, la_text, b_text, mode, trials, seed, out)
+_scalar_command("schur",
+                "Schur element; of H_{r,n} by default, of H_{d,b} with --b.")
+_scalar_command("f", "The central-element scalar f.")
+_scalar_command("g", "The distinguished root g of f.")
 
 
 # --- decomposition data ----------------------------------------------------
@@ -484,6 +479,7 @@ def scalar_g(p, d, la_text, b_text, mode, trials, seed, out):
 def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
                    out):
     """All twist multiplicities of a splittable pair."""
+    _prime_char(char)
     la = _mp_flag(p, d, la_text)
     mu = _mp_flag(p, d, mu_text)
     tables = _load_tables(tables_path)
@@ -493,7 +489,8 @@ def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
     else:
         if la.composition() != mu.composition():
             raise ValueError("lambda and mu have different compositions")
-        (field,) = _field_list(p, d, la.size, mode, 1, seed)
+        (field,) = mode_fields(p, d, la.size, mode, trials=1,
+                               rng=Random(seed))
         b = la.composition()
         ratio = g_lambda(la, b, field) / g_lambda(mu, b, field)
     result = split_by_formula(la, mu, tables, ratio, char=char)
@@ -527,9 +524,10 @@ def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
 @_guarded
 def assemble_cmd(p, d, n, tables_path, klesh_path, char, mode, seed, out):
     """The labelled decomposition matrix from input tables."""
+    _prime_char(char)
     tables = _load_tables(tables_path)
     klesh = _load_klesh(klesh_path, p, d)
-    (field,) = _field_list(p, d, n, mode, 1, seed)
+    (field,) = mode_fields(p, d, n, mode, trials=1, rng=Random(seed))
     payload = assemble_matrix(p * d, p, n, tables, klesh, char=char,
                               point=field)
     payload["mode"] = mode
@@ -563,8 +561,7 @@ def semisimple_tables_cmd(s, m, n, out):
 @_guarded
 def reduce_mod_cmd(matrix_path, char, out):
     """Entrywise residues of an assembled matrix modulo a prime."""
-    if char < 2 or any(char % k == 0 for k in range(2, int(char ** 0.5) + 1)):
-        raise ValueError(f"characteristic must be prime, got {char}")
+    _prime_char(char)
     with open(matrix_path) as fh:
         data = json.load(fh)
     entries = []
@@ -640,12 +637,12 @@ def _criterion_trace(ns) -> str:
     checked = 0
     for n in ns:
         fields = mode_fields(2, 1, n, "auto", None, 3, Random(17))
+        comparison = mode_fields(2, 1, n, "auto", None, 3, Random(19))
         for b in compositions(n, 2):
             for field in fields:
                 if not trace_vbtb(b, field).matched:
                     raise AssertionError(f"trace mismatch at b={b}")
-            if not verify_comparison(b, 1, mode="auto", trials=3,
-                                     rng=Random(19)):
+            if not verify_comparison(b, 1, comparison):
                 raise AssertionError(f"comparison fails at b={b}")
             checked += 1
     return f"{checked} compositions over the full tensor basis"

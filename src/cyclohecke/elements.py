@@ -277,23 +277,23 @@ def flam_eigen_oracle(b, field) -> dict:
 # ---------------------------------------------------------------------------
 # identity verifiers
 
-def verify_changing(b, d: int, j: int, mode: str = "auto", points=None,
-                    trials: int = 3, rng=None) -> bool:
-    """Check that the pivot-j rewriting of v_b is the same element."""
+def verify_changing(b, d: int, j: int, points=None) -> bool:
+    """Check that the pivot-j rewriting of v_b is the same element, over
+    `points` as in `element_equal`."""
     b = check_composition(b)
     return element_equal(len(b), d, sum(b), vb_word(b, d),
-                         vb_pivot_word(b, d, j), mode, points, trials, rng)
+                         vb_pivot_word(b, d, j), points)
 
 
-def verify_pleftmult(b, d: int, mode: str = "auto", points=None,
-                     trials: int = 3, rng=None) -> bool:
-    """Check that the full shift cycle Y_p ... Y_1 equals v_b T_b."""
+def verify_pleftmult(b, d: int, points=None) -> bool:
+    """Check that the full shift cycle Y_p ... Y_1 equals v_b T_b, over
+    `points` as in `element_equal`."""
     b = check_composition(b)
     p = len(b)
     cycle = [item for t in range(p, 0, -1)
              for item in shift_factor_word(b, d, t)]
     return element_equal(p, d, sum(b), cycle, vb_word(b, d) + tb_word(b),
-                         mode, points, trials, rng)
+                         points)
 
 
 def tensor_basis(d: int, b) -> list:
@@ -331,13 +331,13 @@ def theta_word(h, b) -> list:
     return out
 
 
-def verify_comparison(b, d: int, mode: str = "auto", points=None,
-                      trials: int = 3, rng=None) -> bool:
+def verify_comparison(b, d: int, points=None) -> bool:
     """Check the trace comparison over the whole tensor basis.
 
     The trace of h v_b T_b, with h embedded through the index shift,
     must be the product trace of h times the trace of v_b T_b; on basis
-    monomials the product trace is 1 on the identity and 0 elsewhere.
+    monomials the product trace is 1 on the identity and 0 elsewhere;
+    checked over `points` as in `element_equal`.
     """
     b = check_composition(b)
     p = len(b)
@@ -345,7 +345,7 @@ def verify_comparison(b, d: int, mode: str = "auto", points=None,
     basis = tensor_basis(d, b)
     vb = vb_word(b, d)
     tb = tb_word(b)
-    for field in mode_fields(p, d, n, mode, points, trials, rng):
+    for field in mode_fields(p, d, n, points=points):
         base = trace(n, vb + tb, field)
         for h in basis:
             lhs = trace(n, vb + theta_word(h, b) + tb, field)

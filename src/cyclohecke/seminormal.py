@@ -314,7 +314,7 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
                 trials: int = 3, rng=None) -> list:
     """Fields to check an identity over: the explicit points, one generic
     field Q(eps)(q, Q_1..Q_d) (p >= 1), or `trials` separated semisimple
-    points drawn from one rng.
+    points drawn from one rng.  The verifiers take the list as `points`.
 
     The list is never empty: trials below 1, or an empty list of points,
     raise ValueError, since a check over no field proves nothing.  The
@@ -341,16 +341,14 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def element_equal(p, d, n, w1, w2, mode: str = "auto",
-                  points=None, trials: int = 3, rng=None) -> bool:
-    """Equality in the algebra via the direct sum of all modules.
+def element_equal(p, d, n, w1, w2, points=None) -> bool:
+    """Equality in the algebra via the direct sum of all modules, over
+    each field of `points` (a `mode_fields` list; None: its auto rule).
 
-    Symbolic mode is an exact proof; random mode checks the identity at
-    `trials` separated semisimple specialization points.
+    Over the generic field it is a proof, at sampled points a check there.
     """
     shapes = enumerate_all(p, d, n)
-    fields = mode_fields(p, d, n, mode, points, trials, rng)
-    for field in fields:
+    for field in mode_fields(p, d, n, points=points):
         for shape in shapes:
             rep = build_rep(shape, field)
             if eval_word(rep, w1) != eval_word(rep, w2):

@@ -7,6 +7,13 @@ from hypothesis import strategies as st
 
 from cyclohecke.cli import main, scalar_to_json
 from cyclohecke.combin import enumerate_all, enumerate_pdb
+from cyclohecke.elements import (
+    verify_changing,
+    verify_comparison,
+    verify_pleftmult,
+)
+from cyclohecke.exactnum import SpecPoint
+from cyclohecke.scalars import verify_factorization
 
 from helpers import reference_json, scalar_from_json
 
@@ -149,6 +156,40 @@ def test_verify_factorization_three_parameters(runner):
     data = run_json(runner, ["verify", "factorization", "--p", "3",
                              "--d", "3", "--n", "3"])
     assert data["passed"] is True and data["shapes"] == 255
+
+
+_REPLAYS = {
+    "changing": lambda b, points: {
+        str(j): verify_changing(b, 1, j, points)
+        for j in range(1, len(b) + 1)},
+    "pleftmult": lambda b, points: verify_pleftmult(b, 1, points),
+    "comparison": lambda b, points: verify_comparison(b, 1, points),
+    "factorization": lambda b, points: [
+        la.to_json() for la in enumerate_all(len(b), 1, sum(b))
+        if not verify_factorization(la, la.composition(), points)],
+}
+
+
+@pytest.mark.parametrize("op", sorted(_REPLAYS))
+@pytest.mark.parametrize("trials, seed", [(1, 0), (2, 7)])
+def test_random_verdicts_log_their_points(runner, op, trials, seed):
+    # the logged points are the witnesses: replaying the verifier on
+    # them gives the logged verdict
+    b = (2, 1)
+    args = ["--mode", "random", "--trials", str(trials), "--seed", str(seed)]
+    if op == "factorization":
+        args += ["--p", "2", "--d", "1", "--n", "3"]
+    else:
+        args += ["--b", "[2,1]", "--d", "1"]
+    data = run_json(runner, ["verify", op, *args])
+    points = [SpecPoint.from_json(rec) for rec in data["fields"]]
+    assert len(points) == trials
+    assert [pt.to_json() for pt in points] == data["fields"]
+    assert len(set(points)) == trials
+    verdict = _REPLAYS[op](b, points)
+    key = {"changing": "pivots", "factorization": "failures"}.get(op, "passed")
+    assert verdict == data[key]
+    assert data["passed"] is True
 
 
 def test_verify_flag_consistency(runner):
@@ -465,6 +506,24 @@ def test_reduce_mod_rejects_composite_char(runner, tmp_path):
     result = runner.invoke(main, ["reduce-mod", "--matrix", str(mat),
                                   "--char", "4"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("char", ["4", "9", "1", "0", "-3"])
+@pytest.mark.parametrize("command", ["splittable", "assemble"])
+def test_char_must_be_prime(runner, tmp_path, command, char):
+    tables = write_tables(runner, tmp_path, ["--s", "1", "--n", "2"])
+    args = ["--p", "2", "--d", "1", "--tables", tables]
+    if command == "splittable":
+        args += ["--lambda", "[[1],[1]]", "--mu", "[[1],[1]]"]
+    else:
+        args += ["--n", "2", "--klesh", write_klesh(tmp_path, 2, 1, 2)]
+    result = runner.invoke(main, [command, *args, "--char", char])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output) == {"error": {
+        "kind": "validation",
+        "message": f"characteristic must be prime, got {char}"}}
+    data = run_json(runner, [command, *args, "--char", "3"])
+    assert data["char"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from cyclohecke.scalars import (
     schur_element_b,
     verify_factorization,
 )
-from cyclohecke.seminormal import character
+from cyclohecke.seminormal import character, mode_fields
 
 from helpers import (
     multiplied_f,
@@ -257,9 +257,8 @@ def test_factorization_grid():
 
 def test_factorization_random_mode():
     la = mp(4, 1, ((1,), (1,), (1,), (1,)))
-    assert verify_factorization(la, (1, 1, 1, 1), mode="random", trials=2)
-    with pytest.raises(ValueError):
-        verify_factorization(la, (1, 1, 1, 1), mode="exact")
+    assert verify_factorization(la, (1, 1, 1, 1),
+                                mode_fields(4, 1, 4, "random", trials=2))
     with pytest.raises(ValueError, match="no points"):
         verify_factorization(la, (1, 1, 1, 1), points=[])
 

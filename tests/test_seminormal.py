@@ -662,28 +662,28 @@ def test_character_l1():
 def test_element_equal_jm_definition():
     w1 = [("T", 1), ("L", 1), ("T", 1)]
     w2 = [("scal", K21.q), ("L", 2)]
-    assert element_equal(2, 1, 2, w1, w2, mode="symbolic")
+    assert element_equal(2, 1, 2, w1, w2, mode_fields(2, 1, 2, "symbolic"))
 
 
 def test_element_equal_jm_commutation():
     w1 = [("L", 1), ("L", 2), ("T", 1)]
     w2 = [("T", 1), ("L", 1), ("L", 2)]
-    assert element_equal(2, 1, 2, w1, w2, mode="symbolic")
-    assert element_equal(2, 1, 3, w1, w2, mode="random", trials=2,
-                         rng=random.Random(4))
+    assert element_equal(2, 1, 2, w1, w2, mode_fields(2, 1, 2, "symbolic"))
+    assert element_equal(2, 1, 3, w1, w2, mode_fields(
+        2, 1, 3, "random", trials=2, rng=random.Random(4)))
 
 
 def test_element_equal_mixed_braid():
     w1 = [("T", 0), ("T", 1), ("T", 0), ("T", 1)]
     w2 = [("T", 1), ("T", 0), ("T", 1), ("T", 0)]
-    assert element_equal(2, 1, 2, w1, w2, mode="symbolic")
+    assert element_equal(2, 1, 2, w1, w2, mode_fields(2, 1, 2, "symbolic"))
 
 
 def test_element_equal_detects_difference():
     assert not element_equal(2, 1, 2, [("T", 1)], [("T", 0)],
-                             mode="symbolic")
-    assert not element_equal(2, 1, 3, [("L", 2)], [("L", 3)], mode="random",
-                             trials=2, rng=random.Random(8))
+                             mode_fields(2, 1, 2, "symbolic"))
+    assert not element_equal(2, 1, 3, [("L", 2)], [("L", 3)], mode_fields(
+        2, 1, 3, "random", trials=2, rng=random.Random(8)))
 
 
 def test_element_equal_needs_a_field():

@@ -115,3 +115,24 @@ def test_every_lru_cache_is_bounded():
                 unbounded.append(f"{path.name}:{node.lineno} {node.name}")
     assert found >= 7
     assert not unbounded, f"caches without a finite int maxsize: {unbounded}"
+
+
+def test_only_mode_fields_takes_mode_trials_or_rng():
+    # a verifier takes the fields it checks over as `points`; turning a
+    # mode, trials and an rng into fields is the job of mode_fields, and
+    # a click command reads them from its flags.  The samplers that draw
+    # one point or table from a given rng keep it.
+    allowed = {"mode_fields", "sample_point", "_random_table",
+               "_splittable_sweep"}
+    found = [
+        f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in allowed and not _is_command(node)
+        for arg in node.args.posonlyargs + node.args.args
+        + node.args.kwonlyargs
+        if arg.arg in ("mode", "trials", "rng")
+    ]
+    assert "seminormal.py" in {path.name for path in SRC.glob("*.py")}
+    assert not found, f"field choices outside mode_fields: {found}"
