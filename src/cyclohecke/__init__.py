@@ -26,7 +26,7 @@ from .decomp import (
     d_product,
     dim_report,
     orbit_sum_bound,
-    reduce_result,
+    reduce_matrix,
     relations_oracle,
     semisimple_table,
     split_by_formula,

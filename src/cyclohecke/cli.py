@@ -35,6 +35,7 @@ from .decomp import (
     cyclic_reindex,
     d_product,
     dim_report,
+    reduce_matrix,
     relations_oracle,
     semisimple_table,
     split_by_formula,
@@ -113,7 +114,16 @@ def _json_flag(text: str, what: str):
 
 
 def _comp_flag(text: str) -> tuple:
-    return check_composition(_json_flag(text, "composition"))
+    b = check_composition(_json_flag(text, "composition"))
+    if not b:
+        raise ValueError("composition must have at least one part")
+    return b
+
+
+def _size_flag(n):
+    if n is not None and n < 0:
+        raise ValueError(f"size must be nonnegative, got n={n}")
+    return n
 
 
 def _mp_flag(p: int, d: int, text: str) -> Multipartition:
@@ -164,11 +174,14 @@ def _prime_char(char) -> None:
         raise ValueError(f"characteristic must be prime, got {char}")
 
 
-def _check_pn(b, p, n) -> None:
+def _b_flag(b_text: str, p, n) -> tuple:
+    """The composition --b, checked against --p and --n when given."""
+    b = _comp_flag(b_text)
     if p is not None and p != len(b):
         raise ValueError(f"--p {p} disagrees with len(b) = {len(b)}")
-    if n is not None and n != sum(b):
+    if _size_flag(n) is not None and n != sum(b):
         raise ValueError(f"--n {n} disagrees with |b| = {sum(b)}")
+    return b
 
 
 # --- command group ---------------------------------------------------------
@@ -190,16 +203,12 @@ def main():
 def enumerate_cmd(p, d, n, b_text, out):
     """Multipartitions of size n (or composition b) with orbit data."""
     if b_text is not None:
-        b = _comp_flag(b_text)
-        if len(b) != p:
-            raise ValueError(f"composition has {len(b)} parts, expected {p}")
-        if n is not None and sum(b) != n:
-            raise ValueError(f"--n {n} disagrees with |b| = {sum(b)}")
+        b = _b_flag(b_text, p, n)
         shapes = enumerate_pdb(d, b)
         n = sum(b)
+    elif _size_flag(n) is None:
+        raise ValueError("need --n or --b")
     else:
-        if n is None:
-            raise ValueError("need --n or --b")
         shapes = enumerate_all(p, d, n)
     payload = {
         "p": p, "d": d, "n": n, "count": len(shapes),
@@ -232,6 +241,7 @@ def enumerate_cmd(p, d, n, b_text, out):
 @_guarded
 def seminormal_check(p, d, n, la_text, mode, trials, seed, out):
     """Check the defining relations on seminormal representations."""
+    n = _size_flag(n)
     if la_text is not None:
         la = _mp_flag(p, d, la_text)
         if la.size != n:
@@ -302,10 +312,9 @@ def _emit_verdict(payload, out) -> None:
 @_guarded
 def verify_changing_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Pivot rewritings of v_b against the plain product, all pivots."""
-    b = _comp_flag(b_text)
-    _check_pn(b, p, n)
+    b = _b_flag(b_text, p, n)
     fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
-                         rng=Random(seed)) if b else []
+                         rng=Random(seed))
     pivots = {str(j): verify_changing(b, d, j, fields)
               for j in range(1, len(b) + 1)}
     _emit_verdict({
@@ -321,8 +330,7 @@ def verify_changing_cmd(b_text, d, p, n, mode, trials, seed, out):
 @_guarded
 def verify_pleftmult_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Full shift cycle against v_b T_b."""
-    b = _comp_flag(b_text)
-    _check_pn(b, p, n)
+    b = _b_flag(b_text, p, n)
     fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
                          rng=Random(seed))
     _emit_verdict({
@@ -338,8 +346,7 @@ def verify_pleftmult_cmd(b_text, d, p, n, mode, trials, seed, out):
 @_guarded
 def verify_comparison_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Trace comparison over the full tensor basis."""
-    b = _comp_flag(b_text)
-    _check_pn(b, p, n)
+    b = _b_flag(b_text, p, n)
     fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
                          rng=Random(seed))
     _emit_verdict({
@@ -355,8 +362,7 @@ def verify_comparison_cmd(b_text, d, p, n, mode, trials, seed, out):
 @_guarded
 def verify_trace_vbtb_cmd(b_text, d, p, n, mode, trials, seed, out):
     """Closed trace of v_b T_b against the character expansion."""
-    b = _comp_flag(b_text)
-    _check_pn(b, p, n)
+    b = _b_flag(b_text, p, n)
     fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
                          rng=Random(seed))
     checks = [trace_vbtb(b, field) for field in fields]
@@ -387,12 +393,12 @@ def verify_factorization_cmd(p, d, n, la_text, mode, trials, seed, out):
         if n is not None and la.size != n:
             raise ValueError(f"lambda has size {la.size}, expected {n}")
         shapes = [la]
-    elif n is not None:
+    elif _size_flag(n) is not None:
         shapes = enumerate_all(p, d, n)
     else:
         raise ValueError("need --lambda or --n")
     fields = mode_fields(p, d, max(shapes[0].size, 1), mode, trials=trials,
-                         rng=Random(seed)) if shapes else []
+                         rng=Random(seed))
     failures = [la.to_json() for la in shapes
                 if not verify_factorization(la, la.composition(), fields)]
     _emit_verdict({
@@ -493,16 +499,16 @@ def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
                                rng=Random(seed))
         b = la.composition()
         ratio = g_lambda(la, b, field) / g_lambda(mu, b, field)
-    result = split_by_formula(la, mu, tables, ratio, char=char)
+    result = split_by_formula(la, mu, tables, ratio)
     payload = {
         "op": "splittable", "p": p, "d": d,
         "lambda": la.to_json(), "mu": mu.to_json(),
         "split": result.split,
         "values": [[v.numerator, v.denominator] for v in result.values],
         "provenance": result.provenance,
-        "char": result.char,
-        "residues": None if result.residues is None
-        else list(result.residues),
+        "char": char,
+        "residues": None if char is None
+        else [int(v) % char for v in result.values],
         "mode": mode, "seed": seed,
     }
     if field is not None:
@@ -528,8 +534,9 @@ def assemble_cmd(p, d, n, tables_path, klesh_path, char, mode, seed, out):
     tables = _load_tables(tables_path)
     klesh = _load_klesh(klesh_path, p, d)
     (field,) = mode_fields(p, d, n, mode, trials=1, rng=Random(seed))
-    payload = assemble_matrix(p * d, p, n, tables, klesh, char=char,
-                              point=field)
+    payload = assemble_matrix(p * d, p, n, tables, klesh, point=field)
+    if char is not None:
+        payload = reduce_matrix(payload, char)
     payload["mode"] = mode
     payload["seed"] = seed
     if mode == "random":
@@ -549,7 +556,7 @@ def semisimple_tables_cmd(s, m, n, out):
     """Identity decomposition tables of semisimple component algebras."""
     if (m is None) == (n is None):
         raise ValueError("give exactly one of --m, --n")
-    sizes = [m] if m is not None else list(range(n + 1))
+    sizes = [m] if m is not None else list(range(_size_flag(n) + 1))
     _emit({"tables": [semisimple_table(s, k).to_json() for k in sizes]}, out)
 
 
@@ -560,29 +567,11 @@ def semisimple_tables_cmd(s, m, n, out):
 @click.option("--out", default=None)
 @_guarded
 def reduce_mod_cmd(matrix_path, char, out):
-    """Entrywise residues of an assembled matrix modulo a prime."""
+    """An assembled matrix modulo a prime, as assemble --char gives it."""
     _prime_char(char)
     with open(matrix_path) as fh:
         data = json.load(fh)
-    entries = []
-    for ri, ci, v in data["entries"]:
-        if isinstance(v, dict):
-            entries.append([ri, ci, v])
-        elif isinstance(v, int) and not isinstance(v, bool):
-            entries.append([ri, ci, v % char])
-        else:
-            raise InputDataError(f"entry at ({ri}, {ci}) is not integral: {v!r}")
-    data["entries"] = entries
-    for unknown in data.get("unknowns", []):
-        for relation in unknown.get("relations", []):
-            rhs = relation["rhs"]
-            if not isinstance(rhs, int) or isinstance(rhs, bool):
-                raise InputDataError(f"relation value is not integral: {rhs!r}")
-            relation["rhs"] = rhs % char
-    data["char"] = char
-    if isinstance(data.get("report"), dict):
-        data["report"]["char"] = char
-    _emit(data, out)
+    _emit(reduce_matrix(data, char), out)
 
 
 # --- acceptance grids ------------------------------------------------------

@@ -310,8 +310,6 @@ class SplitResult(NamedTuple):
     split: int
     values: tuple
     provenance: str
-    char: int = None
-    residues: tuple = None
 
 
 class ClassSums(NamedTuple):
@@ -336,22 +334,18 @@ def _check_counts(values, what: str) -> tuple:
     return tuple(out)
 
 
-def reduce_result(result: SplitResult, char: int) -> SplitResult:
-    """Attach the mod-char residues of an integral result."""
-    if char < 2:
-        raise ValueError(f"characteristic must be at least 2, got {char}")
-    values = _check_counts(result.values, "multiplicity")
-    residues = tuple(int(v) % char for v in values)
-    return result._replace(char=char, residues=residues)
+def _twist_slot(i: int, j: int, p_la: int, p_mu: int) -> int:
+    """Position c - 1 of [S^la_i : D^mu_j] among the twist values of its
+    pair, for j - i = c modulo gcd(p_la, p_mu)."""
+    if not (1 <= i <= p_la and 1 <= j <= p_mu):
+        raise ValueError(f"summand labels out of range: i={i}, j={j}")
+    return (j - i - 1) % math.gcd(p_la, p_mu)
 
 
 def _formula_solve(la: Multipartition, mu: Multipartition, tables, g_ratio,
                    i: int = 1, j: int = 1) -> tuple:
-    """The splitting number l and the l twist multiplicities, unconverted.
-
-    Entry c - 1 is [S^la_i : D^mu_j] for j - i = c (mod l), in the ring
-    of g_ratio; the summand labels i, j are only range-checked here.
-    """
+    """The slot of [S^la_i : D^mu_j] and the l twist multiplicities,
+    unconverted in the ring of g_ratio."""
     _, p_la = la.orbit_order()
     _, p_mu = mu.orbit_order()
     if p_la != p_mu:
@@ -359,39 +353,29 @@ def _formula_solve(la: Multipartition, mu: Multipartition, tables, g_ratio,
             f"splitting numbers differ: p_la = {p_la}, p_mu = {p_mu}"
         )
     l = p_la
-    if not (1 <= i <= l and 1 <= j <= l):
-        raise ValueError(f"summand labels out of range: i={i}, j={j}")
+    slot = _twist_slot(i, j, l, l)
     d_val = d_product(la, mu, la.p // l, tables)
     if l == 1:
-        return l, [Fraction(d_val)]
+        return slot, [Fraction(d_val)]
     ratio = _lift_scalar(g_ratio, la.p)
-    return l, _inverse_dft(l, la.p, ratio, _twist_column(l, ratio, d_val))
+    return slot, _inverse_dft(l, la.p, ratio, _twist_column(l, ratio, d_val))
 
 
 def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
-                      tables, g_ratio, char: int = None) -> Fraction:
-    """The multiplicity [S^la_i : D^mu_j] for a pair with p_la = p_mu.
-
-    Reads entry (j - i mod l) of the closed-form twist solve; with char
-    set, the value is validated as a count and reduced.
-    """
-    l, values = _formula_solve(la, mu, tables, g_ratio, i, j)
-    c = (j - i) % l or l
-    value = _as_fraction(values[c - 1])
-    if char is None:
-        return value
-    result = SplitResult(la, mu, l, (value,), "formula")
-    return reduce_result(result, char).residues[0]
+                      tables, g_ratio) -> Fraction:
+    """The multiplicity [S^la_i : D^mu_j] for a pair with p_la = p_mu,
+    read off the closed-form twist solve."""
+    slot, values = _formula_solve(la, mu, tables, g_ratio, i, j)
+    return _as_fraction(values[slot])
 
 
-def split_by_formula(la: Multipartition, mu: Multipartition, tables, g_ratio,
-                     char: int = None) -> SplitResult:
+def split_by_formula(la: Multipartition, mu: Multipartition, tables,
+                     g_ratio) -> SplitResult:
     """All l twist multiplicities of a splittable pair, in closed form."""
-    l, values = _formula_solve(la, mu, tables, g_ratio)
+    _, values = _formula_solve(la, mu, tables, g_ratio)
     values = tuple(_as_fraction(v) for v in values)
-    result = SplitResult(la, mu, l, _check_counts(values, "multiplicity"),
-                         "formula")
-    return reduce_result(result, char) if char is not None else result
+    return SplitResult(la, mu, len(values),
+                       _check_counts(values, "multiplicity"), "formula")
 
 
 def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
@@ -431,11 +415,7 @@ def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
 
 def cyclic_reindex(result: SplitResult, i: int, j: int) -> Fraction:
     """[S^la_i : D^mu_j] read off a SplitResult; only j - i matters."""
-    l = result.split
-    if not (1 <= i <= l and 1 <= j <= l):
-        raise ValueError(f"summand labels out of range: i={i}, j={j}")
-    c = (j - i) % l or l
-    return result.values[c - 1]
+    return result.values[_twist_slot(i, j, result.split, result.split)]
 
 
 # --- matrix assembly ------------------------------------------------------
@@ -467,7 +447,7 @@ def _closed_under_shift(mps) -> bool:
 
 
 def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
-                    char: int = None, point=None) -> dict:
+                    point=None) -> dict:
     """The labelled decomposition matrix built from the input tables.
 
     Rows run over (la class representative, i = 1..p_la) for all la of
@@ -479,14 +459,13 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     vanishes are zero, and the rest become named unknowns; when the twist
     relations apply their residue-class sums are attached as integer
     linear forms.  g ratios are evaluated at the given specialization
-    point, or symbolically when none is supplied.
+    point, or symbolically when none is supplied.  Entries are exact
+    integers; reduce_matrix takes them modulo a prime.
     """
     if p < 1 or r % p:
         raise ValueError(f"p must divide r, got r={r}, p={p}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if char is not None and char < 2:
-        raise ValueError(f"characteristic must be at least 2, got {char}")
     d = r // p
     field = point if point is not None else GenericField(p, d)
 
@@ -539,12 +518,10 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             if p_la == p_mu:
                 # the twist solve reads no g ratio at split 1
                 ratio = 1 if p_la == 1 else g_value(la) / g_value(mu)
-                result = split_by_formula(la, mu, tables, ratio, char=char)
-                source = result.residues if char is not None else result.values
+                values = split_by_formula(la, mu, tables, ratio).values
                 for i in range(1, p_la + 1):
                     for j in range(1, p_mu + 1):
-                        c = (j - i) % p_la or p_la
-                        v = source[c - 1]
+                        v = values[_twist_slot(i, j, p_la, p_mu)]
                         if v:
                             entries[row_pos[la, i], col_pos[mu, j]] = int(v)
                 continue
@@ -552,8 +529,8 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             # common period and stay symbolic; the twist relations pin
             # residue-class sums when mu is symmetric enough.
             k = len(unknowns)
-            modulus = math.gcd(p_la, p_mu)
-            names = [f"u{k}.{c}" for c in range(1, modulus + 1)]
+            names = [f"u{k}.{c}"
+                     for c in range(1, math.gcd(p_la, p_mu) + 1)]
             relations = []
             twist_names = []
             if p_mu % p_la == 0:
@@ -569,15 +546,12 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
                         terms = [[1, twist_names[j - 1]]
                                  for j in range(1, p_mu + 1)
                                  if j % p_la == c % p_la]
-                        value = int(rhs[c - 1])
-                        if char is not None:
-                            value %= char
-                        relations.append({"terms": terms, "rhs": value})
+                        relations.append({"terms": terms,
+                                          "rhs": int(rhs[c - 1])})
             for i in range(1, p_la + 1):
                 for j in range(1, p_mu + 1):
-                    c = (j - i) % modulus or modulus
                     entries[row_pos[la, i], col_pos[mu, j]] = {
-                        "unknown": names[c - 1]
+                        "unknown": names[_twist_slot(i, j, p_la, p_mu)]
                     }
             unknowns.append({
                 "index": k,
@@ -607,24 +581,11 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
         if pos is None or entries.get((pos, col_pos[mu, j])) != 1:
             raise InputDataError(f"missing unit diagonal at {(mu, j)!r}")
 
-    identity = (len(rows) == len(cols)
-                and not unknowns
-                and all(rows[ri] == cols[ci] and v == 1
-                        for (ri, ci), v in entries.items())
-                and len(entries) == len(cols))
-    report = {
-        "rows": len(rows),
-        "cols": len(cols),
-        "unitriangular": True,
-        "identity": identity,
-        "unknown_pairs": len(unknowns),
-        "char": char,
-    }
-    return {
+    out = {
         "r": r,
         "p": p,
         "n": n,
-        "char": char,
+        "char": None,
         "rows": [[la.to_json(), i] for la, i in rows],
         "cols": [[mu.to_json(), j] for mu, j in cols],
         "entries": [
@@ -633,8 +594,64 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             )
         ],
         "unknowns": unknowns,
-        "report": report,
     }
+    out["report"] = {
+        "rows": len(rows),
+        "cols": len(cols),
+        "unitriangular": True,
+        "identity": _is_identity(out),
+        "unknown_pairs": len(unknowns),
+        "char": None,
+    }
+    return out
+
+
+def _is_identity(matrix: dict) -> bool:
+    """Whether an assembled matrix is the identity, with no unknowns."""
+    rows, cols, entries = matrix["rows"], matrix["cols"], matrix["entries"]
+    return (len(rows) == len(cols)
+            and not matrix["unknowns"]
+            and all(rows[ri] == cols[ci] and v == 1 for ri, ci, v in entries)
+            and len(entries) == len(cols))
+
+
+_MATRIX_KEYS = frozenset(("r", "p", "n", "char", "rows", "cols", "entries",
+                          "unknowns", "report"))
+
+
+def _integral(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputDataError(f"{where} is not integral: {value!r}")
+    return value
+
+
+def reduce_matrix(data: dict, char: int) -> dict:
+    """The assembled matrix data, with the keys assemble_matrix writes,
+    modulo char: integer entries and relation values become residues, a
+    zero residue leaves the sparse entry list, unknowns pass through, and
+    report.identity is recomputed."""
+    if char < 2:
+        raise ValueError(f"characteristic must be at least 2, got {char}")
+    missing = sorted(_MATRIX_KEYS.difference(data))
+    if missing:
+        raise ValueError(f"not an assembled matrix, missing {missing}")
+    entries = []
+    n_rows, n_cols = len(data["rows"]), len(data["cols"])
+    for ri, ci, v in data["entries"]:
+        if not (0 <= ri < n_rows and 0 <= ci < n_cols):
+            raise InputDataError(f"entry index out of range: {(ri, ci)}")
+        if not isinstance(v, dict):
+            v = _integral(v, f"entry at ({ri}, {ci})") % char
+            if not v:
+                continue
+        entries.append([ri, ci, v])
+    unknowns = [{**u, "relations": [
+        {**rel, "rhs": _integral(rel["rhs"], "relation value") % char}
+        for rel in u["relations"]]} for u in data["unknowns"]]
+    out = {**data, "char": char, "entries": entries, "unknowns": unknowns}
+    out["report"] = {**data["report"], "char": char,
+                     "identity": _is_identity(out)}
+    return out
 
 
 # --- dimension report -----------------------------------------------------

@@ -363,13 +363,6 @@ class LaurentPoly:
             return LaurentPoly.zero(order, nvars)
         return LaurentPoly(order, nvars, {(0,) * nvars: c})
 
-    @staticmethod
-    def monomial(order: int, nvars: int, exps: Sequence[int], coeff) -> "LaurentPoly":
-        c = coeff if isinstance(coeff, CycRat) else CycRat.from_rational(order, coeff)
-        if not c:
-            return LaurentPoly.zero(order, nvars)
-        return LaurentPoly(order, nvars, {tuple(exps): c})
-
     def _check(self, other: "LaurentPoly"):
         if self.order != other.order or self.nvars != other.nvars:
             raise ValueError("Laurent polynomials from different rings")

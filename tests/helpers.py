@@ -439,10 +439,17 @@ class RefRatFunc:
         return f"RefRatFunc(({self.num!r}) / ({self.den!r}))"
 
 
+def monomial(order: int, nvars: int, exps, coeff) -> LaurentPoly:
+    """coeff * x^exps, for a rational or CycRat coeff."""
+    if not isinstance(coeff, CycRat):
+        coeff = CycRat.from_rational(order, coeff)
+    return LaurentPoly(order, nvars, {tuple(exps): coeff} if coeff else {})
+
+
 def to_reference(value: RatFunc) -> RefRatFunc:
     """A RatFunc multiplied out by generic products."""
     order, nvars = value.order, value.nvars
-    num = LaurentPoly.monomial(order, nvars, value.mono, value.unit)
+    num = monomial(order, nvars, value.mono, value.unit)
     if value.poly is not None:
         num = num * value.poly
     one = LaurentPoly.constant(order, nvars, 1)
@@ -493,7 +500,7 @@ class RatFuncField:
 
     def q_power(self, k: int) -> RefRatFunc:
         exps = [k] + [0] * self.d
-        return RefRatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
+        return RefRatFunc(monomial(self.p, self.nvars, exps, 1))
 
     @property
     def q(self) -> RefRatFunc:
@@ -504,7 +511,7 @@ class RatFuncField:
             raise ValueError(f"Q_{i} out of range for d={self.d}")
         exps = [0] * self.nvars
         exps[i] = k
-        return RefRatFunc(LaurentPoly.monomial(self.p, self.nvars, exps, 1))
+        return RefRatFunc(monomial(self.p, self.nvars, exps, 1))
 
     def Q(self, i: int) -> RefRatFunc:
         return self.Q_power(i, 1)

@@ -1,11 +1,12 @@
 import json
+from random import Random
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclohecke.cli import main, scalar_to_json
+from cyclohecke.cli import _random_table, main, scalar_to_json
 from cyclohecke.combin import enumerate_all, enumerate_pdb
 from cyclohecke.elements import (
     verify_changing,
@@ -68,6 +69,38 @@ def test_enumerate_by_n(runner):
 def test_nonpositive_sizes_rejected(runner, args):
     data = run_json(runner, args, exit_code=2)
     assert data["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--p", "2", "--d", "1", "--n", "-1"],
+    ["enumerate", "--p", "1", "--d", "1", "--b", "[]"],
+    ["seminormal-check", "--p", "2", "--d", "1", "--n", "-1"],
+    ["verify", "factorization", "--p", "2", "--d", "1", "--n", "-1"],
+    ["verify", "changing", "--b", "[]"],
+    ["verify", "pleftmult", "--b", "[]"],
+    ["verify", "comparison", "--b", "[]"],
+    ["verify", "trace-vbtb", "--b", "[]"],
+    ["verify", "pleftmult", "--b", "[1]", "--n", "-1"],
+    ["scalar", "f", "--p", "2", "--d", "1", "--lambda", "[[1],[1]]",
+     "--b", "[]"],
+    ["semisimple-tables", "--s", "1", "--n", "-1"],
+], ids=lambda args: " ".join(args))
+def test_sizes_that_enumerate_nothing_rejected(runner, args):
+    # a negative n or an empty composition is refused where the flags
+    # are read; n = 0, one empty shape, stays valid
+    data = run_json(runner, args, exit_code=2)
+    assert data["error"]["kind"] == "validation"
+    assert "nonnegative" in data["error"]["message"] \
+        or "at least one part" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("args", [
+    ["seminormal-check", "--p", "2", "--d", "1", "--n", "0"],
+    ["verify", "factorization", "--p", "2", "--d", "1", "--n", "0"],
+    ["semisimple-tables", "--s", "1", "--n", "0"],
+], ids=lambda args: " ".join(args))
+def test_size_zero_is_valid(runner, args):
+    assert run_json(runner, args)
 
 
 def test_enumerate_by_b(runner):
@@ -446,37 +479,95 @@ def test_reduce_mod_identity(runner, tmp_path):
     assert data["report"]["char"] == 3
 
 
-def test_reduce_mod_residues(runner, tmp_path):
+def assembled(runner, tmp_path, **changes):
+    """The assemble output at (p, d, n) = (2, 1, 2) on semisimple tables,
+    with the given keys replaced, written to a file."""
+    tables = write_tables(runner, tmp_path, ["--s", "1", "--n", "2"])
+    klesh = write_klesh(tmp_path, 2, 1, 2)
+    data = run_json(runner, ["assemble", "--p", "2", "--d", "1", "--n", "2",
+                             "--tables", tables, "--klesh", klesh])
     mat = tmp_path / "mat.json"
-    mat.write_text(json.dumps({
-        "entries": [[0, 0, 5], [1, 0, 4], [1, 1, 1]],
-        "unknowns": [{"relations": [{"terms": [[1, "d0.1"]], "rhs": 7}]}],
-        "report": {"rows": 2},
-    }))
-    data = run_json(runner, ["reduce-mod", "--matrix", str(mat),
-                             "--char", "2"])
-    assert data["entries"] == [[0, 0, 1], [1, 0, 0], [1, 1, 1]]
+    mat.write_text(json.dumps({**data, **changes}))
+    return str(mat)
+
+
+def test_reduce_mod_residues(runner, tmp_path):
+    relation = {"terms": [[1, "d0.1"]], "rhs": 7}
+    mat = assembled(runner, tmp_path,
+                    entries=[[0, 0, 5], [1, 0, 4], [1, 1, 1]],
+                    unknowns=[{"relations": [relation]}])
+    data = run_json(runner, ["reduce-mod", "--matrix", mat, "--char", "2"])
+    # a zero residue leaves the sparse entry list, as in assemble --char
+    assert data["entries"] == [[0, 0, 1], [1, 1, 1]]
     assert data["unknowns"][0]["relations"][0]["rhs"] == 1
+    assert data["report"]["identity"] is False
 
 
 def test_reduce_mod_keeps_unknowns(runner, tmp_path):
-    mat = tmp_path / "mat.json"
-    mat.write_text(json.dumps({
-        "entries": [[0, 0, 1], [1, 0, {"unknown": "u0.1"}]],
-        "unknowns": [],
-    }))
-    data = run_json(runner, ["reduce-mod", "--matrix", str(mat),
-                             "--char", "5"])
+    mat = assembled(runner, tmp_path,
+                    entries=[[0, 0, 1], [1, 0, {"unknown": "u0.1"}]])
+    data = run_json(runner, ["reduce-mod", "--matrix", mat, "--char", "5"])
     assert data["entries"][1][2] == {"unknown": "u0.1"}
 
 
 def test_reduce_mod_rejects_non_integral(runner, tmp_path):
-    mat = tmp_path / "mat.json"
-    mat.write_text(json.dumps({"entries": [[0, 0, "1/2"]], "unknowns": []}))
-    result = runner.invoke(main, ["reduce-mod", "--matrix", str(mat),
+    mat = assembled(runner, tmp_path, entries=[[0, 0, "1/2"]])
+    result = runner.invoke(main, ["reduce-mod", "--matrix", mat,
                                   "--char", "2"])
     assert result.exit_code == 4
     assert json.loads(result.output)["error"]["kind"] == "input-data"
+
+
+@pytest.mark.parametrize("entry", [[9, 0, 1], [0, -1, 1]])
+def test_reduce_mod_rejects_entry_outside_the_matrix(runner, tmp_path, entry):
+    mat = assembled(runner, tmp_path, entries=[entry])
+    result = runner.invoke(main, ["reduce-mod", "--matrix", mat,
+                                  "--char", "2"])
+    assert result.exit_code == 4, result.output
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "input-data" and "out of range" in error["message"]
+
+
+@pytest.mark.parametrize("key", ["entries", "unknowns", "report", "char"])
+def test_reduce_mod_needs_assemble_keys(runner, tmp_path, key):
+    mat = tmp_path / "mat.json"
+    data = json.loads(open(assembled(runner, tmp_path)).read())
+    del data[key]
+    mat.write_text(json.dumps(data))
+    result = runner.invoke(main, ["reduce-mod", "--matrix", str(mat),
+                                  "--char", "2"])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.output)["error"]
+    assert error["kind"] == "validation" and key in error["message"]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "random"])
+@pytest.mark.parametrize("char", ["2", "3"])
+def test_reduce_mod_of_assemble_is_assemble_char(runner, tmp_path, char,
+                                                 mode):
+    # one reduction: reduce-mod of the characteristic-0 matrix prints byte
+    # for byte what assemble --char prints, zero residues left out
+    klesh = write_klesh(tmp_path, 2, 1, 3)
+    zero_residues = 0
+    for seed in range(4):
+        rng = Random(seed)
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(
+            [_random_table(rng, 1, m).to_json() for m in range(4)]))
+        args = ["assemble", "--p", "2", "--d", "1", "--n", "3",
+                "--tables", str(tables), "--klesh", klesh,
+                "--mode", mode, "--seed", str(seed)]
+        mat = tmp_path / "mat.json"
+        data = run_json(runner, args)
+        mat.write_text(json.dumps(data, indent=2))
+        zero_residues += sum(isinstance(v, int) and v % int(char) == 0
+                             for _, _, v in data["entries"])
+        reduced = runner.invoke(main, ["reduce-mod", "--matrix", str(mat),
+                                       "--char", char])
+        direct = runner.invoke(main, [*args, "--char", char])
+        assert (reduced.exit_code, direct.exit_code) == (0, 0)
+        assert reduced.output == direct.output
+    assert zero_residues
 
 
 @pytest.mark.parametrize("m", [2.0, "2"])
@@ -501,10 +592,8 @@ def test_non_integer_table_size_exits_4(runner, tmp_path, command, m):
 
 
 def test_reduce_mod_rejects_composite_char(runner, tmp_path):
-    mat = tmp_path / "mat.json"
-    mat.write_text(json.dumps({"entries": [], "unknowns": []}))
-    result = runner.invoke(main, ["reduce-mod", "--matrix", str(mat),
-                                  "--char", "4"])
+    result = runner.invoke(main, ["reduce-mod", "--matrix",
+                                  assembled(runner, tmp_path), "--char", "4"])
     assert result.exit_code == 2
 
 

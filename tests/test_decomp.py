@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from cyclohecke.decomp import (
     d_product,
     dim_report,
     orbit_sum_bound,
-    reduce_result,
+    reduce_matrix,
     relations_oracle,
     semisimple_table,
     split_by_formula,
@@ -387,31 +388,52 @@ def test_split_validates_summand_labels():
         splittable_number(la, la, 1, 3, tables, 1)
 
 
-def test_split_char_reduction():
+def splittable_json(tmp_path, p, la, mu, tables, *args, exit_code=0):
+    """The splittable command's output on the given tables."""
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([t.to_json() for t in tables]))
+    result = CliRunner().invoke(cli.main, [
+        "splittable", "--p", str(p), "--d", "1", "--lambda", json.dumps(la),
+        "--mu", json.dumps(mu), "--tables", str(path), *args])
+    assert result.exit_code == exit_code, result.output
+    return json.loads(result.output)
+
+
+def test_split_char_reduction(tmp_path):
+    # the solve is characteristic 0; splittable --char reads residues
+    # off the values split_by_formula has checked as counts
     la = mp(3, 1, [[1], [1], [1]])
     tables = [semisimple_table(1, 1)]
-    assert splittable_number(la, la, 2, 2, tables, 1, char=2) == 1
-    assert splittable_number(la, la, 1, 2, tables, 1, char=2) == 0
-    result = split_by_formula(la, la, tables, 1, char=2)
-    assert result.residues == (0, 0, 1)
-    assert result.char == 2
-    with pytest.raises(ValueError):
-        splittable_number(la, la, 1, 1, tables, 1, char=1)
+    assert split_by_formula(la, la, tables, 1).values == (0, 0, 1)
+    assert splittable_number(la, la, 2, 2, tables, 1) == 1
+    assert splittable_number(la, la, 1, 2, tables, 1) == 0
+    data = splittable_json(tmp_path, 3, la.to_json(), la.to_json(), tables,
+                           "--char", "2")
+    assert data["char"] == 2 and data["residues"] == [0, 0, 1]
+    # an entry 2 of the split-1 pair ((2),(1)) over ((1,1),(1)) reduces to 0
+    tables = [semisimple_table(1, 1), one_column_table(2, [2], [1, 1], 2)]
+    data = splittable_json(tmp_path, 2, [[2], [1]], [[1, 1], [1]], tables,
+                           "--char", "2")
+    assert data["values"] == [[2, 1]] and data["residues"] == [0]
+    data = splittable_json(tmp_path, 2, [[2], [1]], [[1, 1], [1]], tables)
+    assert data["char"] is None and data["residues"] is None
+    error = splittable_json(tmp_path, 3, la.to_json(), la.to_json(), tables,
+                            "--char", "1", exit_code=2)
+    assert error["error"]["kind"] == "validation"
 
 
 def test_split_char_rejects_nonintegral_value():
+    # splittable_number returns the raw solve; split_by_formula, whose
+    # values are the only ones reduced, refuses anything but a count
     la = mp(2, 1, [[2], [2]])
     mu = mp(2, 1, [[1, 1], [1, 1]])
     tables = [one_column_table(2, [2], [1, 1], 1)]
     value = splittable_number(la, mu, 1, 2, tables, Fraction(1, 2))
     assert value == Fraction(1, 4)
-    with pytest.raises(InputDataError):
-        splittable_number(la, mu, 1, 2, tables, Fraction(1, 2), char=5)
     assert splittable_number(la, mu, 1, 2, tables, 3) == -1
-    with pytest.raises(InputDataError):
-        splittable_number(la, mu, 1, 2, tables, 3, char=5)
-    with pytest.raises(InputDataError):
-        split_by_formula(la, mu, tables, 3)
+    for ratio in (Fraction(1, 2), 3):
+        with pytest.raises(InputDataError, match="not a nonnegative integer"):
+            split_by_formula(la, mu, tables, ratio)
 
 
 def test_split_symbolic_ratio():
@@ -465,16 +487,57 @@ def test_cyclic_reindex():
             cyclic_reindex(result, i, j)
 
 
-def test_reduce_result():
-    la = mp(2, 1, [[1], [1]])
-    result = SplitResult(la, la, 2, (Fraction(0), Fraction(3)), "formula")
-    reduced = reduce_result(result, 2)
-    assert reduced.residues == (0, 1)
-    with pytest.raises(ValueError):
-        reduce_result(result, 0)
-    bad = SplitResult(la, la, 2, (Fraction(1, 2), Fraction(1)), "formula")
-    with pytest.raises(InputDataError):
-        reduce_result(bad, 2)
+def test_reduce_matrix():
+    # ((2),(1)) over ((1,1),(1)) has the one off-diagonal entry 2
+    tables = [semisimple_table(1, 0), semisimple_table(1, 1),
+              one_column_table(2, [2], [1, 1], 2)]
+    out = assemble_matrix(2, 2, 2, tables, enumerate_all(2, 1, 2))
+    assert [v for ri, ci, v in out["entries"] if ri != ci] == [2]
+    assert not out["report"]["identity"] and out["char"] is None
+    before = json.dumps(out)
+    mod3 = reduce_matrix(out, 3)
+    assert json.dumps(out) == before
+    assert [v for ri, ci, v in mod3["entries"] if ri != ci] == [2]
+    assert not mod3["report"]["identity"]
+    mod2 = reduce_matrix(out, 2)
+    assert mod2["entries"] == [e for e in out["entries"] if e[0] == e[1]]
+    assert mod2["report"]["identity"]
+    assert mod2["char"] == mod2["report"]["char"] == 2
+    assert list(mod2) == list(out)
+    assert list(mod2["report"]) == list(out["report"])
+    with pytest.raises(ValueError, match="at least 2"):
+        reduce_matrix(out, 1)
+    for bad in (Fraction(1, 2), "1/2", 1.0, True):
+        data = {**out, "entries": [[0, 0, bad]]}
+        with pytest.raises(InputDataError, match="not integral"):
+            reduce_matrix(data, 2)
+    for key in out:
+        data = {k: v for k, v in out.items() if k != key}
+        with pytest.raises(ValueError, match=f"missing.*'{key}'"):
+            reduce_matrix(data, 2)
+
+
+def test_reduce_matrix_passes_unknowns_through():
+    tables = [semisimple_table(1, m) for m in (0, 1, 3, 4)] + [
+        twisted_identity_table(2, 1),
+        one_column_table(2, [2], [1, 1], 1, eps_power=2),
+    ]
+    out = assemble_matrix(2, 2, 4, tables, enumerate_all(2, 1, 4))
+    mod2 = reduce_matrix(out, 2)
+    symbolic = [e for e in out["entries"] if isinstance(e[2], dict)]
+    assert symbolic
+    assert [e for e in mod2["entries"] if isinstance(e[2], dict)] == symbolic
+    assert [u["relations"] for u in out["unknowns"]] == [
+        [], [{"terms": [[1, "d1.1"], [1, "d1.2"]], "rhs": 2}]]
+    assert [u["relations"] for u in mod2["unknowns"]] == [
+        [], [{"terms": [[1, "d1.1"], [1, "d1.2"]], "rhs": 0}]]
+    assert [{**u, "relations": []} for u in mod2["unknowns"]] == [
+        {**u, "relations": []} for u in out["unknowns"]]
+    assert not mod2["report"]["identity"]
+    broken = json.loads(json.dumps(out))
+    broken["unknowns"][1]["relations"][0]["rhs"] = 0.5
+    with pytest.raises(InputDataError, match="relation value"):
+        reduce_matrix(broken, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +729,9 @@ def test_assemble_with_unknown_pair():
 
 # First 16 hex digits of the sha256 over the outputs of assemble_matrix on
 # three seeded draws of random tables per (d, p, n) cell, symbolically and
-# at a sampled point, with and without char=3: each output as
-# json.dumps(..., sort_keys=True), each refusal as its type and message.
+# at a sampled point, in characteristic 0 and reduced modulo 3: each
+# output as json.dumps(..., sort_keys=True), each refusal as its type and
+# message.
 # Recorded when assembly still visited every pair of representatives; at
 # (1, 2, 4) the third draw is refused in both modes.
 ASSEMBLY_DIGESTS = {
@@ -690,7 +754,9 @@ def test_assemble_output_is_pinned(d, p, n):
             for field in (None, point):
                 try:
                     out = assemble_matrix(p * d, p, n, tables, klesh,
-                                          char=char, point=field)
+                                          point=field)
+                    if char is not None:
+                        out = reduce_matrix(out, char)
                     text = json.dumps(out, sort_keys=True)
                 except InputDataError as exc:
                     text = f"refused: {type(exc).__name__}: {exc}"

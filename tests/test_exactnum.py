@@ -31,6 +31,7 @@ from cyclohecke.matrices import mat_rank, rows_mul
 from helpers import (
     RatFuncField,
     RefRatFunc,
+    monomial,
     multiply_out_by_products,
     reference_json,
     scalar_from_json,
@@ -937,6 +938,6 @@ def test_factored_json_matches_generic_products(order):
         value = RatFunc(unit, mono, num, den)
         reference = RefRatFunc(
             multiply_out_by_products(
-                LaurentPoly.monomial(order, nvars, mono, unit), num),
+                monomial(order, nvars, mono, unit), num),
             multiply_out_by_products(LaurentPoly.constant(order, nvars, 1), den))
         assert scalar_to_json(value) == reference_json(reference)

@@ -136,3 +136,16 @@ def test_only_mode_fields_takes_mode_trials_or_rng():
     ]
     assert "seminormal.py" in {path.name for path in SRC.glob("*.py")}
     assert not found, f"field choices outside mode_fields: {found}"
+
+
+def test_only_reduce_matrix_takes_char():
+    # the twist solves and the assembly work in characteristic 0; taking
+    # residues modulo a prime afterwards is the job of reduce_matrix alone
+    tree = ast.parse((SRC / "decomp.py").read_text())
+    found = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(arg.arg == "char" for arg in node.args.posonlyargs
+                + node.args.args + node.args.kwonlyargs)
+    ]
+    assert found == ["reduce_matrix"]
