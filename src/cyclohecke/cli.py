@@ -742,13 +742,21 @@ def _criterion_splittable(seeds) -> str:
 
 
 def _label_count(p, d, n) -> int:
+    """The rows of an assembled matrix: the split of every shift orbit.
+
+    A second computation against the assembly, so it shares no memo with
+    it: the labels come from `enumerate_pdb` per composition, not from
+    the memo behind `enumerate_all`, and the orbits are sets of shifts,
+    not the shift-class skeleton (`decomp._shift_skeleton`).
+    """
     total = 0
     seen = set()
-    for la in enumerate_all(p, d, n):
-        orbit = frozenset(la.shift(k) for k in range(p))
-        if orbit not in seen:
-            seen.add(orbit)
-            total += la.orbit_order()[1]
+    for b in compositions(n, p):
+        for la in enumerate_pdb(d, b):
+            orbit = frozenset(la.shift(k) for k in range(p))
+            if orbit not in seen:
+                seen.add(orbit)
+                total += la.orbit_order()[1]
     return total
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .combin import (
@@ -441,9 +442,23 @@ def _normalized_reps(items) -> list:
     return reps
 
 
-def _closed_under_shift(mps) -> bool:
-    pool = set(mps)
-    return all(la.shift(1) in pool for la in pool)
+# two entries per assembled (p, d, n) cell, its rows and its simple
+# labels: 20 for the ten cells of a benchmark pass, each assembled six or
+# twelve times over other tables and points, and 16 for the desk criteria
+SKELETON_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SKELETON_CACHE_SIZE, typed=True)
+def _shift_skeleton(p: int, d: int, n: int, labels) -> tuple:
+    """(closed under the block shift?, `_normalized_reps` order as a
+    tuple) for the labels, or for all (p*d)-multipartitions of n when
+    labels is None.  Nothing here reads the tables or the field, so an
+    assembly computes it once per (p, d, n) and per tuple of simple
+    labels, which must already be checked."""
+    items = enumerate_all(p, d, n) if labels is None else labels
+    pool = set(items)
+    closed = all(la.shift(1) in pool for la in pool)
+    return closed, tuple(_normalized_reps(items))
 
 
 def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
@@ -461,6 +476,13 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     linear forms.  g ratios are evaluated at the given specialization
     point, or symbolically when none is supplied.  Entries are exact
     integers; reduce_matrix takes them modulo a prime.
+
+    Only the field-free skeleton is shared between calls: the shift
+    classes of the rows, keyed by (p, d, n), and those of the simple
+    labels, keyed by their tuple, come from one bounded memo
+    (`_shift_skeleton`, LRU, SKELETON_CACHE_SIZE entries) once the labels
+    have passed every check; entries, g ratios and the audit are computed
+    afresh for each call.
     """
     if p < 1 or r % p:
         raise ValueError(f"p must divide r, got r={r}, p={p}")
@@ -469,7 +491,7 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     d = r // p
     field = point if point is not None else GenericField(p, d)
 
-    klesh = list(klesh_labels)
+    klesh = tuple(klesh_labels)
     if any((mu.p, mu.d) != (p, d) for mu in klesh):
         raise ValueError("multipartition context mismatch")
     if len(set(klesh)) != len(klesh):
@@ -477,11 +499,11 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     for mu in klesh:
         if mu.size != n:
             raise InputDataError(f"simple label {mu!r} has size {mu.size} != {n}")
-    if not _closed_under_shift(klesh):
+    closed, col_reps = _shift_skeleton(p, d, n, klesh)
+    if not closed:
         raise InputDataError("simple labels are not closed under block shift")
 
-    row_reps = _normalized_reps(enumerate_all(p, d, n))
-    col_reps = _normalized_reps(klesh)
+    _, row_reps = _shift_skeleton(p, d, n, None)
 
     rows = [(la, i) for la in row_reps
             for i in range(1, la.orbit_order()[1] + 1)]

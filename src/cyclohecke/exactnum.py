@@ -886,10 +886,8 @@ class SpecPoint:
 
     def to_json(self) -> dict:
         def enc(v: CycRat):
-            if v.is_rational():
-                r = v.rational_value()
-                return [r.numerator, r.denominator]
-            return _coeff_json(v)
+            coeffs = _coeff_json(v)
+            return coeffs[0] if v.is_rational() else coeffs
 
         return {
             "p": self.p,
@@ -992,7 +990,17 @@ def sample_point(p: int, d: int, n: int, rng, lo: int = 2, hi: int = 10 ** 6) ->
 
 
 def _coeff_json(c: CycRat) -> list:
-    return [[f.numerator, f.denominator] for f in c.coeffs]
+    """The power-basis coordinates as [numerator, denominator] pairs in
+    lowest terms, read off the integers: one gcd per coordinate, none
+    over the denominator 1."""
+    den = c.den
+    if den == 1:
+        return [[a, 1] for a in c.nums]
+    out = []
+    for a in c.nums:
+        g = gcd(a, den)
+        out.append([a // g, den // g])
+    return out
 
 
 def laurent_to_json(poly: LaurentPoly) -> list:

@@ -20,12 +20,23 @@ from random import Random
 from .combin import Multipartition, enumerate_all
 from .exactnum import CycRat, GenericField, RatFunc, sample_point
 from .matrices import rows_diag, rows_mul, rows_scale_cols, rows_trace
-from .tableau import beta_coeff, content, count_std, enumerate_std
+from .tableau import (_content_value, beta_coeff, content_exponents,
+                      count_std, enumerate_std)
 
 
 class SeminormalRep:
     """Exact seminormal action of T_0..T_{n-1} and L_1..L_n on one Specht
     module.
+
+    What depends only on the shape is computed once per process and
+    shared by the reps over every field (`_shape_skeleton`, LRU,
+    SHAPE_CACHE_SIZE shapes): the basis of standard tableaux, a tuple;
+    the exponents of every content; and, for each T_i, which basis
+    tableau the swap of i and i+1 lands on.  A rep computes the values
+    over its field: the contents (one memo per field and exponents, as
+    `tableau.content` reads it), the seminormal ratios from them
+    (`tableau.beta_coeff`), which raises PoleError when two contents
+    collide, and the check that T_k L_k T_k = q L_{k+1}.
 
     L_k is stored as its diagonal, the k-th contents of the basis
     tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
@@ -47,15 +58,12 @@ class SeminormalRep:
             raise ValueError("shape and field have different (p, d) context")
         self.shape = shape
         self.field = field
-        self.basis = enumerate_std(shape)
+        self.basis, exponents, swaps = _shape_skeleton(shape)
         self.dim = len(self.basis)
-        index = {s: a for a, s in enumerate(self.basis)}
         self.n = shape.size
 
-        self.ldiag = [
-            tuple(content(s, k, field) for s in self.basis)
-            for k in range(1, self.n + 1)
-        ]
+        self.ldiag = [tuple(_content_value(field, *e) for e in row)
+                      for row in exponents]
         # ladder diagonals L_k - eps^s Q_i by (k, s mod p, i), filled by
         # ladder_diagonal
         self._ladders = {}
@@ -64,13 +72,13 @@ class SeminormalRep:
         # with i and i+1 swapped when that one is standard; zeros dropped
         self.trows = {}
         for i in range(1, self.n):
+            c, cp = self.ldiag[i - 1], self.ldiag[i]
             rows = []
-            for a, s in enumerate(self.basis):
-                bc = beta_coeff(s, i, field)
+            for a, b in enumerate(swaps[i - 1]):
+                bc = beta_coeff(c[a], cp[a], field)
                 row = [(a, bc)]
-                t = s.swap(i)
-                if t.is_standard():
-                    row.append((index[t], field.one + bc))
+                if b is not None:
+                    row.append((b, field.one + bc))
                 rows.append(tuple(sorted((j, x) for j, x in row if x)))
             self.trows[i] = tuple(rows)
 
@@ -134,6 +142,10 @@ class SeminormalRep:
         return tuple(out)
 
 
+# one skeleton per shape, shared by its reps over every field: the desk
+# criteria build reps of 235 shapes and a benchmark pass of 86
+SHAPE_CACHE_SIZE = 512
+
 # reps are keyed by sampled points, so the cache is bounded; one pass of
 # the random-mode checks over a (p, d, n) grid touches a few hundred
 REP_CACHE_SIZE = 1024
@@ -148,6 +160,27 @@ LADDER_ENTRY_CACHE_SIZE = 16384
 # words on the largest desk cell, (p, d, n) = (3, 2, 3).  A memo without
 # a bound costs more peak memory than the benchmark allows.
 WORD_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
+def _shape_skeleton(shape: Multipartition) -> tuple:
+    """(basis, exponents, swaps) of the shape, free of any field: the
+    standard tableaux as a tuple; exponents[k - 1][a], the exponents
+    (e, h, c) of the content of k in basis tableau a
+    (`content_exponents`); swaps[i - 1][a], the index of the basis
+    tableau with i and i+1 swapped, or None when that is not standard."""
+    basis = tuple(enumerate_std(shape))
+    index = {s: a for a, s in enumerate(basis)}
+    exponents = tuple(tuple(content_exponents(s, k) for s in basis)
+                      for k in range(1, shape.size + 1))
+    swaps = []
+    for i in range(1, shape.size):
+        row = []
+        for s in basis:
+            t = s.swap(i)
+            row.append(index[t] if t.is_standard() else None)
+        swaps.append(tuple(row))
+    return basis, exponents, tuple(swaps)
 
 
 @lru_cache(maxsize=LADDER_ENTRY_CACHE_SIZE)

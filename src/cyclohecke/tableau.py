@@ -155,12 +155,14 @@ def content(s: StandardTableau, k: int, params):
     return _content_value(params, *content_exponents(s, k))
 
 
-def beta_coeff(s: StandardTableau, i: int, params):
-    """(q-1) cont_t(i) / (cont_t(i) - cont_s(i)) where t swaps i, i+1."""
-    c = content(s, i, params)
-    cp = content(s, i + 1, params)
+def beta_coeff(c, cp, params):
+    """The seminormal ratio (q-1) cont_t(i) / (cont_t(i) - cont_s(i)) of
+    a tableau s and the filling t that swaps i and i+1, read off the
+    contents c = cont_s(i) and cp = cont_s(i+1) = cont_t(i) over the
+    field `params`."""
     den = cp - c
     if not den:
         raise PoleError(
-            f"contents of {i} and {i + 1} collide at this specialization")
+            f"the contents of i and i + 1 collide at this specialization: "
+            f"both are {c!r}")
     return (params.q - 1) * cp / den

@@ -259,6 +259,28 @@ def test_enumerate_all_total():
     assert len(got) == count_multipartition_tuples(2, 3)
 
 
+def test_enumerate_all_memo_keys_are_type_exact():
+    # 1 == True == 1.0 and they hash alike, so a memo keyed by value alone
+    # would hand the cached labels of d = 1 to arguments refused before
+    assert len(enumerate_all(1, 1, 2)) == 2
+    assert len(enumerate_all(1, 1, 1)) == 1
+    for args in ((1, True, 2), (1, 1.0, 2), (1, 1, 2.0), (1, 1, True)):
+        with pytest.raises(ValueError):
+            enumerate_all(*args)
+
+
+def test_enumerate_all_returns_a_fresh_list():
+    first = enumerate_all(2, 1, 2)
+    want = list(first)
+    first.reverse()
+    first.append(mp(2, 1, [(1, 1), (1,)]))
+    del first[0]
+    again = enumerate_all(2, 1, 2)
+    assert again == want and again is not first
+    assert [la.sort_key() for la in again] == sorted(
+        la.sort_key() for la in again)
+
+
 def test_dominance_partial_order():
     for d, b in ((1, (2, 1)), (2, (2, 1)), (1, (3, 2)), (2, (3, 0))):
         items = enumerate_pdb(d, b)

@@ -676,6 +676,28 @@ def test_assemble_validates_labels():
         assemble_matrix(3, 2, 2, tables, list(enumerate_all(2, 1, 2)))
 
 
+def test_assemble_refusals_survive_a_warm_skeleton():
+    # the shift-class skeleton of the simple labels is kept after a valid
+    # assembly; a memo keyed by (p, d, n) alone, or one that skips the
+    # checks on a hit, would accept each of these
+    tables = [semisimple_table(1, m) for m in range(3)]
+    klesh = enumerate_all(2, 1, 2)
+    assert assemble_matrix(2, 2, 2, tables, klesh)["report"]["identity"]
+    with pytest.raises(InputDataError, match="duplicate"):
+        assemble_matrix(2, 2, 2, tables, klesh + klesh[:1])
+    with pytest.raises(InputDataError, match="size"):
+        assemble_matrix(2, 2, 2, tables,
+                        klesh[:-1] + [mp(2, 1, [[3], []])])
+    not_closed = [la for la in klesh if la != mp(2, 1, [[2], []])]
+    with pytest.raises(InputDataError, match="closed"):
+        assemble_matrix(2, 2, 2, tables, not_closed)
+    with pytest.raises(ValueError, match="context"):
+        assemble_matrix(2, 2, 2, tables, enumerate_all(1, 2, 2))
+    # the same labels, in another order, give the same matrix
+    assert assemble_matrix(2, 2, 2, tables, klesh[::-1]) \
+        == assemble_matrix(2, 2, 2, tables, klesh)
+
+
 def test_assemble_with_unknown_pair():
     tables = [
         semisimple_table(1, 0),

@@ -9,6 +9,7 @@ from cyclohecke.combin import Multipartition, enumerate_all
 from cyclohecke.exactnum import (
     CycRat,
     GenericField,
+    PoleError,
     SpecPoint,
     generic_field,
     ratfunc_to_json,
@@ -82,6 +83,51 @@ def test_l1_diagonal_of_contents():
 def test_context_mismatch():
     with pytest.raises(ValueError):
         build_rep(mp(2, 1, [(1,), (1,)]), generic_field(3, 1))
+
+
+def test_reps_over_two_points_share_the_shape_skeleton():
+    rng = random.Random(5)
+    shape = mp(2, 1, [(2,), (1,)])
+    one, two = sample_point(2, 1, 3, rng), sample_point(2, 1, 3, rng)
+    rep_one, rep_two = SeminormalRep(shape, one), SeminormalRep(shape, two)
+    assert isinstance(rep_one.basis, tuple)
+    assert rep_one.basis is rep_two.basis
+    assert rep_one.basis == tuple(enumerate_std(shape))
+    assert rep_one.l_diagonal(2) != rep_two.l_diagonal(2)
+    for rep in (rep_one, rep_two):
+        for k in (1, 2, 3):
+            assert rep.l_diagonal(k) == tuple(
+                content(s, k, rep.field) for s in rep.basis)
+
+
+def _corrupt_contents(monkeypatch, field, exponents):
+    """Make a rep over `field`, and only there, read the content with
+    exponents (e, h, c) as the one with exponents(e, h, c)."""
+    real = seminormal._content_value
+    monkeypatch.setattr(
+        seminormal, "_content_value",
+        lambda params, e, h, c: real(params, *exponents(e, h, c))
+        if params is field else real(params, e, h, c))
+
+
+@pytest.mark.parametrize("exponents, error", [
+    # cont(2) = q^2 cont(1) breaks T_1 L_1 T_1 = q L_2
+    (lambda e, h, c: (e, 2 * h, c), RuntimeError),
+    # cont(2) = cont(1) leaves the seminormal ratio without a value
+    (lambda e, h, c: (e, 0, c), PoleError),
+])
+def test_a_shared_skeleton_still_checks_each_field(monkeypatch, exponents,
+                                                   error):
+    # 1 and 2 share the row of ((2), ()); the skeleton of the shape is
+    # warm from the first point when the second one is corrupted
+    rng = random.Random(5)
+    shape = mp(2, 1, [(2,), ()])
+    first, second = sample_point(2, 1, 2, rng), sample_point(2, 1, 2, rng)
+    SeminormalRep(shape, first)
+    _corrupt_contents(monkeypatch, second, exponents)
+    with pytest.raises(error):
+        SeminormalRep(shape, second)
+    assert check_relations(SeminormalRep(shape, first)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +292,7 @@ def _dense_t(rep, i):
     rows = []
     for s in basis:
         row = [field.zero] * len(basis)
-        bc = beta_coeff(s, i, field)
+        bc = beta_coeff(content(s, i, field), content(s, i + 1, field), field)
         row[basis.index(s)] = bc
         t = s.swap(i)
         if t.is_standard():

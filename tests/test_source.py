@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import cyclohecke
+from cyclohecke import combin, decomp, seminormal, tableau
 
 SRC = Path(cyclohecke.__file__).parent
 
@@ -115,6 +117,20 @@ def test_every_lru_cache_is_bounded():
                 unbounded.append(f"{path.name}:{node.lineno} {node.name}")
     assert found >= 7
     assert not unbounded, f"caches without a finite int maxsize: {unbounded}"
+
+
+def test_skeleton_memos_are_typed_behind_plain_functions():
+    # 1, True and 1.0 are equal keys to an untyped memo; and the
+    # benchmark tracer times only plain functions, so each memo sits
+    # behind the public function it serves
+    for memo in (combin._enumerate_sorted, decomp._shift_skeleton,
+                 seminormal._shape_skeleton):
+        params = memo.cache_parameters()
+        assert params["typed"] and type(params["maxsize"]) is int
+    for fn in (combin.enumerate_all, decomp.assemble_matrix,
+               seminormal.build_rep, seminormal.SeminormalRep.__init__,
+               tableau.content, tableau.enumerate_std):
+        assert inspect.isfunction(fn), fn
 
 
 def test_only_mode_fields_takes_mode_trials_or_rng():

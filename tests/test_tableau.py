@@ -144,22 +144,27 @@ def test_shift_drops_eps_exponent():
 # ---------------------------------------------------------------------------
 # seminormal ratios
 
+def _beta(t, i, params):
+    return beta_coeff(content(t, i, params), content(t, i + 1, params),
+                      params)
+
+
 def test_beta_same_row_is_q():
     K = generic_field(2, 1)
     t = superstandard(mp(2, 1, [(2,), ()]))
-    assert beta_coeff(t, 1, K) == K.q
+    assert _beta(t, 1, K) == K.q
 
 
 def test_beta_same_column_is_minus_one():
     K = generic_field(2, 1)
     t = superstandard(mp(2, 1, [(1, 1), ()]))
-    assert beta_coeff(t, 1, K) == -K.one
+    assert _beta(t, 1, K) == -K.one
 
 
 def test_beta_cross_component():
     K = generic_field(2, 1)
     t = superstandard(mp(2, 1, [(1,), (1,)]))
-    got = beta_coeff(t, 1, K)
+    got = _beta(t, 1, K)
     e2, e1, Q = K.eps_pow(2), K.eps_pow(1), K.Q(1)
     assert got == (K.q - 1) * e2 * Q / (e2 * Q - e1 * Q)
     # with p = 2 this collapses to (q-1)/2
@@ -170,7 +175,7 @@ def test_beta_degenerate_specialization():
     pt = SpecPoint(p=2, N=2, q_val=Fraction(1), Q_vals=(Fraction(3),))
     t = superstandard(mp(2, 1, [(2,), ()]))
     with pytest.raises(PoleError):
-        beta_coeff(t, 1, pt)
+        _beta(t, 1, pt)
 
 
 def test_tableau_json_roundtrip():
