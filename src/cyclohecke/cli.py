@@ -10,6 +10,7 @@ logged in the output so runs can be replayed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -50,15 +51,7 @@ from .elements import (
     verify_comparison,
     verify_pleftmult,
 )
-from .exactnum import (
-    CycRat,
-    PoleError,
-    RatFunc,
-    SpecPoint,
-    _coeff_json,
-    generic_field,
-    ratfunc_to_json,
-)
+from .exactnum import PoleError, generic_field, scalar_to_json
 from .scalars import (
     f_lambda_closed,
     g_lambda,
@@ -90,6 +83,7 @@ def _fail(kind: str, message: str, code: int) -> None:
 
 
 def _guarded(fn):
+    # a TypeError or KeyError that escapes the readers below is a bug
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -98,12 +92,22 @@ def _guarded(fn):
             _fail("input-data", str(exc), 4)
         except VerificationError as exc:
             _fail("verification", str(exc), 3)
-        except RuntimeError as exc:
+        except (RuntimeError, TypeError, KeyError) as exc:
             _fail("internal", str(exc), 3)
-        except (ValueError, TypeError, KeyError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             _fail("validation", str(exc), 2)
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _reading():
+    """Reading a flag or a file: input of the wrong shape, which raises
+    TypeError or KeyError, is a ValueError with the same message."""
+    try:
+        yield
+    except (TypeError, KeyError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _json_flag(text: str, what: str):
@@ -113,6 +117,7 @@ def _json_flag(text: str, what: str):
         raise ValueError(f"bad {what} JSON {text!r}: {exc}") from None
 
 
+@_reading()
 def _comp_flag(text: str) -> tuple:
     b = check_composition(_json_flag(text, "composition"))
     if not b:
@@ -126,26 +131,12 @@ def _size_flag(n):
     return n
 
 
+@_reading()
 def _mp_flag(p: int, d: int, text: str) -> Multipartition:
     return Multipartition(p, d, _json_flag(text, "multipartition"))
 
 
-def scalar_to_json(value) -> dict:
-    """A scalar of any of the admissible kinds, with enough context to
-    reconstruct it exactly; a symbolic value is written multiplied out."""
-    if isinstance(value, RatFunc):
-        return {"kind": "ratfunc", **ratfunc_to_json(value)}
-    if isinstance(value, CycRat):
-        return {
-            "kind": "cycrat",
-            "order": value.order,
-            "coeffs": _coeff_json(value),
-        }
-    value = Fraction(value)
-    return {"kind": "rational",
-            "value": [value.numerator, value.denominator]}
-
-
+@_reading()
 def _load_tables(path: str) -> list:
     with open(path) as fh:
         data = json.load(fh)
@@ -154,18 +145,13 @@ def _load_tables(path: str) -> list:
     return [DecompTable.from_json(tab) for tab in data]
 
 
+@_reading()
 def _load_klesh(path: str, p: int, d: int) -> list:
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data["labels"]
     return [Multipartition(p, d, x) for x in data]
-
-
-def _field_json(field) -> dict:
-    if isinstance(field, SpecPoint):
-        return field.to_json()
-    return {"generic": {"p": field.p, "d": field.d}}
 
 
 def _prime_char(char) -> None:
@@ -263,7 +249,7 @@ def seminormal_check(p, d, n, la_text, mode, trials, seed, out):
         "op": "seminormal-check",
         "p": p, "d": d, "n": n,
         "mode": mode, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
+        "fields": [f.to_json() for f in fields],
         "shapes": len(shapes),
         "passed": not failures,
         "failures": failures,
@@ -320,7 +306,7 @@ def verify_changing_cmd(b_text, d, p, n, mode, trials, seed, out):
     _emit_verdict({
         "op": "verify changing", "b": list(b), "d": d,
         "mode": mode, "trials": trials, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
+        "fields": [f.to_json() for f in fields],
         "pivots": pivots, "passed": all(pivots.values()),
     }, out)
 
@@ -336,7 +322,7 @@ def verify_pleftmult_cmd(b_text, d, p, n, mode, trials, seed, out):
     _emit_verdict({
         "op": "verify pleftmult", "b": list(b), "d": d,
         "mode": mode, "trials": trials, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
+        "fields": [f.to_json() for f in fields],
         "passed": verify_pleftmult(b, d, fields),
     }, out)
 
@@ -352,7 +338,7 @@ def verify_comparison_cmd(b_text, d, p, n, mode, trials, seed, out):
     _emit_verdict({
         "op": "verify comparison", "b": list(b), "d": d,
         "mode": mode, "trials": trials, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
+        "fields": [f.to_json() for f in fields],
         "passed": verify_comparison(b, d, fields),
     }, out)
 
@@ -369,7 +355,7 @@ def verify_trace_vbtb_cmd(b_text, d, p, n, mode, trials, seed, out):
     _emit_verdict({
         "op": "verify trace-vbtb", "b": list(b), "d": d,
         "mode": mode, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
+        "fields": [f.to_json() for f in fields],
         "values": [scalar_to_json(c.value) for c in checks],
         "passed": all(c.matched for c in checks),
     }, out)
@@ -404,7 +390,7 @@ def verify_factorization_cmd(p, d, n, la_text, mode, trials, seed, out):
     _emit_verdict({
         "op": "verify factorization", "p": p, "d": d,
         "mode": mode, "seed": seed,
-        "fields": [_field_json(f) for f in fields],
+        "fields": [f.to_json() for f in fields],
         "shapes": len(shapes), "failures": failures, "passed": not failures,
     }, out)
 
@@ -456,7 +442,7 @@ def _scalar_command(kind: str, doc: str):
             "op": f"scalar {kind}", "p": p, "d": d,
             "lambda": la.to_json(), "b": list(b),
             "mode": mode, "seed": seed,
-            "fields": [_field_json(f) for f in fields],
+            "fields": [f.to_json() for f in fields],
             "values": [scalar_to_json(v) for v in values],
         }, out)
 
@@ -512,7 +498,7 @@ def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
         "mode": mode, "seed": seed,
     }
     if field is not None:
-        payload["field"] = _field_json(field)
+        payload["field"] = field.to_json()
     _emit(payload, out)
 
 
@@ -540,7 +526,7 @@ def assemble_cmd(p, d, n, tables_path, klesh_path, char, mode, seed, out):
     payload["mode"] = mode
     payload["seed"] = seed
     if mode == "random":
-        payload["field"] = _field_json(field)
+        payload["field"] = field.to_json()
     _emit(payload, out)
 
 
@@ -569,9 +555,9 @@ def semisimple_tables_cmd(s, m, n, out):
 def reduce_mod_cmd(matrix_path, char, out):
     """An assembled matrix modulo a prime, as assemble --char gives it."""
     _prime_char(char)
-    with open(matrix_path) as fh:
-        data = json.load(fh)
-    _emit(reduce_matrix(data, char), out)
+    with _reading(), open(matrix_path) as fh:
+        reduced = reduce_matrix(json.load(fh), char)
+    _emit(reduced, out)
 
 
 # --- acceptance grids ------------------------------------------------------

@@ -23,7 +23,7 @@ from .combin import (
     class_reps,
     enumerate_all,
 )
-from .exactnum import CycRat, GenericField, RatFunc, _zeta_powers
+from .exactnum import CycRat, GenericField, RatFunc, eps_pow
 from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
@@ -251,7 +251,7 @@ def _lift_scalar(value, p: int):
 def _eps_in(sample, p: int, k: int) -> CycRat:
     """eps^k in the cyclotomic field of sample's ring."""
     order = sample.order
-    return _zeta_powers(order)[(order // p) * k % order]
+    return eps_pow(order, (order // p) * k)
 
 
 def _as_fraction(value) -> Fraction:
@@ -365,9 +365,10 @@ def _formula_solve(la: Multipartition, mu: Multipartition, tables, g_ratio,
 def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
                       tables, g_ratio) -> Fraction:
     """The multiplicity [S^la_i : D^mu_j] for a pair with p_la = p_mu,
-    read off the closed-form twist solve."""
+    read off the closed-form twist solve; InputDataError, as in
+    split_by_formula, unless it is a nonnegative integer."""
     slot, values = _formula_solve(la, mu, tables, g_ratio, i, j)
-    return _as_fraction(values[slot])
+    return _check_counts([_as_fraction(values[slot])], "multiplicity")[0]
 
 
 def split_by_formula(la: Multipartition, mu: Multipartition, tables,

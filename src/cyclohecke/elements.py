@@ -170,7 +170,7 @@ SCHUR_INVERSES_CACHE_SIZE = 1024
 def _schur_inverses(field, n: int) -> list:
     r = field.p * field.d
     return [
-        (shape, schur_element(r, shape, field).inverse())
+        (shape, field.one / schur_element(r, shape, field))
         for shape in enumerate_all(field.p, field.d, n)
     ]
 
@@ -253,6 +253,7 @@ def flam_eigen_oracle(b, field) -> dict:
         j, x = vmat[a][0]
         y = dict(prod[a]).get(j, field.zero)
         try:
+            # a generic x may be a sum, and RatFunc never divides by one
             scalar = laurent_quotient(y, x) if field.is_generic else y / x
         except ArithmeticError:
             raise VerificationError(

@@ -34,6 +34,26 @@ The scalar tower used throughout the package:
   coordinates in Q(zeta_N) and eps = zeta_N^(N/p).
 
 All values are immutable and all operations are pure.
+
+The field protocol.  Everything outside this module computes over a
+field, a backend it is handed: ``GenericField`` (values RatFunc) or a
+``SpecPoint`` (values CycRat).  It reads only these members:
+
+* ``p`` and ``d``: the order of eps and the number of parameters Q_i;
+* ``zero``, ``one`` and ``q``: values, set when the field is built;
+* ``scalar(value)``: an int, a Fraction or a CycRat as a value of the
+  field.  A point embeds a CycRat whose order divides its conductor and
+  refuses a RatFunc with TypeError; the generic field returns a RatFunc
+  of its own ring unchanged.  Any other type is a TypeError;
+* ``eps_pow(k)``, ``q_power(k)``, ``Q(i)`` and ``Q_power(i, k)``;
+* ``to_json()``: the field as a JSON object;
+* ``is_generic``: read only where a point allows a shortcut (a memo of
+  hashable values, an exact quotient), each site saying why;
+* ``==`` and ``hash``, since memos are keyed by the field.
+
+Values support ``+ - * /``, unary minus, ``**`` by an int, ``==`` and
+``bool`` (nonzero); at a point they hash.  ``scalar_to_json`` writes a
+value of either backend.
 """
 
 from __future__ import annotations
@@ -63,6 +83,7 @@ __all__ = [
     "sample_point",
     "laurent_to_json",
     "ratfunc_to_json",
+    "scalar_to_json",
 ]
 
 
@@ -319,7 +340,7 @@ def _substitute(order: int, nums: Sequence[int], step: int = 1) -> tuple:
     Phi_order (``CycRat.make``); step = k coprime to order applies the
     Galois automorphism zeta -> zeta^k (``CycRat.inverse``); with order the
     conductor N and step = N / m it embeds Q(zeta_m) into Q(zeta_N)
-    (``SpecPoint.embed``).  The last two map Z[zeta_m] into Z[zeta_N] and
+    (``SpecPoint.scalar``).  The last two map Z[zeta_m] into Z[zeta_N] and
     keep the gcd of the coordinates, so they take canonical numerators to
     canonical numerators; a reduction (step = 1) may not.
     """
@@ -749,9 +770,7 @@ class GenericField:
     is_generic = True
 
     def __init__(self, p: int, d: int):
-        # p = 1 (eps trivial, plain Ariki-Koike) is allowed here so that
-        # symbolic checks and block-wise computations can reuse the same
-        # tower; the public factory generic_field still requires p >= 2.
+        # p = 1 (eps trivial: plain Ariki-Koike) has a generic field too
         if p < 1:
             raise ValueError("invalid order: the symbolic field needs p >= 1")
         if d < 1:
@@ -761,17 +780,16 @@ class GenericField:
         self.nvars = d + 1
         self._unit = CycRat.from_rational(p, 1)
         self._origin = (0,) * self.nvars
+        self.zero = RatFunc(CycRat.from_rational(p, 0), self._origin)
+        self.one = RatFunc(self._unit, self._origin)
+        self.q = self.q_power(1)
 
     def scalar(self, value) -> RatFunc:
+        if isinstance(value, RatFunc):
+            if (value.order, value.nvars) != (self.p, self.nvars):
+                raise ValueError("symbolic values from different rings")
+            return value
         return RatFunc(_as_cycrat(self.p, value), self._origin)
-
-    @property
-    def zero(self) -> RatFunc:
-        return self.scalar(0)
-
-    @property
-    def one(self) -> RatFunc:
-        return RatFunc(self._unit, self._origin)
 
     def eps_pow(self, k: int) -> RatFunc:
         if self.p == 1:
@@ -780,10 +798,6 @@ class GenericField:
 
     def q_power(self, k: int) -> RatFunc:
         return RatFunc(self._unit, (k,) + self._origin[1:])
-
-    @property
-    def q(self) -> RatFunc:
-        return self.q_power(1)
 
     def Q_power(self, i: int, k: int) -> RatFunc:
         if not 1 <= i <= self.d:
@@ -794,6 +808,9 @@ class GenericField:
 
     def Q(self, i: int) -> RatFunc:
         return self.Q_power(i, 1)
+
+    def to_json(self) -> dict:
+        return {"generic": {"p": self.p, "d": self.d}}
 
     def __eq__(self, other):
         return (isinstance(other, GenericField)
@@ -806,10 +823,7 @@ class GenericField:
         return f"GenericField(p={self.p}, d={self.d})"
 
 
-def generic_field(p: int, d: int) -> GenericField:
-    if p < 2:
-        raise ValueError("invalid order: a primitive root of unity needs p >= 2")
-    return GenericField(p, d)
+generic_field = GenericField
 
 
 def _as_cycrat(order: int, value) -> CycRat:
@@ -817,6 +831,8 @@ def _as_cycrat(order: int, value) -> CycRat:
         if value.order != order:
             raise ValueError("cyclotomic order mismatch")
         return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not a scalar: {value!r}")
     return CycRat.from_rational(order, value)
 
 
@@ -825,7 +841,7 @@ class SpecPoint:
 
     is_generic = False
 
-    __slots__ = ("p", "N", "q_val", "Q_vals")
+    __slots__ = ("p", "N", "d", "q", "Q_vals", "zero", "one")
 
     def __init__(self, p: int, N: int, q_val, Q_vals: Sequence):
         if p < 2:
@@ -834,39 +850,35 @@ class SpecPoint:
             raise ValueError("conductor N must be a positive multiple of p")
         self.p = p
         self.N = N
-        self.q_val = _as_cycrat(N, q_val)
+        self.q = _as_cycrat(N, q_val)
         self.Q_vals = tuple(_as_cycrat(N, v) for v in Q_vals)
-        if not self.q_val:
+        self.d = len(self.Q_vals)
+        if not self.q:
             raise ValueError("q must be invertible (nonzero)")
         if not all(self.Q_vals):
             raise ValueError("all Q_i must be invertible (nonzero)")
         if not self.Q_vals:
             raise ValueError("need at least one parameter Q_1")
-
-    @property
-    def d(self) -> int:
-        return len(self.Q_vals)
+        self.zero = CycRat.from_rational(N, 0)
+        self.one = CycRat.from_rational(N, 1)
 
     def scalar(self, value) -> CycRat:
-        return _as_cycrat(self.N, value)
-
-    @property
-    def zero(self) -> CycRat:
-        return CycRat.from_rational(self.N, 0)
-
-    @property
-    def one(self) -> CycRat:
-        return CycRat.from_rational(self.N, 1)
+        """value in Q(zeta_N); a CycRat of order m | N is embedded."""
+        if isinstance(value, RatFunc):
+            raise TypeError("a rational function is not a scalar at a point")
+        if not isinstance(value, CycRat) or value.order == self.N:
+            return _as_cycrat(self.N, value)
+        if self.N % value.order != 0:
+            raise ValueError(
+                f"cannot embed order {value.order} into conductor {self.N}")
+        return CycRat(self.N, _substitute(self.N, value.nums,
+                                          self.N // value.order), value.den)
 
     def eps_pow(self, k: int) -> CycRat:
         return _zeta_powers(self.N)[((self.N // self.p) * k) % self.N]
 
     def q_power(self, k: int) -> CycRat:
-        return self.q_val ** k
-
-    @property
-    def q(self) -> CycRat:
-        return self.q_val
+        return self.q ** k
 
     def Q_power(self, i: int, k: int) -> CycRat:
         return self.Q(i) ** k
@@ -876,60 +888,53 @@ class SpecPoint:
             raise ValueError(f"Q_{i} out of range for d={self.d}")
         return self.Q_vals[i - 1]
 
-    def embed(self, c: CycRat) -> CycRat:
-        """Embed Q(zeta_m) into Q(zeta_N) for m | N via zeta_m -> zeta_N^(N/m)."""
-        if c.order == self.N:
-            return c
-        if self.N % c.order != 0:
-            raise ValueError(f"cannot embed order {c.order} into conductor {self.N}")
-        return CycRat(self.N, _substitute(self.N, c.nums, self.N // c.order), c.den)
-
     def to_json(self) -> dict:
         def enc(v: CycRat):
             coeffs = _coeff_json(v)
             return coeffs[0] if v.is_rational() else coeffs
 
-        return {
-            "p": self.p,
-            "N": self.N,
-            "q": enc(self.q_val),
-            "Q": [enc(v) for v in self.Q_vals],
-        }
+        return {"p": self.p, "N": self.N, "q": enc(self.q),
+                "Q": [enc(v) for v in self.Q_vals]}
 
     @staticmethod
     def from_json(data: dict) -> "SpecPoint":
-        p = data["p"]
+        """The point of ``to_json``: each coordinate an int, an "a/b"
+        string, an [a, b] pair or a list of pairs (power-basis
+        coordinates).  A float or a bool is refused: neither is exact."""
         N = data["N"]
 
         def dec(v):
-            if isinstance(v, (int, float, str)):
+            if isinstance(v, (bool, float)):
+                raise ValueError(f"a coordinate must be exact, got {v!r}")
+            if not isinstance(v, (list, tuple)):
                 return Fraction(v)
             if v and isinstance(v[0], (list, tuple)):
-                return CycRat.make(N, [Fraction(a, b) for a, b in v])
+                return CycRat.make(N, [dec(c) for c in v])
             a, b = v
-            return Fraction(a, b)
+            return dec(a) / dec(b)
 
-        return SpecPoint(p, N, dec(data["q"]), [dec(v) for v in data["Q"]])
+        return SpecPoint(data["p"], N, dec(data["q"]),
+                         [dec(v) for v in data["Q"]])
 
     def __eq__(self, other):
         return (isinstance(other, SpecPoint)
-                and (self.p, self.N, self.q_val, self.Q_vals)
-                == (other.p, other.N, other.q_val, other.Q_vals))
+                and (self.p, self.N, self.q, self.Q_vals)
+                == (other.p, other.N, other.q, other.Q_vals))
 
     def __hash__(self):
-        return hash(("SpecPoint", self.p, self.N, self.q_val, self.Q_vals))
+        return hash(("SpecPoint", self.p, self.N, self.q, self.Q_vals))
 
     def __repr__(self):
-        return f"SpecPoint(p={self.p}, N={self.N}, q={self.q_val!r}, Q={list(self.Q_vals)!r})"
+        return f"SpecPoint(p={self.p}, N={self.N}, q={self.q!r}, Q={list(self.Q_vals)!r})"
 
 
 def is_separated(pt: SpecPoint, n: int) -> bool:
     """Whether prod_{i,j<=d} prod_{|k|<n} prod_{0<t<p} (Q_i - eps^t q^k Q_j) != 0."""
     d, p = pt.d, pt.p
     for i in range(1, d + 1):
-        Qi = pt.Q_vals[i - 1]
+        Qi = pt.Q(i)
         for j in range(1, d + 1):
-            Qj = pt.Q_vals[j - 1]
+            Qj = pt.Q(j)
             for k in range(-(n - 1), n):
                 qk = pt.q_power(k)
                 for t in range(1, p):
@@ -947,9 +952,9 @@ def is_semisimple(pt: SpecPoint, n: int) -> bool:
     """
     # q = 1 collapses same-component content differences q^a - q^b even
     # though [i]_q stays nonzero, so it is excluded for n >= 2
-    if n >= 2 and pt.q_val == pt.one:
+    if n >= 2 and pt.q == pt.one:
         return False
-    rho = [pt.eps_pow(u) * pt.Q_vals[c - 1]
+    rho = [pt.eps_pow(u) * pt.Q(c)
            for u in range(1, pt.p + 1) for c in range(1, pt.d + 1)]
     r = len(rho)
     for i in range(r):
@@ -961,7 +966,7 @@ def is_semisimple(pt: SpecPoint, n: int) -> bool:
     qint = pt.one
     qpow = pt.one
     for i in range(2, n + 1):
-        qpow = qpow * pt.q_val
+        qpow = qpow * pt.q
         qint = qint + qpow
         if not qint:
             return False
@@ -1023,3 +1028,16 @@ def ratfunc_to_json(value: RatFunc) -> dict:
             num, den = num.scale(inv), den.scale(inv)
     return {"order": value.order, "nvars": value.nvars,
             "num": laurent_to_json(num), "den": laurent_to_json(den)}
+
+
+def scalar_to_json(value) -> dict:
+    """A value of either backend, or a rational, with enough context to
+    rebuild it exactly; a symbolic value is written multiplied out."""
+    if isinstance(value, RatFunc):
+        return {"kind": "ratfunc", **ratfunc_to_json(value)}
+    if isinstance(value, CycRat):
+        return {"kind": "cycrat", "order": value.order,
+                "coeffs": _coeff_json(value)}
+    value = Fraction(value)
+    return {"kind": "rational",
+            "value": [value.numerator, value.denominator]}

@@ -136,8 +136,7 @@ def schur_element_b(la: Multipartition, b, field):
 
 
 def _check_laurent(field, value, name: str):
-    # over the generic field a closed form has no poly; a sum slipped
-    # into it would have multiplied one out
+    # only a generic value has a form to check: no poly, den within num
     if field.is_generic and (value.poly is not None or value.den - value.num):
         raise RuntimeError(f"internal: {name} must be a Laurent polynomial")
 

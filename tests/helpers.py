@@ -4,10 +4,12 @@ Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
 tuples of partitions, the value of a rational function at a point, the
 generic field with every value multiplied out and its cross-multiplying
-arithmetic, binomials multiplied out by generic products, the closed-form scalars multiplied out factor by
-factor, dense matrix arithmetic and the inverse generators), the words
-of identities from the paper that no command evaluates, sums of word
-values, and the decoder for the scalar JSON the commands write.
+arithmetic, binomials multiplied out by generic products, the
+closed-form scalars multiplied out factor by factor, dense matrix
+arithmetic and the inverse generators, a point whose values are
+Fractions), the words of identities from the paper that no command
+evaluates, sums of word values, and the decoder for the scalar JSON the
+commands write.
 """
 
 from fractions import Fraction
@@ -483,6 +485,8 @@ class RatFuncField:
         self.nvars = d + 1
 
     def scalar(self, value) -> RefRatFunc:
+        if isinstance(value, RefRatFunc):
+            return value
         return RefRatFunc(LaurentPoly.constant(self.p, self.nvars, value))
 
     @property
@@ -522,6 +526,62 @@ class RatFuncField:
 
     def __hash__(self):
         return hash(("RatFuncField", self.p, self.d))
+
+
+class FractionPoint:
+    """A point with p = 2, eps = -1 and rational q, Q_1..Q_d, every value
+    a Fraction.
+
+    It defines only the members of the field protocol written in the
+    docstring of exactnum, and its arithmetic is Python's own, sharing no
+    code with CycRat: the package run over it cross-checks SpecPoint at
+    the same (q, Q).
+    """
+
+    p = 2
+    is_generic = False
+
+    def __init__(self, q, Qs):
+        self.d = len(Qs)
+        self.q = Fraction(q)
+        self._Qs = tuple(Fraction(x) for x in Qs)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
+
+    def scalar(self, value) -> Fraction:
+        if isinstance(value, CycRat):
+            # Q(zeta_1) = Q(zeta_2) = Q: one coordinate
+            if 2 % value.order:
+                raise ValueError(f"cannot embed order {value.order}")
+            value = Fraction(value.nums[0], value.den)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not a scalar: {value!r}")
+        return Fraction(value)
+
+    def eps_pow(self, k: int) -> Fraction:
+        return Fraction(-1 if k % 2 else 1)
+
+    def q_power(self, k: int) -> Fraction:
+        return self.q ** k
+
+    def Q(self, i: int) -> Fraction:
+        if not 1 <= i <= self.d:
+            raise ValueError(f"Q_{i} out of range for d={self.d}")
+        return self._Qs[i - 1]
+
+    def Q_power(self, i: int, k: int) -> Fraction:
+        return self.Q(i) ** k
+
+    def to_json(self) -> dict:
+        return {"fraction": {"q": str(self.q),
+                             "Q": [str(x) for x in self._Qs]}}
+
+    def __eq__(self, other):
+        return (isinstance(other, FractionPoint)
+                and (self.q, self._Qs) == (other.q, other._Qs))
+
+    def __hash__(self):
+        return hash(("FractionPoint", self.q, self._Qs))
 
 
 def multiply_out_by_products(poly: LaurentPoly, factors) -> LaurentPoly:
@@ -646,17 +706,17 @@ def specialize(f, pt: SpecPoint) -> CycRat:
     if isinstance(f, LaurentPoly):
         if f.nvars != pt.d + 1:
             raise ValueError(f"polynomial in {f.nvars} variables, point has d={pt.d}")
-        values = (pt.q_val,) + pt.Q_vals
+        values = [pt.q] + [pt.Q(i) for i in range(1, pt.d + 1)]
         total = pt.zero
         for e, c in f.terms.items():
-            term = pt.embed(c)
+            term = pt.scalar(c)
             for i, k in enumerate(e):
                 if k:
                     term = term * values[i] ** k
             total = total + term
         return total
     if isinstance(f, (CycRat, int, Fraction)):
-        return pt.embed(f) if isinstance(f, CycRat) else pt.scalar(f)
+        return pt.scalar(f)
     raise TypeError(f"cannot specialize {type(f).__name__}")
 
 

@@ -726,6 +726,39 @@ def test_internal_invariant_exits_3_without_traceback(runner, monkeypatch):
         "message": "internal: f must be a Laurent polynomial"}}
 
 
+@pytest.mark.parametrize("error", [KeyError("u0"), TypeError("u0")])
+def test_type_and_key_errors_exit_2_only_while_reading(runner, tmp_path,
+                                                        monkeypatch, error):
+    from cyclohecke import cli
+
+    tables = write_tables(runner, tmp_path, ["--s", "1", "--n", "3"])
+    klesh = write_klesh(tmp_path, 2, 1, 3)
+    no_s = tmp_path / "no_s.json"
+    no_s.write_text(json.dumps({"m": 1, "rows": [], "cols": [],
+                                "entries": []}))
+    no_labels = tmp_path / "no_labels.json"
+    no_labels.write_text(json.dumps({"label": []}))
+    assemble = ["assemble", "--p", "2", "--d", "1", "--n", "3"]
+    for args, message in [
+        (["scalar", "schur", "--p", "2", "--d", "1", "--lambda", "[1,2]"],
+         "'int' object is not iterable"),
+        (assemble + ["--tables", str(no_s), "--klesh", klesh], "'s'"),
+        (assemble + ["--tables", tables, "--klesh", str(no_labels)],
+         "'labels'"),
+    ]:
+        assert run_json(runner, args, exit_code=2) == {"error": {
+            "kind": "validation", "message": message}}
+
+    def broken(*args, **kwargs):
+        raise error
+
+    # the same errors from a computation are bugs, not bad input
+    monkeypatch.setattr(cli, "assemble_matrix", broken)
+    data = run_json(runner, assemble + ["--tables", tables,
+                                        "--klesh", klesh], exit_code=3)
+    assert data == {"error": {"kind": "internal", "message": str(error)}}
+
+
 @pytest.mark.parametrize("criterion, checker, points_of", [
     ("_criterion_elements", "verify_changing", lambda *args, points: points),
     ("_criterion_scalars", "flam_eigen_oracle", lambda b, pt: [pt]),
@@ -739,7 +772,7 @@ def test_sampled_criteria_use_three_distinct_points(monkeypatch, criterion,
 
     def record(*args, **kwargs):
         for pt in points_of(*args, **kwargs):
-            seen.setdefault((pt.p, len(pt.Q_vals)), set()).add(pt)
+            seen.setdefault((pt.p, pt.d), set()).add(pt)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, checker, record)

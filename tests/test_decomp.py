@@ -423,15 +423,15 @@ def test_split_char_reduction(tmp_path):
 
 
 def test_split_char_rejects_nonintegral_value():
-    # splittable_number returns the raw solve; split_by_formula, whose
-    # values are the only ones reduced, refuses anything but a count
+    # the solve gives 1/4 at ratio 1/2 and -1 at ratio 3: neither is a
+    # count, so one entry and the whole split are refused alike
     la = mp(2, 1, [[2], [2]])
     mu = mp(2, 1, [[1, 1], [1, 1]])
     tables = [one_column_table(2, [2], [1, 1], 1)]
-    value = splittable_number(la, mu, 1, 2, tables, Fraction(1, 2))
-    assert value == Fraction(1, 4)
-    assert splittable_number(la, mu, 1, 2, tables, 3) == -1
-    for ratio in (Fraction(1, 2), 3):
+    for ratio, value in ((Fraction(1, 2), "1/4"), (3, "-1")):
+        with pytest.raises(InputDataError,
+                           match=f"multiplicity {value} is not a nonnegative"):
+            splittable_number(la, mu, 1, 2, tables, ratio)
         with pytest.raises(InputDataError, match="not a nonnegative integer"):
             split_by_formula(la, mu, tables, ratio)
 

@@ -92,8 +92,11 @@ def test_eps_pow_examples():
 def test_eps_pow_invalid_order():
     with pytest.raises(ValueError, match="invalid order"):
         eps_pow(1, 0)
+    # the generic field is GenericField itself, defined at p = 1 too
+    assert generic_field is GenericField
+    assert generic_field(1, 1).eps_pow(5) == generic_field(1, 1).one
     with pytest.raises(ValueError, match="invalid order"):
-        generic_field(1, 1)
+        generic_field(0, 1)
 
 
 @given(st.integers(2, 12), st.integers(-30, 30))
@@ -112,7 +115,7 @@ def test_specpoint_eps_pow_matches_powers_of_zeta(p, N):
     zeta = eps_pow(N, 1)
     for k in range(-N, 2 * N):
         assert pt.eps_pow(k) == zeta ** ((N // p) * k % N)
-    assert pt.embed(eps_pow(p, 1)) == pt.eps_pow(1)
+    assert pt.scalar(eps_pow(p, 1)) == pt.eps_pow(1)
 
 
 def test_zeta_satisfies_cyclotomic():
@@ -174,7 +177,7 @@ def test_cycrat_canonical_form(abc):
     if a:
         values += [a.inverse(), b / a, a ** -2]
     pt = SpecPoint(2, 2 * m, 2, [3])
-    values += [pt.embed(v) for v in values]
+    values += [pt.scalar(v) for v in values]
     for v in values:
         assert _is_canonical(v), v
     # zero is (0, ..., 0)/1 however it was reached
@@ -262,14 +265,14 @@ def test_make_matches_long_division(case):
 @pytest.mark.parametrize("m, N", [(2, 4), (3, 6), (3, 9), (4, 8), (4, 12)])
 def test_embed_is_a_field_embedding(m, N):
     pt = SpecPoint(2 if N % 2 == 0 else 3, N, 2, [3])
-    assert pt.embed(eps_pow(m, 1)) == eps_pow(N, 1) ** (N // m)
+    assert pt.scalar(eps_pow(m, 1)) == eps_pow(N, 1) ** (N // m)
     rng = random.Random(m * N)
     deg = len(cyclotomic_poly(m)) - 1
     for _ in range(10):
         a, b = (CycRat.make(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                                 for _ in range(deg)]) for _ in range(2))
-        assert pt.embed(a + b) == pt.embed(a) + pt.embed(b)
-        assert pt.embed(a * b) == pt.embed(a) * pt.embed(b)
+        assert pt.scalar(a + b) == pt.scalar(a) + pt.scalar(b)
+        assert pt.scalar(a * b) == pt.scalar(a) * pt.scalar(b)
 
 
 def test_cycrat_mixed_order_rejected():
@@ -506,6 +509,39 @@ def test_specpoint_json_cyclotomic_values():
     assert isinstance(data["q"][0], list)
     back = SpecPoint.from_json(data)
     assert back.q == pt.q
+
+
+def test_specpoint_json_reads_only_exact_coordinates():
+    # 0.1 would read as 3602879701896397/36028797018963968 and true as 1
+    for q in (0.1, True, 2.0, [1, 0.5], [True, 2], [[1, 2], [0.5, 1]]):
+        with pytest.raises(ValueError, match="must be exact"):
+            SpecPoint.from_json({"p": 2, "N": 4, "q": q, "Q": [3]})
+    with pytest.raises(ValueError, match="must be exact"):
+        SpecPoint.from_json({"p": 2, "N": 2, "q": 2, "Q": [False]})
+    for q, want in ((5, 5), ("5/2", Fraction(5, 2)), ([5, 2], Fraction(5, 2)),
+                    ([[0, 1], [1, 1]], eps_pow(4, 1))):
+        pt = SpecPoint.from_json({"p": 2, "N": 4, "q": q, "Q": [3]})
+        assert pt.q == pt.scalar(want)
+
+
+def test_field_scalar_reads_every_value_kind():
+    K, pt = GenericField(2, 1), SpecPoint(2, 4, 2, [3])
+    assert K.scalar(K.q) is K.q
+    with pytest.raises(ValueError, match="different rings"):
+        K.scalar(GenericField(2, 2).q)
+    with pytest.raises(TypeError, match="rational function"):
+        pt.scalar(K.q)
+    with pytest.raises(ValueError, match="cannot embed order 3"):
+        pt.scalar(eps_pow(3, 1))
+    assert pt.scalar(eps_pow(2, 1)) == pt.eps_pow(1)
+    assert pt.scalar(Fraction(1, 2)) == CycRat.from_rational(4, Fraction(1, 2))
+    for field in (K, pt):
+        for bad in (1.5, [1, 2], "1", None):
+            with pytest.raises(TypeError):
+                field.scalar(bad)
+        # built once, with the field
+        assert field.zero is field.zero and field.one is field.one
+    assert K.to_json() == {"generic": {"p": 2, "d": 1}}
 
 
 def _through_json(data):

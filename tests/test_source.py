@@ -165,3 +165,46 @@ def test_only_reduce_matrix_takes_char():
                 + node.args.args + node.args.kwonlyargs)
     ]
     assert found == ["reduce_matrix"]
+
+
+def _defs_and_nodes(tree):
+    """(name of the innermost top-level or method definition, node)."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            yield inner, child
+            yield from walk(child, inner)
+    yield from walk(tree, None)
+
+
+def test_only_exactnum_knows_the_backends():
+    # consumers reach a field through the protocol in exactnum's
+    # docstring: no private name of exactnum, no isinstance test on a
+    # backend, and is_generic read only at the four sites that say why
+    found, generic = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        for owner, node in _defs_and_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").endswith("exactnum"):
+                found += [f"{path.name}: imports {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) == "isinstance":
+                names = {n.id for n in ast.walk(node.args[1])
+                         if isinstance(n, ast.Name)}
+                found += [f"{path.name}:{node.lineno} isinstance {name}"
+                          for name in names & {"SpecPoint", "GenericField"}]
+            if isinstance(node, ast.Attribute) and node.attr == "is_generic":
+                generic.add(f"{path.stem}.{owner}")
+    assert not found, found
+    assert generic == {"seminormal.ladder_diagonal", "seminormal.eval_word",
+                       "elements.flam_eigen_oracle", "scalars._check_laurent"}
+    from cyclohecke import cli, exactnum
+    assert not hasattr(exactnum.SpecPoint, "embed")
+    assert not hasattr(cli, "_field_json")
+    assert exactnum.generic_field is exactnum.GenericField
+    assert cli.scalar_to_json is exactnum.scalar_to_json
