@@ -10,9 +10,12 @@ The scalar tower used throughout the package:
   reduction goes through one cached table, the reduced powers
   zeta_m^0 .. zeta_m^(m-1) built from the Phi_m recurrence; Phi_m is monic
   and integral, so the table is integral too.  Products reduce their high
-  terms with it, and ``_substitute`` reads sum_j c_j zeta_m^(j*step) off
-  it, which gives reduction of long polynomials, the Galois conjugates and
-  the embeddings Q(zeta_m) -> Q(zeta_N), all on integers.  Sums and
+  terms with it; a product of degree phi(m) = 2 (m = 3, 4, 6) is written
+  out and reads its one high term, zeta_m^2, from the same table.  An
+  operand of the exact type and order skips coercion.  ``_substitute``
+  reads sum_j c_j zeta_m^(j*step) off the table, which gives reduction
+  of long polynomials, the Galois conjugates and the embeddings
+  Q(zeta_m) -> Q(zeta_N), all on integers.  Sums and
   products take one gcd over the result at most, and none when the
   denominators are 1.  Inverses are the product of the other Galois
   conjugates of the numerators divided by their integer norm.
@@ -42,9 +45,11 @@ field, a backend it is handed: ``GenericField`` (values RatFunc) or a
 * ``p`` and ``d``: the order of eps and the number of parameters Q_i;
 * ``zero``, ``one`` and ``q``: values, set when the field is built;
 * ``scalar(value)``: an int, a Fraction or a CycRat as a value of the
-  field.  A point embeds a CycRat whose order divides its conductor and
-  refuses a RatFunc with TypeError; the generic field returns a RatFunc
-  of its own ring unchanged.  Any other type is a TypeError;
+  field.  Both backends embed a CycRat whose order divides the
+  conductor of a point or the p of the generic field, and refuse one of
+  any other order with ValueError.  A point refuses a RatFunc with
+  TypeError; the generic field returns a RatFunc of its own ring
+  unchanged.  Any other type is a TypeError;
 * ``eps_pow(k)``, ``q_power(k)``, ``Q(i)`` and ``Q_power(i, k)``;
 * ``to_json()``: the field as a JSON object;
 * ``is_generic``: read only where a point allows a shortcut (a memo of
@@ -185,7 +190,9 @@ class CycRat:
                           tuple(x * eb + y * ea for x, y in zip(a, b)), ea * db)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        # an operand of this exact type and order needs no coercion
+        o = (other if type(other) is CycRat and other.order == self.order
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         return self._sum(o.nums, o.den)
@@ -208,13 +215,22 @@ class CycRat:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is CycRat and other.order == self.order
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         a, b = self.nums, o.nums
         deg, m = len(a), self.order
         if deg == 1:
             res = (a[0] * b[0],)
+        elif deg == 2:
+            # orders 3, 4 and 6: the loop below with its one high term,
+            # zeta^2 = r0 + r1*zeta, written out
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            r0, r1 = _zeta_powers(m)[2].nums
+            res = (a0 * b0 + t * r0, a0 * b1 + a1 * b0 + t * r1)
         else:
             conv = [0] * (2 * deg - 1)
             for i, ai in enumerate(a):
@@ -282,7 +298,8 @@ class CycRat:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is CycRat and other.order == self.order
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         return self.nums == o.nums and self.den == o.den
@@ -340,7 +357,7 @@ def _substitute(order: int, nums: Sequence[int], step: int = 1) -> tuple:
     Phi_order (``CycRat.make``); step = k coprime to order applies the
     Galois automorphism zeta -> zeta^k (``CycRat.inverse``); with order the
     conductor N and step = N / m it embeds Q(zeta_m) into Q(zeta_N)
-    (``SpecPoint.scalar``).  The last two map Z[zeta_m] into Z[zeta_N] and
+    (``_embed``).  The last two map Z[zeta_m] into Z[zeta_N] and
     keep the gcd of the coordinates, so they take canonical numerators to
     canonical numerators; a reduction (step = 1) may not.
     """
@@ -789,6 +806,8 @@ class GenericField:
             if (value.order, value.nvars) != (self.p, self.nvars):
                 raise ValueError("symbolic values from different rings")
             return value
+        if isinstance(value, CycRat):
+            value = _embed(self.p, value)
         return RatFunc(_as_cycrat(self.p, value), self._origin)
 
     def eps_pow(self, k: int) -> RatFunc:
@@ -826,6 +845,18 @@ class GenericField:
 generic_field = GenericField
 
 
+def _embed(order: int, value: CycRat) -> CycRat:
+    """value, of an order m dividing order, in Q(zeta_order): how both
+    backends' ``scalar`` read a CycRat."""
+    if value.order == order:
+        return value
+    if order % value.order != 0:
+        raise ValueError(
+            f"cannot embed order {value.order} into Q(zeta_{order})")
+    return CycRat(order, _substitute(order, value.nums, order // value.order),
+                  value.den)
+
+
 def _as_cycrat(order: int, value) -> CycRat:
     if isinstance(value, CycRat):
         if value.order != order:
@@ -837,11 +868,16 @@ def _as_cycrat(order: int, value) -> CycRat:
 
 
 class SpecPoint:
-    """Exact evaluation point: eps = zeta_N^(N/p), q and Q_i in Q(zeta_N)."""
+    """Exact evaluation point: eps = zeta_N^(N/p), q and Q_i in Q(zeta_N).
+
+    A point never changes after it is built, so its hash is computed once,
+    in the constructor, and the memos keyed by the point (reps, ladder
+    entries, Schur inverses) read it from a slot.
+    """
 
     is_generic = False
 
-    __slots__ = ("p", "N", "d", "q", "Q_vals", "zero", "one")
+    __slots__ = ("p", "N", "d", "q", "Q_vals", "zero", "one", "_hash")
 
     def __init__(self, p: int, N: int, q_val, Q_vals: Sequence):
         if p < 2:
@@ -861,18 +897,15 @@ class SpecPoint:
             raise ValueError("need at least one parameter Q_1")
         self.zero = CycRat.from_rational(N, 0)
         self.one = CycRat.from_rational(N, 1)
+        self._hash = hash(("SpecPoint", p, N, self.q, self.Q_vals))
 
     def scalar(self, value) -> CycRat:
         """value in Q(zeta_N); a CycRat of order m | N is embedded."""
         if isinstance(value, RatFunc):
             raise TypeError("a rational function is not a scalar at a point")
-        if not isinstance(value, CycRat) or value.order == self.N:
-            return _as_cycrat(self.N, value)
-        if self.N % value.order != 0:
-            raise ValueError(
-                f"cannot embed order {value.order} into conductor {self.N}")
-        return CycRat(self.N, _substitute(self.N, value.nums,
-                                          self.N // value.order), value.den)
+        if isinstance(value, CycRat):
+            return _embed(self.N, value)
+        return _as_cycrat(self.N, value)
 
     def eps_pow(self, k: int) -> CycRat:
         return _zeta_powers(self.N)[((self.N // self.p) * k) % self.N]
@@ -922,7 +955,7 @@ class SpecPoint:
                 == (other.p, other.N, other.q, other.Q_vals))
 
     def __hash__(self):
-        return hash(("SpecPoint", self.p, self.N, self.q, self.Q_vals))
+        return self._hash
 
     def __repr__(self):
         return f"SpecPoint(p={self.p}, N={self.N}, q={self.q!r}, Q={list(self.Q_vals)!r})"

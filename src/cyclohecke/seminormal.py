@@ -301,7 +301,8 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
 
 
 def _eval_word(rep: SeminormalRep, word) -> tuple:
-    """`eval_word` without the memo."""
+    """`eval_word` without the memo or the checks: every ``scal`` and
+    ``Tshift`` scalar is already a value of the rep's field."""
     field = rep.field
     acc = None
     for item in word:
@@ -311,7 +312,7 @@ def _eval_word(rep: SeminormalRep, word) -> tuple:
         elif tag == "ladder":
             factor = rep.ladder_diagonal(item[1], item[2], item[3])
         elif tag == "scal":
-            factor = [_scalar_token(field, item[1])] * rep.dim
+            factor = [item[1]] * rep.dim
         elif tag == "T" and item[1] == 0:
             factor = rep.l_diagonal(1)
         else:
@@ -323,7 +324,7 @@ def _eval_word(rep: SeminormalRep, word) -> tuple:
         if tag == "T":
             rows = rep.t_rows(item[1])
         elif tag == "Tshift":
-            rows = rep.t_rows(item[1], _scalar_token(field, item[2]))
+            rows = rep.t_rows(item[1], item[2])
         else:
             raise ValueError(f"unknown word token {tag!r}")
         acc = rows if acc is None else rows_mul(acc, rows)

@@ -1,11 +1,12 @@
 import json
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclohecke import exactnum
@@ -212,13 +213,41 @@ def _convolve(a, b):
     return out
 
 
+def _large_operands(seed: int = 25) -> list:
+    """Seeded operand pairs at the orders with phi(m) = 2: numerators
+    near 10^6 over denominators above 1, and zero on either side."""
+    rng = random.Random(seed)
+    pairs = []
+    for m in (3, 4, 6):
+        def draw():
+            return CycRat.make(m, [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                            rng.randint(2, 10 ** 3))
+                                   for _ in range(2)])
+        zero = CycRat.from_rational(m, 0)
+        pairs += [(zero, draw()), (draw(), zero), (zero, zero)]
+        pairs += [(draw(), draw()) for _ in range(12)]
+    return pairs
+
+
+def _with_examples(cases):
+    def attach(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return attach
+
+
+@_with_examples(_large_operands())
 @settings(max_examples=120)
 @given(st.integers(1, 12).flatmap(
     lambda m: st.tuples(cycrats(m), cycrats(m))))
 def test_product_matches_long_division(ab):
     a, b = ab
     expect = _long_division(a.order, _convolve(a.coeffs, b.coeffs))
-    assert (a * b).coeffs == expect
+    got, want = a * b, CycRat.make(a.order, expect)
+    assert got.coeffs == expect
+    # the canonical form, not only the value
+    assert (got.nums, got.den) == (want.nums, want.den)
 
 
 # orders 1..12 cover Galois groups of size 1, 2, 4 and 6
@@ -276,8 +305,16 @@ def test_embed_is_a_field_embedding(m, N):
 
 
 def test_cycrat_mixed_order_rejected():
-    with pytest.raises(ValueError):
-        eps_pow(3, 1) + eps_pow(4, 1)
+    a, b = eps_pow(3, 1), eps_pow(4, 1)
+    for op in (operator.add, operator.mul, operator.sub, operator.eq):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            op(a, b)
+    # rational operands still pass through coercion
+    assert 3 * a == a + a + a == CycRat.make(3, [0, 3])
+    assert a * Fraction(1, 2) == CycRat.make(3, [0, Fraction(1, 2)])
+    assert CycRat.from_rational(4, Fraction(1, 2)) == Fraction(1, 2)
+    assert CycRat.from_rational(4, Fraction(1, 2)) != Fraction(1, 3)
+    assert a != Fraction(1, 2) and 1 + a == CycRat.make(3, [1, 1])
 
 
 def test_cycrat_rational_detection():

@@ -16,7 +16,14 @@ from cyclohecke.elements import (
     verify_comparison,
     verify_pleftmult,
 )
-from cyclohecke.exactnum import CycRat, SpecPoint, is_semisimple, is_separated
+from cyclohecke.exactnum import (
+    CycRat,
+    GenericField,
+    SpecPoint,
+    eps_pow,
+    is_semisimple,
+    is_separated,
+)
 from cyclohecke.scalars import (
     f_lambda_closed,
     g_lambda,
@@ -97,3 +104,14 @@ def test_fraction_backend_agrees_on_degenerate_points(q, Qs, n):
     for check in (is_separated, is_semisimple):
         assert check(FractionPoint(q, Qs), n) \
             == check(SpecPoint(2, 2, q, Qs), n)
+
+
+@pytest.mark.parametrize("field", [GenericField(4, 1), SpecPoint(4, 4, 5, [3])],
+                         ids=["generic", "point"])
+def test_backends_embed_a_lower_order_alike(field):
+    # eps_2 = -1 is eps_4^2 in either backend; an order not dividing 4 is
+    # refused by both
+    assert field.scalar(eps_pow(2, 1)) == field.eps_pow(2)
+    assert field.scalar(eps_pow(4, 1)) == field.eps_pow(1)
+    with pytest.raises(ValueError, match="cannot embed order 3"):
+        field.scalar(eps_pow(3, 1))

@@ -534,6 +534,28 @@ def test_word_memo_checks_scalar_tokens_before_lookup(word_memo):
     assert word_memo.cache_info().hits == 0
 
 
+@pytest.mark.parametrize("backend", ["point", "generic"])
+def test_scalar_tokens_are_read_once_on_a_miss(backend, word_memo,
+                                               monkeypatch):
+    field = (sample_point(3, 1, 3, random.Random(36)) if backend == "point"
+             else GenericField(3, 1))
+    rep = build_rep(mp(3, 1, [(2,), (1,), ()]), field)
+    read = type(field).scalar
+    calls = []
+
+    def counted(self, value):
+        calls.append(value)
+        return read(self, value)
+
+    monkeypatch.setattr(type(field), "scalar", counted)
+    value = eval_word(rep, [("scal", 2), ("Tshift", 1, 3)])
+    assert calls == [2, 3]
+    assert word_memo.cache_info().misses == (0 if field.is_generic else 1)
+    monkeypatch.undo()
+    _check_rows(value, _dense_word(rep, [("scal", 2), ("Tshift", 1, 3)]),
+                field.zero)
+
+
 def test_word_indices_are_typed_before_lookup(word_memo):
     # 1.0 and True hash and compare equal to 1, so a warm memo would
     # return L_1 or T_1 for them; a fresh one must refuse them too
@@ -616,6 +638,25 @@ def test_sparse_products_match_mat_mul():
         rows_mul(mat_rows(A), rows[:2])
     with pytest.raises(ValueError):
         rows_scale_cols(mat_rows(A), d[:2])
+
+
+def test_equal_points_hash_alike_and_share_a_rep(monkeypatch):
+    zeta, one = CycRat.make(3, [0, 1]), CycRat.from_rational(3, 1)
+    shape = mp(3, 1, [(1,), (1,), ()])
+    # one point from ints, Fractions and CycRats, and from its own JSON;
+    # at a rational and at an irrational q
+    for coords in ([(5, 3), (Fraction(10, 2), Fraction(3)), (5 * one, 3 * one)],
+                   [(2 + zeta, 3 - zeta)]):
+        points = [SpecPoint(3, 3, q, [Q]) for q, Q in coords]
+        points.append(SpecPoint.from_json(points[0].to_json()))
+        assert all(pt == points[0] for pt in points)
+        assert len({hash(pt) for pt in points}) == 1
+        assert len({id(build_rep(shape, pt)) for pt in points}) == 1
+        # the hash was taken when the point was built
+        with monkeypatch.context() as m:
+            m.setattr(CycRat, "__hash__",
+                      lambda self: pytest.fail("a point rehashed"))
+            assert hash(points[-1]) == hash(points[0])
 
 
 def test_rep_cache_stops_growing_at_cap():
