@@ -485,7 +485,7 @@ def splittable_cmd(p, d, la_text, mu_text, tables_path, char, mode, seed,
                                rng=Random(seed))
         b = la.composition()
         ratio = g_lambda(la, b, field) / g_lambda(mu, b, field)
-    result = split_by_formula(la, mu, tables, ratio)
+    result = split_by_formula(la, mu, tables, ratio, field)
     payload = {
         "op": "splittable", "p": p, "d": d,
         "lambda": la.to_json(), "mu": mu.to_json(),

@@ -8,7 +8,8 @@ table of Z/l, so its closed-form inverse gives the multiplicities
 [S^la_i : D^mu_j] exactly, and every other entry is reported as a
 first-class unknown together with the residue-class sums the relations
 do determine.  The relations oracle solves the same systems by generic
-elimination, independently of the closed form.
+elimination, independently of the closed form.  Both work in the field
+of the g values, through the field protocol of exactnum alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .combin import (
     class_reps,
     enumerate_all,
 )
-from .exactnum import CycRat, GenericField, RatFunc, eps_pow
+from .exactnum import GenericField, SpecPoint
 from .matrices import mat_solve
 from .scalars import g_lambda
 from .tableau import count_std
@@ -235,54 +236,37 @@ def orbit_sum_bound(la: Multipartition, mu: Multipartition, tables) -> int:
 # --- cyclic-twist system --------------------------------------------------
 
 
-def _lift_scalar(value, p: int):
-    """Accept a g value as rational, CycRat or RatFunc; rationals join
-    Q(eps)."""
-    if isinstance(value, (int, Fraction)):
-        return CycRat.from_rational(p, value)
-    if not isinstance(value, (CycRat, RatFunc)):
-        raise TypeError(f"unsupported scalar type: {type(value).__name__}")
-    if value.order % p:
-        raise ValueError(f"scalar lives over order {value.order}, "
-                         f"incompatible with eps of order {p}")
-    return value
+def _field_of(la: Multipartition, field):
+    """The field the g values of la's pairs are read in.  With none given
+    a g ratio is a rational, or a CycRat of order dividing p, and the same
+    constant at every point, so any point of conductor p holds it."""
+    if field is None:
+        return SpecPoint(la.p, la.p, 1, (1,))
+    if field.p != la.p:
+        raise ValueError(f"field has eps of order {field.p}, not {la.p}")
+    return field
 
 
-def _eps_in(sample, p: int, k: int) -> CycRat:
-    """eps^k in the cyclotomic field of sample's ring."""
-    order = sample.order
-    return eps_pow(order, (order // p) * k)
-
-
-def _as_fraction(value) -> Fraction:
-    """Extract the rational constant a solved value must be."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, CycRat):
-        if not value.is_rational():
-            raise NonConstantRatioError(
-                "solved value is irrational; the g ratio is inconsistent "
-                "with the tables at these parameters"
-            )
-        return value.rational_value()
-    c = value.constant()
-    if c is None or not c.is_rational():
+def _as_fraction(field, value) -> Fraction:
+    """The rational constant a solved value of the field must be."""
+    out = field.rational(value)
+    if out is None:
         raise NonConstantRatioError(
-            "the symbolic g ratio does not cancel to a rational constant; "
-            "specialize it or fix the inputs"
+            "solved value is not a rational constant; the g ratio is "
+            "inconsistent with the tables at these parameters"
         )
-    return c.rational_value()
+    return out
 
 
-def _inverse_dft(l: int, p: int, ratio, column) -> list:
-    """Solve V(l) x = column in ratio's ring, in closed form.
+def _inverse_dft(field, l: int, column) -> list:
+    """Solve V(l) x = column in the field, in closed form.
 
     V(l), with (a, b) entry eps^((a-1)*b*m) and m = p/l, is the character
     table of Z/l in omega = eps^m, so x_c = (1/l) sum_t omega^(-t*c) column_t.
     """
-    m = p // l
-    omega = [_eps_in(ratio, p, k * m) for k in range(l)]
-    inv_l = Fraction(1, l)
+    m = field.p // l
+    omega = [field.eps_pow(k * m) for k in range(l)]
+    inv_l = field.scalar(Fraction(1, l))
     out = []
     for c in range(1, l + 1):
         acc = column[0]
@@ -292,10 +276,12 @@ def _inverse_dft(l: int, p: int, ratio, column) -> list:
     return out
 
 
-def _twist_column(l: int, ratio, d_val: int, multiplier: int = 1) -> list:
-    """Entries multiplier * ratio^t * d^gcd(l,t) for t = 0..l-1."""
+def _twist_column(field, l: int, ratio, d_val: int,
+                  multiplier: int = 1) -> list:
+    """Entries multiplier * ratio^t * d^gcd(l,t) for t = 0..l-1, with the
+    ratio already a value of the field."""
     return [
-        (ratio ** t) * (multiplier * d_val ** math.gcd(l, t))
+        (ratio ** t) * field.scalar(multiplier * d_val ** math.gcd(l, t))
         for t in range(l)
     ]
 
@@ -343,10 +329,15 @@ def _twist_slot(i: int, j: int, p_la: int, p_mu: int) -> int:
     return (j - i - 1) % math.gcd(p_la, p_mu)
 
 
-def _formula_solve(la: Multipartition, mu: Multipartition, tables, g_ratio,
-                   i: int = 1, j: int = 1) -> tuple:
-    """The slot of [S^la_i : D^mu_j] and the l twist multiplicities,
-    unconverted in the ring of g_ratio."""
+def split_by_formula(la: Multipartition, mu: Multipartition, tables,
+                     g_ratio, field=None) -> SplitResult:
+    """All l twist multiplicities of a splittable pair, in closed form.
+
+    g_ratio is a value of the field, or with no field a rational constant
+    (_field_of).  Each multiplicity must solve to a nonnegative integer:
+    NonConstantRatioError for a value that is no rational constant,
+    InputDataError for any other.
+    """
     _, p_la = la.orbit_order()
     _, p_mu = mu.orbit_order()
     if p_la != p_mu:
@@ -354,40 +345,35 @@ def _formula_solve(la: Multipartition, mu: Multipartition, tables, g_ratio,
             f"splitting numbers differ: p_la = {p_la}, p_mu = {p_mu}"
         )
     l = p_la
-    slot = _twist_slot(i, j, l, l)
     d_val = d_product(la, mu, la.p // l, tables)
     if l == 1:
-        return slot, [Fraction(d_val)]
-    ratio = _lift_scalar(g_ratio, la.p)
-    return slot, _inverse_dft(l, la.p, ratio, _twist_column(l, ratio, d_val))
+        values = [Fraction(d_val)]
+    else:
+        field = _field_of(la, field)
+        column = _twist_column(field, l, field.scalar(g_ratio), d_val)
+        values = [_as_fraction(field, v)
+                  for v in _inverse_dft(field, l, column)]
+    return SplitResult(la, mu, l, _check_counts(values, "multiplicity"),
+                       "formula")
 
 
 def splittable_number(la: Multipartition, mu: Multipartition, i: int, j: int,
-                      tables, g_ratio) -> Fraction:
+                      tables, g_ratio, field=None) -> Fraction:
     """The multiplicity [S^la_i : D^mu_j] for a pair with p_la = p_mu,
-    read off the closed-form twist solve; InputDataError, as in
-    split_by_formula, unless it is a nonnegative integer."""
-    slot, values = _formula_solve(la, mu, tables, g_ratio, i, j)
-    return _check_counts([_as_fraction(values[slot])], "multiplicity")[0]
+    read off split_by_formula."""
+    return cyclic_reindex(split_by_formula(la, mu, tables, g_ratio, field),
+                          i, j)
 
 
-def split_by_formula(la: Multipartition, mu: Multipartition, tables,
-                     g_ratio) -> SplitResult:
-    """All l twist multiplicities of a splittable pair, in closed form."""
-    _, values = _formula_solve(la, mu, tables, g_ratio)
-    values = tuple(_as_fraction(v) for v in values)
-    return SplitResult(la, mu, len(values),
-                       _check_counts(values, "multiplicity"), "formula")
-
-
-def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
+def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers,
+                     field=None):
     """Solve the cyclic-twist linear system by generic elimination.
 
-    g_powers is the pair (g_la, g_mu) of scalar values.  With p_mu
-    equal to l = p_la the l x l system determines every twist
-    multiplicity and a SplitResult is returned; with p_mu a proper
-    multiple of l only the sums over residue classes mod l are pinned
-    and those come back as ClassSums.
+    g_powers is the pair (g_la, g_mu), values of the field as g_ratio is
+    in split_by_formula.  With p_mu equal to l = p_la the l x l system
+    determines every twist multiplicity and a SplitResult is returned;
+    with p_mu a proper multiple of l only the sums over residue classes
+    mod l are pinned and those come back as ClassSums.
     """
     o_la, p_la = la.orbit_order()
     _, p_mu = mu.orbit_order()
@@ -401,14 +387,14 @@ def relations_oracle(la: Multipartition, mu: Multipartition, tables, g_powers):
     if l == 1:
         sums = (Fraction(period_ratio * d_val),)
     else:
-        g_la_val = _lift_scalar(g_powers[0], la.p)
-        g_mu_val = _lift_scalar(g_powers[1], la.p)
-        ratio = g_la_val / (g_mu_val ** period_ratio)
-        column = _twist_column(l, ratio, d_val, multiplier=period_ratio)
+        field = _field_of(la, field)
+        ratio = (field.scalar(g_powers[0])
+                 / field.scalar(g_powers[1]) ** period_ratio)
+        column = _twist_column(field, l, ratio, d_val, multiplier=period_ratio)
         # V(l), solved by elimination to stay independent of _inverse_dft
-        omega = [_eps_in(ratio, la.p, k * o_la) for k in range(l)]
+        omega = [field.eps_pow(k * o_la) for k in range(l)]
         rows = [[omega[a * b % l] for b in range(1, l + 1)] for a in range(l)]
-        sums = tuple(_as_fraction(v) for v in mat_solve(rows, column))
+        sums = tuple(_as_fraction(field, v) for v in mat_solve(rows, column))
     if p_mu == l:
         return SplitResult(la, mu, l, _check_counts(sums, "multiplicity"),
                            "oracle")
@@ -541,7 +527,7 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             if p_la == p_mu:
                 # the twist solve reads no g ratio at split 1
                 ratio = 1 if p_la == 1 else g_value(la) / g_value(mu)
-                values = split_by_formula(la, mu, tables, ratio).values
+                values = split_by_formula(la, mu, tables, ratio, field).values
                 for i in range(1, p_la + 1):
                     for j in range(1, p_mu + 1):
                         v = values[_twist_slot(i, j, p_la, p_mu)]
@@ -559,7 +545,7 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             if p_mu % p_la == 0:
                 try:
                     sums = relations_oracle(la, mu, tables,
-                                            (g_value(la), g_value(mu)))
+                                            (g_value(la), g_value(mu)), field)
                 except NonConstantRatioError:
                     sums = None
                 if sums is not None:

@@ -51,6 +51,8 @@ field, a backend it is handed: ``GenericField`` (values RatFunc) or a
   TypeError; the generic field returns a RatFunc of its own ring
   unchanged.  Any other type is a TypeError;
 * ``eps_pow(k)``, ``q_power(k)``, ``Q(i)`` and ``Q_power(i, k)``;
+* ``rational(value)``: the Fraction a value of the field equals, or
+  None when it is not a rational constant;
 * ``to_json()``: the field as a JSON object;
 * ``is_generic``: read only where a point allows a shortcut (a memo of
   hashable values, an exact quotient), each site saying why;
@@ -818,6 +820,12 @@ class GenericField:
     def q_power(self, k: int) -> RatFunc:
         return RatFunc(self._unit, (k,) + self._origin[1:])
 
+    def rational(self, value: RatFunc):
+        c = value.constant()
+        if c is None or not c.is_rational():
+            return None
+        return c.rational_value()
+
     def Q_power(self, i: int, k: int) -> RatFunc:
         if not 1 <= i <= self.d:
             raise ValueError(f"Q_{i} out of range for d={self.d}")
@@ -912,6 +920,9 @@ class SpecPoint:
 
     def q_power(self, k: int) -> CycRat:
         return self.q ** k
+
+    def rational(self, value: CycRat):
+        return value.rational_value() if value.is_rational() else None
 
     def Q_power(self, i: int, k: int) -> CycRat:
         return self.Q(i) ** k

@@ -561,6 +561,9 @@ class FractionPoint:
     def eps_pow(self, k: int) -> Fraction:
         return Fraction(-1 if k % 2 else 1)
 
+    def rational(self, value: Fraction) -> Fraction:
+        return value
+
     def q_power(self, k: int) -> Fraction:
         return self.q ** k
 

@@ -190,6 +190,15 @@ def test_half_word_factorizations():
                              ub_minus_word(b, d) + vb_minus_word(b, d))
 
 
+def test_element_equal_fails_at_the_second_point_only():
+    # T_0^2 = Q_1^2 at p = 2, d = 1, n = 1: the word equals 9 at Q_1 = 3
+    # and not at Q_1 = 5, so a mismatch at any one point decides
+    first, second = SpecPoint(2, 2, 2, [3]), SpecPoint(2, 2, 2, [5])
+    square, nine = [("T", 0), ("T", 0)], [("scal", 9)]
+    assert element_equal(2, 1, 1, square, nine, points=[first])
+    assert not element_equal(2, 1, 1, square, nine, points=[first, second])
+
+
 def test_one_step_shift_identity():
     for d, b in [(1, (2, 1)), (1, (1, 1, 1)), (2, (1, 1))]:
         p = len(b)

@@ -490,6 +490,13 @@ def test_separated_but_not_semisimple():
     assert not is_semisimple(pt, 2)
 
 
+def test_semisimple_rejects_either_order_of_a_q_shift():
+    # Q1 = q*Q2 as well as Q2 = q*Q1: the check runs over negative
+    # powers of q too, not only over the pairs in one order
+    assert not is_semisimple(SpecPoint(2, 2, 2, [6, 3]), 2)
+    assert is_semisimple(SpecPoint(2, 2, 2, [7, 3]), 2)
+
+
 def test_semisimple_rejects_root_of_unity_q():
     pt = SpecPoint(p=2, N=2, q_val=Fraction(-1), Q_vals=(Fraction(3),))
     assert not is_semisimple(pt, 2)

@@ -7,8 +7,20 @@ from random import Random
 import pytest
 
 from cyclohecke.cli import _random_table
-from cyclohecke.combin import compositions, enumerate_all, enumerate_pdb
-from cyclohecke.decomp import InputDataError, assemble_matrix
+from cyclohecke.combin import (
+    Multipartition,
+    compositions,
+    enumerate_all,
+    enumerate_pdb,
+)
+from cyclohecke.decomp import (
+    DecompTable,
+    InputDataError,
+    assemble_matrix,
+    relations_oracle,
+    split_by_formula,
+    splittable_number,
+)
 from cyclohecke.elements import (
     flam_eigen_oracle,
     trace_vbtb,
@@ -95,6 +107,36 @@ def test_fraction_backend_agrees_with_specpoint(d, n):
     # at least one assembly is a matrix, not a refusal of its tables
     assert any(isinstance(v, dict) for k, v in got.items()
                if k[0] == "assemble")
+
+
+def twist_solves(field) -> list:
+    """The three twist solves of the split-2 pair ((2),(2)) over
+    ((1,1),(1,1)) at the field's g values, on tables sending (2) to (1,1)
+    with multiplicity d."""
+    la = Multipartition(2, 1, [[2], [2]])
+    mu = Multipartition(2, 1, [[1, 1], [1, 1]])
+    g = (g_lambda(la, (2, 2), field), g_lambda(mu, (2, 2), field))
+    out = []
+    for d_val in (0, 1, 3, 5):
+        labels = [[[2]], [[1, 1]]]
+        entries = [[0, 0, 1], [1, 1, 1]] + ([[0, 1, d_val]] if d_val else [])
+        tables = [DecompTable(1, 2, labels, labels, entries)]
+        out += [outcome(lambda: split_by_formula(la, mu, tables, g[0] / g[1],
+                                                 field).values),
+                outcome(lambda: splittable_number(la, mu, 1, 2, tables,
+                                                  g[0] / g[1], field)),
+                outcome(lambda: relations_oracle(la, mu, tables, g,
+                                                 field).values)]
+    return out
+
+
+def test_fraction_backend_runs_the_twist_solves():
+    # the g ratio at (q, Q_1) = (5, 3) is 5: the solve of d = 5 is
+    # (0, 25), those of d = 1 and d = 3 are negative and refused
+    got = twist_solves(FractionPoint(5, [3]))
+    assert got == twist_solves(SpecPoint(2, 2, 5, [3]))
+    assert got[9:] == [(0, 25), 0, (0, 25)]
+    assert got[3][0] == "InputDataError"
 
 
 @pytest.mark.parametrize("q, Qs, n", [(1, [3], 2), (5, [3, -3], 2),

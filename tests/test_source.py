@@ -96,15 +96,26 @@ def _cache_decorators(tree):
                 yield node, dec
 
 
+MEMOS = {
+    ("combin", "_enumerate_sorted"), ("decomp", "_shift_skeleton"),
+    ("elements", "_schur_inverses"), ("exactnum", "_zeta_powers"),
+    ("exactnum", "cyclotomic_poly"), ("scalars", "_pair_factor"),
+    ("seminormal", "_cached_rep"), ("seminormal", "_ladder_entry"),
+    ("seminormal", "_memo_word"), ("seminormal", "_shape_skeleton"),
+    ("tableau", "_content_value"),
+}
+
+
 def test_every_lru_cache_is_bounded():
     # a cache without a finite bound grows with every point a process
-    # samples, so each one names its maxsize as a positive int
-    found, unbounded = 0, []
+    # samples, so each one names its maxsize as a positive int; the set
+    # of memos is listed, so adding or dropping one shows here
+    found, unbounded = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         ints = _module_ints(tree)
         for node, dec in _cache_decorators(tree):
-            found += 1
+            found.add((path.stem, node.name))
             size = None
             if isinstance(dec, ast.Call):
                 args = [kw.value for kw in dec.keywords
@@ -115,7 +126,7 @@ def test_every_lru_cache_is_bounded():
                     size = ints.get(args[0].id)
             if type(size) is not int or size < 1:
                 unbounded.append(f"{path.name}:{node.lineno} {node.name}")
-    assert found >= 7
+    assert found == MEMOS
     assert not unbounded, f"caches without a finite int maxsize: {unbounded}"
 
 
@@ -208,3 +219,21 @@ def test_only_exactnum_knows_the_backends():
     assert not hasattr(cli, "_field_json")
     assert exactnum.generic_field is exactnum.GenericField
     assert cli.scalar_to_json is exactnum.scalar_to_json
+
+
+def test_only_exactnum_imports_the_value_types():
+    # a consumer computes with the values its field hands out and never
+    # builds one itself: only the package's re-exports name the backends'
+    # value types and eps_pow
+    found = [
+        f"{path.name}:{node.lineno} imports {a.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("exactnum.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").endswith("exactnum")
+        for a in node.names
+        if a.name in ("CycRat", "RatFunc", "LaurentPoly", "eps_pow")
+    ]
+    assert "decomp.py" in {path.name for path in SRC.glob("*.py")}
+    assert not found, found
