@@ -28,13 +28,12 @@ from .combin import (
     wb_perm,
 )
 from .exactnum import laurent_quotient
-from .matrices import mat_rank, rows_dense, rows_mul, rows_scale_cols
+from .matrices import rows_mul, rows_rank, rows_scale_cols, rows_trace
 from .scalars import schur_element
 from .seminormal import (
-    build_rep,
-    character,
     element_equal,
     eval_word,
+    evaluation_units,
     mode_fields,
 )
 from .tableau import count_std
@@ -167,25 +166,31 @@ SCHUR_INVERSES_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=SCHUR_INVERSES_CACHE_SIZE)
-def _schur_inverses(field, n: int) -> list:
+def _schur_inverses(field, n: int) -> tuple:
     r = field.p * field.d
-    return [
-        (shape, field.one / schur_element(r, shape, field))
-        for shape in enumerate_all(field.p, field.d, n)
-    ]
+    return tuple(field.one / schur_element(r, shape, field)
+                 for shape in enumerate_all(field.p, field.d, n))
 
 
 def trace(n: int, word, field):
     """The symmetrizing trace: characters weighted by 1/Schur element.
+
+    The word is evaluated once on each evaluation unit of the field
+    (`seminormal.evaluation_units`), and the character of each module
+    is the trace of its block of that value.
 
     On basis monomials this is the coefficient-of-identity form, so it
     vanishes on every monomial with a nonzero L part or a nontrivial
     permutation part.  The field must be semisimple for the expansion
     to exist; a vanishing Schur element raises ZeroDivisionError.
     """
+    weights = iter(_schur_inverses(field, n))
     total = field.zero
-    for shape, weight in _schur_inverses(field, n):
-        total = total + character(shape, word, field) * weight
+    for rep in evaluation_units(field.p, field.d, n, field):
+        value = eval_word(rep, word)
+        for _, lo, hi in rep.blocks:
+            total = total + rows_trace(value, field.zero, lo, hi) \
+                * next(weights)
     return total
 
 
@@ -233,45 +238,58 @@ def flam_eigen_oracle(b, field) -> dict:
     Returns a map shape -> scalar over the matching shapes.
     """
     b = _match_context(field, b)
-    n = sum(b)
     vb = vb_word(b, field.d)
     tb = tb_word(b)
     found = {}
-    for shape in enumerate_all(field.p, field.d, n):
-        rep = build_rep(shape, field)
+    for rep in evaluation_units(field.p, field.d, sum(b), field):
         vmat = eval_word(rep, vb)
-        if shape.composition() != b:
-            if any(vmat):
+        own = []
+        for shape, lo, hi in rep.blocks:
+            if shape.composition() == b:
+                own.append((shape, lo, hi))
+            elif any(vmat[lo:hi]):
                 raise VerificationError(
                     f"v_b does not annihilate the module of shape {shape!r}"
                 )
+        if not own:
             continue
         prod = rows_mul(rows_mul(vmat, eval_word(rep, tb)), vmat)
-        a = next((a for a, row in enumerate(vmat) if row), None)
-        if a is None:
-            raise VerificationError(f"v_b vanishes on its own block {shape!r}")
-        j, x = vmat[a][0]
-        y = dict(prod[a]).get(j, field.zero)
-        try:
-            # a generic x may be a sum, and RatFunc never divides by one
-            scalar = laurent_quotient(y, x) if field.is_generic else y / x
-        except ArithmeticError:
+        # one on the blocks v_b annihilates, so no entry is dropped below
+        scales = [field.one] * rep.dim
+        for shape, lo, hi in own:
+            a = next((a for a in range(lo, hi) if vmat[a]), None)
+            if a is None:
+                raise VerificationError(
+                    f"v_b vanishes on its own block {shape!r}")
+            j, x = vmat[a][0]
+            y = dict(prod[a]).get(j, field.zero)
+            try:
+                # a generic x may be a sum, and RatFunc never divides by one
+                scalar = laurent_quotient(y, x) if field.is_generic \
+                    else y / x
+            except ArithmeticError:
+                raise VerificationError(
+                    f"v_b T_b is not proportional to v_b at shape {shape!r}"
+                ) from None
+            if not scalar:
+                raise VerificationError(f"zero eigenvalue at shape {shape!r}")
+            expected = 1
+            for t in range(1, field.p + 1):
+                expected *= count_std(
+                    Multipartition(1, field.d, shape.block(t)))
+            if rows_rank(vmat[lo:hi], field.zero) != expected:
+                raise VerificationError(
+                    f"rank of v_b is off at shape {shape!r}")
+            scales[lo:hi] = [scalar] * (hi - lo)
+            found[shape] = scalar
+        # the whole value: every position, those where v_b is zero and
+        # those off the blocks included
+        expect = rows_scale_cols(vmat, scales)
+        if prod != expect:
+            a = next(a for a, row in enumerate(prod) if row != expect[a])
             raise VerificationError(
-                f"v_b T_b is not proportional to v_b at shape {shape!r}"
-            ) from None
-        if not scalar:
-            raise VerificationError(f"zero eigenvalue at shape {shape!r}")
-        # rows compare every position, those where v_b is zero included
-        if prod != rows_scale_cols(vmat, [scalar] * rep.dim):
-            raise VerificationError(
-                f"v_b T_b is not proportional to v_b at shape {shape!r}"
-            )
-        expected = 1
-        for t in range(1, field.p + 1):
-            expected *= count_std(Multipartition(1, field.d, shape.block(t)))
-        if mat_rank(rows_dense(vmat, field.zero)) != expected:
-            raise VerificationError(f"rank of v_b is off at shape {shape!r}")
-        found[shape] = scalar
+                f"v_b T_b is not proportional to v_b at shape "
+                f"{rep.shape_at(a)!r}")
     return found
 
 

@@ -6,8 +6,8 @@ never stored.  So two matrices are equal exactly when their rows are
 (``==``), a zero row costs nothing, and products, column scalings and
 traces touch only the stored entries.  Entries are elements of a
 field, so only a zero factor or a sum that cancels makes a zero, and
-only those are dropped.  Rank and solving run on dense rows
-(`rows_dense`) by one elimination that does not divide.
+only those are dropped.  Rank and solving run on dense rows by one
+elimination that does not divide.
 """
 
 
@@ -42,26 +42,31 @@ def rows_scale_cols(A, d) -> tuple:
     return tuple(tuple((j, x * d[j]) for j, x in row if d[j]) for row in A)
 
 
-def rows_trace(A, zero):
-    """The sum of the diagonal in increasing order, `zero` standing for an
-    entry that is not stored."""
-    diag = [next((x for j, x in row if j == a), zero)
-            for a, row in enumerate(A)]
+def rows_trace(A, zero, lo=0, hi=None):
+    """The sum of the diagonal entries lo..hi-1 (all of them by default)
+    in increasing order, `zero` standing for an entry that is not
+    stored."""
+    diag = [next((x for j, x in A[a] if j == a), zero)
+            for a in range(lo, len(A) if hi is None else hi)]
     acc = diag[0]
     for x in diag[1:]:
         acc = acc + x
     return acc
 
 
-def rows_dense(A, zero) -> tuple:
-    """The dense matrix with the given sparse rows, `zero` elsewhere."""
-    out = []
+def rows_rank(A, zero) -> int:
+    """The rank of sparse rows of any width and number: one elimination
+    over the dense rows of the columns that hold an entry, `zero` in
+    the gaps, since a column without one adds nothing to the rank."""
+    cols = {j: c for c, j in enumerate(sorted({j for row in A
+                                                for j, _ in row}))}
+    rows = []
     for row in A:
-        dense = [zero] * len(A)
+        dense = [zero] * len(cols)
         for j, x in row:
-            dense[j] = x
-        out.append(tuple(dense))
-    return tuple(out)
+            dense[cols[j]] = x
+        rows.append(dense)
+    return len(_echelon(rows))
 
 
 def _echelon(rows: list) -> list:
@@ -83,10 +88,6 @@ def _echelon(rows: list) -> list:
                 rows[i] = [pv * x - a * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
     return pivots
-
-
-def mat_rank(A) -> int:
-    return len(_echelon([list(r) for r in A]))
 
 
 def mat_solve(A, b) -> list:

@@ -17,25 +17,33 @@ from functools import lru_cache
 from random import Random
 
 from .combin import Multipartition, enumerate_all
-from .exactnum import GenericField, sample_point
+from .exactnum import GenericField, PoleError, sample_point
 from .matrices import rows_diag, rows_mul, rows_scale_cols, rows_trace
 from .tableau import (_content_value, beta_coeff, content_exponents,
                       count_std, enumerate_std)
 
 
 class SeminormalRep:
-    """Exact seminormal action of T_0..T_{n-1} and L_1..L_n on one Specht
-    module.
+    """Exact seminormal action of T_0..T_{n-1} and L_1..L_n on the direct
+    sum of the Specht modules of a tuple of shapes, all of one size n.
 
-    What depends only on the shape is computed once per process and
+    The modules lie end to end: `blocks` lists each shape with the
+    indices lo <= a < hi of its basis tableaux, and every generator is
+    block diagonal, so the value of a word is its values on the modules
+    laid along the diagonal.  One shape is the module itself
+    (`build_rep`).
+
+    What depends only on a shape is computed once per process and
     shared by the reps over every field (`_shape_skeleton`, LRU,
-    SHAPE_CACHE_SIZE shapes): the basis of standard tableaux, a tuple;
-    the exponents of every content; and, for each T_i, which basis
-    tableau the swap of i and i+1 lands on.  A rep computes the values
-    over its field: the contents (one memo per field and exponents, as
-    `tableau.content` reads it), the seminormal ratios from them
-    (`tableau.beta_coeff`), which raises PoleError when two contents
-    collide, and the check that T_k L_k T_k = q L_{k+1}.
+    SHAPE_CACHE_SIZE shapes): the basis of standard tableaux; the
+    exponents of every content; and, for each T_i, which basis tableau
+    the swap of i and i+1 lands on.  A rep lays those out end to end
+    and computes the values over its field: the contents (one memo per
+    field and exponents, as `tableau.content` reads it), the seminormal
+    ratios from them (`tableau.beta_coeff`), which raises PoleError when
+    two contents collide, and the check that T_k L_k T_k = q L_{k+1}.
+    Both checks cover every block, and a failure names the shape of its
+    block.
 
     L_k is stored as its diagonal, the k-th contents of the basis
     tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
@@ -52,43 +60,68 @@ class SeminormalRep:
     stores.  Building a rep adds nothing to that memo.
     """
 
-    def __init__(self, shape: Multipartition, field):
-        if (shape.p, shape.d) != (field.p, field.d):
-            raise ValueError("shape and field have different (p, d) context")
-        self.shape = shape
+    def __init__(self, shapes: tuple, field):
+        self.shapes = tuple(shapes)
+        if not self.shapes:
+            raise ValueError("a rep needs at least one shape")
+        self.n = self.shapes[0].size
+        for shape in self.shapes:
+            if (shape.p, shape.d) != (field.p, field.d):
+                raise ValueError(
+                    "shape and field have different (p, d) context")
+            if shape.size != self.n:
+                raise ValueError("the shapes of a rep differ in size")
         self.field = field
-        self.basis, exponents, swaps = _shape_skeleton(shape)
+        basis, offsets = [], [0]
+        ldiag = [[] for _ in range(self.n)]
+        # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
+        # with i and i+1 swapped when that one is standard; zeros dropped
+        trows = [[] for _ in range(1, self.n)]
+        for shape in self.shapes:
+            block, exponents, swaps = _shape_skeleton(shape)
+            lo = offsets[-1]
+            contents = [[_content_value(field, *e) for e in row]
+                        for row in exponents]
+            try:
+                for i, rows in enumerate(trows, start=1):
+                    c, cp = contents[i - 1], contents[i]
+                    for a, b in enumerate(swaps[i - 1]):
+                        bc = beta_coeff(c[a], cp[a], field)
+                        row = [(lo + a, bc)]
+                        if b is not None:
+                            row.append((lo + b, field.one + bc))
+                        rows.append(
+                            tuple(sorted((j, x) for j, x in row if x)))
+            except PoleError as exc:
+                raise PoleError(f"{exc} on {shape!r}") from None
+            for diag, row in zip(ldiag, contents):
+                diag.extend(row)
+            basis.extend(block)
+            offsets.append(lo + len(block))
+        self.basis = tuple(basis)
         self.dim = len(self.basis)
-        self.n = shape.size
-
-        self.ldiag = [tuple(_content_value(field, *e) for e in row)
-                      for row in exponents]
+        self.blocks = tuple(zip(self.shapes, offsets, offsets[1:]))
+        self.ldiag = [tuple(diag) for diag in ldiag]
+        self.trows = {i: tuple(rows) for i, rows in enumerate(trows, start=1)}
         # ladder diagonals L_k - eps^s Q_i by (k, s mod p, i), filled by
         # ladder_diagonal
         self._ladders = {}
 
-        # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
-        # with i and i+1 swapped when that one is standard; zeros dropped
-        self.trows = {}
-        for i in range(1, self.n):
-            c, cp = self.ldiag[i - 1], self.ldiag[i]
-            rows = []
-            for a, b in enumerate(swaps[i - 1]):
-                bc = beta_coeff(c[a], cp[a], field)
-                row = [(a, bc)]
-                if b is not None:
-                    row.append((b, field.one + bc))
-                rows.append(tuple(sorted((j, x) for j, x in row if x)))
-            self.trows[i] = tuple(rows)
-
         # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents;
         # evaluated past the word memo, which would keep words used once
         for k in range(1, self.n):
-            if _eval_word(self, [("T", k), ("L", k), ("T", k)]) \
-                    != _eval_word(self, [("scal", field.q), ("L", k + 1)]):
+            lhs = _eval_word(self, [("T", k), ("L", k), ("T", k)])
+            rhs = _eval_word(self, [("scal", field.q), ("L", k + 1)])
+            if lhs != rhs:
+                a = next((a for a, (x, y) in enumerate(zip(lhs, rhs))
+                          if x != y), 0)
                 raise RuntimeError(
                     f"internal: L_{k + 1} recursion disagrees with contents "
-                    f"on {shape!r}")
+                    f"on {self.shape_at(a)!r}")
+
+    def shape_at(self, a: int):
+        """The shape of the block that holds basis index a."""
+        return next(shape for shape, lo, hi in self.blocks if lo <= a < hi)
 
     def l_diagonal(self, k: int) -> tuple:
         """The diagonal of L_k: the k-th contents of the basis tableaux."""
@@ -146,20 +179,35 @@ class SeminormalRep:
 # criteria build reps of 235 shapes and a benchmark pass of 86
 SHAPE_CACHE_SIZE = 512
 
-# reps are keyed by sampled points, so the cache is bounded; one pass of
-# the random-mode checks over a (p, d, n) grid touches a few hundred
+# one module per entry.  Over the generic field every verdict reads the
+# module of each shape, and the next verdict reads them all again: 315
+# shapes at (p, d, n) = (3, 2, 4).  At a point they serve check_relations
+# (seminormal-check, criterion 1), which builds each module once.
 REP_CACHE_SIZE = 1024
+
+# at a point a word is evaluated on direct sums of consecutive shapes of
+# at most UNIT_DIM basis tableaux each (a larger shape alone), since its
+# value is built a whole sum at a time: one sum of all 2,700 tableaux of
+# (3, 2, 4) raised the peak RSS of `verify pleftmult --b [2,1,1] --d 2
+# --mode random` from 40.5 to 43.6 MB, while sums of 256 took 37.6 MB.
+# Every cell of the points workload is one sum; (3, 2, 3) is two.
+UNIT_DIM = 256
+
+# an entry holds every module of one cell at one point, 5.0 MB at
+# (3, 2, 4) with all its ladders; a verdict reads the 3 points of
+# mode_fields and the next verdict at the cell reads them again
+UNITS_CACHE_SIZE = 16
 
 # a point has at most p*d*(2n - 1) contents and p*d parameters, so a few
 # hundred ladder entries; the memo holds those of some dozens of points
 LADDER_ENTRY_CACHE_SIZE = 16384
 
-# one verdict evaluates two words on every module at 3 points, and the
-# next pivot repeats the first of them, so the memo must hold one such
-# sweep or LRU evicts each value just before its reuse: 2 * 3 * 98 = 588
-# words on the largest desk cell, (p, d, n) = (3, 2, 3).  A memo without
-# a bound costs more peak memory than the benchmark allows.
-WORD_CACHE_SIZE = 1024
+# a key is one unit and one word, so a verdict at 3 points makes 2 * 3
+# keys per unit, and the next pivot repeats the first of them.  Measured
+# sweep: a pass of the points workload at seed 11 makes 189 keys and
+# keeps all 303 of its repeats with a bound of 128 or more (284 at 64);
+# criterion 3 keeps all 495 at 32.  A value is at most one unit.
+WORD_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
@@ -191,7 +239,22 @@ def _ladder_entry(field, c, root):
 
 @lru_cache(maxsize=REP_CACHE_SIZE)
 def _cached_rep(shape: Multipartition, field) -> SeminormalRep:
-    return SeminormalRep(shape, field)
+    return SeminormalRep((shape,), field)
+
+
+@lru_cache(maxsize=UNITS_CACHE_SIZE, typed=True)
+def _cached_units(p, d, n, field) -> tuple:
+    # keyed by three ints, which hash at every lookup where 98 shapes
+    # would; typed, so d=True reaches enumerate_all and is refused
+    groups, size = [], UNIT_DIM
+    for shape in enumerate_all(p, d, n):
+        dim = count_std(shape)
+        if size + dim > UNIT_DIM:
+            groups.append([])
+            size = 0
+        groups[-1].append(shape)
+        size += dim
+    return tuple(SeminormalRep(group, field) for group in groups)
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -202,6 +265,26 @@ def _memo_word(rep: SeminormalRep, key: tuple) -> tuple:
 def build_rep(shape: Multipartition, field) -> SeminormalRep:
     """The seminormal model of the shape over the field, cached (LRU)."""
     return _cached_rep(shape, field)
+
+
+def evaluation_units(p, d, n, field) -> tuple:
+    """The reps whose blocks are the modules of all (p*d)-multipartitions
+    of n over the field, in `enumerate_all` order: a word evaluated once
+    on each of them is known on every module.
+
+    At a point they are direct sums of consecutive shapes, at most
+    UNIT_DIM basis tableaux each (a larger shape alone), built once per
+    cell and point (LRU, UNITS_CACHE_SIZE entries): every cell of the
+    points workload is one sum, so a word is evaluated once per point.
+    Over the generic field each shape stays its own rep (`build_rep`).
+    """
+    # a generic direct sum held whole symbolic values of every module at
+    # once: `verify changing --b [2,1,1] --d 2 --mode symbolic` went
+    # 18.6 -> 27.0 s and its peak RSS 64.8 -> 113.6 MB
+    if field.is_generic:
+        return tuple(build_rep(shape, field)
+                     for shape in enumerate_all(p, d, n))
+    return _cached_units(p, d, n, field)
 
 
 def _relations(field, n: int) -> list:
@@ -245,8 +328,8 @@ def _scalar_token(field, value):
 def eval_word(rep: SeminormalRep, word) -> tuple:
     """Evaluate a token word as the product of its factors, left to right.
 
-    The tokens, and their cost on a module of dimension n, given m
-    stored nonzeros in the product so far:
+    The tokens, and their cost on a rep of dimension n (one module or a
+    direct sum of them), given m stored nonzeros in the product so far:
 
     * ``("T", i)`` for i >= 1: the generator T_i, as sparse rows with at
       most two nonzeros each, applied by a sparse x sparse product, at
@@ -372,12 +455,16 @@ def element_equal(p, d, n, w1, w2, points=None) -> bool:
     """Equality in the algebra via the direct sum of all modules, over
     each field of `points` (a `mode_fields` list; None: its auto rule).
 
+    At a separated semisimple point the algebra is the direct sum of the
+    endomorphism rings of the Specht modules, so that sum is faithful.
+    Each word is evaluated once per evaluation unit (`evaluation_units`:
+    a direct sum of modules at a point, one module over the generic
+    field), and the two values are compared whole, off-block positions
+    included.
     Over the generic field it is a proof, at sampled points a check there.
     """
-    shapes = enumerate_all(p, d, n)
     for field in mode_fields(p, d, n, points=points):
-        for shape in shapes:
-            rep = build_rep(shape, field)
+        for rep in evaluation_units(p, d, n, field):
             if eval_word(rep, w1) != eval_word(rep, w2):
                 return False
     return True

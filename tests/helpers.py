@@ -39,7 +39,6 @@ from cyclohecke.exactnum import (
     eps_pow,
     laurent_to_json,
 )
-from cyclohecke.matrices import rows_dense
 from cyclohecke.scalars import _exponents, hook
 from cyclohecke.seminormal import eval_word
 from cyclohecke.tableau import StandardTableau
@@ -97,6 +96,17 @@ def mat_diag(entries, zero) -> tuple:
 def mat_rows(A) -> tuple:
     """The sparse rows of A: row i as its (column, entry) pairs, zeros left out."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in A)
+
+
+def rows_dense(A, zero) -> tuple:
+    """The dense square matrix with the given sparse rows, `zero` elsewhere."""
+    out = []
+    for row in A:
+        dense = [zero] * len(A)
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def mat_identity(rep) -> tuple:

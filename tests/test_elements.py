@@ -40,9 +40,11 @@ from cyclohecke.exactnum import (
 )
 from cyclohecke.scalars import f_lambda_closed
 from cyclohecke.seminormal import (
+    SeminormalRep,
     build_rep,
     element_equal,
     eval_word,
+    evaluation_units,
     mode_fields,
 )
 from cyclohecke.tableau import count_std
@@ -337,8 +339,11 @@ def test_flam_oracle_generic_matches_closed_formula(p, d, n):
 
 def test_flam_oracle_generic_rejects_an_inexact_quotient(monkeypatch):
     # the entry of v_b T_b v_b that the scalar is read from gains a pole
-    # at q = Q_1, so it no longer divides by the entry of v_b there
+    # at q = Q_1, so it no longer divides by the entry of v_b there.
+    # Over the generic field every shape is its own evaluation unit, so
+    # the products come in pairs, one pair per shape that v_b keeps.
     field = GenericField(2, 1)
+    assert len(evaluation_units(2, 1, 2, field)) == len(enumerate_all(2, 1, 2))
     product = elements.rows_mul
     quotient = elements.laurent_quotient
     calls, inexact = [], []
@@ -348,7 +353,7 @@ def test_flam_oracle_generic_rejects_an_inexact_quotient(monkeypatch):
         calls.append(B)
         if len(calls) % 2:
             return out
-        # the second product of a shape ends with v_b itself, B
+        # the second product of a unit ends with v_b itself, B
         a = next(a for a, row in enumerate(B) if row)
         j = B[a][0][0]
         entries = dict(out[a])
@@ -367,6 +372,7 @@ def test_flam_oracle_generic_rejects_an_inexact_quotient(monkeypatch):
     monkeypatch.setattr(elements, "laurent_quotient", recording)
     with pytest.raises(VerificationError, match="not proportional"):
         flam_eigen_oracle((1, 1), field)
+    assert len(calls) == 2
     assert len(inexact) == 1
 
 
@@ -389,27 +395,67 @@ def test_flam_oracle_rejects_a_product_out_of_proportion(monkeypatch):
 
 def test_flam_oracle_checks_where_v_b_is_zero(monkeypatch):
     # v_b T_b v_b gains one nonzero entry at one position where v_b is
-    # zero; a check over the stored entries of v_b alone would pass it
+    # zero: inside the block of a shape v_b keeps, then off every block
+    # of the direct sum.  A check over the stored entries of v_b alone,
+    # or over each block's own columns, would pass it.
+    point = sample_point(2, 1, 3, Random(4))
+    (rep,) = evaluation_units(2, 1, 3, point)
+    own = [(lo, hi) for shape, lo, hi in rep.blocks
+           if shape.composition() == (2, 1)]
     product = elements.rows_mul
-    calls = []
+    for off_block in (False, True):
+        calls, injected = [], []
 
-    def patched(A, B):
-        out = product(A, B)
-        calls.append(B)
-        if len(calls) % 2:
-            return out
-        # the second product of a shape ends with v_b itself, B
-        a, j = next((a, j) for a, row in enumerate(B)
-                    for j in range(len(B)) if j not in dict(row))
-        assert j not in dict(out[a])
-        x = next(x for row in B for _, x in row)
-        patched_row = tuple(sorted(out[a] + ((j, x),)))
-        return out[:a] + (patched_row,) + out[a + 1:]
+        def patched(A, B):
+            out = product(A, B)
+            calls.append(B)
+            if len(calls) % 2:
+                return out
+            # the second product ends with v_b itself, B
+            a, j = next((a, j) for lo, hi in own for a in range(lo, hi)
+                        for j in range(rep.dim)
+                        if j not in dict(B[a]) and (lo <= j < hi) != off_block)
+            assert j not in dict(out[a])
+            injected.append((a, j))
+            x = next(x for row in B for _, x in row)
+            patched_row = tuple(sorted(out[a] + ((j, x),)))
+            return out[:a] + (patched_row,) + out[a + 1:]
 
-    monkeypatch.setattr(elements, "rows_mul", patched)
-    with pytest.raises(VerificationError, match="not proportional"):
-        flam_eigen_oracle((2, 1), sample_point(2, 1, 3, Random(4)))
-    assert len(calls) == 2
+        with monkeypatch.context() as m:
+            m.setattr(elements, "rows_mul", patched)
+            with pytest.raises(VerificationError, match="not proportional"):
+                flam_eigen_oracle((2, 1), point)
+        assert len(calls) == 2
+        (a, j), = injected
+        block = next((lo, hi) for lo, hi in own if lo <= a < hi)
+        assert (block[0] <= j < block[1]) != off_block
+
+
+def test_flam_oracle_rejects_a_v_b_of_the_wrong_rank(monkeypatch):
+    # P T_b^-1, with P the projection on the modules of composition b,
+    # passes every check of the oracle but the rank: it is zero on the
+    # other modules, and (P T_b^-1) T_b (P T_b^-1) = P T_b^-1, scalar 1.
+    # Its rank is the dimension of each module, 3 for the shapes of
+    # b = (2, 1), where v_b has rank 1.
+    point = sample_point(2, 1, 3, Random(4))
+    b = (2, 1)
+    vb = vb_word(b, 1)
+    qinv = point.q_power(-1)
+    tb_inverse = [item for _, i in reversed(tb_word(b))
+                  for item in (("scal", qinv), ("Tshift", i, 1 - point.q))]
+    real = elements.eval_word
+
+    def patched(rep, word):
+        if word != vb:
+            return real(rep, word)
+        value = real(rep, tb_inverse)
+        keep = [shape.composition() == b
+                for shape, lo, hi in rep.blocks for _ in range(lo, hi)]
+        return tuple(row if k else () for row, k in zip(value, keep))
+
+    monkeypatch.setattr(elements, "eval_word", patched)
+    with pytest.raises(VerificationError, match="rank of v_b is off"):
+        flam_eigen_oracle(b, point)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +502,30 @@ def test_comparison_l_monomials_vanish():
             assert value == base
         else:
             assert value == point.zero
+
+
+def test_comparison_fails_on_a_nonzero_trace_off_the_identity(monkeypatch):
+    # one row of T_2 doubled on the module ((2), (1)), inside the one
+    # direct sum at a point.  The identity monomial compares a trace with
+    # itself, so only the monomial T_1 can fail, and its trace is now
+    # nonzero; a check of the identity monomial alone would pass.
+    point = sample_point(2, 1, 3, Random(3))
+    b = (2, 1)
+    (rep,) = evaluation_units(2, 1, 3, point)
+    corrupt = SeminormalRep(rep.shapes, point)
+    lo = next(lo for shape, lo, _ in rep.blocks
+              if shape == mp(2, 1, [(2,), (1,)]))
+    rows = list(corrupt.trows[2])
+    rows[lo] = tuple((j, 2 * x) for j, x in rows[lo])
+    corrupt.trows = dict(corrupt.trows)
+    corrupt.trows[2] = tuple(rows)
+    monkeypatch.setattr(elements, "evaluation_units",
+                        lambda p, d, n, field: [corrupt])
+    vb, tb = vb_word(b, 1), tb_word(b)
+    (h,) = [h for h in tensor_basis(1, b) if not is_identity_monomial(h)]
+    assert theta_word(h, b) == [("T", 1)]
+    assert trace(3, vb + theta_word(h, b) + tb, point) != point.zero
+    assert not verify_comparison(b, 1, points=[point])
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ from cyclohecke.exactnum import (
     ratfunc_to_json,
     sample_point,
 )
-from cyclohecke.matrices import mat_rank, rows_mul
+from cyclohecke.matrices import rows_mul, rows_rank
 
 from helpers import (
     RatFuncField,
     RefRatFunc,
+    mat_rows,
     monomial,
     multiply_out_by_products,
     reference_json,
@@ -503,12 +504,15 @@ def test_semisimple_rejects_root_of_unity_q():
 
 
 def test_sample_point_is_separated_and_semisimple():
-    rng = random.Random(7)
-    for p, dim, n in ((2, 1, 3), (3, 2, 3), (4, 2, 2)):
-        pt = sample_point(p, dim, n, rng)
-        assert pt.p == p and pt.d == dim
-        assert is_separated(pt, n)
-        assert is_semisimple(pt, n)
+    # on a narrow range many draws have Q_i = q^k Q_j and must be
+    # rejected, so a sampler that skipped either test would return some
+    for p, dim, n in ((2, 1, 3), (3, 2, 3), (4, 2, 2), (2, 2, 3), (3, 2, 2)):
+        for lo, hi in ((2, 5), (2, 10 ** 6)):
+            for seed in range(40):
+                pt = sample_point(p, dim, n, random.Random(seed), lo, hi)
+                assert pt.p == p and pt.d == dim
+                assert is_separated(pt, n), (p, dim, n, seed, pt.to_json())
+                assert is_semisimple(pt, n), (p, dim, n, seed, pt.to_json())
 
 
 def test_sample_point_deterministic():
@@ -930,10 +934,16 @@ def test_division_free_rank_of_a_generic_matrix():
     r1 = [a, V.Q(1) + V.one, V.q_power(2)]
     r2 = [V.q + V.Q(1), V.one, V.q * a]
     r3 = [a * x + c * y for x, y in zip(r1, r2)]
-    assert mat_rank([r1, r2, r3]) == 2
-    assert mat_rank([r1, r2, [x + V.one for x in r3]]) == 3
-    assert mat_rank([r1, [a * x for x in r1]]) == 1
-    assert mat_rank([[V.zero] * 3] * 2) == 0
+    assert rows_rank(mat_rows([r1, r2, r3]), V.zero) == 2
+    assert rows_rank(mat_rows([r1, r2, [x + V.one for x in r3]]),
+                     V.zero) == 3
+    assert rows_rank(mat_rows([r1, [a * x for x in r1]]), V.zero) == 1
+    assert rows_rank(mat_rows([[V.zero] * 3] * 2), V.zero) == 0
+    # rows of a block of a wider matrix: only the columns that hold an
+    # entry are eliminated, and none of the entries is left out
+    wide = (((4, a), (9, V.one)), ((4, a * a), (9, a)), ((7, c),))
+    assert rows_rank(wide, V.zero) == 2
+    assert rows_rank(wide[:1] + (((4, a), (9, V.one + c)),), V.zero) == 2
 
 
 # ---------------------------------------------------------------------------

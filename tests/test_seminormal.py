@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from cyclohecke.exactnum import (
     sample_point,
 )
 from cyclohecke.matrices import (
-    rows_dense,
     rows_diag,
     rows_mul,
     rows_scale_cols,
@@ -24,6 +24,7 @@ from cyclohecke.matrices import (
 )
 from cyclohecke.seminormal import (
     REP_CACHE_SIZE,
+    UNIT_DIM,
     WORD_CACHE_SIZE,
     SeminormalRep,
     build_rep,
@@ -31,11 +32,13 @@ from cyclohecke.seminormal import (
     check_relations,
     element_equal,
     eval_word,
+    evaluation_units,
     mode_fields,
 )
 from cyclohecke.tableau import beta_coeff, content, enumerate_std
 
 from helpers import (
+    FractionPoint,
     RatFuncField,
     eval_dense,
     eval_sum,
@@ -46,6 +49,7 @@ from helpers import (
     mat_rows,
     mat_scale,
     reference_json,
+    rows_dense,
     t_inverse,
 )
 
@@ -83,21 +87,38 @@ def test_l1_diagonal_of_contents():
 def test_context_mismatch():
     with pytest.raises(ValueError):
         build_rep(mp(2, 1, [(1,), (1,)]), generic_field(3, 1))
+    # a direct sum needs shapes, all of one size
+    with pytest.raises(ValueError, match="at least one shape"):
+        SeminormalRep((), K21)
+    with pytest.raises(ValueError, match="differ in size"):
+        SeminormalRep((mp(2, 1, [(1,), (1,)]), mp(2, 1, [(1,), ()])), K21)
 
 
 def test_reps_over_two_points_share_the_shape_skeleton():
+    # one module and the direct sum of all of (2, 1, 3): the basis is
+    # the shapes' cached tableaux laid end to end, the same objects over
+    # both points, while the contents belong to each point
     rng = random.Random(5)
-    shape = mp(2, 1, [(2,), (1,)])
     one, two = sample_point(2, 1, 3, rng), sample_point(2, 1, 3, rng)
-    rep_one, rep_two = SeminormalRep(shape, one), SeminormalRep(shape, two)
-    assert isinstance(rep_one.basis, tuple)
-    assert rep_one.basis is rep_two.basis
-    assert rep_one.basis == tuple(enumerate_std(shape))
-    assert rep_one.l_diagonal(2) != rep_two.l_diagonal(2)
-    for rep in (rep_one, rep_two):
-        for k in (1, 2, 3):
-            assert rep.l_diagonal(k) == tuple(
-                content(s, k, rep.field) for s in rep.basis)
+    for shapes in ((mp(2, 1, [(2,), (1,)]),), tuple(enumerate_all(2, 1, 3))):
+        rep_one, rep_two = SeminormalRep(shapes, one), SeminormalRep(
+            shapes, two)
+        assert isinstance(rep_one.basis, tuple)
+        assert all(s is t for s, t in zip(rep_one.basis, rep_two.basis))
+        assert rep_one.basis == tuple(
+            s for shape in shapes for s in enumerate_std(shape))
+        lo = 0
+        for (shape, start, hi), block in zip(
+                rep_one.blocks, (enumerate_std(s) for s in shapes)):
+            assert (start, hi) == (lo, lo + len(block))
+            assert shape in shapes
+            lo = hi
+        assert lo == rep_one.dim == len(rep_one.basis)
+        assert rep_one.l_diagonal(2) != rep_two.l_diagonal(2)
+        for rep in (rep_one, rep_two):
+            for k in (1, 2, 3):
+                assert rep.l_diagonal(k) == tuple(
+                    content(s, k, rep.field) for s in rep.basis)
 
 
 def _corrupt_contents(monkeypatch, field, exponents):
@@ -123,11 +144,34 @@ def test_a_shared_skeleton_still_checks_each_field(monkeypatch, exponents,
     rng = random.Random(5)
     shape = mp(2, 1, [(2,), ()])
     first, second = sample_point(2, 1, 2, rng), sample_point(2, 1, 2, rng)
-    SeminormalRep(shape, first)
+    SeminormalRep((shape,), first)
     _corrupt_contents(monkeypatch, second, exponents)
     with pytest.raises(error):
-        SeminormalRep(shape, second)
-    assert check_relations(SeminormalRep(shape, first)) == []
+        SeminormalRep((shape,), second)
+    assert check_relations(SeminormalRep((shape,), first)) == []
+
+
+@pytest.mark.parametrize("exponents, error", [
+    (lambda e, h, c: (e, 2 * h, c), RuntimeError),
+    (lambda e, h, c: (e, 0, c), PoleError),
+])
+def test_a_direct_sum_names_the_shape_that_fails(monkeypatch, exponents,
+                                                 error):
+    # both checks cover every block of a direct sum: it fails as the
+    # first of its shapes fails when built alone, and names that shape
+    rng = random.Random(5)
+    point = sample_point(2, 1, 2, rng)
+    shapes = tuple(enumerate_all(2, 1, 2))
+    _corrupt_contents(monkeypatch, point, exponents)
+    failing = []
+    for shape in shapes:
+        try:
+            SeminormalRep((shape,), point)
+        except error:
+            failing.append(shape)
+    assert failing
+    with pytest.raises(error, match=re.escape(repr(failing[0]))):
+        SeminormalRep(shapes, point)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +220,7 @@ def test_relations_at_points():
 
 def test_corrupted_t0_fails_cyclotomic():
     base = build_rep(mp(2, 1, [(1,), (1,)]), K21)
-    corrupt = SeminormalRep(base.shape, base.field)
+    corrupt = SeminormalRep(base.shapes, base.field)
     corrupt.ldiag = list(base.ldiag)
     corrupt.ldiag[0] = tuple(c + K21.one for c in base.ldiag[0])
     report = check_relations(corrupt)
@@ -189,7 +233,7 @@ def test_corrupted_t0_fails_cyclotomic_at_a_point():
     pt = sample_point(2, 1, 2, random.Random(9))
     base = build_rep(mp(2, 1, [(1,), (1,)]), pt)
     assert check_relations(base) == []
-    corrupt = SeminormalRep(base.shape, base.field)
+    corrupt = SeminormalRep(base.shapes, base.field)
     corrupt.ldiag = list(base.ldiag)
     corrupt.ldiag[0] = tuple(c + pt.one for c in base.ldiag[0])
     report = check_relations(corrupt)
@@ -200,7 +244,7 @@ def test_corrupted_t0_fails_cyclotomic_at_a_point():
 def test_corrupted_t1_row_fails_quadratic():
     for field in (K21, sample_point(2, 1, 3, random.Random(11))):
         base = build_rep(mp(2, 1, [(2,), (1,)]), field)
-        corrupt = SeminormalRep(base.shape, base.field)
+        corrupt = SeminormalRep(base.shapes, base.field)
         rows = list(base.t_rows(1))
         rows[0] = tuple((j, 2 * x) for j, x in rows[0])
         corrupt.trows = dict(base.trows)
@@ -280,15 +324,20 @@ def test_quadratic_product_stores_no_entry(field):
             assert got == ((),) * rep.dim, (shape, i)
 
 
+def _basis(rep):
+    """The standard tableaux of the rep's shapes, in block order."""
+    return [s for shape in rep.shapes for s in enumerate_std(shape)]
+
+
 def _contents(rep, k):
-    return [content(s, k, rep.field) for s in enumerate_std(rep.shape)]
+    return [content(s, k, rep.field) for s in _basis(rep)]
 
 
 def _dense_t(rep, i):
     """T_i straight from the seminormal formulas, independent of the rep."""
     if i == 0:
         return mat_diag(_contents(rep, 1), rep.field.zero)
-    field, basis = rep.field, enumerate_std(rep.shape)
+    field, basis = rep.field, _basis(rep)
     rows = []
     for s in basis:
         row = [field.zero] * len(basis)
@@ -400,6 +449,54 @@ def test_eval_word_matches_dense_reference(field, n, count):
                         field.zero)
 
 
+@pytest.mark.parametrize("field", [
+    GenericField(2, 1), GenericField(2, 2),
+    sample_point(3, 1, 3, random.Random(40)),
+    sample_point(2, 2, 3, random.Random(41)),
+    FractionPoint(5, [3, 7]),
+], ids=["generic-2-1", "generic-2-2", "point-3-1", "point-2-2", "fraction"])
+def test_direct_sum_blocks_match_reps_built_alone(field):
+    # two independent computations of one word: each block of its value
+    # on the direct sum of all modules against its value on the module of
+    # that shape built alone, columns moved by the block's first index
+    n = 3 if field.d == 1 or not field.is_generic else 2
+    rng = random.Random(43)
+    words = [[], [("T", 0), ("T", 1), ("T", 0), ("T", 1)]]
+    words += [_random_word(rng, field, n, rng.randint(1, 8))
+              for _ in range(8)]
+    shapes = tuple(enumerate_all(field.p, field.d, n))
+    whole = SeminormalRep(shapes, field)
+    alone = [SeminormalRep((shape,), field) for shape in shapes]
+    assert [shape for shape, _, _ in whole.blocks] == list(shapes)
+    for word in words:
+        value = eval_word(whole, word)
+        for (shape, lo, hi), rep in zip(whole.blocks, alone):
+            assert hi - lo == rep.dim
+            assert value[lo:hi] == tuple(
+                tuple((lo + j, x) for j, x in row)
+                for row in eval_word(rep, word)), (shape, word)
+
+
+@pytest.mark.parametrize("field, n, count", [
+    (GenericField(3, 2), 2, 27),
+    (sample_point(2, 2, 3, random.Random(44)), 3, 1),
+    (sample_point(3, 2, 3, random.Random(45)), 3, 2),
+])
+def test_evaluation_units_cover_every_shape_once(field, n, count):
+    # one rep per shape over the generic field; at a point direct sums of
+    # consecutive shapes, at most UNIT_DIM tableaux each unless one shape
+    # alone is larger, kept in one memo entry per cell and point
+    units = evaluation_units(field.p, field.d, n, field)
+    assert len(units) == count
+    assert [shape for rep in units for shape, _, _ in rep.blocks] \
+        == enumerate_all(field.p, field.d, n)
+    if not field.is_generic:
+        assert all(rep.dim <= UNIT_DIM for rep in units)
+        assert sum(rep.dim for rep in units[:2]) > UNIT_DIM or count == 1
+        again = evaluation_units(field.p, field.d, n, field)
+        assert all(a is b for a, b in zip(again, units))
+
+
 @pytest.mark.parametrize("p, d, n, seed", [
     (2, 1, 3, 21), (3, 1, 3, 22), (2, 2, 3, 23),
 ])
@@ -407,7 +504,7 @@ def test_memoized_ladders_match_dense_reference(p, d, n, seed):
     rng = random.Random(seed)
     field = sample_point(p, d, n, rng)
     for shape in enumerate_all(p, d, n):
-        rep = SeminormalRep(shape, field)
+        rep = SeminormalRep((shape,), field)
         for _ in range(3):
             word = _random_word(rng, field, n, rng.randint(1, 6))
             word += [("ladder", rng.randint(1, n), rng.randint(1, p),
@@ -425,8 +522,8 @@ def test_ladder_memo_reads_s_mod_p():
     # s and s + p name one parameter, so they share one memo entry
     for field in (K21, sample_point(3, 2, 2, random.Random(25))):
         p = field.p
-        rep = SeminormalRep(mp(p, field.d, [(2,)] + [()] * (p * field.d - 1)),
-                            field)
+        rep = SeminormalRep(
+            (mp(p, field.d, [(2,)] + [()] * (p * field.d - 1)),), field)
         first = rep.ladder_diagonal(2, 1, 1)
         for s in (1 + p, 1 - p, 1 + 3 * p):
             assert rep.ladder_diagonal(2, s, 1) is first
@@ -438,7 +535,7 @@ def test_ladder_memo_reads_s_mod_p():
 def test_ladder_indices_out_of_range():
     pt = sample_point(2, 2, 3, random.Random(26))
     for field in (GenericField(2, 2), pt):
-        rep = SeminormalRep(mp(2, 2, [(2,), (1,), (), ()]), field)
+        rep = SeminormalRep((mp(2, 2, [(2,), (1,), (), ()]),), field)
         for k, i in ((0, 1), (4, 1), (-1, 1), (1, 0), (1, 3), (1, -1)):
             with pytest.raises(ValueError):
                 rep.ladder_diagonal(k, 1, i)
@@ -449,7 +546,7 @@ def test_ladder_indices_out_of_range():
 
 def test_ladder_memo_fills_over_the_generic_field():
     field = GenericField(2, 2)
-    rep = SeminormalRep(mp(2, 2, [(1,), (1,), (1,), ()]), field)
+    rep = SeminormalRep((mp(2, 2, [(1,), (1,), (1,), ()]),), field)
     cyclotomic = seminormal._relations(field, rep.n)[0][1]
     for k in range(1, rep.n + 1):
         word = [("ladder", k) + item[2:] for item in cyclotomic]
@@ -467,7 +564,7 @@ def test_ladder_memo_fills_over_the_generic_field():
 def test_reps_on_one_point_share_ladder_entries():
     pt = sample_point(2, 1, 3, random.Random(27))
     shape = mp(2, 1, [(2,), (1,)])
-    one, two = SeminormalRep(shape, pt), SeminormalRep(shape, pt)
+    one, two = SeminormalRep((shape,), pt), SeminormalRep((shape,), pt)
     for k in range(1, 4):
         for s in (1, 2):
             a, b = one.ladder_diagonal(k, s, 1), two.ladder_diagonal(k, s, 1)
@@ -598,9 +695,9 @@ def test_word_memo_skips_rep_builds_and_the_generic_field(word_memo):
     for field in (pt, K21):
         # the L-recursion self-check evaluates words once, past the memo
         for shape in enumerate_all(2, 1, 3):
-            SeminormalRep(shape, field)
+            SeminormalRep((shape,), field)
         assert word_memo.cache_info().currsize == 0
-    rep = SeminormalRep(mp(2, 1, [(2,), (1,)]), K21)
+    rep = SeminormalRep((mp(2, 1, [(2,), (1,)]),), K21)
     eval_word(rep, [("T", 1), ("L", 2)])
     assert word_memo.cache_info().currsize == 0
 
@@ -816,4 +913,4 @@ def test_l_recursion_check_trips_on_injected_fault(monkeypatch):
     # the two sides of every recursion check then differ
     monkeypatch.setattr(seminormal, "_eval_word", lambda rep, word: word)
     with pytest.raises(RuntimeError, match="internal: L_2 recursion"):
-        SeminormalRep(mp(2, 1, [(1,), (1,)]), K21)
+        SeminormalRep((mp(2, 1, [(1,), (1,)]),), K21)

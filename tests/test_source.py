@@ -100,7 +100,8 @@ MEMOS = {
     ("combin", "_enumerate_sorted"), ("decomp", "_shift_skeleton"),
     ("elements", "_schur_inverses"), ("exactnum", "_zeta_powers"),
     ("exactnum", "cyclotomic_poly"), ("scalars", "_pair_factor"),
-    ("seminormal", "_cached_rep"), ("seminormal", "_ladder_entry"),
+    ("seminormal", "_cached_rep"), ("seminormal", "_cached_units"),
+    ("seminormal", "_ladder_entry"),
     ("seminormal", "_memo_word"), ("seminormal", "_shape_skeleton"),
     ("tableau", "_content_value"),
 }
@@ -135,7 +136,7 @@ def test_skeleton_memos_are_typed_behind_plain_functions():
     # benchmark tracer times only plain functions, so each memo sits
     # behind the public function it serves
     for memo in (combin._enumerate_sorted, decomp._shift_skeleton,
-                 seminormal._shape_skeleton):
+                 seminormal._shape_skeleton, seminormal._cached_units):
         params = memo.cache_parameters()
         assert params["typed"] and type(params["maxsize"]) is int
     for fn in (combin.enumerate_all, decomp.assemble_matrix,
@@ -193,7 +194,7 @@ def _defs_and_nodes(tree):
 def test_only_exactnum_knows_the_backends():
     # consumers reach a field through the protocol in exactnum's
     # docstring: no private name of exactnum, no isinstance test on a
-    # backend, and is_generic read only at the four sites that say why
+    # backend, and is_generic read only at the five sites that say why
     found, generic = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "exactnum.py":
@@ -213,6 +214,7 @@ def test_only_exactnum_knows_the_backends():
                 generic.add(f"{path.stem}.{owner}")
     assert not found, found
     assert generic == {"seminormal.ladder_diagonal", "seminormal.eval_word",
+                       "seminormal.evaluation_units",
                        "elements.flam_eigen_oracle", "scalars._check_laurent"}
     from cyclohecke import cli, exactnum
     assert not hasattr(exactnum.SpecPoint, "embed")
