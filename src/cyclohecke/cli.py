@@ -733,7 +733,7 @@ def _label_count(p, d, n) -> int:
     A second computation against the assembly, so it shares no memo with
     it: the labels come from `enumerate_pdb` per composition, not from
     the memo behind `enumerate_all`, and the orbits are sets of shifts,
-    not the shift-class skeleton (`decomp._shift_skeleton`).
+    not the shift classes of the assembly plan (`decomp._assembly_plan`).
     """
     total = 0
     seen = set()

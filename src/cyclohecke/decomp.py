@@ -206,7 +206,8 @@ def d_product(la: Multipartition, mu: Multipartition, m: int, tables) -> int:
         raise ValueError("multipartition context mismatch")
     if la.composition() != mu.composition():
         raise ValueError("compositions differ; the pair has no block product")
-    if la.shift(m) != la or mu.shift(m) != mu:
+    # the shifts fixing a multipartition are the multiples of its orbit order
+    if m % la.orbit_order()[0] or m % mu.orbit_order()[0]:
         raise ValueError(f"arguments are not fixed by the block shift by {m}")
     b = la.composition()
     out = 1
@@ -236,12 +237,25 @@ def orbit_sum_bound(la: Multipartition, mu: Multipartition, tables) -> int:
 # --- cyclic-twist system --------------------------------------------------
 
 
+# one entry per order p of the twist solves run without a field, counted
+# by cache_info(): 3 (p = 2, 3, 4) after a benchmark decomp pass and
+# after the desk fixtures
+DEFAULT_POINT_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=DEFAULT_POINT_CACHE_SIZE, typed=True)
+def _default_point(p: int) -> SpecPoint:
+    return SpecPoint(p, p, 1, (1,))
+
+
 def _field_of(la: Multipartition, field):
     """The field the g values of la's pairs are read in.  With none given
     a g ratio is a rational, or a CycRat of order dividing p, and the same
-    constant at every point, so any point of conductor p holds it."""
+    constant at every point, so any point of conductor p holds it; that
+    point is built once per p (`_default_point`, LRU,
+    DEFAULT_POINT_CACHE_SIZE entries), since a point never changes."""
     if field is None:
-        return SpecPoint(la.p, la.p, 1, (1,))
+        return _default_point(la.p)
     if field.p != la.p:
         raise ValueError(f"field has eps of order {field.p}, not {la.p}")
     return field
@@ -429,23 +443,75 @@ def _normalized_reps(items) -> list:
     return reps
 
 
-# two entries per assembled (p, d, n) cell, its rows and its simple
-# labels: 20 for the ten cells of a benchmark pass, each assembled six or
-# twelve times over other tables and points, and 16 for the desk criteria
-SKELETON_CACHE_SIZE = 64
+class _AssemblyPlan(NamedTuple):
+    """What an assembly of one cell computes without the tables or the field.
+
+    rows and cols are the (la, i) and (mu, j) labels.  diagonal holds the
+    positions (ri, ci) of the unit entries, those of the pairs la == mu
+    with i == j.  pairs lists, in visit order, every other pair of
+    representatives of equal composition where la dominates mu, as
+    (la, mu, p_la, p_mu, cells) with cells the ((ri, ci), twist slot) of
+    each (i, j); dominant holds their (la, mu), the dominance verdicts of
+    the audit.  units gives each column ci with the row ri of its label,
+    None when no row has it, where the audit wants a unit entry.
+    """
+
+    rows: tuple
+    cols: tuple
+    diagonal: tuple
+    pairs: tuple
+    dominant: frozenset
+    units: tuple
 
 
-@lru_cache(maxsize=SKELETON_CACHE_SIZE, typed=True)
-def _shift_skeleton(p: int, d: int, n: int, labels) -> tuple:
-    """(closed under the block shift?, `_normalized_reps` order as a
-    tuple) for the labels, or for all (p*d)-multipartitions of n when
-    labels is None.  Nothing here reads the tables or the field, so an
-    assembly computes it once per (p, d, n) and per tuple of simple
-    labels, which must already be checked."""
-    items = enumerate_all(p, d, n) if labels is None else labels
-    pool = set(items)
-    closed = all(la.shift(1) in pool for la in pool)
-    return closed, tuple(_normalized_reps(items))
+# one entry per assembled (p, d, n) cell and tuple of simple labels,
+# counted by cache_info(): 10 after a benchmark decomp pass, whose ten
+# cells are each assembled six or twelve times over other tables and
+# points, and 8 after the desk fixtures; the ten plans of a pass hold
+# about 0.23 MB (tracemalloc)
+PLAN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
+def _assembly_plan(p: int, d: int, n: int, klesh: tuple) -> _AssemblyPlan:
+    """The plan of assembling the (p*d)-multipartitions of n against the
+    simple labels klesh, which must already be checked for context,
+    duplicates and size.  Labels not closed under the block shift raise
+    InputDataError, and a raising call leaves nothing in the memo."""
+    pool = set(klesh)
+    if not all(mu.shift(1) in pool for mu in pool):
+        raise InputDataError("simple labels are not closed under block shift")
+    row_reps = _normalized_reps(enumerate_all(p, d, n))
+    col_reps = _normalized_reps(klesh)
+    rows = tuple((la, i) for la in row_reps
+                 for i in range(1, la.orbit_order()[1] + 1))
+    cols = tuple((mu, j) for mu in col_reps
+                 for j in range(1, mu.orbit_order()[1] + 1))
+    row_pos = {lab: k for k, lab in enumerate(rows)}
+    col_pos = {lab: k for k, lab in enumerate(cols)}
+
+    cols_by_composition = {}
+    for mu in col_reps:
+        cols_by_composition.setdefault(mu.composition(), []).append(mu)
+    diagonal = []
+    pairs = []
+    for la in row_reps:
+        for mu in cols_by_composition.get(la.composition(), ()):
+            _, p_la = la.orbit_order()
+            _, p_mu = mu.orbit_order()
+            if la == mu:
+                diagonal.extend((row_pos[la, i], col_pos[mu, i])
+                                for i in range(1, p_la + 1))
+            elif la.dominates(mu):
+                cells = tuple(((row_pos[la, i], col_pos[mu, j]),
+                               _twist_slot(i, j, p_la, p_mu))
+                              for i in range(1, p_la + 1)
+                              for j in range(1, p_mu + 1))
+                pairs.append((la, mu, p_la, p_mu, cells))
+    return _AssemblyPlan(
+        rows, cols, tuple(diagonal), tuple(pairs),
+        frozenset((la, mu) for la, mu, _, _, _ in pairs),
+        tuple((row_pos.get(lab), ci) for ci, lab in enumerate(cols)))
 
 
 def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
@@ -455,21 +521,24 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     Rows run over (la class representative, i = 1..p_la) for all la of
     size n, columns over (mu, j) for the supplied simple labels, both
     sorted most dominant first.  Only pairs of representatives with equal
-    composition can have a nonzero entry, so only those are visited, each
-    row against its columns in column order.  Splittable entries are
-    computed by the closed-form twist solve, pairs whose orbit sum
-    vanishes are zero, and the rest become named unknowns; when the twist
-    relations apply their residue-class sums are attached as integer
-    linear forms.  g ratios are evaluated at the given specialization
-    point, or symbolically when none is supplied.  Entries are exact
-    integers; reduce_matrix takes them modulo a prime.
+    composition can have a nonzero entry, and of those only the ones
+    where la dominates mu, so only those are visited, each row against
+    its columns in column order.  Splittable entries are computed by the
+    closed-form twist solve, pairs whose orbit sum vanishes are zero, and
+    the rest become named unknowns; when the twist relations apply their
+    residue-class sums are attached as integer linear forms.  g ratios
+    are evaluated at the given specialization point, or symbolically when
+    none is supplied.  Entries are exact integers; reduce_matrix takes
+    them modulo a prime.
 
-    Only the field-free skeleton is shared between calls: the shift
-    classes of the rows, keyed by (p, d, n), and those of the simple
-    labels, keyed by their tuple, come from one bounded memo
-    (`_shift_skeleton`, LRU, SKELETON_CACHE_SIZE entries) once the labels
-    have passed every check; entries, g ratios and the audit are computed
-    afresh for each call.
+    Once the simple labels have passed every check, everything that reads
+    neither the tables nor the field comes from one bounded memo keyed by
+    (p, d, n) and the tuple of simple labels (`_assembly_plan`, LRU,
+    PLAN_CACHE_SIZE entries): the row and column labels and positions,
+    the pairs to visit with the twist slot of each entry, and the
+    dominance verdicts of the audit.  Each call computes the orbit sums,
+    g ratios, twist solves, entries and the audit afresh, in plan order,
+    and builds every list it returns anew.
     """
     if p < 1 or r % p:
         raise ValueError(f"p must divide r, got r={r}, p={p}")
@@ -486,20 +555,10 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     for mu in klesh:
         if mu.size != n:
             raise InputDataError(f"simple label {mu!r} has size {mu.size} != {n}")
-    closed, col_reps = _shift_skeleton(p, d, n, klesh)
-    if not closed:
-        raise InputDataError("simple labels are not closed under block shift")
+    plan = _assembly_plan(p, d, n, klesh)
+    rows, cols = plan.rows, plan.cols
 
-    _, row_reps = _shift_skeleton(p, d, n, None)
-
-    rows = [(la, i) for la in row_reps
-            for i in range(1, la.orbit_order()[1] + 1)]
-    cols = [(mu, j) for mu in col_reps
-            for j in range(1, mu.orbit_order()[1] + 1)]
-    row_pos = {lab: k for k, lab in enumerate(rows)}
-    col_pos = {lab: k for k, lab in enumerate(cols)}
-
-    entries = {}
+    entries = dict.fromkeys(plan.diagonal, 1)
     unknowns = []
     g_cache = {}
 
@@ -508,87 +567,71 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             g_cache[shape] = g_lambda(shape, shape.composition(), field)
         return g_cache[shape]
 
-    cols_by_composition = {}
-    for mu in col_reps:
-        cols_by_composition.setdefault(mu.composition(), []).append(mu)
-
-    for la in row_reps:
-        for mu in cols_by_composition.get(la.composition(), ()):
-            _, p_la = la.orbit_order()
-            _, p_mu = mu.orbit_order()
-            if la == mu:
-                for i in range(1, p_la + 1):
-                    entries[row_pos[la, i], col_pos[mu, i]] = 1
-                continue
-            if not la.dominates(mu):
-                continue
-            if orbit_sum_bound(la, mu, tables) == 0:
-                continue
-            if p_la == p_mu:
-                # the twist solve reads no g ratio at split 1
-                ratio = 1 if p_la == 1 else g_value(la) / g_value(mu)
-                values = split_by_formula(la, mu, tables, ratio, field).values
-                for i in range(1, p_la + 1):
-                    for j in range(1, p_mu + 1):
-                        v = values[_twist_slot(i, j, p_la, p_mu)]
-                        if v:
-                            entries[row_pos[la, i], col_pos[mu, j]] = int(v)
-                continue
-            # Not splittable: entries depend only on (j - i) mod the
-            # common period and stay symbolic; the twist relations pin
-            # residue-class sums when mu is symmetric enough.
-            k = len(unknowns)
-            names = [f"u{k}.{c}"
-                     for c in range(1, math.gcd(p_la, p_mu) + 1)]
-            relations = []
-            twist_names = []
-            if p_mu % p_la == 0:
-                try:
-                    sums = relations_oracle(la, mu, tables,
-                                            (g_value(la), g_value(mu)), field)
-                except NonConstantRatioError:
-                    sums = None
-                if sums is not None:
-                    twist_names = [f"d{k}.{j}" for j in range(1, p_mu + 1)]
-                    rhs = sums.sums if isinstance(sums, ClassSums) else sums.values
-                    for c in range(1, p_la + 1):
-                        terms = [[1, twist_names[j - 1]]
-                                 for j in range(1, p_mu + 1)
-                                 if j % p_la == c % p_la]
-                        relations.append({"terms": terms,
-                                          "rhs": int(rhs[c - 1])})
-            for i in range(1, p_la + 1):
-                for j in range(1, p_mu + 1):
-                    entries[row_pos[la, i], col_pos[mu, j]] = {
-                        "unknown": names[_twist_slot(i, j, p_la, p_mu)]
-                    }
-            unknowns.append({
-                "index": k,
-                "lambda": la.to_json(),
-                "mu": mu.to_json(),
-                "split": p_la,
-                "period": p_mu,
-                "entries": names,
-                "twist_unknowns": twist_names,
-                "relations": relations,
-            })
+    for la, mu, p_la, p_mu, cells in plan.pairs:
+        if orbit_sum_bound(la, mu, tables) == 0:
+            continue
+        if p_la == p_mu:
+            # the twist solve reads no g ratio at split 1
+            ratio = 1 if p_la == 1 else g_value(la) / g_value(mu)
+            values = split_by_formula(la, mu, tables, ratio, field).values
+            for pos, slot in cells:
+                v = values[slot]
+                if v:
+                    entries[pos] = int(v)
+            continue
+        # Not splittable: entries depend only on (j - i) mod the
+        # common period and stay symbolic; the twist relations pin
+        # residue-class sums when mu is symmetric enough.
+        k = len(unknowns)
+        names = [f"u{k}.{c}"
+                 for c in range(1, math.gcd(p_la, p_mu) + 1)]
+        relations = []
+        twist_names = []
+        if p_mu % p_la == 0:
+            try:
+                sums = relations_oracle(la, mu, tables,
+                                        (g_value(la), g_value(mu)), field)
+            except NonConstantRatioError:
+                sums = None
+            if sums is not None:
+                twist_names = [f"d{k}.{j}" for j in range(1, p_mu + 1)]
+                rhs = sums.sums if isinstance(sums, ClassSums) else sums.values
+                for c in range(1, p_la + 1):
+                    terms = [[1, twist_names[j - 1]]
+                             for j in range(1, p_mu + 1)
+                             if j % p_la == c % p_la]
+                    relations.append({"terms": terms,
+                                      "rhs": int(rhs[c - 1])})
+        for pos, slot in cells:
+            entries[pos] = {"unknown": names[slot]}
+        unknowns.append({
+            "index": k,
+            "lambda": la.to_json(),
+            "mu": mu.to_json(),
+            "split": p_la,
+            "period": p_mu,
+            "entries": names,
+            "twist_unknowns": twist_names,
+            "relations": relations,
+        })
 
     # Unitriangularity audit: support on or above the diagonal in the
-    # common dominance-compatible order, with unit diagonal.
+    # common dominance-compatible order, with unit diagonal.  The plan
+    # holds la.dominates(mu) for every pair it visits; any other pair is
+    # asked directly.
     for (ri, ci), v in entries.items():
         la, i = rows[ri]
         mu, j = cols[ci]
         if la == mu:
             if i != j or v != 1:
                 raise InputDataError("diagonal block is not the identity")
-        elif not la.dominates(mu):
+        elif (la, mu) not in plan.dominant and not la.dominates(mu):
             raise InputDataError(
                 f"entry at ({la!r}, {mu!r}) breaks unitriangularity"
             )
-    for mu, j in cols:
-        pos = row_pos.get((mu, j))
-        if pos is None or entries.get((pos, col_pos[mu, j])) != 1:
-            raise InputDataError(f"missing unit diagonal at {(mu, j)!r}")
+    for ri, ci in plan.units:
+        if ri is None or entries.get((ri, ci)) != 1:
+            raise InputDataError(f"missing unit diagonal at {cols[ci]!r}")
 
     out = {
         "r": r,

@@ -50,8 +50,12 @@ def superscripts(i: int, j: int, p: int) -> list:
     """The twist exponents of an LL^(i..j) ladder, reduced mod p.
 
     For i <= j this is i..j; past the end of the cycle it wraps around
-    as 1..j followed by i..p, never containing the missing residue.
+    as 1..j followed by i..p, never containing the missing residue.  A
+    window with j < i holds no twist, such as the p - 1 twists other than
+    t, t+1..t+p-1, at p = 1.
     """
+    if j < i:
+        return []
     i = (i - 1) % p + 1
     j = (j - 1) % p + 1
     if i <= j:

@@ -273,6 +273,27 @@ def test_d_product_validates_arguments():
         d_product(mp(2, 1, [[2], []]), mp(2, 1, [[1], [1]]), 2, tables)
     with pytest.raises(ValueError):
         d_product(mp(2, 1, [[1], []]), mp(2, 1, [[1], []]), 1, tables)
+    # either argument alone not fixed by the shift by m is refused
+    fixed, moved = mp(2, 1, [[2], [2]]), mp(2, 1, [[2], [1, 1]])
+    for la, mu in ((fixed, moved), (moved, fixed)):
+        with pytest.raises(ValueError, match="not fixed"):
+            d_product(la, mu, 1, tables)
+        assert d_product(la, mu, 2, tables) == int(la == mu)
+    half = mp(4, 1, [[1], [2], [1], [2]])
+    tables4 = [semisimple_table(1, m) for m in range(4)]
+    assert d_product(half, half, 2, tables4) == 1
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="not fixed"):
+            d_product(half, half, m, tables4)
+
+
+@pytest.mark.parametrize("p, d, n", [(2, 1, 4), (3, 1, 3), (4, 1, 4),
+                                     (2, 2, 3), (6, 1, 6)])
+def test_orbit_order_decides_which_shifts_fix(p, d, n):
+    # d_product reads "fixed by the shift by m" off the orbit order
+    for la in enumerate_all(p, d, n):
+        for m in range(-p, 2 * p + 1):
+            assert (m % la.orbit_order()[0] == 0) == (la.shift(m) == la)
 
 
 def test_orbit_sum_bound():
@@ -522,6 +543,25 @@ def test_reduce_matrix():
             reduce_matrix(data, 2)
 
 
+def test_reduce_matrix_needs_every_diagonal_entry():
+    # square, no unknowns, every entry a unit on the diagonal: that is
+    # the identity only when no diagonal entry is missing
+    rows = [[[[2], []], 1], [[[1], [1]], 1], [[[1], [1]], 2],
+            [[[1, 1], []], 1]]
+    matrix = {
+        "r": 2, "p": 2, "n": 2, "char": None, "rows": rows, "cols": rows,
+        "entries": [[0, 0, 1], [1, 1, 1], [2, 2, 1], [3, 3, 1]],
+        "unknowns": [],
+        "report": {"rows": 4, "cols": 4, "unitriangular": True,
+                   "identity": True, "unknown_pairs": 0, "char": None},
+    }
+    assert reduce_matrix(matrix, 2)["report"]["identity"]
+    for k in range(len(rows)):
+        entries = matrix["entries"][:k] + matrix["entries"][k + 1:]
+        gap = {**matrix, "entries": entries}
+        assert not reduce_matrix(gap, 2)["report"]["identity"]
+
+
 def test_reduce_matrix_passes_unknowns_through():
     tables = [semisimple_table(1, m) for m in (0, 1, 3, 4)] + [
         twisted_identity_table(2, 1),
@@ -682,20 +722,22 @@ def test_assemble_validates_labels():
 
 
 def test_assemble_refusals_survive_a_warm_skeleton():
-    # the shift-class skeleton of the simple labels is kept after a valid
+    # the assembly plan of the simple labels is kept after a valid
     # assembly; a memo keyed by (p, d, n) alone, or one that skips the
-    # checks on a hit, would accept each of these
+    # checks on a hit, would accept each of these, and a memo that kept
+    # a refused plan would not refuse it again
     tables = [semisimple_table(1, m) for m in range(3)]
     klesh = enumerate_all(2, 1, 2)
     assert assemble_matrix(2, 2, 2, tables, klesh)["report"]["identity"]
-    with pytest.raises(InputDataError, match="duplicate"):
-        assemble_matrix(2, 2, 2, tables, klesh + klesh[:1])
-    with pytest.raises(InputDataError, match="size"):
-        assemble_matrix(2, 2, 2, tables,
-                        klesh[:-1] + [mp(2, 1, [[3], []])])
     not_closed = [la for la in klesh if la != mp(2, 1, [[2], []])]
-    with pytest.raises(InputDataError, match="closed"):
-        assemble_matrix(2, 2, 2, tables, not_closed)
+    for _ in range(2):
+        with pytest.raises(InputDataError, match="duplicate"):
+            assemble_matrix(2, 2, 2, tables, klesh + klesh[:1])
+        with pytest.raises(InputDataError, match="size"):
+            assemble_matrix(2, 2, 2, tables,
+                            klesh[:-1] + [mp(2, 1, [[3], []])])
+        with pytest.raises(InputDataError, match="closed"):
+            assemble_matrix(2, 2, 2, tables, not_closed)
     with pytest.raises(ValueError, match="context"):
         assemble_matrix(2, 2, 2, tables, enumerate_all(1, 2, 2))
     # the same labels, in another order, give the same matrix
@@ -703,8 +745,9 @@ def test_assemble_refusals_survive_a_warm_skeleton():
         == assemble_matrix(2, 2, 2, tables, klesh)
 
 
-def test_assemble_with_unknown_pair():
-    tables = [
+def unknown_pair_tables():
+    """Tables at p = 2, n = 4 under which two pairs stay unknown."""
+    return [
         semisimple_table(1, 0),
         semisimple_table(1, 1),
         twisted_identity_table(2, 1),
@@ -712,6 +755,49 @@ def test_assemble_with_unknown_pair():
         semisimple_table(1, 3),
         semisimple_table(1, 4),
     ]
+
+
+def test_assemble_repeats_its_plan_exactly():
+    # the plan of a cell is kept between calls: each call over other
+    # tables or the other backend gives what a cold memo gives, and
+    # hands back lists of its own
+    p, d, n = 2, 1, 4
+    klesh = enumerate_all(p, d, n)
+    runs = []
+    for draw in (0, 2):
+        rng = Random(draw)
+        tables = all_tables(p, d, n, semisimple=False, rng=rng)
+        point = sample_point(p, d, n, rng)
+        runs += [(tables, None), (tables, point)]
+    point = sample_point(p, d, n, Random(5))
+    runs += [(unknown_pair_tables(), None), (unknown_pair_tables(), point)]
+    warm = [assemble_matrix(p * d, p, n, tables, klesh, point=field)
+            for tables, field in runs]
+    cold = []
+    for tables, field in runs:
+        decomp._assembly_plan.cache_clear()
+        cold.append(assemble_matrix(p * d, p, n, tables, klesh, point=field))
+    assert warm == cold
+    assert warm[0]["entries"] != warm[2]["entries"]
+    assert warm[-1]["unknowns"] and warm[-1]["unknowns"][1]["relations"]
+
+    tables, field = runs[-1]
+    first = warm[-1]
+    second = assemble_matrix(p * d, p, n, tables, klesh, point=field)
+    before = json.dumps(second)
+    for key in ("rows", "cols", "entries", "unknowns"):
+        first[key][0].clear()
+        first[key].append(None)
+    first["rows"][1][0][0].append(7)
+    first["entries"][1][2] = 5
+    first["unknowns"][1]["entries"].clear()
+    first["unknowns"][1]["relations"][0]["terms"].clear()
+    assert json.dumps(second) == before
+    assert second == cold[-1]
+
+
+def test_assemble_with_unknown_pair():
+    tables = unknown_pair_tables()
     klesh = list(enumerate_all(2, 1, 4))
     out = assemble_matrix(2, 2, 4, tables, klesh)
     report = out["report"]

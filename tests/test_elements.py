@@ -86,6 +86,19 @@ def test_superscripts_window():
     assert superscripts(3, 3, 2) == [1]
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_superscripts_are_the_window_mod_p(p):
+    # a window of up to p twists i..j is the set of its residues; the
+    # p - 1 twists other than t, t+1..t+p-1, are none at p = 1
+    for i in range(1, 2 * p + 2):
+        for j in range(i - 1, i + p):
+            want = sorted({(k - 1) % p + 1 for k in range(i, j + 1)})
+            assert superscripts(i, j, p) == want, (i, j)
+    for t in range(1, p + 1):
+        others = [s for s in range(1, p + 1) if s != t]
+        assert superscripts(t + 1, t + p - 1, p) == others
+
+
 def test_ll_word_single_factor():
     assert ll_word(1, 1, 1, 1) == [("ladder", 1, 1, 1)]
     assert ll_word(1, 1, 2, 1) == []
@@ -181,6 +194,15 @@ def test_verify_pleftmult_examples():
     assert verify_pleftmult((2, 0), 1)
     assert verify_pleftmult((0, 2), 2)
     assert verify_pleftmult((1, 1, 0), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_verify_pleftmult_one_block(n, d):
+    # at p = 1 the shift factor Y_1 holds no ladder, only the empty swap,
+    # so the cycle is v_b T_b = 1
+    assert shift_factor_word((n,), d, 1) == t_ab_word(n, 0) == []
+    assert verify_pleftmult((n,), d)
 
 
 def test_half_word_factorizations():

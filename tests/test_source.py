@@ -97,7 +97,8 @@ def _cache_decorators(tree):
 
 
 MEMOS = {
-    ("combin", "_enumerate_sorted"), ("decomp", "_shift_skeleton"),
+    ("combin", "_enumerate_sorted"), ("decomp", "_assembly_plan"),
+    ("decomp", "_default_point"),
     ("elements", "_schur_inverses"), ("exactnum", "_zeta_powers"),
     ("exactnum", "cyclotomic_poly"), ("scalars", "_pair_factor"),
     ("seminormal", "_cached_rep"), ("seminormal", "_cached_units"),
@@ -135,8 +136,9 @@ def test_skeleton_memos_are_typed_behind_plain_functions():
     # 1, True and 1.0 are equal keys to an untyped memo; and the
     # benchmark tracer times only plain functions, so each memo sits
     # behind the public function it serves
-    for memo in (combin._enumerate_sorted, decomp._shift_skeleton,
-                 seminormal._shape_skeleton, seminormal._cached_units):
+    for memo in (combin._enumerate_sorted, decomp._assembly_plan,
+                 decomp._default_point, seminormal._shape_skeleton,
+                 seminormal._cached_units):
         params = memo.cache_parameters()
         assert params["typed"] and type(params["maxsize"]) is int
     for fn in (combin.enumerate_all, decomp.assemble_matrix,
