@@ -114,9 +114,6 @@ def _poly_div_exact(num: list, den: Sequence) -> list:
     return out
 
 
-# the orders in use and their divisors, a few dozen; bounded like the
-# power tables built from them
-@lru_cache(maxsize=64)
 def cyclotomic_poly(m: int) -> tuple:
     """Coefficients of Phi_m(x), low to high, as integers."""
     if m < 1:

@@ -38,11 +38,11 @@ class SeminormalRep:
     SHAPE_CACHE_SIZE shapes): the basis of standard tableaux; the
     exponents of every content; and, for each T_i, which basis tableau
     the swap of i and i+1 lands on.  A rep lays those out end to end
-    and computes the values over its field: the contents (one memo per
-    field and exponents, as `tableau.content` reads it), the seminormal
-    ratios from them (`tableau.beta_coeff`), which raises PoleError when
-    two contents collide, and the check that T_k L_k T_k = q L_{k+1}.
-    Both checks cover every block, and a failure names the shape of its
+    and computes the values over its field: the contents, one object
+    per exponents (e, h, c) over all its blocks; the seminormal ratios
+    from them (`tableau.beta_coeff`), which raises PoleError when two
+    contents collide; and the check that T_k L_k T_k = q L_{k+1}.  Both
+    checks cover every block, and a failure names the shape of its
     block.
 
     L_k is stored as its diagonal, the k-th contents of the basis
@@ -51,8 +51,9 @@ class SeminormalRep:
     form of `matrices` (columns increasing, zeros dropped); T_i + c is
     read off those rows by adding c on the diagonal.  The ladder factors
     L_k - eps^s Q_i are diagonals kept after their first use
-    (`ladder_diagonal`), at most n*p*d of them.  Everything stored is a
-    tuple, so a word value that shares it cannot change it.
+    (`ladder_diagonal`), at most n*p*d of them, with one entry object
+    per content object.  Everything stored is a tuple, so a word value
+    that shares it cannot change it.
 
     The stored generators must not change after the rep is built: at a
     point, `eval_word` keeps word values in a memo (at most
@@ -73,6 +74,9 @@ class SeminormalRep:
                 raise ValueError("the shapes of a rep differ in size")
         self.field = field
         basis, offsets = [], [0]
+        # one content object per exponents (e, h, c), which ladder_diagonal
+        # relies on to share its entries
+        interned = {}
         ldiag = [[] for _ in range(self.n)]
         # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
         # with i and i+1 swapped when that one is standard; zeros dropped
@@ -80,8 +84,9 @@ class SeminormalRep:
         for shape in self.shapes:
             block, exponents, swaps = _shape_skeleton(shape)
             lo = offsets[-1]
-            contents = [[_content_value(field, *e) for e in row]
-                        for row in exponents]
+            for e in {e for row in exponents for e in row} - interned.keys():
+                interned[e] = _content_value(field, *e)
+            contents = [[interned[e] for e in row] for row in exponents]
             try:
                 for i, rows in enumerate(trows, start=1):
                     c, cp = contents[i - 1], contents[i]
@@ -135,10 +140,10 @@ class SeminormalRep:
         parameter.
 
         Each diagonal is kept after its first use under (k, s mod p, i),
-        so a rep holds at most n*p*d of them.  At a point each entry is
-        interned per point (`_ladder_entry`); over the generic field,
-        whose RatFunc values do not hash, it is the plain difference of
-        two monomials, one binomial closed form.
+        so a rep holds at most n*p*d of them.  The parameter is subtracted
+        once per distinct content: the rep holds one object per content
+        exponents, and equal contents get one entry object, keyed by the
+        content object since generic RatFunc values do not hash.
         The memo reads the contents once, so they must not change after
         the first ladder.
         """
@@ -147,12 +152,14 @@ class SeminormalRep:
         diag = self._ladders.get(key)
         if diag is None:
             root = field.eps_pow(s) * field.Q(i)
-            # interned at points: without it, points' peak RSS 25.6->26.3 MB
-            if field.is_generic:
-                diag = tuple(c - root for c in self.l_diagonal(k))
-            else:
-                diag = tuple(_ladder_entry(field, c, root)
-                             for c in self.l_diagonal(k))
+            column = self.l_diagonal(k)
+            # shared: with one entry per tableau, points' peak RSS is
+            # 26.1 MB, not 25.2 MB
+            less = {}
+            for c in column:
+                if id(c) not in less:
+                    less[id(c)] = c - root
+            diag = tuple(less[id(c)] for c in column)
             self._ladders[key] = diag
         return diag
 
@@ -179,12 +186,6 @@ class SeminormalRep:
 # criteria build reps of 235 shapes and a benchmark pass of 86
 SHAPE_CACHE_SIZE = 512
 
-# one module per entry.  Over the generic field every verdict reads the
-# module of each shape, and the next verdict reads them all again: 315
-# shapes at (p, d, n) = (3, 2, 4).  At a point they serve check_relations
-# (seminormal-check, criterion 1), which builds each module once.
-REP_CACHE_SIZE = 1024
-
 # at a point a word is evaluated on direct sums of consecutive shapes of
 # at most UNIT_DIM basis tableaux each (a larger shape alone), since its
 # value is built a whole sum at a time: one sum of all 2,700 tableaux of
@@ -193,14 +194,15 @@ REP_CACHE_SIZE = 1024
 # Every cell of the points workload is one sum; (3, 2, 3) is two.
 UNIT_DIM = 256
 
-# an entry holds every module of one cell at one point, 5.0 MB at
-# (3, 2, 4) with all its ladders; a verdict reads the 3 points of
-# mode_fields and the next verdict at the cell reads them again
+# an entry holds every module of one cell over one field; with all its
+# ladders, 5.1 MB at a point of (3, 2, 4) and 30.5 MB for its 315
+# generic modules.  A verdict reads the 3 points of mode_fields and the
+# next verdict at the cell reads them again.  Counted by cache_info():
+# the desk fixtures look up 31 entries, one generic, 479 times and miss
+# 31 times, as without a bound (49 misses at a bound of 4); `verify
+# changing --b [2,1,1] --d 2 --mode symbolic` reads its one generic
+# entry 3 times.
 UNITS_CACHE_SIZE = 16
-
-# a point has at most p*d*(2n - 1) contents and p*d parameters, so a few
-# hundred ladder entries; the memo holds those of some dozens of points
-LADDER_ENTRY_CACHE_SIZE = 16384
 
 # a key is one unit and one word, so a verdict at 3 points makes 2 * 3
 # keys per unit, and the next pivot repeats the first of them.  Measured
@@ -231,25 +233,14 @@ def _shape_skeleton(shape: Multipartition) -> tuple:
     return basis, exponents, tuple(swaps)
 
 
-@lru_cache(maxsize=LADDER_ENTRY_CACHE_SIZE)
-def _ladder_entry(field, c, root):
-    """c - root, one object per point for equal contents and roots."""
-    return c - root
-
-
-@lru_cache(maxsize=REP_CACHE_SIZE)
-def _cached_rep(shape: Multipartition, field) -> SeminormalRep:
-    return SeminormalRep((shape,), field)
-
-
 @lru_cache(maxsize=UNITS_CACHE_SIZE, typed=True)
-def _cached_units(p, d, n, field) -> tuple:
-    # keyed by three ints, which hash at every lookup where 98 shapes
-    # would; typed, so d=True reaches enumerate_all and is refused
-    groups, size = [], UNIT_DIM
+def _cached_units(p, d, n, field, limit) -> tuple:
+    # keyed by ints, which hash at every lookup where 98 shapes would;
+    # typed, so d=True reaches enumerate_all and is refused
+    groups, size = [], limit
     for shape in enumerate_all(p, d, n):
         dim = count_std(shape)
-        if size + dim > UNIT_DIM:
+        if size + dim > limit:
             groups.append([])
             size = 0
         groups[-1].append(shape)
@@ -263,8 +254,12 @@ def _memo_word(rep: SeminormalRep, key: tuple) -> tuple:
 
 
 def build_rep(shape: Multipartition, field) -> SeminormalRep:
-    """The seminormal model of the shape over the field, cached (LRU)."""
-    return _cached_rep(shape, field)
+    """The seminormal model of the shape over the field, built afresh.
+
+    Nothing keeps it: a verdict that reads a module again reads it from
+    the one rep memo, `evaluation_units`.
+    """
+    return SeminormalRep((shape,), field)
 
 
 def evaluation_units(p, d, n, field) -> tuple:
@@ -272,19 +267,17 @@ def evaluation_units(p, d, n, field) -> tuple:
     of n over the field, in `enumerate_all` order: a word evaluated once
     on each of them is known on every module.
 
-    At a point they are direct sums of consecutive shapes, at most
-    UNIT_DIM basis tableaux each (a larger shape alone), built once per
-    cell and point (LRU, UNITS_CACHE_SIZE entries): every cell of the
-    points workload is one sum, so a word is evaluated once per point.
-    Over the generic field each shape stays its own rep (`build_rep`).
+    They are direct sums of consecutive shapes, built once per cell and
+    field and kept in the one rep memo (LRU, UNITS_CACHE_SIZE entries).
+    At a point a unit holds at most UNIT_DIM basis tableaux (a larger
+    shape alone): every cell of the points workload is one sum, so a
+    word is evaluated once per point.  Over the generic field each
+    shape is its own unit.
     """
     # a generic direct sum held whole symbolic values of every module at
     # once: `verify changing --b [2,1,1] --d 2 --mode symbolic` went
     # 18.6 -> 27.0 s and its peak RSS 64.8 -> 113.6 MB
-    if field.is_generic:
-        return tuple(build_rep(shape, field)
-                     for shape in enumerate_all(p, d, n))
-    return _cached_units(p, d, n, field)
+    return _cached_units(p, d, n, field, 0 if field.is_generic else UNIT_DIM)
 
 
 def _relations(field, n: int) -> list:
@@ -343,10 +336,11 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       are diagonal.  As the first factor of a word one becomes sparse
       rows, n tests; after that each one scales the stored nonzeros, at
       most m multiplies, and drops those its diagonal sends to zero.
-    * A ladder costs n subtractions the first time it meets a rep, in
-      either backend; its diagonal is then kept on the rep, and later
-      uses cost one dict lookup (`SeminormalRep.ladder_diagonal`, at most
-      n_L * p * d diagonals for L_1..L_{n_L}).
+    * A ladder costs one subtraction per distinct content the first time
+      it meets a rep, in either backend; its diagonal is then kept on
+      the rep, and later uses cost one dict lookup
+      (`SeminormalRep.ladder_diagonal`, at most n_L * p * d diagonals
+      for L_1..L_{n_L}).
 
     A zero row costs nothing for the rest of the word, but every token
     is still read and checked.  An empty word is the identity.  The

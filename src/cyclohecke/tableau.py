@@ -7,7 +7,6 @@ eigenvalues of L_1 must run through the parameter list
 (eps Q_1, ..., eps^p Q_d).
 """
 
-from functools import lru_cache
 from math import factorial, prod
 
 from .combin import Multipartition, component_index, conjugate_partition
@@ -133,13 +132,6 @@ def content_exponents(s: StandardTableau, k: int) -> tuple:
     return p_u % s.shape.p, b - a, d_u
 
 
-# a field has at most p * d * (2n - 1) contents on tableaux of size n,
-# a few dozen on the grids the checks sweep, so the memo holds every
-# content of some hundred fields at once
-CONTENT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=CONTENT_CACHE_SIZE)
 def _content_value(params, e: int, h: int, c: int):
     return params.eps_pow(e) * params.q_power(h) * params.Q(c)
 
@@ -148,9 +140,8 @@ def content(s: StandardTableau, k: int, params):
     """cont_s(k) = eps^e q^h Q_c over the field `params`.
 
     The value depends only on the field and the exponents (e, h, c) of
-    `content_exponents`, so it is computed once per field and read from a
-    bounded memo (LRU, CONTENT_CACHE_SIZE entries) after that: every
-    module built over one field holds the same content objects.
+    `content_exponents`, and each call computes it afresh; a
+    `seminormal.SeminormalRep` holds one object per exponents instead.
     """
     return _content_value(params, *content_exponents(s, k))
 

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,8 +24,8 @@ from cyclohecke.matrices import (
     rows_trace,
 )
 from cyclohecke.seminormal import (
-    REP_CACHE_SIZE,
     UNIT_DIM,
+    UNITS_CACHE_SIZE,
     WORD_CACHE_SIZE,
     SeminormalRep,
     build_rep,
@@ -485,16 +486,15 @@ def test_direct_sum_blocks_match_reps_built_alone(field):
 def test_evaluation_units_cover_every_shape_once(field, n, count):
     # one rep per shape over the generic field; at a point direct sums of
     # consecutive shapes, at most UNIT_DIM tableaux each unless one shape
-    # alone is larger, kept in one memo entry per cell and point
+    # alone is larger; one memo entry per cell and field in both backends
     units = evaluation_units(field.p, field.d, n, field)
     assert len(units) == count
     assert [shape for rep in units for shape, _, _ in rep.blocks] \
         == enumerate_all(field.p, field.d, n)
+    assert evaluation_units(field.p, field.d, n, field) is units
     if not field.is_generic:
         assert all(rep.dim <= UNIT_DIM for rep in units)
         assert sum(rep.dim for rep in units[:2]) > UNIT_DIM or count == 1
-        again = evaluation_units(field.p, field.d, n, field)
-        assert all(a is b for a, b in zip(again, units))
 
 
 @pytest.mark.parametrize("p, d, n, seed", [
@@ -562,22 +562,34 @@ def test_ladder_memo_fills_over_the_generic_field():
 
 
 def test_reps_on_one_point_share_ladder_entries():
-    pt = sample_point(2, 1, 3, random.Random(27))
-    shape = mp(2, 1, [(2,), (1,)])
-    one, two = SeminormalRep((shape,), pt), SeminormalRep((shape,), pt)
-    for k in range(1, 4):
-        for s in (1, 2):
-            a, b = one.ladder_diagonal(k, s, 1), two.ladder_diagonal(k, s, 1)
-            assert a is not b
-            assert all(x is y for x, y in zip(a, b))
+    # within one rep, a direct sum here, equal contents give one ladder
+    # entry object in both backends, and each diagonal is its own (s, i)
+    for field in (sample_point(2, 2, 3, random.Random(27)), K21):
+        rep = SeminormalRep(tuple(enumerate_all(field.p, field.d, 3)), field)
+        for k in range(1, 4):
+            column = rep.l_diagonal(k)
+            assert len({id(c) for c in column}) < len(column)
+            diags = []
+            for s in range(1, field.p + 1):
+                for i in range(1, field.d + 1):
+                    root = field.eps_pow(s) * field.Q(i)
+                    diag = rep.ladder_diagonal(k, s, i)
+                    assert rep.ladder_diagonal(k, s + field.p, i) is diag
+                    entries = {}
+                    for c, x in zip(column, diag):
+                        assert x == c - root
+                        assert entries.setdefault(id(c), x) is x
+                    diags.append(diag)
+            assert all(a != b for a, b in combinations(diags, 2))
 
 
 @pytest.mark.parametrize("field", [
     GenericField(2, 1), sample_point(2, 1, 3, random.Random(30)),
 ])
 def test_word_values_share_nothing_mutable(field):
-    # reps are shared through the rep cache, so a value that a caller
-    # could change in place would change every later verdict
+    # reps are shared through the rep memo (`evaluation_units`), so a
+    # value that a caller could change in place would change every later
+    # verdict
     rep = build_rep(mp(2, 1, [(2,), (1,)]), field)
     for word in ([], [("T", 1)], [("L", 1)], [("ladder", 1, 1, 1)]):
         first = eval_word(rep, word)
@@ -739,7 +751,6 @@ def test_sparse_products_match_mat_mul():
 
 def test_equal_points_hash_alike_and_share_a_rep(monkeypatch):
     zeta, one = CycRat.make(3, [0, 1]), CycRat.from_rational(3, 1)
-    shape = mp(3, 1, [(1,), (1,), ()])
     # one point from ints, Fractions and CycRats, and from its own JSON;
     # at a rational and at an irrational q
     for coords in ([(5, 3), (Fraction(10, 2), Fraction(3)), (5 * one, 3 * one)],
@@ -748,7 +759,9 @@ def test_equal_points_hash_alike_and_share_a_rep(monkeypatch):
         points.append(SpecPoint.from_json(points[0].to_json()))
         assert all(pt == points[0] for pt in points)
         assert len({hash(pt) for pt in points}) == 1
-        assert len({id(build_rep(shape, pt)) for pt in points}) == 1
+        # held, so no id of a freed rep can be reused in between
+        units = [evaluation_units(3, 1, 2, pt) for pt in points]
+        assert all(u is units[0] for u in units)
         # the hash was taken when the point was built
         with monkeypatch.context() as m:
             m.setattr(CycRat, "__hash__",
@@ -757,16 +770,22 @@ def test_equal_points_hash_alike_and_share_a_rep(monkeypatch):
 
 
 def test_rep_cache_stops_growing_at_cap():
-    shape = mp(2, 1, [(1,), ()])
-    seminormal._cached_rep.cache_clear()
+    # the evaluation units are the one rep memo, for points and the
+    # generic field alike
+    memo = seminormal._cached_units
+    memo.cache_clear()
     try:
-        for q in range(2, REP_CACHE_SIZE + 12):
-            build_rep(shape, SpecPoint(2, 2, q, [3]))
-        info = seminormal._cached_rep.cache_info()
-        assert info.currsize == info.maxsize == REP_CACHE_SIZE
-        assert info.misses == REP_CACHE_SIZE + 10
+        cells = [(1, SpecPoint(2, 2, q, [3]))
+                 for q in range(2, UNITS_CACHE_SIZE + 12)]
+        cells += [(1, K21), (2, K21)]
+        for n, field in cells:
+            units = evaluation_units(2, 1, n, field)
+            assert evaluation_units(2, 1, n, field) is units
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == UNITS_CACHE_SIZE
+        assert info.misses == info.hits == len(cells)
     finally:
-        seminormal._cached_rep.cache_clear()
+        memo.cache_clear()
 
 
 def test_inverses():

@@ -100,11 +100,8 @@ MEMOS = {
     ("combin", "_enumerate_sorted"), ("decomp", "_assembly_plan"),
     ("decomp", "_default_point"),
     ("elements", "_schur_inverses"), ("exactnum", "_zeta_powers"),
-    ("exactnum", "cyclotomic_poly"), ("scalars", "_pair_factor"),
-    ("seminormal", "_cached_rep"), ("seminormal", "_cached_units"),
-    ("seminormal", "_ladder_entry"),
+    ("scalars", "_pair_factor"), ("seminormal", "_cached_units"),
     ("seminormal", "_memo_word"), ("seminormal", "_shape_skeleton"),
-    ("tableau", "_content_value"),
 }
 
 
@@ -196,7 +193,7 @@ def _defs_and_nodes(tree):
 def test_only_exactnum_knows_the_backends():
     # consumers reach a field through the protocol in exactnum's
     # docstring: no private name of exactnum, no isinstance test on a
-    # backend, and is_generic read only at the five sites that say why
+    # backend, and is_generic read only at the four sites that say why
     found, generic = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "exactnum.py":
@@ -215,8 +212,7 @@ def test_only_exactnum_knows_the_backends():
             if isinstance(node, ast.Attribute) and node.attr == "is_generic":
                 generic.add(f"{path.stem}.{owner}")
     assert not found, found
-    assert generic == {"seminormal.ladder_diagonal", "seminormal.eval_word",
-                       "seminormal.evaluation_units",
+    assert generic == {"seminormal.eval_word", "seminormal.evaluation_units",
                        "elements.flam_eigen_oracle", "scalars._check_laurent"}
     from cyclohecke import cli, exactnum
     assert not hasattr(exactnum.SpecPoint, "embed")
