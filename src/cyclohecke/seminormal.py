@@ -39,11 +39,14 @@ class SeminormalRep:
     exponents of every content; and, for each T_i, which basis tableau
     the swap of i and i+1 lands on.  A rep lays those out end to end
     and computes the values over its field: the contents, one object
-    per exponents (e, h, c) over all its blocks; the seminormal ratios
-    from them (`tableau.beta_coeff`), which raises PoleError when two
-    contents collide; and the check that T_k L_k T_k = q L_{k+1}.  Both
-    checks cover every block, and a failure names the shape of its
-    block.
+    per exponents (e, h, c) over all its blocks; the seminormal ratio
+    beta (`tableau.beta_coeff`) once per pair of content objects of i
+    and i+1, keyed by their identities, and 1 + beta once per such pair
+    that a swap reads, so equal pairs share one object in every T_i and
+    block; and the check that T_k L_k T_k = q L_{k+1}.  beta_coeff
+    raises PoleError when two contents collide, at the first block
+    that holds the pair.  Both checks cover every block, and a failure
+    names the shape of its block.
 
     L_k is stored as its diagonal, the k-th contents of the basis
     tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
@@ -81,6 +84,8 @@ class SeminormalRep:
         # row a of T_i: beta at (a, a), 1 + beta at the basis tableau
         # with i and i+1 swapped when that one is standard; zeros dropped
         trows = [[] for _ in range(1, self.n)]
+        # beta and 1 + beta by the identities of the two content objects
+        beta, shifted = {}, {}
         for shape in self.shapes:
             block, exponents, swaps = _shape_skeleton(shape)
             lo = offsets[-1]
@@ -91,10 +96,14 @@ class SeminormalRep:
                 for i, rows in enumerate(trows, start=1):
                     c, cp = contents[i - 1], contents[i]
                     for a, b in enumerate(swaps[i - 1]):
-                        bc = beta_coeff(c[a], cp[a], field)
-                        row = [(lo + a, bc)]
+                        key = id(c[a]), id(cp[a])
+                        if key not in beta:
+                            beta[key] = beta_coeff(c[a], cp[a], field)
+                        row = [(lo + a, beta[key])]
                         if b is not None:
-                            row.append((lo + b, field.one + bc))
+                            if key not in shifted:
+                                shifted[key] = field.one + beta[key]
+                            row.append((lo + b, shifted[key]))
                         rows.append(
                             tuple(sorted((j, x) for j, x in row if x)))
             except PoleError as exc:
@@ -218,19 +227,28 @@ def _shape_skeleton(shape: Multipartition) -> tuple:
     standard tableaux as a tuple; exponents[k - 1][a], the exponents
     (e, h, c) of the content of k in basis tableau a
     (`content_exponents`); swaps[i - 1][a], the index of the basis
-    tableau with i and i+1 swapped, or None when that is not standard."""
+    tableau with i and i+1 swapped, or None when that is not standard.
+
+    A swap is read off the positions of i and i+1: it is standard
+    exactly when they share neither a row nor a column of one
+    component, and the swapped tableau is found by its reading word,
+    the old one with i and i+1 exchanged."""
     basis = tuple(enumerate_std(shape))
-    index = {s: a for a, s in enumerate(basis)}
+    words = [s.reading_word() for s in basis]
+    index = {word: a for a, word in enumerate(words)}
     exponents = tuple(tuple(content_exponents(s, k) for s in basis)
                       for k in range(1, shape.size + 1))
-    swaps = []
-    for i in range(1, shape.size):
-        row = []
-        for s in basis:
-            t = s.swap(i)
-            row.append(index[t] if t.is_standard() else None)
-        swaps.append(tuple(row))
-    return basis, exponents, tuple(swaps)
+    swaps = [[] for _ in range(1, shape.size)]
+    for s, word in zip(basis, words):
+        for i, row in enumerate(swaps, start=1):
+            (u, a, b), (v, c, e) = s.position(i), s.position(i + 1)
+            if u == v and (a == c or b == e):
+                row.append(None)
+                continue
+            t = list(word)
+            t[word.index(i)], t[word.index(i + 1)] = i + 1, i
+            row.append(index[tuple(t)])
+    return basis, exponents, tuple(tuple(row) for row in swaps)
 
 
 @lru_cache(maxsize=UNITS_CACHE_SIZE, typed=True)
@@ -333,9 +351,14 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
     * ``("L", k)``: the Jucys-Murphy element L_k; ``("ladder", k, s, i)``:
       the ladder factor L_k - eps^s Q_i, s read mod p and 1 <= i <= d;
       ``("scal", c)``: c times the identity; ``("T", 0)``.  All of these
-      are diagonal.  As the first factor of a word one becomes sparse
-      rows, n tests; after that each one scales the stored nonzeros, at
-      most m multiplies, and drops those its diagonal sends to zero.
+      are diagonal, and a run of consecutive ones is applied as one
+      diagonal: its entries are multiplied at the columns the product
+      so far still holds (every column for a run that starts the word),
+      one multiply per such column per token after the first, a zero
+      entry ending that column's product.  The product then scales the
+      stored nonzeros once, at most m multiplies, and drops those it
+      sends to zero; a run that starts the word becomes sparse rows, n
+      tests.  A run of one token costs what the token alone does.
     * A ladder costs one subtraction per distinct content the first time
       it meets a rep, in either backend; its diagonal is then kept on
       the rep, and later uses cost one dict lookup
@@ -381,31 +404,50 @@ def _eval_word(rep: SeminormalRep, word) -> tuple:
     """`eval_word` without the memo or the checks: every ``scal`` and
     ``Tshift`` scalar is already a value of the rep's field."""
     field = rep.field
-    acc = None
+    acc, run = None, []
     for item in word:
         tag = item[0]
         if tag == "L":
-            factor = rep.l_diagonal(item[1])
+            run.append(rep.l_diagonal(item[1]))
         elif tag == "ladder":
-            factor = rep.ladder_diagonal(item[1], item[2], item[3])
+            run.append(rep.ladder_diagonal(item[1], item[2], item[3]))
         elif tag == "scal":
-            factor = [item[1]] * rep.dim
+            run.append([item[1]] * rep.dim)
         elif tag == "T" and item[1] == 0:
-            factor = rep.l_diagonal(1)
+            run.append(rep.l_diagonal(1))
         else:
-            factor = None
-        if factor is not None:
-            acc = (rows_diag(factor) if acc is None
-                   else rows_scale_cols(acc, factor))
-            continue
-        if tag == "T":
-            rows = rep.t_rows(item[1])
-        elif tag == "Tshift":
-            rows = rep.t_rows(item[1], item[2])
-        else:
-            raise ValueError(f"unknown word token {tag!r}")
-        acc = rows if acc is None else rows_mul(acc, rows)
+            if tag == "T":
+                rows = rep.t_rows(item[1])
+            elif tag == "Tshift":
+                rows = rep.t_rows(item[1], item[2])
+            else:
+                raise ValueError(f"unknown word token {tag!r}")
+            if run:
+                acc, run = _apply_run(acc, run, field.zero), []
+            acc = rows if acc is None else rows_mul(acc, rows)
+    if run:
+        acc = _apply_run(acc, run, field.zero)
     return rows_diag([field.one] * rep.dim) if acc is None else acc
+
+
+def _apply_run(acc, run, zero) -> tuple:
+    """acc (None for the identity) times the product of the diagonals of
+    one run of tokens, taken entrywise at the columns acc still holds."""
+    if len(run) == 1:
+        diag = run[0]
+    else:
+        cols = (range(len(run[0])) if acc is None
+                else {j for row in acc for j, _ in row})
+        diag = [zero] * len(run[0])
+        for j in cols:
+            x = run[0][j]
+            for factor in run[1:]:
+                if not x:
+                    break
+                # a zero entry makes the product zero without a multiply
+                x = x * factor[j] if factor[j] else zero
+            diag[j] = x
+    return rows_diag(diag) if acc is None else rows_scale_cols(acc, diag)
 
 
 def character(shape: Multipartition, word, field):

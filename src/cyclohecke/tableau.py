@@ -50,26 +50,6 @@ class StandardTableau:
     def reading_word(self) -> tuple:
         return tuple(x for comp in self.rows for row in comp for x in row)
 
-    def is_standard(self) -> bool:
-        for comp in self.rows:
-            for a, row in enumerate(comp):
-                for b, x in enumerate(row):
-                    if b + 1 < len(row) and row[b + 1] < x:
-                        return False
-                    if a + 1 < len(comp) and b < len(comp[a + 1]):
-                        if comp[a + 1][b] < x:
-                            return False
-        return True
-
-    def swap(self, i: int) -> "StandardTableau":
-        """Exchange the entries i and i+1; may break standardness."""
-        si, ai, bi = self._pos[i]
-        sj, aj, bj = self._pos[i + 1]
-        rows = [list(list(row) for row in comp) for comp in self.rows]
-        rows[si - 1][ai - 1][bi - 1] = i + 1
-        rows[sj - 1][aj - 1][bj - 1] = i
-        return StandardTableau(self.shape, rows)
-
     def __eq__(self, other):
         return (isinstance(other, StandardTableau)
                 and self.shape == other.shape and self.rows == other.rows)

@@ -7,7 +7,8 @@ generic field with every value multiplied out and its cross-multiplying
 arithmetic, binomials multiplied out by generic products, the
 closed-form scalars multiplied out factor by factor, dense matrix
 arithmetic and the inverse generators, a point whose values are
-Fractions), the words of identities from the paper that no command
+Fractions, the standardness of a filling and the swap of two of its
+entries), the words of identities from the paper that no command
 evaluates, sums of word values, and the decoder for the scalar JSON the
 commands write.
 """
@@ -313,6 +314,31 @@ def superstandard(shape: Multipartition) -> StandardTableau:
             k += length
         rows.append(tuple(comp))
     return StandardTableau(shape, rows)
+
+
+def is_standard(t: StandardTableau) -> bool:
+    """Whether the rows and columns of every component increase."""
+    for comp in t.rows:
+        for a, row in enumerate(comp):
+            for b, x in enumerate(row):
+                if b + 1 < len(row) and row[b + 1] < x:
+                    return False
+                if a + 1 < len(comp) and b < len(comp[a + 1]):
+                    if comp[a + 1][b] < x:
+                        return False
+    return True
+
+
+def swap(t: StandardTableau, i: int) -> StandardTableau:
+    """t with the entries i and i+1 exchanged; may break standardness:
+    the reference the position-read swaps of the seminormal skeleton
+    are checked against."""
+    si, ai, bi = t.position(i)
+    sj, aj, bj = t.position(i + 1)
+    rows = [list(list(row) for row in comp) for comp in t.rows]
+    rows[si - 1][ai - 1][bi - 1] = i + 1
+    rows[sj - 1][aj - 1][bj - 1] = i
+    return StandardTableau(t.shape, rows)
 
 
 def shift_tableau(t: StandardTableau, z: int) -> StandardTableau:

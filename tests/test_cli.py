@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclohecke import seminormal
 from cyclohecke.cli import _random_table, main, scalar_to_json
 from cyclohecke.combin import enumerate_all, enumerate_pdb
 from cyclohecke.elements import (
@@ -155,6 +156,21 @@ def test_verify_changing_all_pivots(runner):
                              "--d", "1"])
     assert data["pivots"] == {"1": True, "2": True}
     assert data["passed"] is True
+
+
+def test_verify_changing_builds_each_points_units_once(runner):
+    # 20 points are more than the rep memo holds: with the pivots
+    # outermost each pivot rebuilt every point's units
+    memo = seminormal._cached_units
+    memo.cache_clear()
+    try:
+        data = run_json(runner, ["verify", "changing", "--b", "[2,1]",
+                                 "--d", "1", "--mode", "random",
+                                 "--trials", "20", "--seed", "1"])
+        assert data["passed"] is True and len(data["fields"]) == 20
+        assert memo.cache_info().misses == 20
+    finally:
+        memo.cache_clear()
 
 
 def test_verify_comparison(runner):

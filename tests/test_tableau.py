@@ -16,7 +16,7 @@ from cyclohecke.tableau import (
     enumerate_std,
 )
 
-from helpers import shift_tableau, superstandard
+from helpers import is_standard, shift_tableau, superstandard, swap
 
 
 def mp(p, d, comps):
@@ -67,11 +67,11 @@ def test_std_squared_sum_is_algebra_dimension():
 
 def test_standardness_and_swap():
     t = superstandard(mp(1, 1, [(2,)]))
-    assert t.is_standard()
-    assert not t.swap(1).is_standard()
+    assert is_standard(t)
+    assert not is_standard(swap(t, 1))
     s = superstandard(mp(2, 1, [(1,), (1,)]))
-    assert s.swap(1).is_standard()
-    assert s.swap(1).swap(1) == s
+    assert is_standard(swap(s, 1))
+    assert swap(swap(s, 1), 1) == s
 
 
 def test_tableau_validation():
