@@ -44,12 +44,11 @@ from .decomp import (
 )
 from .elements import (
     VerificationError,
+    check_identities,
     flam_eigen_oracle,
+    identities,
     trace_vbtb,
     vbtb_trace_closed,
-    verify_changing,
-    verify_comparison,
-    verify_pleftmult,
 )
 from .exactnum import PoleError, generic_field, scalar_to_json
 from .scalars import (
@@ -293,59 +292,30 @@ def _emit_verdict(payload, out) -> None:
         sys.exit(3)
 
 
-@verify.command("changing")
-@_verify_options
-@_guarded
-def verify_changing_cmd(b_text, d, p, n, mode, trials, seed, out):
-    """Pivot rewritings of v_b against the plain product, all pivots."""
-    b = _b_flag(b_text, p, n)
-    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
-                         rng=Random(seed))
-    # the points outside the pivots, so each point's evaluation units are
-    # built once however many points the rep memo holds; a pivot that
-    # failed is not checked again
-    pivots = {str(j): True for j in range(1, len(b) + 1)}
-    for field in fields:
-        for j in pivots:
-            pivots[j] = pivots[j] and verify_changing(b, d, int(j), [field])
-    _emit_verdict({
-        "op": "verify changing", "b": list(b), "d": d,
-        "mode": mode, "trials": trials, "seed": seed,
-        "fields": [f.to_json() for f in fields],
-        "pivots": pivots, "passed": all(pivots.values()),
-    }, out)
+def _identity_command(kind: str, doc: str):
+    @verify.command(kind, help=doc)
+    @_verify_options
+    @_guarded
+    def command(b_text, d, p, n, mode, trials, seed, out):
+        b = _b_flag(b_text, p, n)
+        fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
+                             rng=Random(seed))
+        table = identities(kind, b, d)
+        failed = check_identities(len(b), d, sum(b), table, fields)
+        payload = {"op": f"verify {kind}", "b": list(b), "d": d,
+                   "mode": mode, "trials": trials, "seed": seed,
+                   "fields": [f.to_json() for f in fields]}
+        if kind == "changing":
+            payload["pivots"] = {j: j not in failed for j, _, _ in table}
+        payload["passed"] = not failed
+        _emit_verdict(payload, out)
 
 
-@verify.command("pleftmult")
-@_verify_options
-@_guarded
-def verify_pleftmult_cmd(b_text, d, p, n, mode, trials, seed, out):
-    """Full shift cycle against v_b T_b."""
-    b = _b_flag(b_text, p, n)
-    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
-                         rng=Random(seed))
-    _emit_verdict({
-        "op": "verify pleftmult", "b": list(b), "d": d,
-        "mode": mode, "trials": trials, "seed": seed,
-        "fields": [f.to_json() for f in fields],
-        "passed": verify_pleftmult(b, d, fields),
-    }, out)
-
-
-@verify.command("comparison")
-@_verify_options
-@_guarded
-def verify_comparison_cmd(b_text, d, p, n, mode, trials, seed, out):
-    """Trace comparison over the full tensor basis."""
-    b = _b_flag(b_text, p, n)
-    fields = mode_fields(len(b), d, sum(b), mode, trials=trials,
-                         rng=Random(seed))
-    _emit_verdict({
-        "op": "verify comparison", "b": list(b), "d": d,
-        "mode": mode, "trials": trials, "seed": seed,
-        "fields": [f.to_json() for f in fields],
-        "passed": verify_comparison(b, d, fields),
-    }, out)
+_identity_command("changing",
+                  "Pivot rewritings of v_b against the plain product, all "
+                  "pivots.")
+_identity_command("pleftmult", "Full shift cycle against v_b T_b.")
+_identity_command("comparison", "Trace comparison over the full tensor basis.")
 
 
 @verify.command("trace-vbtb")
@@ -603,12 +573,11 @@ def _criterion_elements(ps, ds, n) -> str:
             points = mode_fields(p, d, n, "random", None, 3,
                                  Random(211 + 10 * p + d))
             for b in compositions(n, p):
-                for j in range(1, p + 1):
-                    if not verify_changing(b, d, j, points=points):
-                        raise AssertionError(
-                            f"changing fails at b={b}, d={d}, j={j}")
-                if not verify_pleftmult(b, d, points=points):
-                    raise AssertionError(f"pleftmult fails at b={b}, d={d}")
+                table = identities("changing", b, d) \
+                    + identities("pleftmult", b, d)
+                failed = check_identities(p, d, n, table, points)
+                if failed:
+                    raise AssertionError(f"{failed} fail at b={b}, d={d}")
                 checked += 1
     return f"{checked} compositions, 3 separated points each"
 
@@ -622,7 +591,8 @@ def _criterion_trace(ns) -> str:
             for field in fields:
                 if not trace_vbtb(b, field).matched:
                     raise AssertionError(f"trace mismatch at b={b}")
-            if not verify_comparison(b, 1, comparison):
+            if check_identities(2, 1, n, identities("comparison", b, 1),
+                                comparison):
                 raise AssertionError(f"comparison fails at b={b}")
             checked += 1
     return f"{checked} compositions over the full tensor basis"

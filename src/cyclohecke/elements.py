@@ -12,9 +12,10 @@ element weights.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations as _perm_tuples
 from itertools import product as _cartesian
+from operator import attrgetter
 from typing import NamedTuple
 
 from .combin import (
@@ -165,7 +166,7 @@ def shift_factor_word(b, d: int, t: int) -> list:
 # ---------------------------------------------------------------------------
 # the canonical trace
 
-# keyed by sampled points, so bounded like the rep cache
+# keyed by sampled points, so bounded
 SCHUR_INVERSES_CACHE_SIZE = 1024
 
 
@@ -298,26 +299,7 @@ def flam_eigen_oracle(b, field) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# identity verifiers
-
-def verify_changing(b, d: int, j: int, points=None) -> bool:
-    """Check that the pivot-j rewriting of v_b is the same element, over
-    `points` as in `element_equal`."""
-    b = check_composition(b)
-    return element_equal(len(b), d, sum(b), vb_word(b, d),
-                         vb_pivot_word(b, d, j), points)
-
-
-def verify_pleftmult(b, d: int, points=None) -> bool:
-    """Check that the full shift cycle Y_p ... Y_1 equals v_b T_b, over
-    `points` as in `element_equal`."""
-    b = check_composition(b)
-    p = len(b)
-    cycle = [item for t in range(p, 0, -1)
-             for item in shift_factor_word(b, d, t)]
-    return element_equal(p, d, sum(b), cycle, vb_word(b, d) + tb_word(b),
-                         points)
-
+# identity tables and their runner
 
 def tensor_basis(d: int, b) -> list:
     """Basis monomials of the block tensor algebra: per block an
@@ -354,25 +336,63 @@ def theta_word(h, b) -> list:
     return out
 
 
-def verify_comparison(b, d: int, points=None) -> bool:
-    """Check the trace comparison over the whole tensor basis.
-
-    The trace of h v_b T_b, with h embedded through the index shift,
-    must be the product trace of h times the trace of v_b T_b; on basis
-    monomials the product trace is 1 on the identity and 0 elsewhere;
-    checked over `points` as in `element_equal`.
-    """
+def identities(kind: str, b, d: int) -> list:
+    """The (name, lhs word, rhs) rows of one verdict on v_b: per pivot j
+    (``changing``, named ``"j"``) v_b against its pivot-j rewriting; the
+    shift cycle Y_p ... Y_1 against v_b T_b (``pleftmult``); and per
+    tensor basis monomial h (``comparison``, named by each block's
+    exponents and permutation) the trace of v_b theta(h) T_b, whose rhs
+    is a function of the field: the product trace of h (1 at the
+    identity, else 0) times the closed trace of v_b T_b."""
     b = check_composition(b)
-    p = len(b)
-    n = sum(b)
-    basis = tensor_basis(d, b)
     vb = vb_word(b, d)
-    tb = tb_word(b)
+    if kind == "changing":
+        return [(str(j), vb, vb_pivot_word(b, d, j))
+                for j in range(1, len(b) + 1)]
+    if kind == "pleftmult":
+        cycle = [item for t in range(len(b), 0, -1)
+                 for item in shift_factor_word(b, d, t)]
+        return [("shift cycle", cycle, vb + tb_word(b))]
+    if kind == "comparison":
+        tb = tb_word(b)
+        return [(" ".join(f"{e}{x}" for e, x in h),
+                 vb + theta_word(h, b) + tb,
+                 partial(vbtb_trace_closed, b) if is_identity_monomial(h)
+                 else attrgetter("zero"))
+                for h in tensor_basis(d, b)]
+    raise ValueError(f"unknown identity kind {kind!r}")
+
+
+def check_identities(p, d, n, table, points=None) -> list:
+    """The names of the failing rows of an `identities` table, in table
+    order, over each field of `points` (a `mode_fields` list; None: its
+    auto rule): a word rhs as the same element (`element_equal`), a
+    callable one as the trace of lhs (`trace`).  The fields are the outer
+    loop, so each field's units are built once however many points the
+    rep memo holds, and a row that failed is not checked again."""
+    failed = [False] * len(table)
     for field in mode_fields(p, d, n, points=points):
-        base = trace(n, vb + tb, field)
-        for h in basis:
-            lhs = trace(n, vb + theta_word(h, b) + tb, field)
-            rhs = base if is_identity_monomial(h) else field.zero
-            if lhs != rhs:
-                return False
-    return True
+        for k, (_, lhs, rhs) in enumerate(table):
+            if failed[k]:
+                continue
+            failed[k] = (trace(n, lhs, field) != rhs(field) if callable(rhs)
+                         else not element_equal(p, d, n, lhs, rhs, [field]))
+    return [row[0] for row, bad in zip(table, failed) if bad]
+
+
+def verify_changing(b, d: int, j: int, points=None) -> bool:
+    """The pivot-j rewriting of v_b is v_b, over `points`."""
+    row = (str(j), vb_word(b, d), vb_pivot_word(b, d, j))
+    return not check_identities(len(b), d, sum(b), [row], points)
+
+
+def verify_pleftmult(b, d: int, points=None) -> bool:
+    """The shift cycle Y_p ... Y_1 is v_b T_b, over `points`."""
+    table = identities("pleftmult", b, d)
+    return not check_identities(len(b), d, sum(b), table, points)
+
+
+def verify_comparison(b, d: int, points=None) -> bool:
+    """The trace comparison over the whole tensor basis, over `points`."""
+    table = identities("comparison", b, d)
+    return not check_identities(len(b), d, sum(b), table, points)

@@ -726,6 +726,21 @@ def test_failed_verdict_exits_3(runner, monkeypatch):
     assert data["failures"]
 
 
+def test_comparison_checks_the_identity_against_the_closed_trace(
+        runner, monkeypatch):
+    # a closed form one q-power off fails the identity monomial's row, in
+    # the verifier and in the command
+    from cyclohecke import elements
+
+    real = elements.vbtb_trace_closed
+    monkeypatch.setattr(elements, "vbtb_trace_closed",
+                        lambda b, field: real(b, field) * field.q)
+    assert not verify_comparison((1, 1), 1)
+    data = run_json(runner, ["verify", "comparison", "--b", "[1,1]",
+                             "--d", "1"], exit_code=3)
+    assert data["passed"] is False
+
+
 def test_internal_invariant_exits_3_without_traceback(runner, monkeypatch):
     from cyclohecke import scalars
 
@@ -776,7 +791,8 @@ def test_type_and_key_errors_exit_2_only_while_reading(runner, tmp_path,
 
 
 @pytest.mark.parametrize("criterion, checker, points_of", [
-    ("_criterion_elements", "verify_changing", lambda *args, points: points),
+    ("_criterion_elements", "check_identities",
+     lambda p, d, n, table, points: points),
     ("_criterion_scalars", "flam_eigen_oracle", lambda b, pt: [pt]),
 ], ids=["criterion-3", "criterion-5"])
 def test_sampled_criteria_use_three_distinct_points(monkeypatch, criterion,

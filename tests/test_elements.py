@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from cyclohecke import elements
+from cyclohecke import elements, seminormal
 from cyclohecke.combin import (
     Multipartition,
     compositions,
@@ -14,7 +14,9 @@ from cyclohecke.combin import (
 )
 from cyclohecke.elements import (
     VerificationError,
+    check_identities,
     flam_eigen_oracle,
+    identities,
     is_identity_monomial,
     ll_range_word,
     ll_word,
@@ -528,9 +530,8 @@ def test_comparison_l_monomials_vanish():
 
 def test_comparison_fails_on_a_nonzero_trace_off_the_identity(monkeypatch):
     # one row of T_2 doubled on the module ((2), (1)), inside the one
-    # direct sum at a point.  The identity monomial compares a trace with
-    # itself, so only the monomial T_1 can fail, and its trace is now
-    # nonzero; a check of the identity monomial alone would pass.
+    # direct sum at a point.  The trace of the monomial T_1 is now
+    # nonzero, so the comparison fails off the identity monomial too.
     point = sample_point(2, 1, 3, Random(3))
     b = (2, 1)
     (rep,) = evaluation_units(2, 1, 3, point)
@@ -548,6 +549,105 @@ def test_comparison_fails_on_a_nonzero_trace_off_the_identity(monkeypatch):
     assert theta_word(h, b) == [("T", 1)]
     assert trace(3, vb + theta_word(h, b) + tb, point) != point.zero
     assert not verify_comparison(b, 1, points=[point])
+
+
+# ---------------------------------------------------------------------------
+# identity tables and their runner
+
+def test_identity_names_are_unique_and_stable():
+    assert [row[0] for row in identities("changing", (2, 1, 1), 1)] \
+        == ["1", "2", "3"]
+    assert [row[0] for row in identities("pleftmult", (2, 1), 2)] \
+        == ["shift cycle"]
+    assert [row[0] for row in identities("comparison", (2, 1), 1)] \
+        == ["(0, 0)(1, 2) (0,)(1,)", "(0, 0)(2, 1) (0,)(1,)"]
+    for kind, b, d in [("changing", (2, 0, 1), 2), ("comparison", (2, 1), 2),
+                       ("comparison", (1, 0, 2), 1)]:
+        names = [row[0] for row in identities(kind, b, d)]
+        assert len(set(names)) == len(names) > 1
+        assert names == [row[0] for row in identities(kind, b, d)]
+    with pytest.raises(ValueError, match="unknown identity kind"):
+        identities("factorization", (1, 1), 1)
+
+
+def test_comparison_table_compares_the_identity_with_the_closed_trace():
+    point = sample_point(2, 1, 2, Random(3))
+    rows = identities("comparison", (1, 1), 1)
+    assert [row[0] for row in rows] == ["(0,)(1,) (0,)(1,)"]
+    (_, lhs, rhs), = rows
+    assert lhs == vb_word((1, 1), 1) + tb_word((1, 1))
+    assert rhs(point) == vbtb_trace_closed((1, 1), point)
+    rows = identities("comparison", (2, 0), 1)
+    assert [row[2](point) for row in rows[1:]] == [point.zero]
+
+
+def _row_doubled(unit, i, a):
+    """A copy of the unit whose row a of T_i is doubled."""
+    bad = SeminormalRep(unit.shapes, unit.field)
+    rows = list(bad.trows[i])
+    rows[a] = tuple((j, 2 * x) for j, x in rows[a])
+    bad.trows = dict(bad.trows)
+    bad.trows[i] = tuple(rows)
+    return bad
+
+
+def _relations_table(*rows):
+    return [(name, [("T", i) for i in lhs], [("T", i) for i in rhs])
+            for name, lhs, rhs in rows]
+
+
+def _use_units(monkeypatch, units):
+    # element_equal reads seminormal's name, trace reads elements'
+    for module in (seminormal, elements):
+        monkeypatch.setattr(module, "evaluation_units",
+                            lambda p, d, n, field: units)
+
+
+def test_runner_reads_every_unit_at_a_point(monkeypatch):
+    # the units of a point of (3, 1, 4) hold 256 + 14 tableaux; T_2 is
+    # wrong only on the module ((3), (1), ()) of the second
+    point = sample_point(3, 1, 4, Random(5))
+    first, second = evaluation_units(3, 1, 4, point)
+    assert (first.dim, second.dim) == (256, 14)
+    assert second.shapes[0] == mp(3, 1, [(3,), (1,), ()])
+    table = _relations_table(("T1T2T1 = T2T1T2", (1, 2, 1), (2, 1, 2)),
+                             ("T1T3 = T3T1", (1, 3), (3, 1)),
+                             ("T2T3T2 = T3T2T3", (2, 3, 2), (3, 2, 3)))
+    table += identities("comparison", (3, 1, 0), 1)
+    assert check_identities(3, 1, 4, table, [point]) == []
+    _use_units(monkeypatch, (first, _row_doubled(second, 2, 0)))
+    assert check_identities(3, 1, 4, table, [point]) == [
+        "T1T2T1 = T2T1T2", "T2T3T2 = T3T2T3",
+        "(0, 0, 0)(1, 3, 2) (0,)(1,) ()()", "(0, 0, 0)(2, 3, 1) (0,)(1,) ()()",
+        "(0, 0, 0)(3, 1, 2) (0,)(1,) ()()", "(0, 0, 0)(3, 2, 1) (0,)(1,) ()()"]
+
+
+@pytest.mark.parametrize("comps, failing", [
+    ([(3,), ()], ["T1T2T1 = T2T1T2"]),
+    ([(2,), (1,)], ["T1T2T1 = T2T1T2", "(0, 0)(1, 2) (0,)(1,)",
+                    "(0, 0)(2, 1) (0,)(1,)"]),
+])
+def test_runner_reads_every_unit_over_the_generic_field(monkeypatch, comps,
+                                                        failing):
+    # one unit per module; T_2 wrong on the last module, which v_b
+    # annihilates for b = (2, 1), or on ((2,), (1,)), which it does not
+    units = evaluation_units(2, 1, 3, K21)
+    k = [unit.shapes for unit in units].index((mp(2, 1, comps),))
+    table = _relations_table(("T1T2T1 = T2T1T2", (1, 2, 1), (2, 1, 2)),
+                             ("T0T1T0T1 = T1T0T1T0", (0, 1, 0, 1),
+                              (1, 0, 1, 0)))
+    table += identities("comparison", (2, 1), 1)
+    assert check_identities(2, 1, 3, table, [K21]) == []
+    bad = _row_doubled(units[k], 2, 0)
+    _use_units(monkeypatch, units[:k] + (bad,) + units[k + 1:])
+    assert check_identities(2, 1, 3, table, [K21]) == failing
+
+
+def test_element_equal_reads_every_module():
+    # L_1 = eps^2 Q_1 holds on the first two modules, ((), (1, 1)) and
+    # ((), (2,)), and on no other
+    assert not element_equal(2, 1, 2, [("ladder", 1, 2, 1)], [("scal", 0)],
+                             [GenericField(2, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,19 @@ def test_semisimple_rejects_root_of_unity_q():
     assert not is_semisimple(pt, 2)
 
 
+def test_separation_rejects_an_eps_twisted_q_shift():
+    # Q_1 = eps q Q_2 with eps = -1: -15 = -(3 * 5)
+    assert not is_separated(SpecPoint(2, 2, 3, [-15, 5]), 2)
+
+
+def test_semisimple_rejects_a_vanishing_q_integer_alone():
+    # q a primitive cube root of unity makes [3]_q = 0; the point is
+    # separated, so only the q-integers reject it
+    pt = SpecPoint(2, 6, eps_pow(6, 2), [2])
+    assert is_separated(pt, 3)
+    assert not is_semisimple(pt, 3)
+
+
 def test_sample_point_is_separated_and_semisimple():
     # on a narrow range many draws have Q_i = q^k Q_j and must be
     # rejected, so a sampler that skipped either test would return some

@@ -244,6 +244,17 @@ def test_corrupted_t0_fails_cyclotomic_at_a_point():
     assert corrupt._ladders
 
 
+def test_t1_with_the_quadratic_relation_fails_only_the_t0_braid():
+    # T_1 = [[q - 1, 1], [q, 0]] satisfies (T_1 - q)(T_1 + 1) = 0, but not
+    # T_0 T_1 T_0 T_1 = T_1 T_0 T_1 T_0 with the diagonal T_0
+    for field in (K21, sample_point(2, 1, 2, random.Random(4))):
+        rep = build_rep(mp(2, 1, [(1,), (1,)]), field)
+        rep.trows = {1: (((0, field.q - field.one), (1, field.one)),
+                         ((0, field.q),))}
+        assert check_relations(rep) == [
+            "braid relation T_0T_1T_0T_1 = T_1T_0T_1T_0"]
+
+
 def test_corrupted_t1_row_fails_quadratic():
     for field in (K21, sample_point(2, 1, 3, random.Random(11))):
         base = build_rep(mp(2, 1, [(2,), (1,)]), field)

@@ -237,3 +237,22 @@ def test_only_exactnum_imports_the_value_types():
     ]
     assert "decomp.py" in {path.name for path in SRC.glob("*.py")}
     assert not found, found
+
+
+def test_one_runner_walks_the_units_of_a_word_verdict():
+    # a word verdict goes through elements.check_identities, the one
+    # caller of element_equal; element_equal, trace and the eigen oracle
+    # are the only code that walks the evaluation units
+    calls = {"evaluation_units": set(), "element_equal": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _defs_and_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                if name in calls:
+                    calls[name].add(f"{path.stem}.{owner}")
+    assert calls == {
+        "evaluation_units": {"seminormal.element_equal", "elements.trace",
+                             "elements.flam_eigen_oracle"},
+        "element_equal": {"elements.check_identities"},
+    }
