@@ -32,7 +32,9 @@ The scalar tower used throughout the package:
   the multiset union into a poly, so a sum is one more factor, not
   another type; only a closed form is divided by.  No gcd is ever
   taken.  The denominator is multiplied out only for JSON
-  (``ratfunc_to_json``).
+  (``ratfunc_to_json``).  ``_multiply_out`` multiplies out on integers:
+  power-basis numerators over one denominator, each c applied as rows
+  of the zeta-power table, one CycRat built per output term.
 * ``SpecPoint``: an exact evaluation point (eps, q, Q_1, ..., Q_d) with all
   coordinates in Q(zeta_N) and eps = zeta_N^(N/p).
 
@@ -69,7 +71,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -202,7 +204,8 @@ class CycRat:
         return CycRat(self.order, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is CycRat and other.order == self.order
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         return self._sum(tuple(-b for b in o.nums), o.den)
@@ -527,9 +530,11 @@ _NO_FACTORS = Counter()
 def _union(a: Counter, b: Counter) -> Counter:
     if not (a and b):
         return a or b
-    out = a.copy()
+    # dict.update copies a's entries with their stored hashes
+    out = Counter()
+    dict.update(out, a)
     for f, k in b.items():
-        out[f] += k
+        out[f] = out.get(f, 0) + k
     return out
 
 
@@ -594,11 +599,14 @@ class RatFunc:
         """The numerator multiplied out and the denominator multiset,
         emptied when the value is zero."""
         if self._lifted is None:
-            poly = self.poly or LaurentPoly.constant(self.order, self.nvars, 1)
-            if any(self.mono):
-                poly = poly.shift(self.mono)
-            if not _is_one(self.unit):
-                poly = poly.scale(self.unit)
+            if self.poly is None:
+                # a closed form: the one term unit * x^mono
+                poly = LaurentPoly(self.order, self.nvars,
+                                   {self.mono: self.unit} if self.unit else {})
+            else:
+                poly = self.poly.shift(self.mono) if any(self.mono) else self.poly
+                if not _is_one(self.unit):
+                    poly = poly.scale(self.unit)
             self._lifted = (_multiply_out(poly, self.num),
                             self.den if self.unit else _NO_FACTORS)
         return self._lifted
@@ -629,7 +637,10 @@ class RatFunc:
         return NotImplemented if o is None else -self + o
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        # an operand of this exact type and ring needs no coercion
+        o = (other if type(other) is RatFunc
+             and other.unit.order == self.unit.order
+             and len(other.mono) == len(self.mono) else self._coerce(other))
         if o is None:
             return NotImplemented
         if _is_one(self.unit):
@@ -654,8 +665,8 @@ class RatFunc:
                 raise ZeroDivisionError("inverse of zero rational function")
             raise NotImplementedError(
                 f"division by a numerator of {len(self.poly.terms)} terms")
-        return RatFunc(self.unit.inverse(), tuple(-a for a in self.mono),
-                       self.den, self.num)
+        unit = self.unit if _is_one(self.unit) else self.unit.inverse()
+        return RatFunc(unit, tuple(-a for a in self.mono), self.den, self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -747,23 +758,65 @@ def _binomial(a: CycRat, alpha: tuple, b: CycRat, beta: tuple) -> RatFunc:
     return RatFunc(-a, alpha, Counter({(tuple(-e for e in s), r): 1}))
 
 
+def _negated_times(c: CycRat):
+    """v -> -v * c * c.den on power-basis numerators: the sum of the v_j
+    times row j, the numerators of -zeta^j * c * c.den, each row the one
+    before times zeta, reduced with the table."""
+    if len(c.nums) == 1:
+        r = -c.nums[0]
+        return lambda v: (v[0] * r,)
+    rows = [tuple(-a for a in c.nums)]
+    for _ in range(1, len(c.nums)):
+        rows.append(_substitute(c.order, (0,) + rows[-1]))
+    if len(rows) == 2:
+        (a, b), (e, f) = rows
+        return lambda v: (v[0] * a + v[1] * e, v[0] * b + v[1] * f)
+    cols = tuple(zip(*rows))
+    return lambda v: tuple(sum(map(mul, v, col)) for col in cols)
+
+
 def _multiply_out(poly: LaurentPoly, factors: Counter) -> LaurentPoly:
-    """poly times every binomial c*x^m - 1 of the multiset, one pass each:
-    the terms shifted by m (m != 0) and scaled by c, minus the terms."""
-    terms = poly.terms
-    for (m, c), k in factors.items():
-        scaled = not _is_one(c)
+    """poly times every binomial c*x^m - 1 of the multiset, on integers.
+
+    The coefficients are power-basis numerators over one common
+    denominator.  A pass by 1 - c*x^m with c = C/dc scales the terms by
+    dc and adds -v*C at each exponent shifted by m (m != 0); a sum of two
+    numerators is zero iff every coordinate is, so a cancellation is seen
+    on reduced values.  Each pass flips the sign, so the terms start
+    scaled by (-1)^passes, and one CycRat is built per output term."""
+    if not factors:
+        return poly
+    order = poly.order
+    den = (-1) ** sum(factors.values()) * lcm(
+        *[c.den for c in poly.terms.values()])
+    terms = {e: c.nums if c.den == den
+             else tuple([den // c.den * a for a in c.nums])
+             for e, c in poly.terms.items()}
+    den = abs(den)
+    for (shift, c), k in factors.items():
+        times, dc = _negated_times(c), c.den
         for _ in range(k):
-            out = {tuple(map(add, e, m)): v * c if scaled else v
+            out = {tuple(map(add, e, shift)): times(v)
                    for e, v in terms.items()}
             for e, v in terms.items():
-                cur = out.pop(e, None)
+                if dc != 1:
+                    v = tuple([dc * a for a in v])
+                cur = out.get(e)
                 if cur is None:
-                    out[e] = -v
-                elif cur != v:
-                    out[e] = cur - v
+                    out[e] = v
+                else:
+                    v = tuple(map(add, cur, v))
+                    if any(v):
+                        out[e] = v
+                    else:
+                        del out[e]
             terms = out
-    return LaurentPoly(poly.order, poly.nvars, terms)
+        den *= dc ** k
+    if den == 1:
+        return LaurentPoly(order, poly.nvars,
+                           {e: CycRat(order, v, 1) for e, v in terms.items()})
+    return LaurentPoly(order, poly.nvars,
+                       {e: _canonical(order, v, den) for e, v in terms.items()})
 
 
 def laurent_quotient(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -972,12 +1025,12 @@ class SpecPoint:
 def is_separated(pt: SpecPoint, n: int) -> bool:
     """Whether prod_{i,j<=d} prod_{|k|<n} prod_{0<t<p} (Q_i - eps^t q^k Q_j) != 0."""
     d, p = pt.d, pt.p
+    q_powers = [pt.q_power(k) for k in range(-(n - 1), n)]
     for i in range(1, d + 1):
         Qi = pt.Q(i)
         for j in range(1, d + 1):
             Qj = pt.Q(j)
-            for k in range(-(n - 1), n):
-                qk = pt.q_power(k)
+            for qk in q_powers:
                 for t in range(1, p):
                     if not (Qi - pt.eps_pow(t) * qk * Qj):
                         return False
@@ -998,10 +1051,11 @@ def is_semisimple(pt: SpecPoint, n: int) -> bool:
     rho = [pt.eps_pow(u) * pt.Q(c)
            for u in range(1, pt.p + 1) for c in range(1, pt.d + 1)]
     r = len(rho)
+    q_powers = [pt.q_power(k) for k in range(-(n - 1), n)]
     for i in range(r):
         for j in range(i + 1, r):
-            for k in range(-(n - 1), n):
-                if not (pt.q_power(k) * rho[i] - rho[j]):
+            for qk in q_powers:
+                if not (qk * rho[i] - rho[j]):
                     return False
     # partial q-integers [i]_q = 1 + q + ... + q^(i-1)
     qint = pt.one

@@ -4,13 +4,13 @@ Nothing in the package calls these.  They are independent ways to get
 what the package computes (the permutation of a word, the number of
 tuples of partitions, the value of a rational function at a point, the
 generic field with every value multiplied out and its cross-multiplying
-arithmetic, binomials multiplied out by generic products, the
-closed-form scalars multiplied out factor by factor, dense matrix
-arithmetic and the inverse generators, a point whose values are
-Fractions, the standardness of a filling and the swap of two of its
-entries), the words of identities from the paper that no command
-evaluates, sums of word values, and the decoder for the scalar JSON the
-commands write.
+arithmetic, binomials multiplied out by generic products and by passes
+over CycRat coefficients, the closed-form scalars multiplied out factor
+by factor, dense matrix arithmetic and the inverse generators, a point
+whose values are Fractions, the standardness of a filling and the swap
+of two of its entries), the words of identities from the paper that no
+command evaluates, sums of word values, and the decoder for the scalar
+JSON the commands write.
 """
 
 from fractions import Fraction
@@ -636,6 +636,26 @@ def multiply_out_by_products(poly: LaurentPoly, factors) -> LaurentPoly:
         for _ in range(k):
             poly = poly * binomial
     return poly
+
+
+def multiply_out_by_passes(poly: LaurentPoly, factors) -> LaurentPoly:
+    """poly times each binomial c*x^m - 1 of factors, one pass each with
+    CycRat coefficients: the terms shifted by m and scaled by c, minus
+    the terms.  The kernel exactnum._multiply_out computes the same on
+    integer numerators."""
+    terms = poly.terms
+    for (m, c), k in factors.items():
+        for _ in range(k):
+            out = {tuple(a + b for a, b in zip(e, m)): v * c
+                   for e, v in terms.items()}
+            for e, v in terms.items():
+                cur = out.pop(e, None)
+                if cur is None:
+                    out[e] = -v
+                elif cur != v:
+                    out[e] = cur - v
+            terms = out
+    return LaurentPoly(poly.order, poly.nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from helpers import (
     RefRatFunc,
     mat_rows,
     monomial,
+    multiply_out_by_passes,
     multiply_out_by_products,
     reference_json,
     scalar_from_json,
@@ -999,8 +1000,14 @@ def random_binomials(rng, order, nvars, count):
                     rng.randint(1, 3) for _ in range(count)})
 
 
-@pytest.mark.parametrize("order", [3, 4])
+def is_canonical(c):
+    return c.den >= 1 and gcd(c.den, *c.nums) == 1
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
 def test_multiply_out_matches_generic_products(order):
+    # zero polynomials, empty multisets, multiplicities up to 3, negative
+    # exponents and c = 2/3 (a denominator) all occur in these draws
     rng = random.Random(order)
     for _ in range(60):
         nvars = rng.randint(1, 3)
@@ -1008,7 +1015,8 @@ def test_multiply_out_matches_generic_products(order):
         factors = random_binomials(rng, order, nvars, rng.randint(0, 3))
         out = exactnum._multiply_out(poly, factors)
         assert out == multiply_out_by_products(poly, factors)
-        assert all(out.terms.values())
+        assert out == multiply_out_by_passes(poly, factors)
+        assert all(c and is_canonical(c) for c in out.terms.values())
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -1027,6 +1035,36 @@ def test_multiply_out_cancels_terms(order):
             assert out == multiply_out_by_products(ones, Counter({(m, c): k}))
     zero = LaurentPoly.zero(order, 2)
     assert exactnum._multiply_out(zero, Counter({(m, one): 3})) == zero
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_multiply_out_edge_cases(order):
+    x, origin = (1, -1), (0, 0)
+    poly = LaurentPoly(order, 2, {(-1, 2): eps_pow(order, 1),
+                                  origin: CycRat.from_rational(order, Fraction(1, 2))})
+    assert exactnum._multiply_out(poly, Counter()) == poly
+    zero = LaurentPoly.zero(order, 2)
+    two_thirds = CycRat.from_rational(order, Fraction(2, 3))
+    assert exactnum._multiply_out(zero, Counter({(x, two_thirds): 2})) == zero
+    for factors in (Counter({(x, two_thirds): 2}),
+                    Counter({(x, two_thirds): 1, ((0, 1), eps_pow(order, 1)): 3})):
+        out = exactnum._multiply_out(poly, factors)
+        assert out == multiply_out_by_passes(poly, factors)
+        assert all(is_canonical(c) for c in out.terms.values())
+
+
+def test_multiply_out_cancels_after_reduction():
+    # (eps x - 1)(eps^2 x - 1)(x - 1) = x^3 - 1 in Q(zeta_3): the middle
+    # coefficients -(eps + eps^2) and eps + eps^2 are 1 and -1 only
+    # because 1 + eps + eps^2 = 0
+    one = CycRat.from_rational(3, 1)
+    factors = Counter({((1,), eps_pow(3, 1)): 1, ((1,), eps_pow(3, 2)): 1,
+                       ((1,), one): 1})
+    out = exactnum._multiply_out(LaurentPoly.constant(3, 1, 1), factors)
+    assert out.terms == {(3,): one, (0,): -one}
+    two = Counter({((1,), eps_pow(3, 1)): 1, ((1,), eps_pow(3, 2)): 1})
+    out = exactnum._multiply_out(LaurentPoly.constant(3, 1, 1), two)
+    assert out.terms == {(2,): one, (1,): one, (0,): one}
 
 
 @pytest.mark.parametrize("order", [3, 4])
