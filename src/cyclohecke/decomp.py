@@ -451,17 +451,17 @@ class _AssemblyPlan(NamedTuple):
     with i == j.  pairs lists, in visit order, every other pair of
     representatives of equal composition where la dominates mu, as
     (la, mu, p_la, p_mu, cells) with cells the ((ri, ci), twist slot) of
-    each (i, j); dominant holds their (la, mu), the dominance verdicts of
-    the audit.  units gives each column ci with the row ri of its label,
-    None when no row has it, where the audit wants a unit entry.
+    each (i, j).  An assembly writes entries at these positions only, so
+    its matrix is unitriangular by construction: every entry sits where
+    the row label dominates the column label, and every column (mu, j)
+    has its unit at row (mu, j), since the labels are closed under the
+    shift and rows and columns keep the same member of each shift class.
     """
 
     rows: tuple
     cols: tuple
     diagonal: tuple
     pairs: tuple
-    dominant: frozenset
-    units: tuple
 
 
 # one entry per assembled (p, d, n) cell and tuple of simple labels,
@@ -475,10 +475,18 @@ PLAN_CACHE_SIZE = 32
 @lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
 def _assembly_plan(p: int, d: int, n: int, klesh: tuple) -> _AssemblyPlan:
     """The plan of assembling the (p*d)-multipartitions of n against the
-    simple labels klesh, which must already be checked for context,
-    duplicates and size.  Labels not closed under the block shift raise
-    InputDataError, and a raising call leaves nothing in the memo."""
+    simple labels klesh, which are checked here, once per memo key: a
+    label of another context raises ValueError, and duplicate labels, a
+    label of another size or labels not closed under the block shift
+    raise InputDataError.  A raising call leaves nothing in the memo."""
+    if any((mu.p, mu.d) != (p, d) for mu in klesh):
+        raise ValueError("multipartition context mismatch")
     pool = set(klesh)
+    if len(pool) != len(klesh):
+        raise InputDataError("duplicate simple label")
+    for mu in klesh:
+        if mu.size != n:
+            raise InputDataError(f"simple label {mu!r} has size {mu.size} != {n}")
     if not all(mu.shift(1) in pool for mu in pool):
         raise InputDataError("simple labels are not closed under block shift")
     row_reps = _normalized_reps(enumerate_all(p, d, n))
@@ -508,10 +516,7 @@ def _assembly_plan(p: int, d: int, n: int, klesh: tuple) -> _AssemblyPlan:
                               for i in range(1, p_la + 1)
                               for j in range(1, p_mu + 1))
                 pairs.append((la, mu, p_la, p_mu, cells))
-    return _AssemblyPlan(
-        rows, cols, tuple(diagonal), tuple(pairs),
-        frozenset((la, mu) for la, mu, _, _, _ in pairs),
-        tuple((row_pos.get(lab), ci) for ci, lab in enumerate(cols)))
+    return _AssemblyPlan(rows, cols, tuple(diagonal), tuple(pairs))
 
 
 def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
@@ -531,14 +536,15 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     none is supplied.  Entries are exact integers; reduce_matrix takes
     them modulo a prime.
 
-    Once the simple labels have passed every check, everything that reads
-    neither the tables nor the field comes from one bounded memo keyed by
-    (p, d, n) and the tuple of simple labels (`_assembly_plan`, LRU,
-    PLAN_CACHE_SIZE entries): the row and column labels and positions,
-    the pairs to visit with the twist slot of each entry, and the
-    dominance verdicts of the audit.  Each call computes the orbit sums,
-    g ratios, twist solves, entries and the audit afresh, in plan order,
-    and builds every list it returns anew.
+    Everything that reads neither the tables nor the field comes from one
+    bounded memo keyed by (p, d, n) and the tuple of simple labels
+    (`_assembly_plan`, LRU, PLAN_CACHE_SIZE entries): the checks on the
+    simple labels, the row and column labels and positions, and the
+    pairs to visit with the twist slot of each entry.  Each call computes
+    the orbit sums, g ratios, twist solves and entries afresh, in plan
+    order, and builds every list it returns anew.  Entries are written
+    only where the plan puts them, which makes the matrix unitriangular
+    (_AssemblyPlan).
     """
     if p < 1 or r % p:
         raise ValueError(f"p must divide r, got r={r}, p={p}")
@@ -547,15 +553,7 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
     d = r // p
     field = point if point is not None else GenericField(p, d)
 
-    klesh = tuple(klesh_labels)
-    if any((mu.p, mu.d) != (p, d) for mu in klesh):
-        raise ValueError("multipartition context mismatch")
-    if len(set(klesh)) != len(klesh):
-        raise InputDataError("duplicate simple label")
-    for mu in klesh:
-        if mu.size != n:
-            raise InputDataError(f"simple label {mu!r} has size {mu.size} != {n}")
-    plan = _assembly_plan(p, d, n, klesh)
+    plan = _assembly_plan(p, d, n, tuple(klesh_labels))
     rows, cols = plan.rows, plan.cols
 
     entries = dict.fromkeys(plan.diagonal, 1)
@@ -595,13 +593,12 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
                 sums = None
             if sums is not None:
                 twist_names = [f"d{k}.{j}" for j in range(1, p_mu + 1)]
-                rhs = sums.sums if isinstance(sums, ClassSums) else sums.values
                 for c in range(1, p_la + 1):
                     terms = [[1, twist_names[j - 1]]
                              for j in range(1, p_mu + 1)
                              if j % p_la == c % p_la]
                     relations.append({"terms": terms,
-                                      "rhs": int(rhs[c - 1])})
+                                      "rhs": int(sums.sums[c - 1])})
         for pos, slot in cells:
             entries[pos] = {"unknown": names[slot]}
         unknowns.append({
@@ -614,24 +611,6 @@ def assemble_matrix(r: int, p: int, n: int, tables, klesh_labels,
             "twist_unknowns": twist_names,
             "relations": relations,
         })
-
-    # Unitriangularity audit: support on or above the diagonal in the
-    # common dominance-compatible order, with unit diagonal.  The plan
-    # holds la.dominates(mu) for every pair it visits; any other pair is
-    # asked directly.
-    for (ri, ci), v in entries.items():
-        la, i = rows[ri]
-        mu, j = cols[ci]
-        if la == mu:
-            if i != j or v != 1:
-                raise InputDataError("diagonal block is not the identity")
-        elif (la, mu) not in plan.dominant and not la.dominates(mu):
-            raise InputDataError(
-                f"entry at ({la!r}, {mu!r}) breaks unitriangularity"
-            )
-    for ri, ci in plan.units:
-        if ri is None or entries.get((ri, ci)) != 1:
-            raise InputDataError(f"missing unit diagonal at {cols[ci]!r}")
 
     out = {
         "r": r,

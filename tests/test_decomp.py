@@ -723,23 +723,29 @@ def test_assemble_validates_labels():
 
 def test_assemble_refusals_survive_a_warm_skeleton():
     # the assembly plan of the simple labels is kept after a valid
-    # assembly; a memo keyed by (p, d, n) alone, or one that skips the
-    # checks on a hit, would accept each of these, and a memo that kept
-    # a refused plan would not refuse it again
+    # assembly, and the four checks on the labels run once per plan; a
+    # memo keyed by (p, d, n) alone, or one that skips the checks on a
+    # hit, would accept each of these, and a memo that kept a refused
+    # plan would not refuse it again
     tables = [semisimple_table(1, m) for m in range(3)]
     klesh = enumerate_all(2, 1, 2)
+    decomp._assembly_plan.cache_clear()
     assert assemble_matrix(2, 2, 2, tables, klesh)["report"]["identity"]
     not_closed = [la for la in klesh if la != mp(2, 1, [[2], []])]
-    for _ in range(2):
-        with pytest.raises(InputDataError, match="duplicate"):
-            assemble_matrix(2, 2, 2, tables, klesh + klesh[:1])
-        with pytest.raises(InputDataError, match="size"):
-            assemble_matrix(2, 2, 2, tables,
-                            klesh[:-1] + [mp(2, 1, [[3], []])])
-        with pytest.raises(InputDataError, match="closed"):
-            assemble_matrix(2, 2, 2, tables, not_closed)
-    with pytest.raises(ValueError, match="context"):
-        assemble_matrix(2, 2, 2, tables, enumerate_all(1, 2, 2))
+    refused = [
+        (enumerate_all(1, 2, 2), ValueError, "context"),
+        (klesh + klesh[:1], InputDataError, "duplicate"),
+        (klesh[:-1] + [mp(2, 1, [[3], []])], InputDataError, "size"),
+        (not_closed, InputDataError, "closed"),
+    ]
+    for labels, kind, what in refused:
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=what) as info:
+                assemble_matrix(2, 2, 2, tables, labels)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] and errors[0][0] is kind
+        assert decomp._assembly_plan.cache_info().currsize == 1
     # the same labels, in another order, give the same matrix
     assert assemble_matrix(2, 2, 2, tables, klesh[::-1]) \
         == assemble_matrix(2, 2, 2, tables, klesh)
@@ -838,6 +844,52 @@ def test_assemble_with_unknown_pair():
                         {"unknown": "u1.1"}, {"unknown": "u1.1"}]
     plain = [v for _, _, v in out["entries"] if not isinstance(v, dict)]
     assert plain == [1] * 13
+
+
+def assert_unitriangular(out, p, d):
+    """Unitriangularity read off the returned JSON alone: every entry,
+    integer or unknown, sits where its row label dominates its column
+    label, equal labels hold only a unit at i = j, and every column
+    (mu, j) has its unit at row (mu, j).  Returns the number of entries
+    off the unit diagonal."""
+    rows = [(Multipartition(p, d, la), i) for la, i in out["rows"]]
+    cols = [(Multipartition(p, d, mu), j) for mu, j in out["cols"]]
+    row_of = {lab: ri for ri, lab in enumerate(rows)}
+    held = {}
+    for ri, ci, v in out["entries"]:
+        (la, i), (mu, j) = rows[ri], cols[ci]
+        assert la.dominates(mu), (la, mu)
+        if la == mu:
+            assert i == j and v == 1, (la, i, j, v)
+        held[ri, ci] = v
+    for ci, lab in enumerate(cols):
+        assert held.get((row_of[lab], ci)) == 1, lab
+    return len(held) - len(cols)
+
+
+@pytest.mark.parametrize("p, d, n", [(2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                     (3, 1, 3), (2, 2, 2)])
+def test_assembled_matrices_are_unitriangular(p, d, n):
+    # an independent check of the plan: it never reads _assembly_plan,
+    # only the labels and entries assemble_matrix returns
+    klesh = enumerate_all(p, d, n)
+    assembled = off_diagonal = 0
+    for draw in range(4):
+        rng = Random(draw)
+        tables = all_tables(p, d, n, semisimple=False, rng=rng)
+        point = sample_point(p, d, n, rng)
+        for field in (None, point):
+            try:
+                out = assemble_matrix(p * d, p, n, tables, klesh,
+                                      point=field)
+            except InputDataError:
+                continue
+            assembled += 1
+            off_diagonal += assert_unitriangular(out, p, d)
+    assert assembled and off_diagonal
+    out = assemble_matrix(2, 2, 4, unknown_pair_tables(),
+                          enumerate_all(2, 1, 4))
+    assert assert_unitriangular(out, 2, 1) == 4
 
 
 # First 16 hex digits of the sha256 over the outputs of assemble_matrix on

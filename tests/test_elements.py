@@ -482,6 +482,31 @@ def test_flam_oracle_rejects_a_v_b_of_the_wrong_rank(monkeypatch):
         flam_eigen_oracle(b, point)
 
 
+def test_flam_oracle_rejects_a_v_b_that_does_not_annihilate(monkeypatch):
+    # v_b gains one stored entry in the block of a shape whose composition
+    # is not b, which v_b must send to zero
+    point = sample_point(2, 1, 2, Random(4))
+    b = (1, 1)
+    vb = vb_word(b, 1)
+    real = elements.eval_word
+    patched_blocks = []
+
+    def patched(rep, word):
+        value = real(rep, word)
+        if word != vb:
+            return value
+        lo = next(lo for shape, lo, hi in rep.blocks
+                  if shape.composition() != b)
+        assert not value[lo]
+        patched_blocks.append(lo)
+        return value[:lo] + (((lo, point.one),),) + value[lo + 1:]
+
+    monkeypatch.setattr(elements, "eval_word", patched)
+    with pytest.raises(VerificationError, match="does not annihilate"):
+        flam_eigen_oracle(b, point)
+    assert patched_blocks
+
+
 # ---------------------------------------------------------------------------
 # trace comparison over the tensor basis
 
