@@ -33,14 +33,12 @@ from .decomp import (
     DecompTable,
     InputDataError,
     assemble_matrix,
-    cyclic_reindex,
     d_product,
     dim_report,
     reduce_matrix,
     relations_oracle,
     semisimple_table,
     split_by_formula,
-    splittable_number,
 )
 from .elements import (
     VerificationError,
@@ -672,11 +670,6 @@ def _splittable_sweep(p, tables, sample=None, rng=None) -> int:
         d_val = d_product(la, mu, p // l, tables)
         if sum(formula.values) != d_val ** l:
             raise AssertionError(f"row sum violated at {la!r}, {mu!r}")
-        for i, j in ((1, 1), (1, l)):
-            if splittable_number(la, mu, i, j, tables, 1) \
-                    != cyclic_reindex(formula, i, j):
-                raise AssertionError(
-                    f"entry extraction mismatch at {la!r}, {mu!r}")
     return len(pairs)
 
 
@@ -729,7 +722,7 @@ def _criterion_assembly(nmax) -> str:
                                   list(enumerate_all(p, 1, n)))
             report = out["report"]
             count = _label_count(p, 1, n)
-            if not (report["identity"] and report["unitriangular"]):
+            if not report["identity"]:
                 raise AssertionError(
                     f"semisimple assembly is not the identity at "
                     f"p={p}, n={n}: {report}"

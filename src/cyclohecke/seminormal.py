@@ -14,6 +14,7 @@ diagonals, and every relation is checked on such values.
 """
 
 from functools import lru_cache
+from math import factorial
 from random import Random
 
 from .combin import Multipartition, enumerate_all
@@ -299,14 +300,15 @@ def evaluation_units(p, d, n, field) -> tuple:
 
 
 def _relations(field, n: int) -> list:
-    """(name, lhs word, rhs word) for every defining relation of H_n."""
-    q, zero = field.q, [("scal", 0)]
+    """(name, lhs word, rhs word) for every defining relation of H_n,
+    every scalar a value of the field."""
+    q, zero = field.q, [("scal", field.zero)]
     table = [("cyclotomic relation for T_0",
               [("ladder", 1, s, i) for s in range(1, field.p + 1)
                for i in range(1, field.d + 1)], zero)]
     # (T_i - q)(T_i + 1) = 0
     table += [(f"quadratic relation for T_{i}",
-               [("Tshift", i, -q), ("Tshift", i, 1)], zero)
+               [("Tshift", i, -q), ("Tshift", i, field.one)], zero)
               for i in range(1, n)]
     if n >= 2:
         table.append(("braid relation T_0T_1T_0T_1 = T_1T_0T_1T_0",
@@ -322,11 +324,15 @@ def _relations(field, n: int) -> list:
 
 
 def check_relations(rep: SeminormalRep) -> list:
-    """All defining relations as matrix identities; returns the failures."""
+    """All defining relations as matrix identities; returns the failures.
+
+    The words are evaluated past the word memo, like the L-recursion
+    self-check: each is used once, and a memo entry would keep the rep.
+    """
     if rep.n == 0:
         return []
     return [name for name, lhs, rhs in _relations(rep.field, rep.n)
-            if eval_word(rep, lhs) != eval_word(rep, rhs)]
+            if _eval_word(rep, lhs) != _eval_word(rep, rhs)]
 
 
 def _scalar_token(field, value):
@@ -468,6 +474,8 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
     sum to at most 40, since the numerators of symbolic sums grow with
     every binomial of their denominators while a value at a point stays
     one number, and always at p = 1, where no point can be sampled.
+    That sum is the dimension (p*d)^n * n! of the algebra, read off in
+    closed form.
     """
     if points is not None:
         fields = list(points)
@@ -477,8 +485,9 @@ def mode_fields(p, d, n, mode: str = "auto", points=None,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if mode == "auto":
-        total = sum(count_std(s) ** 2 for s in enumerate_all(p, d, n))
-        mode = "symbolic" if total <= 40 or p == 1 else "random"
+        # a negative n has no shapes, so the sum is 0
+        small = n < 0 or (p * d) ** n * factorial(n) <= 40
+        mode = "symbolic" if small or p == 1 else "random"
     if mode == "symbolic":
         return [GenericField(p, d)]
     if mode == "random":

@@ -742,19 +742,20 @@ def test_comparison_checks_the_identity_against_the_closed_trace(
 
 
 def test_internal_invariant_exits_3_without_traceback(runner, monkeypatch):
+    # one more box-count in the q-exponent of g breaks its integrality
+    # check in scalars._exponents
     from cyclohecke import scalars
 
-    def broken(field, value, name):
-        raise RuntimeError(f"internal: {name} must be a Laurent polynomial")
-
-    monkeypatch.setattr(scalars, "_check_laurent", broken)
-    result = runner.invoke(main, ["scalar", "f", "--p", "2", "--d", "1",
+    real = scalars.comp_stats
+    monkeypatch.setattr(scalars, "comp_stats",
+                        lambda b: (real(b)[0], real(b)[1] + 1))
+    result = runner.invoke(main, ["scalar", "g", "--p", "2", "--d", "1",
                                   "--lambda", "[[1],[1]]"])
     assert result.exit_code == 3, result.output
     assert "Traceback" not in result.output
     assert json.loads(result.output) == {"error": {
         "kind": "internal",
-        "message": "internal: f must be a Laurent polynomial"}}
+        "message": "internal: q-exponent of g must be an integer"}}
 
 
 @pytest.mark.parametrize("error", [KeyError("u0"), TypeError("u0")])

@@ -36,6 +36,7 @@ from cyclohecke.elements import (
 )
 from cyclohecke.exactnum import (
     GenericField,
+    RatFunc,
     SpecPoint,
     generic_field,
     sample_point,
@@ -363,13 +364,14 @@ def test_flam_oracle_generic_matches_closed_formula(p, d, n):
 
 def test_flam_oracle_generic_rejects_an_inexact_quotient(monkeypatch):
     # the entry of v_b T_b v_b that the scalar is read from gains a pole
-    # at q = Q_1, so it no longer divides by the entry of v_b there.
+    # at q = Q_1, so it no longer divides by the entry of v_b there, a
+    # sum, and `/` refuses the quotient.
     # Over the generic field every shape is its own evaluation unit, so
     # the products come in pairs, one pair per shape that v_b keeps.
     field = GenericField(2, 1)
     assert len(evaluation_units(2, 1, 2, field)) == len(enumerate_all(2, 1, 2))
     product = elements.rows_mul
-    quotient = elements.laurent_quotient
+    quotient = RatFunc.__truediv__
     calls, inexact = [], []
 
     def patched(A, B):
@@ -389,15 +391,15 @@ def test_flam_oracle_generic_rejects_an_inexact_quotient(monkeypatch):
         try:
             return quotient(y, x)
         except ArithmeticError:
-            inexact.append(y)
+            inexact.append(x)
             raise
 
     monkeypatch.setattr(elements, "rows_mul", patched)
-    monkeypatch.setattr(elements, "laurent_quotient", recording)
+    monkeypatch.setattr(RatFunc, "__truediv__", recording)
     with pytest.raises(VerificationError, match="not proportional"):
         flam_eigen_oracle((1, 1), field)
     assert len(calls) == 2
-    assert len(inexact) == 1
+    assert len(inexact) == 1 and inexact[0].poly is not None
 
 
 def test_flam_oracle_rejects_a_product_out_of_proportion(monkeypatch):

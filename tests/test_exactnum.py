@@ -23,7 +23,6 @@ from cyclohecke.exactnum import (
     generic_field,
     is_separated,
     is_semisimple,
-    laurent_quotient,
     ratfunc_to_json,
     sample_point,
 )
@@ -891,19 +890,26 @@ def test_cancelling_sum_is_falsy_and_sparse_rows_drop_it():
     assert rows_mul(A, B) == (((1, x * x),), ((0, -one), (1, x)))
 
 
-def test_division_only_by_a_one_term_numerator():
+def test_division_by_a_closed_form_or_a_sum():
+    # a closed form is divided by through its inverse; a sum has none,
+    # and divides only where the quotient is a Laurent polynomial
     V = GenericField(2, 1)
     s = V.q + V.one
     t = s * V.Q(1) / (V.q - V.one)
     assert t / (V.Q(1) + 0) == s / (V.q - V.one)
     assert (V.q_power(2) + V.q) / V.q == s
     assert 1 / (V.Q(1) + 0) == V.Q_power(1, -1)
+    assert (s * s) / s == s and (s * V.q) / s == V.q
     with pytest.raises(NotImplementedError):
-        V.one / s
-    with pytest.raises(NotImplementedError):
-        t / s
-    with pytest.raises(ZeroDivisionError):
-        t / (s - s)
+        s.inverse()
+    # t / s = Q_1 / (q - 1) has a pole; 2 / s goes through / as well
+    for num in (V.one, t, 2):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            num / s
+    # a zero sum, and a zero unit times a poly
+    for zero in (s - s, s * 0):
+        with pytest.raises(ZeroDivisionError):
+            t / zero
 
 
 def test_exact_laurent_division():
@@ -914,11 +920,14 @@ def test_exact_laurent_division():
     assert prod.divide_exact(b.poly) == a.poly
     assert prod.divide_exact(a.poly) == b.poly
     assert LaurentPoly.zero(3, 3).divide_exact(b.poly) == LaurentPoly.zero(3, 3)
-    # numerators over different multisets are lifted to one first
+    # / by a sum: numerators over different multisets are lifted to
+    # their union first, and the quotient has no denominator
     x = a / (V.q - V.one)
     y = b / (V.q * V.Q(1) - V.one)
-    assert laurent_quotient(x * y, y / (V.q - V.one)) == a
-    assert laurent_quotient(a * (V.q - V.one), V.q - V.one) == a
+    assert x * y / (y / (V.q - V.one)) == a
+    quotient = (a * b) / y
+    assert quotient == a * (V.q * V.Q(1) - V.one) and not quotient.den
+    assert (a * b) / b == a and a * (V.q - V.one) / (V.q - V.one) == a
 
 
 def test_inexact_laurent_division_raises():
@@ -930,10 +939,14 @@ def test_inexact_laurent_division_raises():
     with pytest.raises(ArithmeticError, match="inexact"):
         a.poly.divide_exact(b.poly)
     with pytest.raises(ArithmeticError, match="inexact"):
-        laurent_quotient(V.one, a)
+        V.one / a
+    with pytest.raises(ArithmeticError, match="inexact"):
+        b / a
     # a quotient with a pole is not a Laurent polynomial either
     with pytest.raises(ArithmeticError, match="inexact"):
-        laurent_quotient(a, a * (V.q - V.one))
+        a / (a * (V.q - V.one))
+    with pytest.raises(ZeroDivisionError):
+        a / (a - a)
     with pytest.raises(ZeroDivisionError):
         a.poly.divide_exact(LaurentPoly.zero(2, 3))
 

@@ -10,10 +10,18 @@ its reason) with
     PYTHONPATH=src python tests/test_golden.py --record
 
 which rewrites the digests and exit codes only, never an input file.
+Run every entry as a process instead (``python -m cyclohecke.cli`` with
+PYTHONPATH set to the checkout's src/) with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which prints the first mismatch and exits 1 if any entry differs.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +35,7 @@ from test_decomp import unknown_pair_tables
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.json"
 INPUTS = CORPUS.parent / "inputs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the input files that are the output of a corpus entry, byte for byte
 RECORDED_INPUTS = {
@@ -107,5 +116,27 @@ def _record() -> None:
     CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
 
 
+def _check() -> int:
+    """Run every entry as a process and compare its exit code and the
+    digest of its stdout; print the first mismatch, 1 if any."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    entries, bad = _entries(), 0
+    for entry in entries:
+        result = subprocess.run(
+            [sys.executable, "-m", "cyclohecke.cli", *_resolve(entry["argv"])],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        got = result.returncode, hashlib.sha256(result.stdout).hexdigest()
+        if got != (entry["exit_code"], entry["stdout_sha256"]):
+            if not bad:
+                print(f"mismatch: {' '.join(entry['argv'])}: exit {got[0]}, "
+                      f"sha256 {got[1]}; pinned exit {entry['exit_code']}, "
+                      f"sha256 {entry['stdout_sha256']}")
+            bad += 1
+    print(f"{len(entries) - bad} of {len(entries)} entries match as a process")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     _record()
+elif __name__ == "__main__" and sys.argv[1:] == ["--check"]:
+    sys.exit(_check())

@@ -1,7 +1,10 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -36,7 +39,7 @@ from cyclohecke.seminormal import (
     evaluation_units,
     mode_fields,
 )
-from cyclohecke.tableau import beta_coeff, content, enumerate_std
+from cyclohecke.tableau import beta_coeff, content, count_std, enumerate_std
 
 from helpers import (
     FractionPoint,
@@ -851,6 +854,20 @@ def test_word_memo_skips_rep_builds_and_the_generic_field(word_memo):
     rep = SeminormalRep((mp(2, 1, [(2,), (1,)]),), K21)
     eval_word(rep, [("T", 1), ("L", 2)])
     assert word_memo.cache_info().currsize == 0
+    # so do the relation checks, whose words are each used once: the memo
+    # (one entry, so an eviction would show) is untouched and keeps no
+    # fresh rep alive
+    eval_word(build_rep(mp(2, 1, [(1,), (1,)]), pt), [("T", 1)])
+    before = word_memo.cache_info()
+    refs = []
+    for shape in enumerate_all(2, 1, 3):
+        rep = build_rep(shape, pt)
+        assert check_relations(rep) == []
+        refs.append(weakref.ref(rep))
+    del rep
+    gc.collect()
+    assert word_memo.cache_info() == before
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_sparse_products_match_mat_mul():
@@ -1046,6 +1063,20 @@ def test_mode_fields_forms():
                 mode_fields(2, 1, 2, mode, trials=trials)
     with pytest.raises(ValueError, match="unknown mode"):
         mode_fields(2, 1, 2, "exact")
+
+
+def test_auto_rule_reads_the_dimension_in_closed_form():
+    # the squared dimensions of all modules of a cell sum to the
+    # dimension (p*d)^n * n! of the algebra, which the auto rule reads
+    # instead of enumerating the shapes: symbolic up to 40, or at p = 1
+    for p in range(1, 5):
+        for d in range(1, 4):
+            for n in range(6):
+                total = sum(count_std(s) ** 2 for s in enumerate_all(p, d, n))
+                assert total == (p * d) ** n * factorial(n), (p, d, n)
+                (field, *_) = mode_fields(p, d, n, "auto", trials=1,
+                                          rng=random.Random(n))
+                assert field.is_generic == (total <= 40 or p == 1), (p, d, n)
 
 
 def test_cyclotomic_params_order():

@@ -193,7 +193,8 @@ def _defs_and_nodes(tree):
 def test_only_exactnum_knows_the_backends():
     # consumers reach a field through the protocol in exactnum's
     # docstring: no private name of exactnum, no isinstance test on a
-    # backend, and is_generic read only at the four sites that say why
+    # backend, and is_generic read only by the two evaluation policies
+    # of seminormal, the word memo and the unit size
     found, generic = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "exactnum.py":
@@ -212,13 +213,25 @@ def test_only_exactnum_knows_the_backends():
             if isinstance(node, ast.Attribute) and node.attr == "is_generic":
                 generic.add(f"{path.stem}.{owner}")
     assert not found, found
-    assert generic == {"seminormal.eval_word", "seminormal.evaluation_units",
-                       "elements.flam_eigen_oracle", "scalars._check_laurent"}
+    assert generic == {"seminormal.eval_word", "seminormal.evaluation_units"}
     from cyclohecke import cli, exactnum
     assert not hasattr(exactnum.SpecPoint, "embed")
     assert not hasattr(cli, "_field_json")
     assert exactnum.generic_field is exactnum.GenericField
     assert cli.scalar_to_json is exactnum.scalar_to_json
+
+
+def test_only_exactnum_reads_the_form_of_a_value():
+    # a consumer computes with + - * / and ==, never with the slots of a
+    # RatFunc (poly, num, den) or a CycRat (den)
+    found = [
+        f"{path.name}:{node.lineno} reads .{node.attr}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "exactnum.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("poly", "num", "den")
+    ]
+    assert not found, found
 
 
 def test_only_exactnum_imports_the_value_types():
