@@ -146,6 +146,7 @@ def comp_stats(b) -> tuple:
 
 def compositions(n: int, p: int):
     """All weak compositions of n into p >= 1 parts, lexicographically."""
+    _int_parts((n, p), "(n, p) composition")
     if p < 1:
         raise ValueError(f"a composition needs p >= 1 parts, got p={p}")
     if p == 1:

@@ -167,8 +167,8 @@ def shift_factor_word(b, d: int, t: int) -> list:
 
 # keyed by sampled points, so bounded; no measured traffic near it: 0
 # entries after a pass of each benchmark workload, 7 after the desk
-# fixtures.  `verify comparison --b [1,1,1] --d 2 --mode symbolic` takes
-# 0.95 s with it and 1.06 s without (best of 3 processes)
+# fixtures.  Without it `verify comparison --b [1,1,1] --d 2` went from
+# 0.95 to 1.06 s symbolic, 0.39 to 0.61 s random --seed 1 (best of 3)
 SCHUR_INVERSES_CACHE_SIZE = 1024
 
 

@@ -56,9 +56,9 @@ field, a backend it is handed: ``GenericField`` (values RatFunc) or a
 * ``rational(value)``: the Fraction a value of the field equals, or
   None when it is not a rational constant;
 * ``to_json()``: the field as a JSON object;
-* ``is_generic``: read only by the two evaluation policies of
-  ``seminormal``, the word memo (generic values do not hash) and the
-  size of an evaluation unit, each site saying why;
+* ``is_generic``: read once, where ``seminormal`` builds the
+  evaluation units: it sets their size and whether their word values
+  are memoized (generic values do not hash);
 * ``==`` and ``hash``, since memos are keyed by the field.
 
 Values support ``+ - * /``, unary minus, ``**`` by an int, ``==`` and
@@ -74,6 +74,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence, Union
+
+from .combin import _int_parts
 
 Rational = Union[int, Fraction]
 
@@ -841,6 +843,7 @@ class GenericField:
 
     def __init__(self, p: int, d: int):
         # p = 1 (eps trivial: plain Ariki-Koike) has a generic field too
+        _int_parts((p, d), "(p, d) context")
         if p < 1:
             raise ValueError("invalid order: the symbolic field needs p >= 1")
         if d < 1:
@@ -939,6 +942,10 @@ class SpecPoint:
     __slots__ = ("p", "N", "d", "q", "Q_vals", "zero", "one", "_hash")
 
     def __init__(self, p: int, N: int, q_val, Q_vals: Sequence):
+        _int_parts((p, N), "(p, N) context")
+        Q_vals = tuple(Q_vals)
+        if any(isinstance(v, bool) for v in (q_val, *Q_vals)):
+            raise ValueError("a coordinate must be a number, not a bool")
         if p < 2:
             raise ValueError("invalid order: need p >= 2")
         if N < 1 or N % p != 0:
@@ -1042,8 +1049,9 @@ def is_semisimple(pt: SpecPoint, n: int) -> bool:
     """Semisimplicity criterion for the parameter list (eps^1 Q, ..., eps^p Q).
 
     Requires q^k rho_i != rho_j for all i < j, |k| < n, and the partial
-    q-factorials 1 + q + ... + q^(i-1) nonzero for i <= n.  Together with
-    separation this guarantees seminormal denominators never vanish.
+    q-factorials 1 + q + ... + q^(i-1) nonzero for i <= n, so seminormal
+    denominators never vanish.  It implies `is_separated`: rho runs over
+    every eps^u Q_c, which covers Q_i != eps^t q^k Q_j, 0 < t < p.
     """
     # q = 1 collapses same-component content differences q^a - q^b even
     # though [i]_q stays nonzero, so it is excluded for n >= 2

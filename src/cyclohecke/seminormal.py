@@ -34,36 +34,33 @@ class SeminormalRep:
     laid along the diagonal.  One shape is the module itself
     (`build_rep`).
 
-    What depends only on a shape is computed once per process and
-    shared by the reps over every field (`_shape_skeleton`, LRU,
-    SHAPE_CACHE_SIZE shapes): the basis of standard tableaux; the
-    exponents of every content; and, for each T_i, which basis tableau
-    the swap of i and i+1 lands on.  A rep lays those out end to end
-    and computes the values over its field: the contents, one object
-    per exponents (e, h, c) over all its blocks; the seminormal ratio
-    beta (`tableau.beta_coeff`) once per pair of content objects of i
-    and i+1, keyed by their identities, and 1 + beta once per such pair
-    that a swap reads, so equal pairs share one object in every T_i and
-    block; and the check that T_k L_k T_k = q L_{k+1}.  beta_coeff
-    raises PoleError when two contents collide, at the first block
-    that holds the pair.  Both checks cover every block, and a failure
+    What depends only on a shape (the basis of standard tableaux, the
+    exponents of every content, and for each T_i the basis tableau the
+    swap of i and i+1 lands on) is computed once per process and shared
+    over every field (`_shape_skeleton`).  A rep lays those out end to
+    end and computes over its field one content object per exponents
+    (e, h, c), the seminormal ratio beta (`tableau.beta_coeff`) and
+    1 + beta once per pair of content objects of i and i+1, so equal
+    pairs share one object in every T_i and block, and checks
+    T_k L_k T_k = q L_{k+1}.  beta_coeff raises PoleError when two
+    contents collide; both checks cover every block, and a failure
     names the shape of its block.
 
-    L_k is stored as its diagonal, the k-th contents of the basis
-    tableaux (`l_diagonal`), and T_0 = L_1.  T_i for i >= 1 is stored as
-    sparse rows built from the seminormal ratios (`t_rows`), in the
-    form of `matrices` (columns increasing, zeros dropped); T_i + c is
-    read off those rows by adding c on the diagonal.  The ladder factors
-    L_k - eps^s Q_i are diagonals kept after their first use
-    (`ladder_diagonal`), at most n*p*d of them, with one entry object
-    per content object.  Everything stored is a tuple, so a word value
-    that shares it cannot change it.
+    L_k is stored as its diagonal, the k-th contents (`l_diagonal`),
+    and T_0 = L_1; T_i for i >= 1 as sparse rows in the form of
+    `matrices` (`t_rows`), and T_i + c by adding c on the diagonal.  The
+    ladder factors L_k - eps^s Q_i are diagonals kept after their first
+    use (`ladder_diagonal`), at most n*p*d, one entry object per content
+    object.  Everything stored is a tuple, so a word value that shares
+    it cannot change it.
 
-    The stored generators must not change after the rep is built: at a
-    point, `eval_word` keeps word values in a memo (at most
-    `WORD_CACHE_SIZE` of them) keyed by the rep itself, not by what it
-    stores.  Building a rep adds nothing to that memo.
+    At a point the rep memo's units (`evaluation_units`) are `memoized`:
+    `eval_word` keeps their word values in a memo (at most
+    `WORD_CACHE_SIZE`) keyed by the rep itself, not by what it stores,
+    so their generators must not change.  It keeps no other rep.
     """
+
+    memoized = False
 
     def __init__(self, shapes: tuple, field):
         self.shapes = tuple(shapes)
@@ -122,11 +119,10 @@ class SeminormalRep:
         # ladder_diagonal
         self._ladders = {}
 
-        # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents;
-        # evaluated past the word memo, which would keep words used once
+        # the recursion T_k L_k T_k = q L_{k+1} must reproduce the contents
         for k in range(1, self.n):
-            lhs = _eval_word(self, [("T", k), ("L", k), ("T", k)])
-            rhs = _eval_word(self, [("scal", field.q), ("L", k + 1)])
+            lhs = eval_word(self, [("T", k), ("L", k), ("T", k)])
+            rhs = eval_word(self, [("scal", field.q), ("L", k + 1)])
             if lhs != rhs:
                 a = next((a for a, (x, y) in enumerate(zip(lhs, rhs))
                           if x != y), 0)
@@ -253,9 +249,15 @@ def _shape_skeleton(shape: Multipartition) -> tuple:
 
 
 @lru_cache(maxsize=UNITS_CACHE_SIZE, typed=True)
-def _cached_units(p, d, n, field, limit) -> tuple:
+def _cached_units(p, d, n, field) -> tuple:
     # keyed by ints, which hash at every lookup where 98 shapes would;
-    # typed, so d=True reaches enumerate_all and is refused
+    # typed, so d=True reaches enumerate_all and is refused.  A generic
+    # direct sum held every module's values at once (`verify changing
+    # --b [2,1,1] --d 2 --mode symbolic` 18.6 -> 27.0 s, 64.8 -> 113.6
+    # MB), and a memo of generic words slowed trace-vbtb (pleftmult RSS
+    # 56.6 -> 79.6 MB)
+    point = not field.is_generic
+    limit = UNIT_DIM if point else 0
     groups, size = [], limit
     for shape in enumerate_all(p, d, n):
         dim = count_std(shape)
@@ -264,7 +266,10 @@ def _cached_units(p, d, n, field, limit) -> tuple:
             size = 0
         groups[-1].append(shape)
         size += dim
-    return tuple(SeminormalRep(group, field) for group in groups)
+    units = tuple(SeminormalRep(group, field) for group in groups)
+    for unit in units:
+        unit.memoized = point
+    return units
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -275,8 +280,8 @@ def _memo_word(rep: SeminormalRep, key: tuple) -> tuple:
 def build_rep(shape: Multipartition, field) -> SeminormalRep:
     """The seminormal model of the shape over the field, built afresh.
 
-    Nothing keeps it: a verdict that reads a module again reads it from
-    the one rep memo, `evaluation_units`.
+    Nothing keeps it, nor any value of its words: a verdict that reads a
+    module again reads it from the one rep memo, `evaluation_units`.
     """
     return SeminormalRep((shape,), field)
 
@@ -290,13 +295,10 @@ def evaluation_units(p, d, n, field) -> tuple:
     field and kept in the one rep memo (LRU, UNITS_CACHE_SIZE entries).
     At a point a unit holds at most UNIT_DIM basis tableaux (a larger
     shape alone): every cell of the points workload is one sum, so a
-    word is evaluated once per point.  Over the generic field each
-    shape is its own unit.
+    word is evaluated once per point, and kept (`memoized`).  Over the
+    generic field each shape is its own unit, and no word is kept.
     """
-    # a generic direct sum held whole symbolic values of every module at
-    # once: `verify changing --b [2,1,1] --d 2 --mode symbolic` went
-    # 18.6 -> 27.0 s and its peak RSS 64.8 -> 113.6 MB
-    return _cached_units(p, d, n, field, 0 if field.is_generic else UNIT_DIM)
+    return _cached_units(p, d, n, field)
 
 
 def _relations(field, n: int) -> list:
@@ -324,15 +326,11 @@ def _relations(field, n: int) -> list:
 
 
 def check_relations(rep: SeminormalRep) -> list:
-    """All defining relations as matrix identities; returns the failures.
-
-    The words are evaluated past the word memo, like the L-recursion
-    self-check: each is used once, and a memo entry would keep the rep.
-    """
+    """All defining relations as matrix identities; returns the failures."""
     if rep.n == 0:
         return []
     return [name for name, lhs, rhs in _relations(rep.field, rep.n)
-            if _eval_word(rep, lhs) != _eval_word(rep, rhs)]
+            if eval_word(rep, lhs) != eval_word(rep, rhs)]
 
 
 def _scalar_token(field, value):
@@ -364,28 +362,22 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
       entry ending that column's product.  The product then scales the
       stored nonzeros once, at most m multiplies, and drops those it
       sends to zero; a run that starts the word becomes sparse rows, n
-      tests.  A run of one token costs what the token alone does.
-    * A ladder costs one subtraction per distinct content the first time
-      it meets a rep, in either backend; its diagonal is then kept on
-      the rep, and later uses cost one dict lookup
-      (`SeminormalRep.ladder_diagonal`, at most n_L * p * d diagonals
-      for L_1..L_{n_L}).
+      tests.  A run of one token costs what the token alone does.  A
+      ladder's diagonal is built once per rep (`ladder_diagonal`).
 
     A zero row costs nothing for the rest of the word, but every token
     is still read and checked.  An empty word is the identity.  The
     result is the matrix as sparse rows (`matrices`): tuples, columns
     increasing, no zero stored, so equal values compare equal.
 
-    At a point the value is kept in one memo (LRU) of at most
-    `WORD_CACHE_SIZE` words, keyed by the rep and the word with every
-    ``scal`` and ``Tshift`` scalar already read and checked, so a bad
-    scalar raises before any lookup and a value repeated across calls
-    (v_b for every pivot, the shift cycle and the eigen oracle) is
-    computed once.  Every index must be an int, not a bool, in both
-    backends, since 1.0 and True would find the value of 1.  Over the
-    generic field, whose values do not hash, every word is evaluated
-    afresh.  Sharing a value is safe
-    because it is made of tuples, and the key is sound because a rep's
+    On a `memoized` rep (a unit of `evaluation_units` at a point) the
+    value is kept in one memo (LRU, `WORD_CACHE_SIZE` words) keyed by
+    the rep and the word with every ``scal`` and ``Tshift`` scalar read
+    and checked, so a bad scalar raises before any lookup and a value
+    repeated across calls (v_b for every pivot, the shift cycle, the
+    eigen oracle) is computed once; any other rep evaluates afresh.
+    Every index must be an int, not a bool, since 1.0 and True would
+    find the value of 1.  A shared value is made of tuples, and a unit's
     generators never change after it is built.
     """
     field = rep.field
@@ -400,10 +392,9 @@ def eval_word(rep: SeminormalRep, word) -> tuple:
         elif tag == "Tshift":
             item = ("Tshift", item[1], _scalar_token(field, item[2]))
         key.append(item)
-    # a memo of generic words slowed trace-vbtb; pleftmult RSS 56.6->79.6 MB
-    if field.is_generic:
-        return _eval_word(rep, key)
-    return _memo_word(rep, tuple(key))
+    if rep.memoized:
+        return _memo_word(rep, tuple(key))
+    return _eval_word(rep, key)
 
 
 def _eval_word(rep: SeminormalRep, word) -> tuple:

@@ -547,7 +547,8 @@ def test_reduce_mod_rejects_entry_outside_the_matrix(runner, tmp_path, entry):
 @pytest.mark.parametrize("key", ["entries", "unknowns", "report", "char"])
 def test_reduce_mod_needs_assemble_keys(runner, tmp_path, key):
     mat = tmp_path / "mat.json"
-    data = json.loads(open(assembled(runner, tmp_path)).read())
+    with open(assembled(runner, tmp_path)) as f:
+        data = json.load(f)
     del data[key]
     mat.write_text(json.dumps(data))
     result = runner.invoke(main, ["reduce-mod", "--matrix", str(mat),

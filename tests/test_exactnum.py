@@ -26,7 +26,9 @@ from cyclohecke.exactnum import (
     ratfunc_to_json,
     sample_point,
 )
+from cyclohecke.combin import compositions
 from cyclohecke.matrices import rows_mul, rows_rank
+from cyclohecke.seminormal import element_equal, mode_fields
 
 from helpers import (
     RatFuncField,
@@ -516,6 +518,42 @@ def test_semisimple_rejects_a_vanishing_q_integer_alone():
     assert not is_semisimple(pt, 3)
 
 
+def _small_coordinate(rng, N, cyclotomic):
+    """A nonzero small int, or a small element of Q(zeta_N) (a root of
+    unity times an int, or a + b zeta_N), drawn so that coordinates
+    often differ by a power of q times a root of unity."""
+    while True:
+        if not cyclotomic:
+            value = rng.randint(-6, 6)
+        elif rng.random() < 0.5:
+            value = CycRat.make(N, [0] * rng.randrange(N) + [rng.randint(-4, 4)])
+        else:
+            value = CycRat.make(N, [rng.randint(-3, 3), rng.randint(-3, 3)])
+        if value:
+            return value
+
+
+def test_semisimple_implies_separated():
+    # rho runs over every eps^u Q_c, so q^k rho_i != rho_j covers every
+    # factor Q_i - eps^t q^k Q_j of separation (i = j included)
+    rng = random.Random(15)
+    seen = Counter()
+    for cyclotomic in (False, True):
+        for _ in range(1200):
+            p, d, n = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 4)
+            N = p * rng.randint(1, 2) if cyclotomic else p
+            pt = SpecPoint(p, N, _small_coordinate(rng, N, cyclotomic),
+                           [_small_coordinate(rng, N, cyclotomic)
+                            for _ in range(d)])
+            semisimple, separated = is_semisimple(pt, n), is_separated(pt, n)
+            assert separated or not semisimple, pt.to_json()
+            seen[cyclotomic, semisimple, separated] += 1
+    # each kind of point draws semisimple and non-separated points alike
+    for cyclotomic in (False, True):
+        assert seen[cyclotomic, True, True] >= 100, seen
+        assert seen[cyclotomic, False, False] >= 100, seen
+
+
 def test_sample_point_is_separated_and_semisimple():
     # on a narrow range many draws have Q_i = q^k Q_j and must be
     # rejected, so a sampler that skipped either test would return some
@@ -683,6 +721,29 @@ def test_specpoint_validation():
         SpecPoint(p=2, N=2, q_val=Fraction(0), Q_vals=(Fraction(1),))
     with pytest.raises(ValueError):
         SpecPoint(p=2, N=2, q_val=Fraction(2), Q_vals=())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GenericField(2, True),
+    lambda: GenericField(True, 1),
+    lambda: GenericField(2, 1.0),
+    lambda: SpecPoint(2, 2, True, [5]),
+    lambda: SpecPoint(2, 2, 3, [5, False]),
+    lambda: SpecPoint(2.0, 2, 3, [5]),
+    lambda: SpecPoint(2, True, 3, [5]),
+    lambda: list(compositions(True, 2)),
+    lambda: list(compositions(2, 2.0)),
+    lambda: element_equal(2, 1, True, [("T", 0)], [("T", 0)]),
+    lambda: mode_fields(2, True, 2, "symbolic"),
+], ids=["generic-d-bool", "generic-p-bool", "generic-d-float",
+        "point-q-bool", "point-Q-bool", "point-p-float", "point-N-bool",
+        "compositions-n-bool", "compositions-p-float", "element-equal-n-bool",
+        "mode-fields-d-bool"])
+def test_context_integers_refuse_bools_and_floats(call):
+    # True == 1 and 2.0 == 2, so an unchecked bool builds the field, point
+    # or cell of 1, and a float fails late with a TypeError
+    with pytest.raises(ValueError, match="must be integers|not a bool"):
+        call()
 
 
 # ---------------------------------------------------------------------------

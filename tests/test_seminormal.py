@@ -395,6 +395,18 @@ def _dense_word(rep, word):
     return acc
 
 
+def _dense_blocks(unit, word):
+    """The dense reference of a word on a direct sum, one module at a
+    time: block diagonal, each block from a rep of its shape alone."""
+    zero = unit.field.zero
+    out = [[zero] * unit.dim for _ in range(unit.dim)]
+    for shape, lo, hi in unit.blocks:
+        block = _dense_word(build_rep(shape, unit.field), word)
+        for a, row in enumerate(block):
+            out[lo + a][lo:hi] = row
+    return tuple(tuple(row) for row in out)
+
+
 def _random_word(rng, field, n, length):
     word = []
     for _ in range(length):
@@ -755,10 +767,9 @@ def test_word_memo_returns_the_evaluated_value(word_memo):
     pt = sample_point(2, 2, 3, random.Random(31))
     rng = random.Random(32)
     words = [_random_word(rng, pt, 3, rng.randint(1, 8)) for _ in range(12)]
-    for shape in enumerate_all(2, 2, 3):
-        rep = build_rep(shape, pt)
+    for rep in evaluation_units(2, 2, 3, pt):
         for word in words:
-            expect = _dense_word(rep, word)
+            expect = _dense_blocks(rep, word)
             first = eval_word(rep, word)
             _check_rows(first, expect, pt.zero)
             # a repeat is a hit: the same value, not a recomputed one
@@ -773,7 +784,7 @@ def test_word_memo_checks_scalar_tokens_before_lookup(word_memo):
     # True == 1 == 1.0 with equal hashes, so a memo keyed on the raw
     # tokens would return the value of ("scal", 1) for ("scal", True)
     pt = sample_point(2, 1, 3, random.Random(33))
-    rep = build_rep(mp(2, 1, [(2,), (1,)]), pt)
+    (rep,) = evaluation_units(2, 1, 3, pt)
     eval_word(rep, [("scal", 1)])
     eval_word(rep, [("Tshift", 1, 1)])
     assert word_memo.cache_info().currsize == 2
@@ -790,7 +801,9 @@ def test_scalar_tokens_are_read_once_on_a_miss(backend, word_memo,
                                                monkeypatch):
     field = (sample_point(3, 1, 3, random.Random(36)) if backend == "point"
              else GenericField(3, 1))
-    rep = build_rep(mp(3, 1, [(2,), (1,), ()]), field)
+    shape = mp(3, 1, [(2,), (1,), ()])
+    rep = next(unit for unit in evaluation_units(3, 1, 3, field)
+               if shape in unit.shapes)
     read = type(field).scalar
     calls = []
 
@@ -803,7 +816,7 @@ def test_scalar_tokens_are_read_once_on_a_miss(backend, word_memo,
     assert calls == [2, 3]
     assert word_memo.cache_info().misses == (0 if field.is_generic else 1)
     monkeypatch.undo()
-    _check_rows(value, _dense_word(rep, [("scal", 2), ("Tshift", 1, 3)]),
+    _check_rows(value, _dense_blocks(rep, [("scal", 2), ("Tshift", 1, 3)]),
                 field.zero)
 
 
@@ -832,7 +845,7 @@ def test_word_indices_are_typed_before_lookup(word_memo):
 
 def test_word_memo_stays_within_its_bound(word_memo):
     pt = sample_point(2, 1, 3, random.Random(34))
-    rep = build_rep(mp(2, 1, [(2,), (1,)]), pt)
+    (rep,) = evaluation_units(2, 1, 3, pt)
     words = [[("scal", k), ("T", 1)] for k in range(WORD_CACHE_SIZE + 20)]
     for word in words:
         eval_word(rep, word)
@@ -847,27 +860,49 @@ def test_word_memo_stays_within_its_bound(word_memo):
 def test_word_memo_skips_rep_builds_and_the_generic_field(word_memo):
     pt = sample_point(2, 1, 3, random.Random(35))
     for field in (pt, K21):
-        # the L-recursion self-check evaluates words once, past the memo
+        # the L-recursion self-check runs before a unit is memoized
         for shape in enumerate_all(2, 1, 3):
             SeminormalRep((shape,), field)
         assert word_memo.cache_info().currsize == 0
-    rep = SeminormalRep((mp(2, 1, [(2,), (1,)]),), K21)
-    eval_word(rep, [("T", 1), ("L", 2)])
+    for rep in evaluation_units(2, 1, 3, K21):
+        assert not rep.memoized
+        eval_word(rep, [("T", 1), ("L", 2)])
     assert word_memo.cache_info().currsize == 0
-    # so do the relation checks, whose words are each used once: the memo
-    # (one entry, so an eviction would show) is untouched and keeps no
-    # fresh rep alive
-    eval_word(build_rep(mp(2, 1, [(1,), (1,)]), pt), [("T", 1)])
+
+
+def test_only_the_units_at_a_point_keep_word_values(word_memo, monkeypatch):
+    pt = sample_point(2, 1, 3, random.Random(35))
+    (unit,) = evaluation_units(2, 1, 3, pt)
+    assert unit.memoized
+    # one entry, so an eviction would show
+    eval_word(unit, [("T", 1)])
     before = word_memo.cache_info()
-    refs = []
+    refs, build = [], seminormal.build_rep
+
+    def recorded(shape, field):
+        rep = build(shape, field)
+        refs.append(weakref.ref(rep))
+        return rep
+
+    monkeypatch.setattr(seminormal, "build_rep", recorded)
     for shape in enumerate_all(2, 1, 3):
-        rep = build_rep(shape, pt)
-        assert check_relations(rep) == []
+        character(shape, [("T", 1), ("L", 2)], pt)
+        assert check_relations(seminormal.build_rep(shape, pt)) == []
+        rep = SeminormalRep((shape,), pt)
+        assert not rep.memoized
+        eval_word(rep, [("T", 1), ("L", 2)])
         refs.append(weakref.ref(rep))
     del rep
     gc.collect()
     assert word_memo.cache_info() == before
+    assert len(refs) == 3 * len(enumerate_all(2, 1, 3))
     assert [ref() for ref in refs] == [None] * len(refs)
+    # a verdict run again on the units reads both of its words from the memo
+    braid = [("T", 1), ("T", 2), ("T", 1)], [("T", 2), ("T", 1), ("T", 2)]
+    assert element_equal(2, 1, 3, *braid, points=[pt])
+    hits = word_memo.cache_info().hits
+    assert element_equal(2, 1, 3, *braid, points=[pt])
+    assert word_memo.cache_info().hits == hits + 2
 
 
 def test_sparse_products_match_mat_mul():

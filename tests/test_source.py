@@ -193,8 +193,8 @@ def _defs_and_nodes(tree):
 def test_only_exactnum_knows_the_backends():
     # consumers reach a field through the protocol in exactnum's
     # docstring: no private name of exactnum, no isinstance test on a
-    # backend, and is_generic read only by the two evaluation policies
-    # of seminormal, the word memo and the unit size
+    # backend, and is_generic read once, where the rep memo builds its
+    # units: it sets their size and whether their words are memoized
     found, generic = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "exactnum.py":
@@ -213,12 +213,25 @@ def test_only_exactnum_knows_the_backends():
             if isinstance(node, ast.Attribute) and node.attr == "is_generic":
                 generic.add(f"{path.stem}.{owner}")
     assert not found, found
-    assert generic == {"seminormal.eval_word", "seminormal.evaluation_units"}
+    assert generic == {"seminormal._cached_units"}
     from cyclohecke import cli, exactnum
     assert not hasattr(exactnum.SpecPoint, "embed")
     assert not hasattr(cli, "_field_json")
     assert exactnum.generic_field is exactnum.GenericField
     assert cli.scalar_to_json is exactnum.scalar_to_json
+
+
+def test_one_path_evaluates_a_word():
+    # the L-recursion self-check, the relation checks and characters go
+    # through eval_word, which alone decides whether a value is memoized
+    callers = {
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner, node in _defs_and_nodes(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "_eval_word" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"seminormal.eval_word", "seminormal._memo_word"}
 
 
 def test_only_exactnum_reads_the_form_of_a_value():
